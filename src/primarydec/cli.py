@@ -606,7 +606,7 @@ def _seed_from_env() -> int:
         raise ScriptError(f"PRIMDEC_SEED must be an integer, got {raw!r}")
 
 
-def _run_file(path_text: str, bound: int, json_mode: bool) -> tuple[int, str]:
+def _run_file(path_text: str, bound: int, json_mode: bool) -> str:
     path = Path(path_text)
     try:
         source = path.read_text()
@@ -615,7 +615,7 @@ def _run_file(path_text: str, bound: int, json_mode: bool) -> tuple[int, str]:
     script = parse_script(source)
     seed = _seed_from_env()
     results = run_script(script, bound=bound, seed=seed, base_dir=path.parent)
-    return 0, (render_json(results) if json_mode else render_text(results))
+    return render_json(results) if json_mode else render_text(results)
 
 
 def main(argv=None) -> int:
@@ -642,10 +642,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         if args.mode == "run":
-            code, output = _run_file(args.file, args.bound, args.json)
-            sys.stdout.write(output)
-            return code
-        _code, output = _run_file(args.file, 50, True)
+            sys.stdout.write(_run_file(args.file, args.bound, args.json))
+            return 0
+        output = _run_file(args.file, 50, True)
         try:
             expected = Path(args.expected).read_text()
         except OSError as exc:

@@ -31,7 +31,7 @@ from .groebner import (
     transport_module,
     transport_polynomial,
 )
-from .homology import ass_prim_codim, equidim_hull, ext_module
+from .homology import ass_prim_codim, equidim_hull
 from .polyring import (
     MonomialOrder,
     Polynomial,
@@ -375,24 +375,6 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
     if I.ambient_rank != 1:
         raise ValueError("minimal primes are computed for ideals")
     return list(_min_ass_rec(canonical(I), seed, 0))
-
-
-def radical_equidim(I: Submodule, seed: int = 0) -> Submodule:
-    """Radical of an equidimensional ideal as the intersection of its primes."""
-    primes = min_ass(I, seed)
-    if not primes:
-        return _unit_ideal(I.ring)
-    return canonical(intersect_many(primes))
-
-
-def inter_ass_prim(M: Submodule, c: int, seed: int = 0) -> Submodule:
-    """Intersection of the codimension-c associated primes, or the unit ideal."""
-    E = ext_module(c, M)
-    if E.is_zero:
-        return _unit_ideal(M.ring)
-    if codim(E.annihilator) != c:
-        return _unit_ideal(M.ring)
-    return radical_equidim(equidim_hull(E.annihilator), seed)
 
 
 # ---------------------------------------------------------------------------

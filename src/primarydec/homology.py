@@ -17,12 +17,10 @@ from .groebner import (
     buchberger,
     canonical,
     codim,
-    is_unit_ideal,
     krull_dim,
     lift,
     modulo_kernel,
     reduce_columns,
-    saturate,
     syzygies,
 )
 from .polyring import (
@@ -146,13 +144,6 @@ def free_resolution(M: Submodule, length: int) -> list[PolyMatrix]:
     return _resolve(PolyMatrix.from_submodule(canonical(M)), length)
 
 
-def presentation_resolution(P: Submodule, length: int) -> list[PolyMatrix]:
-    """Resolution of coker(P) keeping the given ambient rank of generators."""
-    if length < 1:
-        raise ValueError("resolution length must be positive")
-    return _resolve(PolyMatrix.from_submodule(canonical(P)), length)
-
-
 # ---------------------------------------------------------------------------
 # Ext modules
 # ---------------------------------------------------------------------------
@@ -160,49 +151,41 @@ def presentation_resolution(P: Submodule, length: int) -> list[PolyMatrix]:
 
 @dataclass(frozen=True)
 class ExtModule:
-    """Ext^c(F/M, R) given by kernel generators and their relations."""
+    """Ext^c(F/M, R), summarised by its annihilator."""
 
-    generators: Submodule
-    presentation: Submodule
     annihilator: Submodule
     is_zero: bool
 
 
-def _standalone_prune(pres: Submodule) -> Submodule:
-    grid = _to_grid(PolyMatrix.from_submodule(pres))
-    grids: list = [[], grid]  # empty neighbour slot, skipped by _eliminate
-    while grid and grid[0]:
-        spot = _find_constant(grid)
-        if spot is None:
-            break
-        _eliminate(grids, 1, *spot)
-    ring = pres.ring
-    if not grid:
-        return Submodule(ring, 0, [])
-    return _from_grid(ring, grid, len(grid)).to_submodule()
+def _ext_cycles(c: int, M: Submodule) -> tuple[list[PolyMatrix], Submodule]:
+    """Transposed resolution maps t of F/M and the cycles K = ker t[c].
+
+    For c >= 1 the columns of K are reduced modulo im t[c-1], and those lying
+    in it are dropped, so an empty K means Ext^c(F/M, R) = 0.
+    """
+    t = [m.transpose() for m in free_resolution(M, c + 1)]
+    K = syzygies(t[c].to_submodule())
+    if c >= 1:
+        K = reduce_columns(
+            PolyMatrix.from_submodule(K), buchberger(t[c - 1].to_submodule())
+        )
+    return t, K
 
 
 def ext_module(c: int, M: Submodule) -> ExtModule:
     ring = M.ring
     if c < 0:
         raise ValueError("negative cohomological degree")
-    unit = ideal(ring, [ring.one()])
-    maps = free_resolution(M, c + 1)
-    t_c = maps[c].transpose()
-    K = syzygies(t_c.to_submodule())
-    if c >= 1:
-        t_prev = maps[c - 1].transpose()
-        K = reduce_columns(PolyMatrix.from_submodule(K), buchberger(t_prev.to_submodule()))
-        pres = modulo_kernel(PolyMatrix.from_submodule(K), t_prev)
-    else:
-        pres = syzygies(K)
-    if not K.generators:
-        return ExtModule(K, pres, canonical(unit), True)
-    pruned = _standalone_prune(pres)
-    if pruned.ambient_rank == 0 or buchberger(pruned).is_full():
-        return ExtModule(K, pres, canonical(unit), True)
-    ann = annihilator(pruned)
-    return ExtModule(K, pres, canonical(ann), False)
+    t, K = _ext_cycles(c, M)
+    if K.generators:
+        pres = modulo_kernel(K, t[c - 1]) if c >= 1 else syzygies(K)
+        grid = _to_grid(PolyMatrix.from_submodule(pres))
+        _prune([[], grid])  # empty neighbour slot, skipped by _eliminate
+        if grid:
+            pruned = _from_grid(ring, grid, len(grid)).to_submodule()
+            if not buchberger(pruned).is_full():
+                return ExtModule(canonical(annihilator(pruned)), False)
+    return ExtModule(canonical(ideal(ring, [ring.one()])), True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,75 +193,28 @@ def ext_module(c: int, M: Submodule) -> ExtModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonMapResult:
-    """Kernel and cokernel data of F/M -> Ext^c(Ext^c(F/M, R), R)."""
-
-    codimension: int
-    kernel_preimage: Submodule
-    kernel_presentation: Submodule
-    cokernel_presentation: Submodule
-
-
-def canon_map(M: Submodule) -> CanonMapResult:
+def canon_map(M: Submodule) -> Submodule:
+    """Preimage in F of the kernel of F/M -> Ext^c(Ext^c(F/M, R), R), c = codim."""
     ring = M.ring
     G = buchberger(M)
     if G.is_full():
         raise HomologyError("module equals its ambient free module")
-    Mc = G.module
     c = ring.n - krull_dim(G)
-    if c == 0:
-        Mmat = PolyMatrix.from_submodule(Mc)
-        K = syzygies(Mmat.transpose().to_submodule())
-        Kmat = PolyMatrix.from_submodule(K)
-        Ke = syzygies(Kmat.transpose().to_submodule())
-        S1 = syzygies(K)
-        DD = syzygies(PolyMatrix.from_submodule(S1).transpose().to_submodule())
-        Co = modulo_kernel(PolyMatrix.from_submodule(DD), Kmat.transpose())
-        ker_pres = modulo_kernel(PolyMatrix.from_submodule(Ke), Mmat)
-        return CanonMapResult(0, Ke, ker_pres, Co)
-    maps = free_resolution(Mc, c + 1)
-    t = [m.transpose() for m in maps]
-    K = syzygies(t[c].to_submodule())
-    K = reduce_columns(
-        PolyMatrix.from_submodule(K), buchberger(t[c - 1].to_submodule())
-    )
+    t, K = _ext_cycles(c, G.module)
     if not K.generators:
         raise HomologyError("vanishing Ext at the codimension of the module")
-    A = modulo_kernel(PolyMatrix.from_submodule(K), t[c - 1])
-    gmaps = presentation_resolution(A, c + 1)
+    if c == 0:
+        return syzygies(PolyMatrix.from_submodule(K).transpose().to_submodule())
+    gmaps = free_resolution(modulo_kernel(K, t[c - 1]), c)
     cur = PolyMatrix.from_submodule(K)
     for i in range(1, c + 1):
-        B = cur.mul(gmaps[i - 1])
-        T = lift(t[c - i].to_submodule(), B.to_submodule())
-        cur = T
-    curT = cur.transpose()
-    gT = gmaps[c - 1].transpose()
-    Ke = modulo_kernel(curT, gT)
-    DD = syzygies(gmaps[c].transpose().to_submodule())
-    Co = modulo_kernel(PolyMatrix.from_submodule(DD), curT.hconcat(gT))
-    ker_pres = modulo_kernel(
-        PolyMatrix.from_submodule(Ke), PolyMatrix.from_submodule(Mc)
-    )
-    return CanonMapResult(c, Ke, ker_pres, Co)
+        cur = lift(t[c - i].to_submodule(), cur.mul(gmaps[i - 1]).to_submodule())
+    return modulo_kernel(cur.transpose(), gmaps[c - 1].transpose())
 
 
 def equidim_hull(M: Submodule) -> Submodule:
     """Intersection of the primary components of minimal codimension."""
-    return canonical(canon_map(M).kernel_preimage)
-
-
-def rem_comp(M: Submodule, c: int) -> Submodule:
-    """Strip every primary component of codimension above c."""
-    ring = M.ring
-    N = canonical(M)
-    for b in range(ring.n, c, -1):
-        E = ext_module(b, M)
-        if E.is_zero:
-            continue
-        if codim(E.annihilator) == b:
-            N = saturate(N, E.annihilator)[0]
-    return canonical(N)
+    return canonical(canon_map(M))
 
 
 def ass_prim_codim(M: Submodule, c: int) -> Submodule:

@@ -213,14 +213,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
 
-    def support_variables(self) -> frozenset[int]:
-        used = set()
-        for exps, _ in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return frozenset(used)
-
     def degree_in(self, i: int) -> int:
         if not self.terms:
             return -1
@@ -466,9 +458,6 @@ class Submodule:
 
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.generators)
-
-    def drop_zero_generators(self) -> "Submodule":
-        return Submodule(self.ring, self.ambient_rank, [g for g in self.generators if not g.is_zero()])
 
     def __eq__(self, other):
         return (

@@ -35,18 +35,6 @@ def _q_sub(a: list, b: list) -> list:
     return _trim(out)
 
 
-def _q_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
 def _q_divmod(a: list, b: list) -> tuple[list, list]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")

@@ -1,8 +1,11 @@
 import json
+import os
 import random
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +290,17 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["generators"] == ["x"]
+
+
+def test_python_dash_m_runs_fixture():
+    tests = Path(__file__).resolve().parent
+    fixture = tests / "fixtures" / "embedded_line.primdec"
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PRIMDEC_SEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "primarydec", "run", str(fixture), "--json"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == fixture.with_suffix(".expected.json").read_bytes()
+    assert proc.stderr == b""

@@ -4,12 +4,10 @@ from primarydec.decompose import (
     Component,
     DecompositionError,
     DecompositionResult,
-    inter_ass_prim,
     localize_module,
     min_ass,
     primary_component,
     primary_decomposition,
-    radical_equidim,
 )
 from primarydec.groebner import (
     canonical,
@@ -105,22 +103,6 @@ def test_min_ass_deterministic_across_seeds():
     x, y = R.variable(0), R.variable(1)
     I = ideal(R, [x * x - 2, y * y - 2])
     assert primes_text(min_ass(I, seed=0)) == primes_text(min_ass(I, seed=3))
-
-
-def test_radical_equidim():
-    R = ring2()
-    x, y = R.variable(0), R.variable(1)
-    assert itext(radical_equidim(ideal(R, [x * y]))) == ["x*y"]
-    assert itext(radical_equidim(ideal(R, [x * x]))) == ["x"]
-
-
-def test_inter_ass_prim_values():
-    R = ring2()
-    x, y = R.variable(0), R.variable(1)
-    I = ideal(R, [x * x, x * y])
-    assert itext(inter_ass_prim(I, 1)) == ["x"]
-    assert itext(inter_ass_prim(I, 2)) == ["y", "x"]
-    assert itext(inter_ass_prim(ideal(R, [x, y]), 1)) == ["1"]
 
 
 def test_localize_module_known_values():

@@ -1,21 +1,23 @@
+import json
 import random
+from pathlib import Path
 
+from primarydec.cli import Command, parse_polynomial, parse_script
 from primarydec.groebner import (
     canonical,
     codim,
+    intersect_many,
     is_sub,
     module_equal,
     syzygies,
 )
 from primarydec.homology import (
-    CanonMapResult,
     HomologyError,
     ass_prim_codim,
     canon_map,
     equidim_hull,
     ext_module,
     free_resolution,
-    rem_comp,
 )
 from primarydec.polyring import (
     FreeElement,
@@ -27,6 +29,18 @@ from primarydec.polyring import (
 )
 
 import pytest
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# the fixtures whose scripts run ``primdec``
+PRIMDEC_FIXTURES = [
+    "embedded_line",
+    "module_rank3",
+    "parabola",
+    "quadratic_points",
+    "three_monomials",
+]
 
 
 def ring2() -> RingContext:
@@ -174,25 +188,6 @@ def test_hull_rejects_full_module():
         canon_map(ideal(R, [R.one()]))
 
 
-def test_canon_map_kernel_presentation():
-    R = ring2()
-    x, y = R.variable(0), R.variable(1)
-    res = canon_map(ideal(R, [x * x, x * y]))
-    assert isinstance(res, CanonMapResult)
-    assert res.codimension == 1
-    assert ideal_text(res.kernel_preimage) == ["x"]
-    # x * <x, y> lies in the ideal, so the kernel generator has these relations
-    assert ideal_text(res.kernel_presentation) == ["x", "y"]
-
-
-def test_rem_comp_strips_top_dimensional_part():
-    R = ring2()
-    x, y = R.variable(0), R.variable(1)
-    I = ideal(R, [x * x, x * y])
-    assert ideal_text(rem_comp(I, 1)) == ["x"]
-    assert module_equal(rem_comp(I, 2), I)
-
-
 def test_ass_prim_codim_values():
     R = ring2()
     x, y = R.variable(0), R.variable(1)
@@ -247,3 +242,33 @@ def test_hull_of_module_contains_module():
     H = equidim_hull(M)
     assert is_sub(M, H)
     assert codim(H) == codim(M)
+
+
+def _component(ring: RingContext, rank: int, gens) -> Submodule:
+    vectors = []
+    for g in gens:
+        comps = [g] if isinstance(g, str) else g
+        vectors.append(
+            FreeElement(ring, tuple(parse_polynomial(ring, c) for c in comps))
+        )
+    return Submodule(ring, rank, vectors)
+
+
+@pytest.mark.parametrize("name", PRIMDEC_FIXTURES)
+def test_hull_matches_fixture_components(name):
+    # the hull is the intersection of the frozen components of least codim
+    script = parse_script((FIXTURES / f"{name}.primdec").read_text())
+    expected = json.loads((FIXTURES / f"{name}.expected.json").read_text())
+    commands = [s for s in script.statements if isinstance(s, Command)]
+    assert len(commands) == len(expected)
+    checked = [(c, e) for c, e in zip(commands, expected) if c.verb == "primdec"]
+    assert checked
+    for cmd, entry in checked:
+        M = cmd.module
+        low = min(comp["codim"] for comp in entry["components"])
+        top = [
+            _component(M.ring, M.ambient_rank, comp["generators"])
+            for comp in entry["components"]
+            if comp["codim"] == low
+        ]
+        assert module_equal(equidim_hull(M), intersect_many(top))
