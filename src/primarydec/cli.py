@@ -290,10 +290,15 @@ class _Parser:
             order = MonomialOrder(kind="lex")
         else:
             self.expect_sym("(")
-            weights = [self.expect_int()]
-            while self.at_sym(","):
-                self.advance()
+            weights = []
+            while True:
+                t = self.peek()
                 weights.append(self.expect_int())
+                if weights[-1] == 0:
+                    raise ScriptError("weights must be positive", t.line, t.col)
+                if not self.at_sym(","):
+                    break
+                self.advance()
             self.expect_sym(")")
             if len(weights) != len(varnames):
                 raise ScriptError(
@@ -432,6 +437,10 @@ def _ideal_generators_list(A: Submodule) -> list[str]:
     return [render_polynomial(g.components[0]) for g in canonical(A).generators]
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _components_from_json(doc, M: Submodule):
     if isinstance(doc, dict):
         doc = doc.get("components")
@@ -452,12 +461,18 @@ def _components_from_json(doc, M: Submodule):
         prime_gens = entry.get("prime")
         if gens is None or prime_gens is None:
             raise ScriptError("component entries need generators and prime")
+        if not isinstance(gens, list):
+            raise ScriptError("component generators must be a list")
+        if not _is_string_list(prime_gens):
+            raise ScriptError("component prime must be a list of strings")
         vectors = []
         for g in gens:
-            if isinstance(g, str):
-                comps = [g]
-            else:
-                comps = list(g)
+            comps = [g] if M.ambient_rank == 1 else g
+            if not _is_string_list(comps):
+                raise ScriptError(
+                    "ideal generators must be strings, module generators "
+                    "lists of strings"
+                )
             if len(comps) != M.ambient_rank:
                 raise ScriptError("component generator has wrong length")
             vectors.append(

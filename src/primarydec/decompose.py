@@ -28,8 +28,6 @@ from .groebner import (
     krull_dim,
     module_equal,
     saturate,
-    transport_module,
-    transport_polynomial,
 )
 from .homology import ass_prim_codim, equidim_hull
 from .polyring import (
@@ -105,10 +103,9 @@ def _minimalize(primes) -> tuple[Submodule, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _field_lead_coefficient(p: Polynomial, D: tuple[int, ...]) -> Polynomial:
-    """Coefficient in the independent variables of the top D-monomial of p."""
+def _field_lead_coefficient(p: Polynomial, lead, D: tuple[int, ...]) -> Polynomial:
+    """Coefficient in the independent variables of the D-part of lead in p."""
     ring = p.ring
-    lead = p.leading_monomial()
     dpart = tuple(lead[i] if i in D else 0 for i in range(ring.n))
     c = ring.zero()
     for exps, coeff in p.terms:
@@ -138,24 +135,20 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
     ring = J.ring
     others = tuple(i for i in D if i != d)
     blocks = (others, (d,)) if others else ((d,),)
-    bring = ring.with_order(MonomialOrder(kind="block", blocks=blocks))
-    G = buchberger(transport_module(J, bring))
+    G = buchberger(J, MonomialOrder(kind="block", blocks=blocks))
     best = None
-    for gen in G.generators:
-        p = gen.components[0]
-        lead = p.leading_monomial()
+    for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
         if any(lead[i] for i in others):
             continue
-        degd = lead[d]
-        if best is None or degd < best.leading_monomial()[d]:
-            best = p
-    if best is None or best.leading_monomial()[d] == 0:
+        if best is None or lead[d] < best_deg:
+            best, best_deg = gen.components[0], lead[d]
+    if best is None or best_deg == 0:
         raise _CertificationFailure("no elimination polynomial found")
     ck: dict[int, Polynomial] = {}
     for exps, coeff in best.terms:
         k = exps[d]
-        upart = tuple(0 if i == d else exps[i] for i in range(bring.n))
-        ck[k] = ck.get(k, bring.zero()) + bring.monomial(upart) * coeff
+        upart = tuple(0 if i == d else exps[i] for i in range(ring.n))
+        ck[k] = ck.get(k, ring.zero()) + ring.monomial(upart) * coeff
     top = max(ck)
     ctop = ck[top]
     coeffs = []
@@ -173,15 +166,10 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
 
 def _shape_exponent(J: Submodule, D: tuple[int, ...], d_last: int):
     """Exponent k when the lead terms have shape {x_d : d != d_last, x_last^k}."""
-    ring = J.ring
     perm = tuple(d for d in D if d != d_last) + (d_last,)
     blocks = tuple((d,) for d in perm)
-    bring = ring.with_order(MonomialOrder(kind="block", blocks=blocks))
-    G = buchberger(transport_module(J, bring))
-    dparts = set()
-    for gen in G.generators:
-        lead = gen.components[0].leading_monomial()
-        dparts.add(tuple(lead[i] for i in D))
+    G = buchberger(J, MonomialOrder(kind="block", blocks=blocks))
+    dparts = {tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()}
     minimal = [
         m
         for m in dparts
@@ -244,21 +232,18 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, depth: int):
 def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, depth: int):
     ring = I.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
-    bring = ring.with_order(MonomialOrder(kind="block", blocks=(D,)))
-    G = buchberger(transport_module(I, bring))
+    G = buchberger(I, MonomialOrder(kind="block", blocks=(D,)))
     coeffs = set()
-    for gen in G.generators:
-        p = gen.components[0]
-        if not any(p.leading_monomial()[i] for i in D):
+    for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
+        if not any(lead[i] for i in D):
             raise _CertificationFailure("independent set meets the ideal")
-        c = _field_lead_coefficient(p, D)
+        c = _field_lead_coefficient(gen.components[0], lead, D)
         if not c.is_constant():
             coeffs.add(c)
     if coeffs:
-        h_b = bring.one()
+        h = ring.one()
         for c in sorted(coeffs, key=render_polynomial):
-            h_b = h_b * c
-        h = transport_polynomial(h_b, ring)
+            h = h * c
         J, m = saturate(I, ideal(ring, [h]))
     else:
         h, (J, m) = None, (canonical(I), 0)

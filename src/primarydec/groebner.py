@@ -7,7 +7,9 @@ update; the coprime criterion is applied only to pairs whose elements both
 live entirely in one component, since it is unsound for general module
 elements.  All higher operations (syzygies, lifts, kernels of induced maps,
 intersections, quotients, saturation, elimination) reduce to Groebner runs
-over suitably extended rings or orders.
+over suitably extended free modules or rings, or in another monomial order.
+The order is an argument of buchberger; every result stays in the caller's
+ring.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from .polyring import (
     FreeElement,
     MonomialOrder,
     Polynomial,
-    PolyMatrix,
     RingContext,
     RingError,
     Submodule,
     full_module,
     ideal,
     ideal_generators,
+    poly_from_terms,
     unit_vector,
     zero_module,
 )
@@ -43,13 +45,6 @@ from .polyring import (
 # elem: (terms, lead_key, lead_comp, lead_exps, lead_coeff, single_comp)
 
 
-def _poly_from_items(ring: RingContext, items) -> Polynomial:
-    key = ring.order.ring_key
-    terms = [(e, c) for e, c in items if c]
-    terms.sort(key=lambda t: key(t[0]), reverse=True)
-    return Polynomial(ring, tuple(terms))
-
-
 def _to_engine_terms(v: FreeElement, order: MonomialOrder):
     terms = []
     for comp, poly in enumerate(v.components):
@@ -59,11 +54,12 @@ def _to_engine_terms(v: FreeElement, order: MonomialOrder):
     return tuple(terms)
 
 
-def _from_engine_terms(ring: RingContext, rank: int, terms) -> FreeElement:
+def _from_engine_terms(ring: RingContext, rank: int, terms, first: int = 0) -> FreeElement:
+    """Vector of components first .. first+rank-1 of an engine term tuple."""
     buckets: list[dict] = [dict() for _ in range(rank)]
     for _key, comp, exps, c in terms:
-        buckets[comp][exps] = c
-    return FreeElement(ring, tuple(_poly_from_items(ring, b.items()) for b in buckets))
+        buckets[comp - first][exps] = c
+    return FreeElement(ring, tuple(poly_from_terms(ring, b.items()) for b in buckets))
 
 
 def _make_elem(terms):
@@ -264,10 +260,16 @@ def _reduced_basis(basis, order: MonomialOrder):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of a submodule; generators are monic and sorted."""
+    """Reduced Groebner basis of a submodule in the given monomial order.
 
-    def __init__(self, module: Submodule, elems):
+    The generators are monic in that order and sorted by ascending leading
+    term.  They live in the module's own ring, so their term lists are sorted
+    in the ring's order: read leading terms from leading_terms().
+    """
+
+    def __init__(self, module: Submodule, elems, order: MonomialOrder):
         self.module = module
+        self.order = order
         self._elems = elems
         self._by_comp: dict = {}
         for e in elems:
@@ -289,10 +291,10 @@ class GroebnerBasis:
         return tuple((e[2], e[3]) for e in self._elems)
 
     def reduce_vector(self, v: FreeElement) -> FreeElement:
-        if v.ring.variables != self.ring.variables or v.rank != self.ambient_rank:
+        if v.ring != self.ring or v.rank != self.ambient_rank:
             raise RingError("vector does not match basis ambient module")
-        terms = _to_engine_terms(transport_vector(v, self.ring), self.ring.order)
-        r = _reduce_full(terms, self._by_comp, self.ring.order)
+        terms = _to_engine_terms(v, self.order)
+        r = _reduce_full(terms, self._by_comp, self.order)
         return _from_engine_terms(self.ring, self.ambient_rank, r)
 
     def contains(self, v: FreeElement) -> bool:
@@ -304,39 +306,12 @@ class GroebnerBasis:
         hits = {comp for comp, exps in self.leading_terms() if exps == zero}
         return len(hits) == self.ambient_rank
 
-    def __eq__(self, other):
-        return isinstance(other, GroebnerBasis) and self.module == other.module
-
-    def __hash__(self):
-        return hash(self.module)
-
     def __repr__(self):
         return f"GroebnerBasis({self.module!r})"
 
 
-def transport_polynomial(p: Polynomial, ring: RingContext) -> Polynomial:
-    if p.ring == ring:
-        return p
-    if p.ring.variables != ring.variables:
-        raise RingError("cannot transport between different variable sets")
-    return _poly_from_items(ring, p.terms)
-
-
-def transport_vector(v: FreeElement, ring: RingContext) -> FreeElement:
-    if v.ring == ring:
-        return v
-    return FreeElement(ring, tuple(transport_polynomial(p, ring) for p in v.components))
-
-
-def transport_module(A: Submodule, ring: RingContext) -> Submodule:
-    if A.ring == ring:
-        return A
-    return Submodule(ring, A.ambient_rank, [transport_vector(g, ring) for g in A.generators])
-
-
 @lru_cache(maxsize=4096)
-def _gb_cached(A: Submodule) -> GroebnerBasis:
-    order = A.ring.order
+def _gb_cached(A: Submodule, order: MonomialOrder) -> GroebnerBasis:
     vectors = [
         _to_engine_terms(g, order) for g in A.generators if not g.is_zero()
     ]
@@ -345,11 +320,14 @@ def _gb_cached(A: Submodule) -> GroebnerBasis:
     gens = tuple(
         _from_engine_terms(A.ring, A.ambient_rank, e[0]) for e in reduced
     )
-    return GroebnerBasis(Submodule(A.ring, A.ambient_rank, gens), reduced)
+    return GroebnerBasis(Submodule(A.ring, A.ambient_rank, gens), reduced, order)
 
 
-def buchberger(A: Submodule) -> GroebnerBasis:
-    return _gb_cached(A)
+def buchberger(A: Submodule, order: MonomialOrder | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of A in order, by default the ring's own."""
+    # order is passed positionally so that buchberger(A) and
+    # buchberger(A, A.ring.order) share one cache entry
+    return _gb_cached(A, order or A.ring.order)
 
 
 def canonical(A: Submodule) -> Submodule:
@@ -375,11 +353,13 @@ def is_sub(A: Submodule, B) -> bool:
     """Is every generator of A contained in B?"""
     if isinstance(B, Submodule):
         B = buchberger(B)
-    return all(B.contains(transport_vector(g, B.ring)) for g in A.generators)
+    return all(B.contains(g) for g in A.generators)
 
 
 def module_equal(A: Submodule, B: Submodule) -> bool:
-    return canonical(A) == canonical(transport_module(B, A.ring))
+    if A.ring != B.ring:
+        raise RingError("operands live in different rings")
+    return canonical(A) == canonical(B)
 
 
 def is_unit_ideal(I: Submodule) -> bool:
@@ -405,19 +385,17 @@ def _augmented_order(order: MonomialOrder) -> MonomialOrder:
     )
 
 
-def _augmented_gb(A: Submodule):
+def _augmented_gb(A: Submodule) -> GroebnerBasis:
     """GB of {[a_i; e_i]} with the original components dominating the tags."""
     ring = A.ring
     s, g = A.ambient_rank, len(A.generators)
-    aug_ring = ring.with_order(_augmented_order(ring.order))
-    zero = aug_ring.zero()
+    zero = ring.zero()
     gens = []
     for i, gen in enumerate(A.generators):
-        comps = list(transport_vector(gen, aug_ring).components)
         tail = [zero] * g
-        tail[i] = aug_ring.one()
-        gens.append(FreeElement(aug_ring, tuple(comps + tail)))
-    return buchberger(Submodule(aug_ring, s + g, gens)), aug_ring
+        tail[i] = ring.one()
+        gens.append(FreeElement(ring, gen.components + tuple(tail)))
+    return buchberger(Submodule(ring, s + g, gens), _augmented_order(ring.order))
 
 
 def syzygies(A: Submodule) -> Submodule:
@@ -426,20 +404,15 @@ def syzygies(A: Submodule) -> Submodule:
     s, g = A.ambient_rank, len(A.generators)
     if g == 0:
         return zero_module(ring, 0)
-    gb, aug_ring = _augmented_gb(A)
     out = []
-    for e in gb._elems:
+    for e in _augmented_gb(A)._elems:
         if e[2] >= s:
-            vec = _from_engine_terms(aug_ring, s + g, e[0])
-            assert all(p.is_zero() for p in vec.components[:s])
-            out.append(
-                transport_vector(FreeElement(aug_ring, vec.components[s:]), ring)
-            )
+            out.append(_from_engine_terms(ring, g, e[0], s))
     return Submodule(ring, g, out)
 
 
-def lift(A: Submodule, B: Submodule) -> PolyMatrix:
-    """Matrix T with (gens of A as columns) * T = (gens of B as columns).
+def lift(A: Submodule, B: Submodule) -> Submodule:
+    """Columns T, a submodule of R^g, with (gens of A) * T = (gens of B).
 
     Raises ValueError when some generator of B is not in A.
     """
@@ -447,46 +420,27 @@ def lift(A: Submodule, B: Submodule) -> PolyMatrix:
     s, g = A.ambient_rank, len(A.generators)
     if B.ambient_rank != s:
         raise RingError("rank mismatch in lift")
-    gb, aug_ring = _augmented_gb(A)
+    gb = _augmented_gb(A)
     top_by_comp: dict = {}
     for e in gb._elems:
         if e[2] < s:
             top_by_comp.setdefault(e[2], []).append(e)
     cols = []
-    zero = aug_ring.zero()
     for b in B.generators:
-        aug = FreeElement(
-            aug_ring,
-            tuple(transport_vector(b, aug_ring).components) + (zero,) * g,
-        )
-        terms = _to_engine_terms(aug, aug_ring.order)
-        r = _reduce_full(terms, top_by_comp, aug_ring.order)
-        vec = _from_engine_terms(aug_ring, s + g, r)
-        if not all(p.is_zero() for p in vec.components[:s]):
+        r = _reduce_full(_to_engine_terms(b, gb.order), top_by_comp, gb.order)
+        if any(comp < s for _key, comp, _exps, _c in r):
             raise ValueError("lift does not exist: vector outside the module")
-        cols.append(
-            transport_vector(
-                FreeElement(aug_ring, tuple(-p for p in vec.components[s:])), ring
-            )
-        )
-    return PolyMatrix(ring, g, cols)
+        cols.append(-_from_engine_terms(ring, g, r, s))
+    return Submodule(ring, g, cols)
 
 
-def _as_matrix(X) -> PolyMatrix:
-    if isinstance(X, PolyMatrix):
-        return X
-    return PolyMatrix.from_submodule(X)
-
-
-def modulo_kernel(A, B) -> Submodule:
-    """Preimage {x : A x in im B} for matrices A, B with equal row count."""
-    A = _as_matrix(A)
-    B = _as_matrix(B)
-    if A.nrows != B.nrows:
+def modulo_kernel(A: Submodule, B: Submodule) -> Submodule:
+    """Preimage {x : A x in im B}, generators read as matrix columns."""
+    if A.ambient_rank != B.ambient_rank:
         raise RingError("row mismatch in modulo_kernel")
     ring = A.ring
-    na = A.ncols
-    combined = Submodule(ring, A.nrows, A.columns + B.columns)
+    na = len(A.generators)
+    combined = Submodule(ring, A.ambient_rank, A.generators + B.generators)
     S = syzygies(combined)
     out = []
     for rel in S.generators:
@@ -496,17 +450,16 @@ def modulo_kernel(A, B) -> Submodule:
     return Submodule(ring, na, out)
 
 
-def reduce_columns(A, G) -> Submodule:
-    """Normal form of each column of A against G, dropping columns that vanish."""
-    A = _as_matrix(A)
+def reduce_columns(A: Submodule, G) -> Submodule:
+    """Normal form of each generator of A against G, dropping those that vanish."""
     if isinstance(G, Submodule):
         G = buchberger(G)
     out = []
-    for col in A.columns:
+    for col in A.generators:
         r = normal_form(col, G)
         if not r.is_zero():
             out.append(r)
-    return Submodule(A.ring, A.nrows, out)
+    return Submodule(A.ring, A.ambient_rank, out)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +471,7 @@ def _extend_vector(v: FreeElement, ext: RingContext) -> FreeElement:
     comps = []
     for p in v.components:
         comps.append(
-            _poly_from_items(ext, (((0,) + e, c) for e, c in p.terms))
+            poly_from_terms(ext, (((0,) + e, c) for e, c in p.terms))
         )
     return FreeElement(ext, tuple(comps))
 
@@ -527,7 +480,7 @@ def _contract_vector(v: FreeElement, ring: RingContext) -> FreeElement:
     comps = []
     for p in v.components:
         assert all(e[0] == 0 for e, _c in p.terms)
-        comps.append(_poly_from_items(ring, ((e[1:], c) for e, c in p.terms)))
+        comps.append(poly_from_terms(ring, ((e[1:], c) for e, c in p.terms)))
     return FreeElement(ring, tuple(comps))
 
 
@@ -576,11 +529,10 @@ def quotient(A: Submodule, B: Submodule) -> Submodule:
     if B.ambient_rank != A.ambient_rank:
         raise RingError("operands live in different modules")
     result = None
-    Amat = PolyMatrix.from_submodule(A)
     for b in B.generators:
         if b.is_zero():
             continue
-        I_b = modulo_kernel(PolyMatrix(ring, A.ambient_rank, [b]), Amat)
+        I_b = modulo_kernel(Submodule(ring, A.ambient_rank, [b]), A)
         result = I_b if result is None else intersect(result, I_b)
     if result is None:
         return ideal(ring, [ring.one()])
@@ -596,15 +548,14 @@ def quotient_by_ideal(A: Submodule, J: Submodule) -> Submodule:
     """Submodule {v : J v inside A}."""
     ring = A.ring
     s = A.ambient_rank
-    Amat = PolyMatrix.from_submodule(A)
     result = None
     for f in ideal_generators(J):
         if f.is_zero():
             continue
-        scaled = PolyMatrix(
+        scaled = Submodule(
             ring, s, [unit_vector(ring, s, i).scale(f) for i in range(s)]
         )
-        step = modulo_kernel(scaled, Amat)
+        step = modulo_kernel(scaled, A)
         result = step if result is None else intersect(result, step)
     if result is None:
         return full_module(ring, s)
@@ -631,19 +582,16 @@ def eliminate(A: Submodule, drop: Iterable[int]) -> Submodule:
         return canonical(A)
     if any(i < 0 or i >= ring.n for i in drop):
         raise ValueError("variable index out of range")
-    block_ring = ring.with_order(
-        MonomialOrder(
-            kind="block", blocks=(drop,), module_extension=TERM_OVER_POSITION
-        )
+    block = MonomialOrder(
+        kind="block", blocks=(drop,), module_extension=TERM_OVER_POSITION
     )
-    gb = buchberger(transport_module(A, block_ring))
     out = []
-    for gen in gb.generators:
+    for gen in buchberger(A, block).generators:
         if all(
             all(all(e[i] == 0 for i in drop) for e, _c in p.terms)
             for p in gen.components
         ):
-            out.append(transport_vector(gen, ring))
+            out.append(gen)
     return Submodule(ring, A.ambient_rank, out)
 
 

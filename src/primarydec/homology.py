@@ -26,7 +26,6 @@ from .groebner import (
 from .polyring import (
     FreeElement,
     Polynomial,
-    PolyMatrix,
     RingContext,
     Submodule,
     ideal,
@@ -42,17 +41,17 @@ class HomologyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _to_grid(m: PolyMatrix) -> list[list[Polynomial]]:
-    return [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+def _to_grid(m: Submodule) -> list[list[Polynomial]]:
+    return [[g.components[i] for g in m.generators] for i in range(m.ambient_rank)]
 
 
-def _from_grid(ring: RingContext, grid: list[list[Polynomial]], nrows: int) -> PolyMatrix:
+def _from_grid(ring: RingContext, grid: list[list[Polynomial]], nrows: int) -> Submodule:
     ncols = len(grid[0]) if grid else 0
     cols = [
         FreeElement(ring, tuple(grid[i][j] for i in range(nrows)))
         for j in range(ncols)
     ]
-    return PolyMatrix(ring, nrows, cols)
+    return Submodule(ring, nrows, cols)
 
 
 def _find_constant(grid) -> tuple[int, int] | None:
@@ -120,28 +119,30 @@ def _prune(grids) -> None:
             return
 
 
-def _resolve(first: PolyMatrix, length: int) -> list[PolyMatrix]:
+def _resolve(first: Submodule, length: int) -> list[Submodule]:
     ring = first.ring
     maps = [first]
     for _k in range(1, length):
-        S = syzygies(maps[-1].to_submodule())
-        maps.append(PolyMatrix.from_submodule(S))
+        maps.append(syzygies(maps[-1]))
     grids = [_to_grid(m) for m in maps]
     _prune(grids)
     out = []
-    nrows = first.nrows
+    nrows = first.ambient_rank
     for g in grids:
-        m = _from_grid(ring, g, len(g)) if g else PolyMatrix(ring, nrows, [])
+        m = _from_grid(ring, g, len(g)) if g else Submodule(ring, nrows, [])
         out.append(m)
-        nrows = m.ncols
+        nrows = len(m.generators)
     return out
 
 
-def free_resolution(M: Submodule, length: int) -> list[PolyMatrix]:
-    """Matrices maps[k] of F_{k+1} -> F_k with maps[0] presenting M inside F."""
+def free_resolution(M: Submodule, length: int) -> list[Submodule]:
+    """Maps F_{k+1} -> F_k as matrices (generators are the columns).
+
+    maps[0] presents M inside F.
+    """
     if length < 1:
         raise ValueError("resolution length must be positive")
-    return _resolve(PolyMatrix.from_submodule(canonical(M)), length)
+    return _resolve(canonical(M), length)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +158,16 @@ class ExtModule:
     is_zero: bool
 
 
-def _ext_cycles(c: int, M: Submodule) -> tuple[list[PolyMatrix], Submodule]:
+def _ext_cycles(c: int, M: Submodule) -> tuple[list[Submodule], Submodule]:
     """Transposed resolution maps t of F/M and the cycles K = ker t[c].
 
     For c >= 1 the columns of K are reduced modulo im t[c-1], and those lying
     in it are dropped, so an empty K means Ext^c(F/M, R) = 0.
     """
     t = [m.transpose() for m in free_resolution(M, c + 1)]
-    K = syzygies(t[c].to_submodule())
+    K = syzygies(t[c])
     if c >= 1:
-        K = reduce_columns(
-            PolyMatrix.from_submodule(K), buchberger(t[c - 1].to_submodule())
-        )
+        K = reduce_columns(K, buchberger(t[c - 1]))
     return t, K
 
 
@@ -179,10 +178,10 @@ def ext_module(c: int, M: Submodule) -> ExtModule:
     t, K = _ext_cycles(c, M)
     if K.generators:
         pres = modulo_kernel(K, t[c - 1]) if c >= 1 else syzygies(K)
-        grid = _to_grid(PolyMatrix.from_submodule(pres))
+        grid = _to_grid(pres)
         _prune([[], grid])  # empty neighbour slot, skipped by _eliminate
         if grid:
-            pruned = _from_grid(ring, grid, len(grid)).to_submodule()
+            pruned = _from_grid(ring, grid, len(grid))
             if not buchberger(pruned).is_full():
                 return ExtModule(canonical(annihilator(pruned)), False)
     return ExtModule(canonical(ideal(ring, [ring.one()])), True)
@@ -204,11 +203,11 @@ def canon_map(M: Submodule) -> Submodule:
     if not K.generators:
         raise HomologyError("vanishing Ext at the codimension of the module")
     if c == 0:
-        return syzygies(PolyMatrix.from_submodule(K).transpose().to_submodule())
+        return syzygies(K.transpose())
     gmaps = free_resolution(modulo_kernel(K, t[c - 1]), c)
-    cur = PolyMatrix.from_submodule(K)
+    cur = K
     for i in range(1, c + 1):
-        cur = lift(t[c - i].to_submodule(), cur.mul(gmaps[i - 1]).to_submodule())
+        cur = lift(t[c - i], cur.mul(gmaps[i - 1]))
     return modulo_kernel(cur.transpose(), gmaps[c - 1].transpose())
 
 

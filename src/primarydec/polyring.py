@@ -160,15 +160,17 @@ class RingContext:
         except ValueError:
             raise KeyError(f"no variable {name!r}") from None
 
-    def with_order(self, order: MonomialOrder) -> "RingContext":
-        return RingContext(self.variables, order)
 
+def poly_from_terms(ring: RingContext, items: Iterable) -> "Polynomial":
+    """Polynomial from (exponents, coefficient) pairs with distinct exponents.
 
-def _normalize_terms(ring: RingContext, acc: dict) -> tuple:
+    Zero coefficients are dropped and the terms sorted descending in the
+    ring's order.
+    """
     key = ring.order.ring_key
-    items = [(exps, c) for exps, c in acc.items() if c]
-    items.sort(key=lambda t: key(t[0]), reverse=True)
-    return tuple(items)
+    terms = [(exps, c) for exps, c in items if c]
+    terms.sort(key=lambda t: key(t[0]), reverse=True)
+    return Polynomial(ring, tuple(terms))
 
 
 class Polynomial:
@@ -203,11 +205,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
-
     def leading_coefficient(self) -> Fraction:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -230,7 +227,7 @@ class Polynomial:
         acc = dict(self.terms)
         for exps, c in other.terms:
             acc[exps] = acc.get(exps, Fraction(0)) + c
-        return Polynomial(self.ring, _normalize_terms(self.ring, acc))
+        return poly_from_terms(self.ring, acc.items())
 
     __radd__ = __add__
 
@@ -257,7 +254,7 @@ class Polynomial:
             for e2, c2 in other.terms:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self.ring, _normalize_terms(self.ring, acc))
+        return poly_from_terms(self.ring, acc.items())
 
     __rmul__ = __mul__
 
@@ -384,8 +381,6 @@ class FreeElement:
         return FreeElement(self.ring, tuple(-a for a in self.components))
 
     def scale(self, f: Union[Polynomial, int, Fraction]) -> "FreeElement":
-        if isinstance(f, (int, Fraction)):
-            return FreeElement(self.ring, tuple(p * f for p in self.components))
         return FreeElement(self.ring, tuple(p * f for p in self.components))
 
     def __eq__(self, other):
@@ -437,7 +432,11 @@ def leading_term(v: FreeElement, order: MonomialOrder | None = None):
 
 
 class Submodule:
-    """A finitely generated submodule of R^ambient_rank given by generators."""
+    """A finitely generated submodule of R^ambient_rank given by generators.
+
+    The ordered generators are also the columns of an ambient_rank x g
+    matrix, which is what transpose and mul act on.
+    """
 
     __slots__ = ("ring", "ambient_rank", "generators", "_hash")
 
@@ -474,6 +473,30 @@ class Submodule:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def transpose(self) -> "Submodule":
+        gens = self.generators
+        cols = [
+            FreeElement(self.ring, tuple(g.components[i] for g in gens))
+            for i in range(self.ambient_rank)
+        ]
+        return Submodule(self.ring, len(gens), cols)
+
+    def mul(self, other: "Submodule") -> "Submodule":
+        """Matrix product: column j is sum_k other[k, j] * (generator k)."""
+        if other.ambient_rank != len(self.generators):
+            raise RingError("matrix shape mismatch")
+        cols = []
+        for bc in other.generators:
+            acc = [self.ring.zero()] * self.ambient_rank
+            for j, f in enumerate(bc.components):
+                if f.is_zero():
+                    continue
+                for i, g in enumerate(self.generators[j].components):
+                    if not g.is_zero():
+                        acc[i] = acc[i] + g * f
+            cols.append(FreeElement(self.ring, acc))
+        return Submodule(self.ring, self.ambient_rank, cols)
+
     def __repr__(self):
         gens = "; ".join(str(g) for g in self.generators)
         return f"Submodule(rank={self.ambient_rank}: {gens})"
@@ -496,72 +519,3 @@ def full_module(ring: RingContext, rank: int) -> Submodule:
 
 def zero_module(ring: RingContext, rank: int) -> Submodule:
     return Submodule(ring, rank, [])
-
-
-class PolyMatrix:
-    """Dense matrix over the ring, stored column-wise as FreeElements."""
-
-    __slots__ = ("ring", "nrows", "columns")
-
-    def __init__(self, ring: RingContext, nrows: int, columns: Sequence[FreeElement]):
-        cols = tuple(columns)
-        for c in cols:
-            if c.ring != ring or c.rank != nrows:
-                raise RingError("column shape mismatch")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "columns", cols)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("PolyMatrix is immutable")
-
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.columns[j].components[i]
-
-    def transpose(self) -> "PolyMatrix":
-        cols = []
-        for i in range(self.nrows):
-            cols.append(FreeElement(self.ring, tuple(c.components[i] for c in self.columns)))
-        return PolyMatrix(self.ring, self.ncols, cols)
-
-    def mul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if other.nrows != self.ncols:
-            raise RingError("matrix shape mismatch")
-        cols = []
-        for bc in other.columns:
-            acc = [self.ring.zero()] * self.nrows
-            for j, f in enumerate(bc.components):
-                if f.is_zero():
-                    continue
-                col = self.columns[j]
-                for i, g in enumerate(col.components):
-                    if not g.is_zero():
-                        acc[i] = acc[i] + g * f
-            cols.append(FreeElement(self.ring, acc))
-        return PolyMatrix(self.ring, self.nrows, cols)
-
-    def hconcat(self, other: "PolyMatrix") -> "PolyMatrix":
-        if other.nrows != self.nrows:
-            raise RingError("row count mismatch")
-        return PolyMatrix(self.ring, self.nrows, self.columns + other.columns)
-
-    def to_submodule(self) -> Submodule:
-        return Submodule(self.ring, self.nrows, self.columns)
-
-    @staticmethod
-    def from_submodule(A: Submodule) -> "PolyMatrix":
-        return PolyMatrix(A.ring, A.ambient_rank, A.generators)
-
-    @staticmethod
-    def identity(ring: RingContext, k: int) -> "PolyMatrix":
-        return PolyMatrix(ring, k, [unit_vector(ring, k, i) for i in range(k)])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.columns)
-
-    def __repr__(self):
-        return f"PolyMatrix({self.nrows}x{self.ncols})"

@@ -124,7 +124,7 @@ def monomial_primdec_oracle(I: Submodule):
     return comps
 
 
-def _monomials_to_submodule(ring: RingContext, gens: Sequence[Monomial]) -> Submodule:
+def _monomial_ideal(ring: RingContext, gens: Sequence[Monomial]) -> Submodule:
     return ideal(ring, [ring.monomial(m) for m in gens])
 
 
@@ -139,7 +139,7 @@ def monomial_hull_oracle(I: Submodule) -> Submodule:
         if len(p) != low:
             continue
         acc = g if acc is None else _intersect_monomial(acc, g)
-    return canonical(_monomials_to_submodule(I.ring, acc))
+    return canonical(_monomial_ideal(I.ring, acc))
 
 
 def monomial_minimal_primes(I: Submodule) -> list[tuple[int, ...]]:

@@ -262,6 +262,37 @@ def test_in_script_validate_rejects_bad_components(tmp_path, capsys):
     assert doc[0]["validation"]["intersection"] is False
 
 
+def test_main_rejects_zero_weight(tmp_path, capsys):
+    f = tmp_path / "job.primdec"
+    f.write_text("ring r = 0, (x, y),\n  wp(0, 1);\nideal I = x;\nhull I;\n")
+    code = main(["run", str(f)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: line 2, column 6: weights must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "binding, entry",
+    [
+        ("ideal I=x^2,x*y;", {"generators": 5, "prime": ["x"]}),
+        ("ideal I=x^2,x*y;", {"generators": [3], "prime": ["x"]}),
+        ("ideal I=x^2,x*y;", {"generators": [["x"]], "prime": ["x"]}),
+        ("ideal I=x^2,x*y;", {"generators": ["x"], "prime": "xy"}),
+        # a generator of a rank-2 module must be a list of two strings
+        ("module I=[x,0],[0,y];", {"generators": ["xy"], "prime": ["x"]}),
+    ],
+    ids=["generators-int", "generator-int", "generator-list", "prime-str", "module-str"],
+)
+def test_in_script_validate_rejects_malformed_json(tmp_path, capsys, binding, entry):
+    (tmp_path / "expected.json").write_text(json.dumps({"components": [entry]}))
+    g = tmp_path / "check.primdec"
+    g.write_text(f"ring r=0,(x,y),dp; {binding} validate I, expected.json;\n")
+    assert main(["run", str(g), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_main_validate_subcommand(tmp_path, capsys):
     f = tmp_path / "job.primdec"
     f.write_text("ring r=0,(x,y),dp; ideal I=x*y; minass I;\n")

@@ -68,12 +68,12 @@ def test_resolution_shape_and_exactness():
     I = ideal(R, [x * x, x * y])
     maps = free_resolution(I, 3)
     assert len(maps) == 3
-    assert module_equal(maps[0].to_submodule(), I)
+    assert module_equal(maps[0], I)
     for k in range(len(maps) - 1):
-        if maps[k].ncols and maps[k + 1].ncols:
+        if maps[k].generators and maps[k + 1].generators:
             assert maps[k].mul(maps[k + 1]).is_zero()
     # exactness at F_1: the columns of maps[1] generate all relations
-    assert module_equal(maps[1].to_submodule(), syzygies(maps[0].to_submodule()))
+    assert module_equal(maps[1], syzygies(maps[0]))
 
 
 def test_resolution_module_input_exact():
@@ -89,20 +89,18 @@ def test_resolution_module_input_exact():
         ],
     )
     maps = free_resolution(M, 3)
-    assert module_equal(maps[0].to_submodule(), M)
+    assert module_equal(maps[0], M)
     for k in range(len(maps) - 1):
-        if maps[k].ncols and maps[k + 1].ncols:
+        if maps[k].generators and maps[k + 1].generators:
             assert maps[k].mul(maps[k + 1]).is_zero()
-        assert module_equal(
-            maps[k + 1].to_submodule(), syzygies(maps[k].to_submodule())
-        )
+        assert module_equal(maps[k + 1], syzygies(maps[k]))
 
 
 def test_resolution_of_zero_module():
     R = ring2()
     Z = Submodule(R, 1, [])
     maps = free_resolution(Z, 2)
-    assert maps[0].nrows == 1 and maps[0].ncols == 0
+    assert maps[0].ambient_rank == 1 and not maps[0].generators
 
 
 def test_ext_vanishing_below_codim():
