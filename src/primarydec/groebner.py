@@ -2,7 +2,12 @@
 
 The engine keeps each vector as a tuple of terms (key, component, exponents,
 coefficient) sorted by descending key, where keys are the additive tuples
-produced by MonomialOrder.  Buchberger runs with the Gebauer-Moeller pair
+produced by MonomialOrder.  Coefficients are Python ints: a vector enters
+with its denominators cleared, S-vectors and reductions run fraction-free,
+and basis elements are primitive (content 1, positive lead).  Fractions are
+built only at the boundary, where a result is divided by one integer: its
+lead coefficient for basis generators and syzygies, the accumulated scale
+for normal forms and lifts.  Buchberger runs with the Gebauer-Moeller pair
 update; the coprime criterion is applied only to pairs whose elements both
 live entirely in one component, since it is unsound for general module
 elements.  All higher operations (syzygies, lifts, kernels of induced maps,
@@ -19,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import add, le, neg, sub
 from typing import Iterable, Sequence, Union
 
 from .polyring import (
@@ -41,25 +47,39 @@ from .polyring import (
 # ---------------------------------------------------------------------------
 # engine representation
 # ---------------------------------------------------------------------------
-# term: (key, comp, exps, coeff)
-# elem: (terms, lead_key, lead_comp, lead_exps, lead_coeff, single_comp)
+# term: (key, comp, exps, coeff) with an int coeff
+# elem: (terms, lead_key, lead_comp, lead_exps, lead_coeff, single_comp),
+#       primitive: integer content 1 and a positive lead_coeff
 
 
 def _to_engine_terms(v: FreeElement, order: MonomialOrder):
-    terms = []
-    for comp, poly in enumerate(v.components):
-        for exps, c in poly.terms:
-            terms.append((order.term_key(comp, exps), comp, exps, c))
+    """Integer terms of denom * v, sorted by descending key, and denom."""
+    denom = lcm(*(c.denominator for p in v.components for _e, c in p.terms))
+    terms = [
+        (order.term_key(comp, exps), comp, exps, c.numerator * denom // c.denominator)
+        for comp, poly in enumerate(v.components)
+        for exps, c in poly.terms
+    ]
     terms.sort(reverse=True)
-    return tuple(terms)
+    return tuple(terms), denom
 
 
-def _from_engine_terms(ring: RingContext, rank: int, terms, first: int = 0) -> FreeElement:
-    """Vector of components first .. first+rank-1 of an engine term tuple."""
-    buckets: list[dict] = [dict() for _ in range(rank)]
+def _from_engine_terms(
+    ring: RingContext,
+    rank: int,
+    terms,
+    order: MonomialOrder,
+    first: int = 0,
+    scale: int = 1,
+) -> FreeElement:
+    """Components first .. first+rank-1 of engine terms in order, over scale."""
+    buckets: list[list] = [[] for _ in range(rank)]
     for _key, comp, exps, c in terms:
-        buckets[comp - first][exps] = c
-    return FreeElement(ring, tuple(poly_from_terms(ring, b.items()) for b in buckets))
+        buckets[comp - first].append((exps, Fraction(c, scale)))
+    if order.same_ring_key(ring.order):
+        # within one component the engine terms are then in the ring's order
+        return FreeElement(ring, tuple(Polynomial(ring, tuple(b)) for b in buckets))
+    return FreeElement(ring, tuple(poly_from_terms(ring, b) for b in buckets))
 
 
 def _make_elem(terms):
@@ -70,33 +90,26 @@ def _make_elem(terms):
 
 
 def _primitive(terms):
-    """Scale to integer coefficients with content 1 and positive lead."""
-    denom = 1
-    for _k, _c, _e, c in terms:
-        denom = lcm(denom, c.denominator)
-    nums = [c.numerator * (denom // c.denominator) for _k, _c, _e, c in terms]
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    if nums[0] < 0:
+    """Divide by the integer content, making the lead coefficient positive."""
+    g = gcd(*(t[3] for t in terms))
+    if terms[0][3] < 0:
         g = -g
-    return tuple(
-        (k, comp, exps, Fraction(n // g))
-        for (k, comp, exps, _c), n in zip(terms, nums)
-    )
+    if g == 1:
+        return tuple(terms)
+    return tuple((k, comp, exps, c // g) for k, comp, exps, c in terms)
 
 
 def _divides(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
 def _reduce_full(terms, by_comp, order: MonomialOrder):
-    """Tail-reduce a term tuple against the elements in by_comp."""
-    if not terms:
-        return ()
+    """Fraction-free tail reduction of terms against the elements in by_comp.
+
+    Returns (s, r) with s a positive integer, r reduced and s * terms - r in
+    the module the elements span.  Equal monomials in terms are merged.
+    """
+    # a min-heap of negated keys pops the largest term first
     coeffs: dict = {}
     heap = []
     for key, comp, exps, c in terms:
@@ -104,10 +117,13 @@ def _reduce_full(terms, by_comp, order: MonomialOrder):
         prev = coeffs.get(spot)
         if prev is None:
             coeffs[spot] = c
-            heapq.heappush(heap, (tuple(-x for x in key), comp, exps))
+            heap.append((tuple(map(neg, key)), comp, exps))
         else:
             coeffs[spot] = prev + c
+    heapq.heapify(heap)
+    s = 1
     out = []
+    out_coeffs = []
     while heap:
         negkey, comp, exps = heapq.heappop(heap)
         c = coeffs.pop((comp, exps), None)
@@ -115,62 +131,63 @@ def _reduce_full(terms, by_comp, order: MonomialOrder):
             continue
         red = None
         for cand in by_comp.get(comp, ()):
-            if _divides(cand[3], exps):
+            if all(map(le, cand[3], exps)):
                 red = cand
                 break
         if red is None:
-            out.append((tuple(-x for x in negkey), comp, exps, c))
+            out.append((tuple(map(neg, negkey)), comp, exps))
+            out_coeffs.append(c)
             continue
-        shift = tuple(a - b for a, b in zip(exps, red[3]))
-        factor = c / red[4]
-        addk = order.addend(shift)
+        # cancel c against the lead lc of red: scale everything by lc / g,
+        # then subtract (c / g) * shift * red
+        lc = red[4]
+        g = gcd(c, lc)
+        if g != lc:
+            mult = lc // g
+            s *= mult
+            for spot in coeffs:
+                coeffs[spot] *= mult
+            out_coeffs = [x * mult for x in out_coeffs]
+        factor = c // g
+        shift = tuple(map(sub, exps, red[3]))
+        neg_addk = tuple(map(neg, order.addend(shift)))
         for tkey, tcomp, texps, tcoeff in red[0][1:]:
-            nexps = tuple(a + b for a, b in zip(texps, shift))
+            nexps = tuple(map(add, texps, shift))
             spot = (tcomp, nexps)
             prev = coeffs.get(spot)
             if prev is None:
                 coeffs[spot] = -factor * tcoeff
-                nkey = tuple(a + b for a, b in zip(tkey, addk))
-                heapq.heappush(heap, (tuple(-x for x in nkey), tcomp, nexps))
+                heapq.heappush(heap, (tuple(map(sub, neg_addk, tkey)), tcomp, nexps))
             else:
                 coeffs[spot] = prev - factor * tcoeff
-    return tuple(out)
+    return s, tuple((*t, c) for t, c in zip(out, out_coeffs))
 
 
-def _shift_terms(terms, shift, factor, order: MonomialOrder):
+def _shift_tail(terms, shift, factor, order: MonomialOrder):
+    """factor * shift * (terms without their lead)."""
     addk = order.addend(shift)
     return [
-        (
-            tuple(a + b for a, b in zip(key, addk)),
-            comp,
-            tuple(a + b for a, b in zip(exps, shift)),
-            c * factor,
-        )
-        for key, comp, exps, c in terms
+        (tuple(map(add, key, addk)), comp, tuple(map(add, exps, shift)), c * factor)
+        for key, comp, exps, c in terms[1:]
     ]
 
 
 def _spair(e1, e2, order: MonomialOrder):
-    lead = tuple(max(a, b) for a, b in zip(e1[3], e2[3]))
-    m1 = tuple(a - b for a, b in zip(lead, e1[3]))
-    m2 = tuple(a - b for a, b in zip(lead, e2[3]))
-    acc: dict = {}
-    for key, comp, exps, c in _shift_terms(e1[0], m1, e2[4], order):
-        acc[(comp, exps)] = (key, acc.get((comp, exps), (None, 0))[1] + c)
-    for key, comp, exps, c in _shift_terms(e2[0], m2, e1[4], order):
-        prev = acc.get((comp, exps))
-        acc[(comp, exps)] = (key, (prev[1] if prev else 0) - c)
-    terms = [
-        (key, comp, exps, c) for (comp, exps), (key, c) in acc.items() if c
-    ]
-    terms.sort(reverse=True)
-    return tuple(terms)
+    """S-vector of two elements with one lead component, as unsorted terms
+    that may repeat a monomial; _reduce_full merges them."""
+    lead = tuple(map(max, e1[3], e2[3]))
+    m1 = tuple(map(sub, lead, e1[3]))
+    m2 = tuple(map(sub, lead, e2[3]))
+    g = gcd(e1[4], e2[4])
+    return _shift_tail(e1[0], m1, e2[4] // g, order) + _shift_tail(
+        e2[0], m2, -(e1[4] // g), order
+    )
 
 
 def _coprime_ok(e1, e2) -> bool:
     if e1[5] is None or e2[5] is None:
         return False
-    return all(min(a, b) == 0 for a, b in zip(e1[3], e2[3]))
+    return not any(map(min, e1[3], e2[3]))
 
 
 def _update_pairs(basis, by_comp, pair_set, heap, t, order: MonomialOrder):
@@ -178,7 +195,7 @@ def _update_pairs(basis, by_comp, pair_set, heap, t, order: MonomialOrder):
     h = basis[t]
     hcomp, hexps = h[2], h[3]
     cand = [i for i in range(t) if basis[i][2] == hcomp]
-    lcms = {i: tuple(max(a, b) for a, b in zip(basis[i][3], hexps)) for i in cand}
+    lcms = {i: tuple(map(max, basis[i][3], hexps)) for i in cand}
     coprime = {i: _coprime_ok(basis[i], h) for i in cand}
     keep = []
     rest = list(cand)
@@ -217,24 +234,21 @@ def _buchberger_engine(vectors, order: MonomialOrder):
         _update_pairs(basis, by_comp, pair_set, heap, len(basis) - 1, order)
 
     for v in vectors:
-        r = _reduce_full(v, by_comp, order)
+        _s, r = _reduce_full(v, by_comp, order)
         if r:
             add(r)
     while heap:
         _key, i, j = heapq.heappop(heap)
         if pair_set.pop((i, j), None) is None:
             continue
-        s = _spair(basis[i], basis[j], order)
-        if not s:
-            continue
-        r = _reduce_full(s, by_comp, order)
+        _s, r = _reduce_full(_spair(basis[i], basis[j], order), by_comp, order)
         if r:
             add(r)
     return basis
 
 
 def _reduced_basis(basis, order: MonomialOrder):
-    """Minimal leads, fully tail-reduced, monic, sorted by ascending lead key."""
+    """Minimal leads, fully tail-reduced, primitive, sorted by ascending lead key."""
     ordered = sorted(basis, key=lambda e: e[1])
     kept = []
     for e in ordered:
@@ -246,10 +260,8 @@ def _reduced_basis(basis, order: MonomialOrder):
         for j, k in enumerate(kept):
             if j != idx:
                 others.setdefault(k[2], []).append(k)
-        r = _reduce_full(e[0], others, order)
-        lc = r[0][3]
-        monic = tuple((key, comp, exps, c / lc) for key, comp, exps, c in r)
-        final.append(_make_elem(monic))
+        _s, r = _reduce_full(e[0], others, order)
+        final.append(_make_elem(_primitive(r)))
     final.sort(key=lambda e: e[1])
     return final
 
@@ -293,9 +305,11 @@ class GroebnerBasis:
     def reduce_vector(self, v: FreeElement) -> FreeElement:
         if v.ring != self.ring or v.rank != self.ambient_rank:
             raise RingError("vector does not match basis ambient module")
-        terms = _to_engine_terms(v, self.order)
-        r = _reduce_full(terms, self._by_comp, self.order)
-        return _from_engine_terms(self.ring, self.ambient_rank, r)
+        terms, denom = _to_engine_terms(v, self.order)
+        s, r = _reduce_full(terms, self._by_comp, self.order)
+        return _from_engine_terms(
+            self.ring, self.ambient_rank, r, self.order, scale=s * denom
+        )
 
     def contains(self, v: FreeElement) -> bool:
         return self.reduce_vector(v).is_zero()
@@ -313,12 +327,13 @@ class GroebnerBasis:
 @lru_cache(maxsize=4096)
 def _gb_cached(A: Submodule, order: MonomialOrder) -> GroebnerBasis:
     vectors = [
-        _to_engine_terms(g, order) for g in A.generators if not g.is_zero()
+        _to_engine_terms(g, order)[0] for g in A.generators if not g.is_zero()
     ]
     basis = _buchberger_engine(vectors, order)
     reduced = _reduced_basis(basis, order)
     gens = tuple(
-        _from_engine_terms(A.ring, A.ambient_rank, e[0]) for e in reduced
+        _from_engine_terms(A.ring, A.ambient_rank, e[0], order, scale=e[4])
+        for e in reduced
     )
     return GroebnerBasis(Submodule(A.ring, A.ambient_rank, gens), reduced, order)
 
@@ -404,10 +419,11 @@ def syzygies(A: Submodule) -> Submodule:
     s, g = A.ambient_rank, len(A.generators)
     if g == 0:
         return zero_module(ring, 0)
+    gb = _augmented_gb(A)
     out = []
-    for e in _augmented_gb(A)._elems:
+    for e in gb._elems:
         if e[2] >= s:
-            out.append(_from_engine_terms(ring, g, e[0], s))
+            out.append(_from_engine_terms(ring, g, e[0], gb.order, s, e[4]))
     return Submodule(ring, g, out)
 
 
@@ -427,10 +443,12 @@ def lift(A: Submodule, B: Submodule) -> Submodule:
             top_by_comp.setdefault(e[2], []).append(e)
     cols = []
     for b in B.generators:
-        r = _reduce_full(_to_engine_terms(b, gb.order), top_by_comp, gb.order)
+        terms, denom = _to_engine_terms(b, gb.order)
+        scale, r = _reduce_full(terms, top_by_comp, gb.order)
         if any(comp < s for _key, comp, _exps, _c in r):
             raise ValueError("lift does not exist: vector outside the module")
-        cols.append(-_from_engine_terms(ring, g, r, s))
+        # scale * denom * b = A * (-tail of r)
+        cols.append(_from_engine_terms(ring, g, r, gb.order, s, -scale * denom))
     return Submodule(ring, g, cols)
 
 

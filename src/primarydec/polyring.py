@@ -7,8 +7,9 @@ sorted so that equal values have equal representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul, neg
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -41,6 +42,10 @@ class MonomialOrder:
     weights: tuple[int, ...] | None = None
     module_extension: str = POSITION_OVER_TERM
     blocks: tuple[tuple[int, ...], ...] | None = None
+    # variable indices covered by blocks, derived from them once
+    _in_blocks: frozenset = field(
+        default=frozenset(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in _ORDER_KINDS:
@@ -57,6 +62,7 @@ class MonomialOrder:
                 if not grp or any(i < 0 for i in grp) or seen & set(grp):
                     raise ValueError("blocks must be nonempty and disjoint")
                 seen |= set(grp)
+            object.__setattr__(self, "_in_blocks", frozenset(seen))
         else:
             if self.split_index is not None or self.blocks is not None:
                 raise ValueError("split_index/blocks only valid for block orders")
@@ -73,22 +79,26 @@ class MonomialOrder:
         if self.kind == "lex":
             return exps
         if self.kind == "block":
-            used: set[int] = set()
             key: list[int] = []
             for grp in self.blocks:
                 sub = [exps[i] for i in grp]
                 key.append(sum(sub))
                 key.extend(-e for e in reversed(sub))
-                used |= set(grp)
-            rest = [exps[i] for i in range(len(exps)) if i not in used]
+            used = self._in_blocks
+            rest = [e for i, e in enumerate(exps) if i not in used]
             key.append(sum(rest))
             key.extend(-e for e in reversed(rest))
             return tuple(key)
         if self.weights is not None:
-            deg = sum(w * e for w, e in zip(self.weights, exps))
+            deg = sum(map(mul, self.weights, exps))
         else:
             deg = sum(exps)
-        return (deg, *[-e for e in reversed(exps)])
+        return (deg, *map(neg, reversed(exps)))
+
+    def same_ring_key(self, other: "MonomialOrder") -> bool:
+        """Do both orders rank monomials alike, whatever their module extension?"""
+        mine = (self.kind, self.weights, self.blocks)
+        return mine == (other.kind, other.weights, other.blocks)
 
     def term_key(self, comp: int, exps: Monomial) -> tuple:
         if self.module_extension == POSITION_OVER_TERM:

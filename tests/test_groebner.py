@@ -27,12 +27,16 @@ from primarydec.groebner import (
     syzygies,
 )
 from primarydec.polyring import (
+    POSITION_OVER_TERM,
+    TERM_OVER_POSITION,
     FreeElement,
+    MonomialOrder,
     RingContext,
     Submodule,
     full_module,
     ideal,
     ideal_generators,
+    leading_term,
     render_polynomial,
     zero_module,
 )
@@ -355,3 +359,71 @@ def test_rational_coefficients_survive():
     for g in G.generators:
         assert g.components[0].leading_coefficient() == 1
     assert is_member(x**2 + 2 * y, buchberger(I))
+
+
+# The engine computes on integer coefficients with the denominators cleared
+# and the content divided out; the tests below pin the exact rational values
+# that come back out of it.
+
+
+def _rational_ideal(R):
+    x, y = R.variable(0), R.variable(1)
+    return ideal(
+        R, [Fraction(5, 6) * x - Fraction(1, 3), 10007 * y**2 - Fraction(1, 2) * x]
+    )
+
+
+def test_normal_form_is_the_exact_rational_remainder():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    I = _rational_ideal(R)
+    # x = 2/5 and y^2 = x / 20014 = 1/50035 modulo I
+    assert [str(g) for g in canonical(I).generators] == ["x - 2/5", "y^2 - 1/50035"]
+    r = normal_form(x * y**3 + Fraction(3, 7) * y + x**2, I)
+    lin = Fraction(2, 5) * Fraction(1, 50035) + Fraction(3, 7)
+    assert r == lin * y + Fraction(4, 25)
+    assert str(r) == "750539/1751225*y + 4/25"
+
+
+def test_lift_of_rational_vectors():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    A = _rational_ideal(R)
+    a1, a2 = ideal_generators(A)
+    B = ideal(R, [
+        Fraction(3, 4) * x * y * a1 + Fraction(2, 9) * a2,
+        Fraction(1, 10007) * a2,
+        (Fraction(7, 3) * y - 10007) * a1,
+    ])
+    T = lift(A, B)
+    assert A.mul(T) == B
+
+
+@pytest.mark.parametrize("extension", [POSITION_OVER_TERM, TERM_OVER_POSITION])
+def test_syzygies_are_monic_in_position_over_term(extension):
+    R = RingContext(("x", "y", "z"), MonomialOrder(module_extension=extension))
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    A = Submodule(R, 2, [
+        FreeElement(R, (Fraction(5, 6) * x - Fraction(1, 3) * z, 10007 * y)),
+        FreeElement(R, (Fraction(2, 7) * y * z, x - y)),
+        FreeElement(R, (x * y, Fraction(-1, 10007) * z**2)),
+    ])
+    S = syzygies(A)
+    assert S.generators
+    pot = MonomialOrder(module_extension=POSITION_OVER_TERM)
+    for g in S.generators:
+        assert leading_term(g, pot)[1] == 1
+    assert A.mul(S).is_zero()
+
+
+def test_reduce_vector_of_a_member_is_zero():
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    g1 = FreeElement(R, (Fraction(5, 6) * x - Fraction(1, 3), 10007 * y * z))
+    g2 = FreeElement(R, (Fraction(2, 9) * y**2, x - Fraction(1, 10007) * z))
+    G = buchberger(Submodule(R, 2, [g1, g2]))
+    v = g1.scale(Fraction(3, 11) * z - y) + g2.scale(Fraction(10007, 2) * x * y)
+    assert not v.is_zero()
+    assert G.reduce_vector(v).is_zero()
+    third = FreeElement(R, (R.zero(), R.constant(Fraction(1, 3))))
+    assert G.reduce_vector(v + third) == G.reduce_vector(third)
