@@ -23,6 +23,7 @@ from .groebner import (
     independent_sets,
     intersect,
     intersect_many,
+    is_member,
     is_sub,
     is_unit_ideal,
     krull_dim,
@@ -34,6 +35,7 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     RingContext,
+    RingError,
     Submodule,
     full_module,
     ideal,
@@ -62,10 +64,6 @@ def _render_key(A: Submodule) -> tuple:
         tuple(render_polynomial(p) for p in g.components)
         for g in canonical(A).generators
     )
-
-
-def _unit_ideal(ring: RingContext) -> Submodule:
-    return canonical(ideal(ring, [ring.one()]))
 
 
 def _ideal_sum(I: Submodule, polys) -> Submodule:
@@ -240,17 +238,15 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, depth: int):
         c = _field_lead_coefficient(gen.components[0], lead, D)
         if not c.is_constant():
             coeffs.add(c)
-    if coeffs:
-        h = ring.one()
-        for c in sorted(coeffs, key=render_polynomial):
-            h = h * c
-        J, m = saturate(I, ideal(ring, [h]))
-    else:
-        h, (J, m) = None, (canonical(I), 0)
+    h = ring.one()
+    for c in sorted(coeffs, key=render_polynomial):
+        h = h * c
+    Ic = canonical(I)
+    J = saturate(I, ideal(ring, [h])) if coeffs else Ic
     if is_unit_ideal(J):
         raise _CertificationFailure("saturation by lead coefficients is trivial")
     primes = list(_zero_dim_primes(J, u, seed, depth))
-    if h is not None and m >= 1:
+    if J != Ic:
         primes.extend(_min_ass_rec(canonical(_ideal_sum(I, [h])), seed, depth + 1))
     return primes
 
@@ -370,28 +366,35 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
 def localize_module(A: Submodule, J: Submodule, seed: int = 0) -> Submodule:
     """Contraction of A under localization at the prime ideal J.
 
-    Keeps exactly the primary components whose prime is contained in J, by
-    saturating away every associated prime that is not.
+    Keeps exactly the primary components whose prime is contained in J.  Each
+    associated prime P not inside J has a separator, the first generator of P
+    not in J.  Saturating by the separators one after another removes the
+    components at those primes and no other: no prime inside J contains one.
     """
     ring = A.ring
+    if J.ring != ring:
+        raise RingError(
+            "cannot localize: the ideal's ring differs from the module's in its "
+            + ("order" if J.ring.variables == ring.variables else "variables")
+        )
     if J.ambient_rank != 1:
         raise ValueError("localization expects a prime ideal")
     Ac = canonical(A)
     if buchberger(Ac).is_full():
         return Ac
-    K = None
+    separators: dict = {}
     for b in range(codim(Ac), ring.n + 1):
         H = ass_prim_codim(Ac, b)
         if is_unit_ideal(H):
             continue
-        bad = [P for P in min_ass(H, seed) if not is_sub(P, J)]
-        if not bad:
-            continue
-        Kb = intersect_many(bad)
-        K = Kb if K is None else intersect(K, Kb)
-    if K is None:
-        return Ac
-    return canonical(saturate(Ac, K)[0])
+        for P in min_ass(H, seed):
+            for f in ideal_generators(P):
+                if not is_member(f, J):
+                    separators.setdefault(f, None)
+                    break
+    for f in separators:
+        Ac = saturate(Ac, ideal(ring, [f]))
+    return Ac
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +430,10 @@ def primary_component(
     ring = A.ring
     s = A.ambient_rank
     AP = localize_module(A, P, seed)
-    AP2 = canonical(saturate(AP, P)[0])
+    shown = ", ".join(g[0] for g in _render_key(P))
+    if buchberger(AP).is_full():
+        raise DecompositionError(f"({shown}) contains no associated prime of the module")
+    AP2 = saturate(AP, P)
     B = full_module(ring, s)
     T = _ideal_times_module(P, B)
     trace = []
@@ -437,9 +443,6 @@ def primary_component(
         if is_sub(intersect(AP2, Q), AP):
             return Q, m, tuple(trace)
         T = _ideal_times_module(P, T)
-    shown = ", ".join(
-        render_polynomial(g.components[0]) for g in canonical(P).generators
-    )
     raise DecompositionError(
         f"no witness exponent up to {bound} isolates the component at ({shown})"
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, le, neg, sub
@@ -485,60 +485,53 @@ def reduce_columns(A: Submodule, G) -> Submodule:
 # ---------------------------------------------------------------------------
 
 
-def _extend_vector(v: FreeElement, ext: RingContext) -> FreeElement:
-    comps = []
-    for p in v.components:
-        comps.append(
-            poly_from_terms(ext, (((0,) + e, c) for e, c in p.terms))
-        )
-    return FreeElement(ext, tuple(comps))
+def _t_ring(ring: RingContext) -> RingContext:
+    """ring with a first variable @t that the order eliminates: a
+    term-over-position block order, degrevlex on the other variables."""
+    order = MonomialOrder("block", blocks=((0,),), module_extension=TERM_OVER_POSITION)
+    return RingContext(("@t",) + ring.variables, order)
 
 
-def _contract_vector(v: FreeElement, ring: RingContext) -> FreeElement:
-    comps = []
-    for p in v.components:
-        assert all(e[0] == 0 for e, _c in p.terms)
-        comps.append(poly_from_terms(ring, ((e[1:], c) for e, c in p.terms)))
-    return FreeElement(ring, tuple(comps))
+def _extend_vector(v: FreeElement, ext: RingContext, ts) -> FreeElement:
+    """The sum of a * @t^k * v over (k, a) in ts, as a vector over ext."""
+    return FreeElement(ext, [
+        poly_from_terms(ext, [((k,) + e, c * a) for k, a in ts for e, c in p.terms])
+        for p in v.components
+    ])
+
+
+def _t_free(gens, ext: RingContext, ring: RingContext, s: int) -> Submodule:
+    """The elements free of @t in the module gens span, contracted to ring."""
+    out = []
+    for g in buchberger(Submodule(ext, s, gens)).generators:
+        # terms sort by @t degree first, so a @t-free component starts @t-free
+        if all(not p.terms or p.terms[0][0][0] == 0 for p in g.components):
+            out.append(FreeElement(ring, [
+                poly_from_terms(ring, ((e[1:], c) for e, c in p.terms))
+                for p in g.components
+            ]))
+    return Submodule(ring, s, out)
 
 
 def intersect(A: Submodule, B: Submodule) -> Submodule:
-    """A cap B via one auxiliary variable that weights the two copies."""
+    """A cap B: the @t-free part of t A + (1 - t) B."""
     ring = A.ring
     if B.ring != ring or B.ambient_rank != A.ambient_rank:
         raise RingError("operands live in different modules")
     s = A.ambient_rank
     if not A.generators or not B.generators:
         return zero_module(ring, s)
-    ext = RingContext(
-        ("@t",) + ring.variables,
-        MonomialOrder(
-            kind="block", blocks=((0,),), module_extension=TERM_OVER_POSITION
-        ),
-    )
-    t = ext.variable(0)
-    one = ext.one()
-    gens = []
-    for a in A.generators:
-        gens.append(_extend_vector(a, ext).scale(t))
-    for b in B.generators:
-        gens.append(_extend_vector(b, ext).scale(one - t))
-    gb = buchberger(Submodule(ext, s, gens))
-    out = []
-    for gen in gb.generators:
-        if all(all(e[0] == 0 for e, _c in p.terms) for p in gen.components):
-            out.append(_contract_vector(gen, ring))
-    return Submodule(ring, s, out)
+    ext = _t_ring(ring)
+    gens = [_extend_vector(a, ext, ((1, 1),)) for a in A.generators]
+    gens += [_extend_vector(b, ext, ((0, 1), (1, -1))) for b in B.generators]
+    return _t_free(gens, ext, ring, s)
 
 
 def intersect_many(mods: Sequence[Submodule]) -> Submodule:
     mods = list(mods)
     if not mods:
         raise ValueError("nothing to intersect")
-    acc = mods[0]
-    for m in mods[1:]:
-        acc = intersect(acc, m)
-    return acc
+    return reduce(intersect, mods)
 
 
 def quotient(A: Submodule, B: Submodule) -> Submodule:
@@ -546,15 +539,12 @@ def quotient(A: Submodule, B: Submodule) -> Submodule:
     ring = A.ring
     if B.ambient_rank != A.ambient_rank:
         raise RingError("operands live in different modules")
-    result = None
-    for b in B.generators:
-        if b.is_zero():
-            continue
-        I_b = modulo_kernel(Submodule(ring, A.ambient_rank, [b]), A)
-        result = I_b if result is None else intersect(result, I_b)
-    if result is None:
-        return ideal(ring, [ring.one()])
-    return result
+    steps = [
+        modulo_kernel(Submodule(ring, A.ambient_rank, [b]), A)
+        for b in B.generators
+        if not b.is_zero()
+    ]
+    return intersect_many(steps) if steps else ideal(ring, [ring.one()])
 
 
 def annihilator(A: Submodule) -> Submodule:
@@ -564,32 +554,38 @@ def annihilator(A: Submodule) -> Submodule:
 
 def quotient_by_ideal(A: Submodule, J: Submodule) -> Submodule:
     """Submodule {v : J v inside A}."""
-    ring = A.ring
-    s = A.ambient_rank
-    result = None
-    for f in ideal_generators(J):
-        if f.is_zero():
-            continue
-        scaled = Submodule(
-            ring, s, [unit_vector(ring, s, i).scale(f) for i in range(s)]
+    ring, s = A.ring, A.ambient_rank
+    steps = [
+        modulo_kernel(
+            Submodule(ring, s, [unit_vector(ring, s, i).scale(f) for i in range(s)]), A
         )
-        step = modulo_kernel(scaled, A)
-        result = step if result is None else intersect(result, step)
-    if result is None:
-        return full_module(ring, s)
-    return result
+        for f in ideal_generators(J)
+        if not f.is_zero()
+    ]
+    return intersect_many(steps) if steps else full_module(ring, s)
 
 
-def saturate(A: Submodule, J: Submodule) -> tuple[Submodule, int]:
-    """Stable value of repeated quotients by J, with the step count needed."""
-    prev = canonical(A)
-    k = 0
-    while True:
-        nxt = canonical(quotient_by_ideal(prev, J))
-        if nxt == prev:
-            return prev, k
-        prev = nxt
-        k += 1
+def saturate(A: Submodule, J: Submodule) -> Submodule:
+    """A : J^infinity in canonical form, computed by elimination.
+
+    For each nonzero generator f of J one Groebner run gives
+    A : f^infinity = (A R[t] + (1 - t f) F) cap F (Rabinowitsch), and
+    A : J^infinity is the intersection of these.  With no nonzero generator
+    in J the result is the whole free module F.
+    """
+    ring, s = A.ring, A.ambient_rank
+    ext = _t_ring(ring)
+    base = [_extend_vector(a, ext, ((0, 1),)) for a in A.generators]
+    sats = []
+    for f in [f for f in ideal_generators(J) if not f.is_zero()]:
+        # (1 - @t f) e_i = e_i - @t (f e_i)
+        units = [
+            unit_vector(ext, s, i)
+            + _extend_vector(unit_vector(ring, s, i).scale(f), ext, ((1, -1),))
+            for i in range(s)
+        ]
+        sats.append(_t_free(base + units, ext, ring, s))
+    return canonical(intersect_many(sats) if sats else full_module(ring, s))
 
 
 def eliminate(A: Submodule, drop: Iterable[int]) -> Submodule:

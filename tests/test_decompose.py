@@ -20,6 +20,7 @@ from primarydec.polyring import (
     FreeElement,
     MonomialOrder,
     RingContext,
+    RingError,
     Submodule,
     ideal,
     render_polynomial,
@@ -114,6 +115,28 @@ def test_localize_module_known_values():
     assert itext(localize_module(ideal(R, [x * x, x * y]), Px)) == ["x"]
     m = ideal(R, [x, y])
     assert itext(localize_module(ideal(R, [x * x, x * y]), m)) == ["x*y", "x^2"]
+
+
+def test_localize_module_rejects_an_ideal_of_another_ring():
+    R = ring2()
+    A = ideal(R, [R.variable(0) * R.variable(1)])
+    S = RingContext(("x", "z"))
+    with pytest.raises(RingError, match="differs from the module's in its variables"):
+        localize_module(A, ideal(S, [S.variable(0)]))
+    T = RingContext(("x", "y"), MonomialOrder(kind="lex"))
+    with pytest.raises(RingError, match="differs from the module's in its order"):
+        localize_module(A, ideal(T, [T.variable(0)]))
+
+
+def test_primary_component_at_a_prime_over_no_associated_prime():
+    # the associated primes (x) and (x, y) both lie outside (x - 1, y)
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    with pytest.raises(
+        DecompositionError,
+        match=r"^\(y, x - 1\) contains no associated prime of the module$",
+    ):
+        primary_component(ideal(R, [x * x, x * y]), ideal(R, [x - 1, y]))
 
 
 def test_primary_component_witnesses():
