@@ -7,6 +7,9 @@ independent variables, where shape certification plus rational univariate
 factorization settle primality.  The module-level decomposition peels one
 primary component per associated prime, using twice-iterated Ext kernels for
 the equidimensional parts and ideal-power witnesses for the multiplicities.
+Only embedded components are tested for redundancy: localizing at a minimal
+prime turns every other component into the whole module, so an isolated
+component is never redundant.
 """
 
 from __future__ import annotations
@@ -83,16 +86,23 @@ def _ideal_times_module(P: Submodule, X: Submodule) -> Submodule:
 
 
 def _minimalize(primes) -> tuple[Submodule, ...]:
-    unique: dict[Submodule, None] = {}
+    """The inclusion-minimal primes among `primes`, sorted by (codim, rendering).
+
+    Distinct primes of equal height are never nested, because a strict
+    inclusion of primes raises the height; so only a prime of strictly lower
+    codim is tested for containment.
+    """
+    heights: dict[Submodule, int] = {}
     for P in primes:
-        unique.setdefault(canonical(P), None)
-    kept = []
-    items = list(unique)
-    for P in items:
-        if any(Q != P and is_sub(Q, P) for Q in items):
-            continue
-        kept.append(P)
-    kept.sort(key=lambda P: (codim(P), _render_key(P)))
+        Pc = canonical(P)
+        if Pc not in heights:
+            heights[Pc] = codim(Pc)
+    kept = [
+        P
+        for P, h in heights.items()
+        if not any(hq < h and is_sub(Q, P) for Q, hq in heights.items())
+    ]
+    kept.sort(key=lambda P: (heights[P], _render_key(P)))
     return tuple(kept)
 
 
@@ -448,6 +458,31 @@ def primary_component(
     )
 
 
+def _drop_redundant(pieces: list, Mc: Submodule) -> list:
+    """Greedily drop redundant pieces; return (piece, codim, embedded) triples.
+
+    A piece is embedded when the prime of another piece, of strictly lower
+    codim, lies inside its prime.  Only embedded pieces are tested for
+    redundancy (see the module docstring).  The flags hold for the kept pieces
+    too: each embedded prime contains an isolated one, and isolated pieces are
+    never dropped.
+    """
+    primes = [(P, codim(P)) for _Q, P, _m, _t in pieces]
+    kept = [
+        (piece, h, any(hq < h and is_sub(Q, P) for Q, hq in primes))
+        for piece, (P, h) in zip(pieces, primes)
+    ]
+    idx = 0
+    while idx < len(kept):
+        if kept[idx][2]:
+            rest = [k[0][0] for j, k in enumerate(kept) if j != idx]
+            if module_equal(intersect_many(rest), Mc):
+                kept.pop(idx)
+                continue
+        idx += 1
+    return kept
+
+
 def primary_decomposition(
     M: Submodule, bound: int = 50, seed: int = 0
 ) -> DecompositionResult:
@@ -485,26 +520,16 @@ def primary_decomposition(
             raise DecompositionError(
                 "computed components do not intersect back to the input"
             )
-    idx = 0
-    while idx < len(pieces) and len(pieces) > 1:
-        rest = [p[0] for k, p in enumerate(pieces) if k != idx]
-        if module_equal(intersect_many(rest), Mc):
-            pieces.pop(idx)
-        else:
-            idx += 1
-    primes = [p[1] for p in pieces]
-    comps = []
-    for Q, P, m, trace in pieces:
-        emb = any(other != P and is_sub(other, P) for other in primes)
-        comps.append(
-            Component(
-                module=canonical(Q),
-                prime=P,
-                codim=codim(P),
-                embedded=emb,
-                witness_exponent=m,
-                hull_trace=trace,
-            )
+    comps = [
+        Component(
+            module=canonical(Q),
+            prime=P,
+            codim=c,
+            embedded=emb,
+            witness_exponent=m,
+            hull_trace=trace,
         )
+        for (Q, P, m, trace), c, emb in _drop_redundant(pieces, Mc)
+    ]
     comps.sort(key=lambda c: (c.codim, _render_key(c.prime)))
     return DecompositionResult(Mc, tuple(comps))

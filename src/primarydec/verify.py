@@ -312,6 +312,9 @@ def validate_decomposition(M: Submodule, components, seed: int = 0) -> Validatio
     primes_distinct = len(canon_primes) == len(set(canon_primes))
     if not primes_distinct:
         messages.append("two components share a prime")
+    # Every component is tested, isolated ones too.  The engine skips isolated
+    # components by a height argument; this check must not rely on the
+    # argument it is judging.
     irredundant = True
     if len(pairs) > 1:
         for i in range(len(pairs)):

@@ -1,9 +1,12 @@
 import random
 
+from primarydec import decompose
 from primarydec.decompose import (
     Component,
     DecompositionError,
     DecompositionResult,
+    _drop_redundant,
+    _minimalize,
     localize_module,
     min_ass,
     primary_component,
@@ -106,6 +109,47 @@ def test_min_ass_deterministic_across_seeds():
     assert primes_text(min_ass(I, seed=0)) == primes_text(min_ass(I, seed=3))
 
 
+def test_minimalize_keeps_minimal_primes_in_height_order():
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    primes = [
+        ideal(R, [x, y]),
+        ideal(R, [y]),
+        ideal(R, [x]),
+        ideal(R, [x, z]),
+        ideal(R, [x]),
+    ]
+    assert primes_text(_minimalize(primes)) == [["x"], ["y"]]
+
+
+def test_minimalize_keeps_primes_of_equal_height_without_containment_tests(
+    monkeypatch,
+):
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    calls = []
+
+    def counting_is_sub(A, B):
+        calls.append((A, B))
+        return is_sub(A, B)
+
+    monkeypatch.setattr(decompose, "is_sub", counting_is_sub)
+    primes = [ideal(R, [y, z]), ideal(R, [x - 1, y]), ideal(R, [x, z])]
+    assert primes_text(_minimalize(primes)) == [
+        ["y", "x - 1"],
+        ["z", "x"],
+        ["z", "y"],
+    ]
+    assert calls == []
+
+
+def test_minimalize_drops_a_prime_over_a_lower_one():
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    primes = [ideal(R, [x, y, z - 2]), ideal(R, [y, z - 2]), ideal(R, [x - 1])]
+    assert primes_text(_minimalize(primes)) == [["x - 1"], ["z - 2", "y"]]
+
+
 def test_localize_module_known_values():
     R = ring2()
     x, y = R.variable(0), R.variable(1)
@@ -177,6 +221,43 @@ def test_primary_decomposition_embedded_example():
     assert second.witness_exponent == 2
     inter = intersect_many([c.module for c in res.components])
     assert module_equal(inter, I)
+
+
+def test_drop_redundant_drops_only_the_redundant_embedded_piece():
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    M = canonical(ideal(R, [x * x, x * y]))
+    pieces = [
+        (ideal(R, [x]), canonical(ideal(R, [x])), 1, ()),
+        (ideal(R, [x * x, y]), canonical(ideal(R, [x, y])), 1, ()),
+        (ideal(R, [x * x, y, z]), canonical(ideal(R, [x, y, z])), 1, ()),
+    ]
+    kept = _drop_redundant(pieces, M)
+    assert [piece for piece, _c, _e in kept] == pieces[:2]
+    assert [(c, emb) for _p, c, emb in kept] == [(1, False), (2, True)]
+    # a higher prime that contains no lower one is isolated
+    pieces = [
+        (ideal(R, [x]), canonical(ideal(R, [x])), 1, ()),
+        (ideal(R, [y, z]), canonical(ideal(R, [y, z])), 1, ()),
+    ]
+    kept = _drop_redundant(pieces, canonical(ideal(R, [x * y, x * z])))
+    assert [(c, emb) for _p, c, emb in kept] == [(1, False), (2, False)]
+
+
+def test_points_make_no_redundancy_intersections(monkeypatch):
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    calls = []
+
+    def counting_intersect_many(modules):
+        calls.append(modules)
+        return intersect_many(modules)
+
+    monkeypatch.setattr(decompose, "intersect_many", counting_intersect_many)
+    res = primary_decomposition(ideal(R, [x * x - x, y * y - y, z * z - z]))
+    assert len(res.components) == 8
+    assert not any(c.embedded for c in res.components)
+    assert calls == []
 
 
 def test_primary_decomposition_three_axes():

@@ -184,6 +184,21 @@ def test_validator_accepts_engine_output():
     assert report.as_dict()["ok"] is True
 
 
+def test_validator_finds_engine_output_irredundant():
+    R = ring_xyz()
+    x, y, z = (R.variable(i) for i in range(3))
+    embedded_mix = ideal(R, [z * z * (x - 1) ** 2, x * y * (y - 1), x**3 * z - z])
+    res = primary_decomposition(embedded_mix)
+    assert [c.embedded for c in res.components].count(True) == 2
+    assert validate_decomposition(embedded_mix, res.components).irredundant
+    R = ring_xy()
+    x, y = R.variable(0), R.variable(1)
+    grid = ideal(R, [x * x - x, y * y - y])
+    res = primary_decomposition(grid)
+    assert len(res.components) == 4
+    assert validate_decomposition(grid, res.components).irredundant
+
+
 def test_validator_accepts_pairs():
     R = ring_xy()
     I = mono_ideal(R, [(2, 0), (1, 1)])
