@@ -3,19 +3,22 @@
 Minimal primes of an ideal are found by splitting along a maximal independent
 set of variables: after saturating by the product of leading coefficients the
 ideal becomes zero dimensional over the rational function field in the
-independent variables, where shape certification plus rational univariate
-factorization settle primality.  The module-level decomposition peels one
-primary component per associated prime, using twice-iterated Ext kernels for
-the equidimensional parts and ideal-power witnesses for the multiplicities.
-Only embedded components are tested for redundancy: localizing at a minimal
-prime turns every other component into the whole module, so an isolated
-component is never redundant.
+independent variables.  There the minimal polynomial of a linear form in the
+dependent variables either factors over Q and splits the ideal, or is
+irreducible of degree equal to the dimension of the quotient, which certifies
+the ideal prime; coordinate shears are a fallback for what no form settles.
+The module-level decomposition peels one primary component per associated
+prime, using twice-iterated Ext kernels for the equidimensional parts and
+ideal-power witnesses for the multiplicities.  Only embedded components are
+tested for redundancy: localizing at a minimal prime turns every other
+component into the whole module, so an isolated component is never
+redundant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .groebner import (
     annihilator,
@@ -43,6 +46,7 @@ from .polyring import (
     full_module,
     ideal,
     ideal_generators,
+    poly_from_terms,
     render_polynomial,
     substitute,
 )
@@ -60,6 +64,7 @@ class _CertificationFailure(Exception):
 _MAX_DEPTH = 48
 _SHEAR_LAMBDAS = (1, -1, 2, -2, 3, -3, 5, -5)
 _MAX_SHEARS = 12
+_FORM_SCALES = (0, 1, 2, 3, 5)
 
 
 def _render_key(A: Submodule) -> tuple:
@@ -113,24 +118,29 @@ def _minimalize(primes) -> tuple[Submodule, ...]:
 
 def _field_lead_coefficient(p: Polynomial, lead, D: tuple[int, ...]) -> Polynomial:
     """Coefficient in the independent variables of the D-part of lead in p."""
-    ring = p.ring
-    dpart = tuple(lead[i] if i in D else 0 for i in range(ring.n))
-    c = ring.zero()
-    for exps, coeff in p.terms:
-        if tuple(exps[i] if i in D else 0 for i in range(ring.n)) != dpart:
-            continue
-        upart = tuple(0 if i in D else exps[i] for i in range(ring.n))
-        c = c + ring.monomial(upart) * coeff
+    dpart = tuple(e if i in D else 0 for i, e in enumerate(lead))
+    c = poly_from_terms(
+        p.ring,
+        (
+            (tuple(0 if i in D else e for i, e in enumerate(exps)), coeff)
+            for exps, coeff in p.terms
+            if tuple(e if i in D else 0 for i, e in enumerate(exps)) == dpart
+        ),
+    )
     return c * (1 / c.leading_coefficient())
 
 
 def _poly_in_var(ring: RingContext, d: int, coeffs) -> Polynomial:
-    p = ring.zero()
-    for k, c in enumerate(coeffs):
-        if c:
-            exps = tuple(k if i == d else 0 for i in range(ring.n))
-            p = p + ring.monomial(exps) * c
-    return p
+    exps = (
+        tuple(k if i == d else 0 for i in range(ring.n)) for k in range(len(coeffs))
+    )
+    return poly_from_terms(ring, zip(exps, coeffs))
+
+
+def _elimination_order(D: tuple[int, ...], d: int) -> MonomialOrder:
+    """Blocks (D without d) > x_d > the independent variables."""
+    others = tuple(i for i in D if i != d)
+    return MonomialOrder(kind="block", blocks=(others, (d,)) if others else ((d,),))
 
 
 def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
@@ -142,8 +152,7 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
     """
     ring = J.ring
     others = tuple(i for i in D if i != d)
-    blocks = (others, (d,)) if others else ((d,),)
-    G = buchberger(J, MonomialOrder(kind="block", blocks=blocks))
+    G = buchberger(J, _elimination_order(D, d))
     best = None
     for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
         if any(lead[i] for i in others):
@@ -152,17 +161,17 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
             best, best_deg = gen.components[0], lead[d]
     if best is None or best_deg == 0:
         raise _CertificationFailure("no elimination polynomial found")
-    ck: dict[int, Polynomial] = {}
+    groups: dict[int, list] = {}
     for exps, coeff in best.terms:
-        k = exps[d]
-        upart = tuple(0 if i == d else exps[i] for i in range(ring.n))
-        ck[k] = ck.get(k, ring.zero()) + ring.monomial(upart) * coeff
+        upart = tuple(0 if i == d else e for i, e in enumerate(exps))
+        groups.setdefault(exps[d], []).append((upart, coeff))
+    ck = {k: poly_from_terms(ring, items) for k, items in groups.items()}
     top = max(ck)
     ctop = ck[top]
     coeffs = []
     for k in range(top + 1):
         c = ck.get(k)
-        if c is None or c.is_zero():
+        if c is None:
             coeffs.append(0)
             continue
         lam = c.leading_coefficient() / ctop.leading_coefficient()
@@ -172,69 +181,67 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
     return top, tuple(coeffs)
 
 
-def _shape_exponent(J: Submodule, D: tuple[int, ...], d_last: int):
-    """Exponent k when the lead terms have shape {x_d : d != d_last, x_last^k}."""
-    perm = tuple(d for d in D if d != d_last) + (d_last,)
-    blocks = tuple((d,) for d in perm)
-    G = buchberger(J, MonomialOrder(kind="block", blocks=blocks))
-    dparts = {tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()}
-    minimal = [
-        m
-        for m in dparts
-        if not any(o != m and all(a <= b for a, b in zip(o, m)) for o in dparts)
-    ]
-    k = None
-    seen = set()
-    for m in minimal:
-        support = [pos for pos, e in enumerate(m) if e]
-        if len(support) != 1:
-            return None
-        var = D[support[0]]
-        if var == d_last:
-            k = m[support[0]]
-        elif m[support[0]] == 1:
-            seen.add(var)
-        else:
-            return None
-    if k is None or seen != set(D) - {d_last}:
-        return None
-    return k
+def _vector_dim(J: Submodule, D: tuple[int, ...], d: int) -> int:
+    """dim over K = Q(u) of K[x_D]/J, as the number of standard monomials.
+
+    _minpoly_data's order ranks x_D before u, so the D-parts of its lead terms
+    are J's lead terms over K; its basis is cached.
+    """
+    G = buchberger(J, _elimination_order(D, d))
+    leads = [tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()]
+    bounds = []
+    for pos in range(len(D)):
+        powers = [m[pos] for m in leads if m[pos] and sum(m) == m[pos]]
+        if not powers:
+            raise _CertificationFailure("ideal is not zero dimensional over Q(u)")
+        bounds.append(min(powers))
+    return sum(
+        1
+        for m in product(*(range(b) for b in bounds))
+        if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
+    )
 
 
 def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, depth: int):
-    """Minimal primes of J when J is zero dimensional over Q(u).
+    """Minimal primes of J when J is zero dimensional over K = Q(u).
 
-    Raises _CertificationFailure when rational factorization cannot certify
-    the function-field structure for any choice of last variable.
+    Each linear form l = x_d + tail, tail = sum_k c^(k+1) x_{others[k]}, for
+    c in _FORM_SCALES and d in D, is tested through its minimal polynomial p
+    over K, that of x_d after the shear x_d -> x_d - tail.  A rational p that
+    factors or has a repeated factor splits J along its factors.  An
+    irreducible p of degree dim_K K[x_D]/J makes that quotient the field
+    K[t]/(p); J, saturated by the lead coefficients, is the contraction of
+    that field's kernel and so prime.  Raises _CertificationFailure otherwise.
     """
     ring = J.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
-    mus: dict[int, tuple[int, tuple | None]] = {}
-    for d in D:
-        mus[d] = _minpoly_data(J, D, d)
-    for d in D:
-        _deg, coeffs = mus[d]
-        if coeffs is None:
-            continue
-        factors = univariate_factor(coeffs)
-        if len(factors) == 1 and factors[0][1] == 1:
-            continue
-        out = []
-        for fc, _mult in factors:
-            p = _poly_in_var(ring, d, fc)
-            out.extend(_min_ass_rec(canonical(_ideal_sum(J, [p])), seed, depth + 1))
-        return _minimalize(out)
-    for d_last in D:
-        k = _shape_exponent(J, D, d_last)
-        if k is None:
-            continue
-        if k == 1:
-            return (canonical(J),)
-        deg, coeffs = mus[d_last]
-        if coeffs is None or deg != k:
-            continue
-        return (canonical(J),)
-    raise _CertificationFailure("no variable ordering certifies the shape")
+    gens = ideal_generators(J)
+    u_dependent = False
+    for c in _FORM_SCALES:
+        for d in D:
+            x = ring.variable(d)
+            others = [i for i in D if i != d]
+            tail = sum(ring.variable(o) * c ** (k + 1) for k, o in enumerate(others))
+            Jl = ideal(ring, [substitute(g, {d: x - tail}) for g in gens]) if c else J
+            deg, coeffs = _minpoly_data(Jl, D, d)
+            if coeffs is None:
+                u_dependent = True
+            else:
+                factors = univariate_factor(coeffs)
+                if len(factors) > 1 or factors[0][1] > 1:
+                    out = []
+                    for fc, _mult in factors:
+                        f = substitute(_poly_in_var(ring, d, fc), {d: x + tail})
+                        split = canonical(_ideal_sum(J, [f]))
+                        out.extend(_min_ass_rec(split, seed, depth + 1))
+                    return _minimalize(out)
+            if (coeffs is not None or deg == 1) and deg == _vector_dim(Jl, D, d):
+                return (canonical(J),)
+        # once a variable's p depends on u, so do the forms' in general, and such
+        # a p certifies only at degree 1; with one dependent variable l = x_d
+        if u_dependent or len(D) == 1:
+            break
+    raise _CertificationFailure("no linear form certifies or splits the ideal")
 
 
 def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, depth: int):

@@ -338,17 +338,19 @@ def substitute(p: Polynomial, images: dict[int, Polynomial]) -> Polynomial:
     for img in images.values():
         if img.ring != ring:
             raise RingError("substitution image from wrong ring")
-    result = ring.zero()
+    powers: dict[tuple[int, int], Polynomial] = {}
+    acc: dict = {}
     for exps, c in p.terms:
-        term = ring.constant(c)
+        fixed = tuple(0 if i in images else e for i, e in enumerate(exps))
+        term = ring.monomial(fixed, c)
         for i, e in enumerate(exps):
-            if not e:
-                continue
-            base = images.get(i)
-            term = term * (base**e if base is not None else ring.monomial(
-                tuple(e if j == i else 0 for j in range(ring.n))))
-        result = result + term
-    return result
+            if e and i in images:
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                term = term * powers[i, e]
+        for key, k in term.terms:
+            acc[key] = acc.get(key, Fraction(0)) + k
+    return poly_from_terms(ring, acc.items())
 
 
 class FreeElement:

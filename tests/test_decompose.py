@@ -1,12 +1,18 @@
 import random
+from pathlib import Path
 
 from primarydec import decompose
+from primarydec.cli import parse_script, run_script
 from primarydec.decompose import (
     Component,
     DecompositionError,
     DecompositionResult,
+    _CertificationFailure,
     _drop_redundant,
     _minimalize,
+    _minpoly_data,
+    _vector_dim,
+    _zero_dim_primes,
     localize_module,
     min_ass,
     primary_component,
@@ -26,10 +32,15 @@ from primarydec.polyring import (
     RingError,
     Submodule,
     ideal,
+    ideal_generators,
     render_polynomial,
+    substitute,
 )
+from primarydec.unifactor import univariate_factor
 
 import pytest
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def ring2() -> RingContext:
@@ -107,6 +118,89 @@ def test_min_ass_deterministic_across_seeds():
     x, y = R.variable(0), R.variable(1)
     I = ideal(R, [x * x - 2, y * y - 2])
     assert primes_text(min_ass(I, seed=0)) == primes_text(min_ass(I, seed=3))
+
+
+def _no_shears(monkeypatch):
+    """Make any coordinate shear fail the test, and start min_ass cold."""
+
+    def refuse(*args):
+        raise AssertionError(f"coordinate shear {args[1:]}")
+
+    monkeypatch.setattr(decompose, "_apply_shear", refuse)
+    monkeypatch.setattr(decompose, "_MIN_ASS_CACHE", {})
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_sqrt_cube_splits_by_linear_forms_without_shears(monkeypatch, s):
+    _no_shears(monkeypatch)
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    got = primes_text(min_ass(ideal(R, [x * x - s, y * y - s, z * z - s])))
+    assert got == [
+        ["y + z", "x + z", f"z^2 - {s}"],
+        ["y + z", "x - z", f"z^2 - {s}"],
+        ["y - z", "x + z", f"z^2 - {s}"],
+        ["y - z", "x - z", f"z^2 - {s}"],
+    ]
+
+
+def test_linear_form_of_lower_degree_than_the_quotient_is_refused(monkeypatch):
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    J = canonical(ideal(R, [x * x - 2, y * y - 2, z * z - 2]))
+    D = (0, 1, 2)
+    # x stands for x + y + z after the shear x -> x - y - z
+    sheared = ideal(R, [substitute(g, {0: x - y - z}) for g in ideal_generators(J)])
+    assert _minpoly_data(sheared, D, 0)[0] == 4
+    assert _vector_dim(J, D, 0) == _vector_dim(sheared, D, 0) == 8
+    # even when every minimal polynomial is taken as irreducible, forms of
+    # degree 2 (c = 0) and 4 (c = 1, x + y + z) against dim 8 certify nothing
+    monkeypatch.setattr(decompose, "univariate_factor", lambda c: [(tuple(c), 1)])
+    monkeypatch.setattr(decompose, "_FORM_SCALES", (0, 1))
+    with pytest.raises(_CertificationFailure):
+        _zero_dim_primes(J, (), 0, 0)
+
+
+def test_non_radical_zero_dimensional_ideal_splits_on_a_repeated_factor(monkeypatch):
+    _no_shears(monkeypatch)
+    factorizations = []
+
+    def recording_factor(coeffs):
+        factorizations.append(univariate_factor(coeffs))
+        return factorizations[-1]
+
+    monkeypatch.setattr(decompose, "univariate_factor", recording_factor)
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    got = primes_text(min_ass(ideal(R, [(x * x - 2) ** 2, y - x])))
+    assert got == [["x - y", "y^2 - 2"]]
+    # the first minimal polynomial is (x^2 - 2)^2: one factor of multiplicity 2
+    assert factorizations[0] == [((-2, 0, 1), 2)]
+
+
+def test_no_forms_beyond_variables_once_a_minimal_polynomial_depends_on_u(
+    monkeypatch,
+):
+    _no_shears(monkeypatch)
+    substitutions = []
+    monkeypatch.setattr(decompose, "substitute", lambda *a: substitutions.append(a))
+    R = RingContext(("x", "y", "z", "w"))
+    x, y, z, w = (R.variable(i) for i in range(4))
+    # twisted cubic: over Q(x, w) the minimal polynomials of y and z have
+    # coefficients in x and w, so no form y + c*z is tried there
+    I = ideal(R, [x * z - y * y, y * w - z * z, x * w - y * z])
+    assert primes_text(min_ass(I)) == [["z^2 - y*w", "y*z - x*w", "y^2 - x*z"]]
+    assert substitutions == []
+
+
+def test_fixtures_make_no_coordinate_shears(monkeypatch):
+    _no_shears(monkeypatch)
+    scripts = sorted(FIXTURES.glob("*.primdec")) + sorted(
+        FIXTURES.glob("orders/*.primdec")
+    )
+    assert len(scripts) == 12
+    for script in scripts:
+        run_script(parse_script(script.read_text()), seed=0, base_dir=script.parent)
 
 
 def test_minimalize_keeps_minimal_primes_in_height_order():

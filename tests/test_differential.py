@@ -4,11 +4,14 @@ code with this package.
 sympy is a test-only dependency; these tests are skipped when it is absent.
 """
 
+from itertools import product
+
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from primarydec.cli import parse_polynomial  # noqa: E402
+from primarydec.decompose import min_ass  # noqa: E402
 from primarydec.groebner import canonical, normal_form  # noqa: E402
 from primarydec.polyring import (  # noqa: E402
     DEGREVLEX,
@@ -91,3 +94,56 @@ def test_normal_form_matches_sympy_reduced(name, order):
         _to_sympy(f, gens), theirs.polys, *gens, order=order, domain="QQ"
     )
     assert _to_sympy(normal_form(f, ideal(ring, polys)), gens) == remainder
+
+
+# zero-dimensional ideals whose points sympy finds in closed form
+POINT_SETS = {
+    "sqrt_cube": ("x, y, z", "x^2 - 2, y^2 - 2, z^2 - 2"),
+    "sqrt_lines": ("x, y", "(x^2 - 2)*(x^2 - 3)*(x - 1), (y^2 - 5)*(y - x)"),
+    "katsura3": IDEALS["katsura3"],
+    "cyclic3": IDEALS["cyclic3"],
+}
+
+
+T = sympy.Symbol("t")
+
+
+def _degree(G, gens):
+    """Standard monomials of a zero-dimensional reduced basis from sympy."""
+    leads = [p.monoms(order="grevlex")[0] for p in G.polys]
+    box = [
+        min(m[i] for m in leads if m[i] and sum(m) == m[i]) for i in range(len(gens))
+    ]
+    return sum(
+        1
+        for m in product(*(range(b) for b in box))
+        if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(POINT_SETS))
+def test_min_ass_splits_sympy_points_into_prime_orbits(name):
+    variables, text = POINT_SETS[name]
+    ring = _ring(variables, "grevlex")
+    gens = sympy.symbols(ring.variables)
+    points = sympy.solve_poly_system(
+        [sympy.sympify(g.replace("^", "**")) for g in text.split(",")], *gens
+    )
+    primes = min_ass(ideal(ring, _ours(ring, text)))
+    owners = {pt: [] for pt in points}
+    for P in primes:
+        polys = [_to_sympy(g.components[0], gens) for g in P.generators]
+        on_P = [
+            pt
+            for pt in points
+            if all(sympy.expand(p.as_expr().subs(zip(gens, pt))) == 0 for p in polys)
+        ]
+        assert len(on_P) == _degree(sympy.groebner(polys, *gens, order="grevlex"), gens)
+        # P is prime when its points are one Galois orbit: the conjugates of
+        # a separating linear form at one point take as many values
+        form = sum(c * v for c, v in zip((1, 3, 7), on_P[0]))
+        assert sympy.degree(sympy.minimal_polynomial(form, T), T) == len(on_P)
+        for pt in on_P:
+            owners[pt].append(P)
+    # every point lies on exactly one prime
+    assert all(len(found) == 1 for found in owners.values())

@@ -1,4 +1,4 @@
-"""Property tests of intersection and saturation on generated modules.
+"""Property tests of substitution, intersection and saturation on generated input.
 
 The examples are drawn deterministically (derandomize, no example database),
 so every run checks the same inputs.
@@ -20,6 +20,7 @@ from primarydec.polyring import (  # noqa: E402
     RingContext,
     Submodule,
     ideal,
+    substitute,
 )
 
 R = RingContext(("x", "y"))
@@ -69,3 +70,22 @@ def test_module_lies_in_its_saturation(A, J):
 def test_saturation_is_idempotent(A, J):
     S = saturate(A, J)
     assert saturate(S, J) == S
+
+
+def _expand_term_by_term(p, images):
+    """Reference substitution: each term's powers computed afresh, summed one by one."""
+    ring = p.ring
+    result = ring.zero()
+    for exps, c in p.terms:
+        term = ring.constant(c)
+        for i, e in enumerate(exps):
+            unit = tuple(1 if j == i else 0 for j in range(ring.n))
+            term = term * images.get(i, ring.monomial(unit)) ** e
+        result = result + term
+    return result
+
+
+@PROPERTY
+@given(polys, st.dictionaries(st.sampled_from([0, 1]), polys, max_size=2))
+def test_substitute_matches_term_by_term_expansion(p, images):
+    assert substitute(p, images) == _expand_term_by_term(p, images)
