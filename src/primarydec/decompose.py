@@ -9,10 +9,12 @@ irreducible of degree equal to the dimension of the quotient, which certifies
 the ideal prime; coordinate shears are a fallback for what no form settles.
 The module-level decomposition peels one primary component per associated
 prime, using twice-iterated Ext kernels for the equidimensional parts and
-ideal-power witnesses for the multiplicities.  Only embedded components are
-tested for redundancy: localizing at a minimal prime turns every other
-component into the whole module, so an isolated component is never
-redundant.
+ideal-power witnesses for the multiplicities.  The associated primes that
+localization needs are found once per module: the minimal primes of the
+annihilator for the unmixed hull, of each `ass_prim_codim` ideal for the
+input.  Only embedded components are tested for redundancy: localizing at a
+minimal prime turns every other component into the whole module, so an
+isolated component is never redundant.
 """
 
 from __future__ import annotations
@@ -83,10 +85,7 @@ def _module_sum(A: Submodule, B: Submodule) -> Submodule:
 
 
 def _ideal_times_module(P: Submodule, X: Submodule) -> Submodule:
-    gens = []
-    for f in ideal_generators(P):
-        for v in X.generators:
-            gens.append(v.scale(f))
+    gens = [v.scale(f) for f in ideal_generators(P) for v in X.generators]
     return Submodule(X.ring, X.ambient_rank, gens)
 
 
@@ -380,13 +379,27 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
 # ---------------------------------------------------------------------------
 
 
-def localize_module(A: Submodule, J: Submodule, seed: int = 0) -> Submodule:
+def _associated_primes(A: Submodule, seed: int) -> list[Submodule]:
+    """Associated primes of F/A, A canonical: min_ass of each ass_prim_codim."""
+    primes = []
+    for b in range(codim(A), A.ring.n + 1):
+        H = ass_prim_codim(A, b)
+        if not is_unit_ideal(H):
+            primes.extend(min_ass(H, seed))
+    return primes
+
+
+def localize_module(
+    A: Submodule, J: Submodule, seed: int = 0, *, primes: list | None = None
+) -> Submodule:
     """Contraction of A under localization at the prime ideal J.
 
     Keeps exactly the primary components whose prime is contained in J.  Each
     associated prime P not inside J has a separator, the first generator of P
     not in J.  Saturating by the separators one after another removes the
     components at those primes and no other: no prime inside J contains one.
+    `primes` lists the associated primes of F/A when the caller has them;
+    otherwise they are read off the Ext modules (`_associated_primes`).
     """
     ring = A.ring
     if J.ring != ring:
@@ -397,18 +410,12 @@ def localize_module(A: Submodule, J: Submodule, seed: int = 0) -> Submodule:
     if J.ambient_rank != 1:
         raise ValueError("localization expects a prime ideal")
     Ac = canonical(A)
-    if buchberger(Ac).is_full():
-        return Ac
     separators: dict = {}
-    for b in range(codim(Ac), ring.n + 1):
-        H = ass_prim_codim(Ac, b)
-        if is_unit_ideal(H):
-            continue
-        for P in min_ass(H, seed):
-            for f in ideal_generators(P):
-                if not is_member(f, J):
-                    separators.setdefault(f, None)
-                    break
+    for P in _associated_primes(Ac, seed) if primes is None else primes:
+        for f in ideal_generators(P):
+            if not is_member(f, J):
+                separators.setdefault(f, None)
+                break
     for f in separators:
         Ac = saturate(Ac, ideal(ring, [f]))
     return Ac
@@ -438,15 +445,21 @@ class DecompositionResult:
 
 
 def primary_component(
-    A: Submodule, P: Submodule, bound: int = 50, seed: int = 0
+    A: Submodule,
+    P: Submodule,
+    bound: int = 50,
+    seed: int = 0,
+    *,
+    primes: list | None = None,
 ) -> tuple[Submodule, int, tuple[tuple[int, Submodule], ...]]:
     """P-primary component of A with the least power of P that witnesses it.
 
     Returns (component, exponent, trace of (exponent, hull) attempts).
+    `primes`, the associated primes of F/A if known, goes to `localize_module`.
     """
     ring = A.ring
     s = A.ambient_rank
-    AP = localize_module(A, P, seed)
+    AP = localize_module(A, P, seed, primes=primes)
     shown = ", ".join(g[0] for g in _render_key(P))
     if buchberger(AP).is_full():
         raise DecompositionError(f"({shown}) contains no associated prime of the module")
@@ -494,34 +507,31 @@ def primary_decomposition(
     M: Submodule, bound: int = 50, seed: int = 0
 ) -> DecompositionResult:
     """Irredundant primary decomposition of a proper submodule."""
-    ring = M.ring
-    n = ring.n
     Mc = canonical(M)
     if buchberger(Mc).is_full():
         return DecompositionResult(Mc, ())
     N1 = equidim_hull(Mc)
+    # N1 is unmixed, so its associated primes are the minimal primes of its
+    # annihilator, and no Ext module above codim(N1) needs computing.
+    hull_primes = min_ass(annihilator(N1), seed)
     pieces: list[tuple[Submodule, Submodule, int, tuple]] = []
     N = None
-    for P in min_ass(annihilator(N1), seed):
-        Q, m, trace = primary_component(N1, P, bound, seed)
+    for P in hull_primes:
+        Q, m, trace = primary_component(N1, P, bound, seed, primes=hull_primes)
         pieces.append((Q, P, m, trace))
         N = Q if N is None else intersect(N, Q)
     if N is None:
         raise DecompositionError("no minimal primes found for a proper module")
     if not module_equal(N, Mc):
-        done = False
-        for f in range(codim(Mc) + 1, n + 1):
-            Hf = ass_prim_codim(Mc, f)
-            if is_unit_ideal(Hf):
+        ass = _associated_primes(Mc, seed)
+        c = codim(Mc)
+        for P in ass:
+            if codim(P) <= c:
                 continue
-            for P in min_ass(Hf, seed):
-                Q, m, trace = primary_component(Mc, P, bound, seed)
-                pieces.append((Q, P, m, trace))
-                N = intersect(N, Q)
-                if module_equal(N, Mc):
-                    done = True
-                    break
-            if done:
+            Q, m, trace = primary_component(Mc, P, bound, seed, primes=ass)
+            pieces.append((Q, P, m, trace))
+            N = intersect(N, Q)
+            if module_equal(N, Mc):
                 break
         if not module_equal(N, Mc):
             raise DecompositionError(

@@ -62,60 +62,37 @@ def _find_constant(grid) -> tuple[int, int] | None:
     return None
 
 
-def _drop_row(grid, i0):
-    del grid[i0]
-
-
-def _drop_col(grid, j0):
-    for row in grid:
-        del row[j0]
-
-
 def _eliminate(grids, k, i0, j0):
+    """Split off the unit entry c = P[i0][j0] of P = grids[k].
+
+    Only the Schur complement P[i][j] - P[i][j0] * P[i0][j] / c is computed.
+    The row and column operations that clear row i0 and column j0, and the
+    matching updates of column i0 of grids[k-1] and row j0 of grids[k+1],
+    change nothing else, and all of those entries are dropped here.
+    """
     P = grids[k]
-    c = P[i0][j0].constant_value()
-    ncols = len(P[0])
-    nrows = len(P)
-    for j in range(ncols):
-        if j == j0 or P[i0][j].is_zero():
-            continue
-        lam = P[i0][j] * (Fraction(1) / c)
-        for i in range(nrows):
-            P[i][j] = P[i][j] - lam * P[i][j0]
-        if k + 1 < len(grids) and grids[k + 1]:
-            nxt = grids[k + 1]
-            for l in range(len(nxt[0])):
-                nxt[j0][l] = nxt[j0][l] + lam * nxt[j][l]
-    for i in range(nrows):
-        if i == i0 or P[i][j0].is_zero():
-            continue
-        mu = P[i][j0] * (Fraction(1) / c)
-        for j in range(ncols):
-            P[i][j] = P[i][j] - mu * P[i0][j]
-        prev = grids[k - 1]
-        if prev:
-            for r in range(len(prev)):
-                prev[r][i0] = prev[r][i0] + mu * prev[r][i]
-    _drop_row(P, i0)
-    _drop_col(P, j0)
-    if grids[k - 1]:
-        _drop_col(grids[k - 1], i0)
+    inv = Fraction(1) / P[i0][j0].constant_value()
+    lams = [(j, p * inv) for j, p in enumerate(P[i0]) if j != j0 and not p.is_zero()]
+    for i, row in enumerate(P):
+        if i != i0 and not row[j0].is_zero():
+            for j, lam in lams:
+                row[j] = row[j] - lam * row[j0]
+    del P[i0]
+    for grid, col in ((P, j0), (grids[k - 1], i0)):
+        for row in grid:
+            del row[col]
     if k + 1 < len(grids) and grids[k + 1]:
-        _drop_row(grids[k + 1], j0)
+        del grids[k + 1][j0]
 
 
 def _prune(grids) -> None:
     while True:
-        hit = False
         for k in range(1, len(grids)):
-            if not grids[k] or not grids[k][0]:
-                continue
             spot = _find_constant(grids[k])
             if spot is not None:
                 _eliminate(grids, k, *spot)
-                hit = True
                 break
-        if not hit:
+        else:
             return
 
 

@@ -19,7 +19,7 @@ from .groebner import (
     buchberger,
     canonical,
     codim,
-    intersect_many,
+    intersect,
     is_unit_ideal,
     module_equal,
 )
@@ -282,6 +282,11 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
     return True
 
 
+def _meet(A, B):
+    """A cap B, where None stands for the whole ambient module."""
+    return B if A is None else A if B is None else intersect(A, B)
+
+
 def validate_decomposition(M: Submodule, components, seed: int = 0) -> ValidationReport:
     """Check the defining properties of a primary decomposition of M.
 
@@ -295,11 +300,17 @@ def validate_decomposition(M: Submodule, components, seed: int = 0) -> Validatio
             pairs.append((comp[0], comp[1]))
     messages: list[str] = []
     Mc = canonical(M)
-    if pairs:
-        inter = intersect_many([q for q, _p in pairs])
-        intersection_ok = module_equal(inter, Mc)
-    else:
-        intersection_ok = buchberger(Mc).is_full()
+    # before[i] meets the first i components, after[i] those from i on, so
+    # "all but i" is before[i] cap after[i+1]: at most 3k intersections.
+    qs = [q for q, _p in pairs]
+    k = len(qs)
+    before = [None]
+    for q in qs:
+        before.append(_meet(before[-1], q))
+    after = [None] * (k + 1)
+    for i in range(k - 1, 0, -1):
+        after[i] = _meet(qs[i], after[i + 1])
+    intersection_ok = module_equal(before[k], Mc) if k else buchberger(Mc).is_full()
     if not intersection_ok:
         messages.append("components do not intersect to the input")
     components_primary = True
@@ -316,10 +327,9 @@ def validate_decomposition(M: Submodule, components, seed: int = 0) -> Validatio
     # components by a height argument; this check must not rely on the
     # argument it is judging.
     irredundant = True
-    if len(pairs) > 1:
-        for i in range(len(pairs)):
-            rest = [q for j, (q, _p) in enumerate(pairs) if j != i]
-            if module_equal(intersect_many(rest), Mc):
+    if k > 1:
+        for i in range(k):
+            if module_equal(_meet(before[i], after[i + 1]), Mc):
                 irredundant = False
                 messages.append("a component is redundant")
                 break

@@ -2,12 +2,13 @@ import random
 from pathlib import Path
 
 from primarydec import decompose
-from primarydec.cli import parse_script, run_script
+from primarydec.cli import Command, parse_script, run_script
 from primarydec.decompose import (
     Component,
     DecompositionError,
     DecompositionResult,
     _CertificationFailure,
+    _associated_primes,
     _drop_redundant,
     _minimalize,
     _minpoly_data,
@@ -19,12 +20,15 @@ from primarydec.decompose import (
     primary_decomposition,
 )
 from primarydec.groebner import (
+    annihilator,
+    buchberger,
     canonical,
     intersect_many,
     is_sub,
     is_unit_ideal,
     module_equal,
 )
+from primarydec.homology import equidim_hull
 from primarydec.polyring import (
     FreeElement,
     MonomialOrder,
@@ -352,6 +356,41 @@ def test_points_make_no_redundancy_intersections(monkeypatch):
     assert len(res.components) == 8
     assert not any(c.embedded for c in res.components)
     assert calls == []
+
+
+def test_associated_primes_are_found_once_per_module(monkeypatch):
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    embedded_mix = ideal(R, [z * z * (x - 1) ** 2, x * y * (y - 1), x**3 * z - z])
+    calls = []
+    real = decompose.ass_prim_codim
+
+    def counted(M, b):
+        calls.append((canonical(M), b))
+        return real(M, b)
+
+    monkeypatch.setattr(decompose, "ass_prim_codim", counted)
+    res = primary_decomposition(embedded_mix)
+    assert [c.embedded for c in res.components].count(True) == 2
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_associated_primes_of_every_fixture_hull_are_its_minimal_primes():
+    # the hull is unmixed, which primary_decomposition relies on when it
+    # localizes the hull at the minimal primes of its annihilator alone
+    seen = 0
+    for path in sorted(FIXTURES.glob("*.primdec")):
+        for cmd in parse_script(path.read_text()).statements:
+            if not isinstance(cmd, Command):
+                continue
+            M = canonical(cmd.module)
+            if buchberger(M).is_full():
+                continue
+            N1 = equidim_hull(M)
+            assert _associated_primes(N1, 0) == min_ass(annihilator(N1)), path.name
+            seen += 1
+    assert seen >= 6
 
 
 def test_primary_decomposition_three_axes():

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 from primarydec.decompose import min_ass, primary_decomposition
 from primarydec.groebner import buchberger, canonical, is_member, module_equal
@@ -10,6 +11,7 @@ from primarydec.polyring import (
     Submodule,
     ideal,
 )
+import primarydec.verify as verify
 from primarydec.verify import (
     membership_oracle,
     monomial_hull_oracle,
@@ -253,6 +255,56 @@ def test_validator_rejects_redundant_component():
     ]
     report = validate_decomposition(I, comps)
     assert not report.irredundant
+
+
+def test_validator_redundant_report_in_every_order():
+    # the redundant (x, y)-primary piece sits first, in the middle and last,
+    # which reach the suffix, the prefix-and-suffix and the prefix cases
+    R = ring_xy()
+    I = mono_ideal(R, [(1, 1)])
+    comps = [
+        (mono_ideal(R, [(1, 0)]), mono_ideal(R, [(1, 0)])),
+        (mono_ideal(R, [(0, 1)]), mono_ideal(R, [(0, 1)])),
+        (
+            mono_ideal(R, [(2, 0), (1, 1), (0, 2)]),
+            mono_ideal(R, [(1, 0), (0, 1)]),
+        ),
+    ]
+    for perm in permutations(comps):
+        assert validate_decomposition(I, perm).as_dict() == {
+            "ok": False,
+            "intersection": True,
+            "components_primary": True,
+            "primes_distinct": True,
+            "irredundant": False,
+            "messages": ["a component is redundant"],
+        }
+    I = mono_ideal(R, [(2, 0), (1, 1)])
+    comps = [(I, mono_ideal(R, [(1, 0)])), (mono_ideal(R, [(1, 0)]),) * 2]
+    assert validate_decomposition(I, comps).messages == (
+        "a component is not primary for its claimed prime",
+        "two components share a prime",
+        "a component is redundant",
+    )
+
+
+def test_validator_makes_at_most_three_intersections_per_component(monkeypatch):
+    R = ring_xyz()
+    x, y, z = (R.variable(i) for i in range(3))
+    grid = ideal(R, [x * x - x, y * y - y, z * z - z])
+    res = primary_decomposition(grid)
+    k = len(res.components)
+    assert k == 8
+    calls = []
+    real = verify.intersect
+
+    def counted(A, B):
+        calls.append(1)
+        return real(A, B)
+
+    monkeypatch.setattr(verify, "intersect", counted)
+    assert validate_decomposition(grid, res.components).ok
+    assert 0 < len(calls) <= 3 * k
 
 
 def test_validator_full_module_empty_components():
