@@ -122,16 +122,6 @@ def tokenize(source: str) -> list[Token]:
 
 
 @dataclass(frozen=True)
-class RingDecl:
-    name: str
-
-
-@dataclass(frozen=True)
-class Binding:
-    name: str
-
-
-@dataclass(frozen=True)
 class Command:
     verb: str
     shown_input: str
@@ -142,7 +132,8 @@ class Command:
 
 @dataclass(frozen=True)
 class Script:
-    statements: tuple
+    # the commands in script order; declarations only bind names while parsing
+    statements: tuple[Command, ...]
 
 
 _ORDER_NAMES = ("dp", "lp", "wp")
@@ -261,7 +252,7 @@ class _Parser:
 
     # -- statements ---------------------------------------------------------
 
-    def parse_ring(self) -> RingDecl:
+    def parse_ring(self) -> None:
         name = self.expect_name()
         self.expect_sym("=")
         char = self.advance()
@@ -310,9 +301,8 @@ class _Parser:
         self.expect_sym(";")
         self.ring = RingContext(tuple(varnames), order)
         self.bindings = {}
-        return RingDecl(name.text)
 
-    def parse_ideal(self) -> Binding:
+    def parse_ideal(self) -> None:
         name = self.expect_name()
         ring = self.require_ring(name)
         self.expect_sym("=")
@@ -322,9 +312,8 @@ class _Parser:
             polys.append(self.parse_polynomial())
         self.expect_sym(";")
         self.bindings[name.text] = ideal(ring, polys)
-        return Binding(name.text)
 
-    def parse_module(self) -> Binding:
+    def parse_module(self) -> None:
         name = self.expect_name()
         ring = self.require_ring(name)
         self.expect_sym("=")
@@ -337,7 +326,6 @@ class _Parser:
         if any(len(v.components) != rank for v in vectors):
             raise ScriptError("module generators have mixed lengths", name.line, name.col)
         self.bindings[name.text] = Submodule(ring, rank, vectors)
-        return Binding(name.text)
 
     def parse_file_arg(self) -> str:
         t = self.peek()
@@ -383,7 +371,7 @@ class _Parser:
         )
 
     def parse_script(self) -> Script:
-        statements = []
+        commands = []
         while True:
             t = self.peek()
             if t.kind == "end":
@@ -392,16 +380,16 @@ class _Parser:
                 raise ScriptError("expected a statement", t.line, t.col)
             self.advance()
             if t.text == "ring":
-                statements.append(self.parse_ring())
+                self.parse_ring()
             elif t.text == "ideal":
-                statements.append(self.parse_ideal())
+                self.parse_ideal()
             elif t.text == "module":
-                statements.append(self.parse_module())
+                self.parse_module()
             elif t.text in _COMMAND_VERBS:
-                statements.append(self.parse_command(t))
+                commands.append(self.parse_command(t))
             else:
                 raise ScriptError(f"unknown statement {t.text!r}", t.line, t.col)
-        return Script(tuple(statements))
+        return Script(tuple(commands))
 
 
 def parse_script(source: str) -> Script:
@@ -431,10 +419,6 @@ def _rendered_generators(A: Submodule):
     return [
         [render_polynomial(p) for p in g.components] for g in Ac.generators
     ]
-
-
-def _ideal_generators_list(A: Submodule) -> list[str]:
-    return [render_polynomial(g.components[0]) for g in canonical(A).generators]
 
 
 def _is_string_list(value) -> bool:
@@ -491,7 +475,7 @@ def _execute_command(cmd: Command, bound: int, seed: int, base_dir: Path) -> dic
         comps = [
             {
                 "generators": _rendered_generators(c.module),
-                "prime": _ideal_generators_list(c.prime),
+                "prime": _rendered_generators(c.prime),
                 "codim": c.codim,
                 "embedded": c.embedded,
             }
@@ -519,7 +503,7 @@ def _execute_command(cmd: Command, bound: int, seed: int, base_dir: Path) -> dic
         return {
             "command": "minass",
             "input": cmd.shown_input,
-            "primes": [_ideal_generators_list(P) for P in primes],
+            "primes": [_rendered_generators(P) for P in primes],
         }
     if cmd.verb == "localize":
         L = localize_module(M, cmd.extra_module, seed)
@@ -552,11 +536,7 @@ def run_script(
     script: Script, bound: int = 50, seed: int = 0, base_dir: Path | None = None
 ) -> list[dict]:
     base = base_dir if base_dir is not None else Path.cwd()
-    results = []
-    for stmt in script.statements:
-        if isinstance(stmt, Command):
-            results.append(_execute_command(stmt, bound, seed, base))
-    return results
+    return [_execute_command(cmd, bound, seed, base) for cmd in script.statements]
 
 
 # ---------------------------------------------------------------------------

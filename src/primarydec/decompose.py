@@ -20,6 +20,7 @@ isolated component is never redundant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .groebner import (
@@ -312,30 +313,17 @@ def _unshear_prime(P: Submodule, i: int, j: int, lam: int) -> Submodule:
     )
 
 
-_MIN_ASS_CACHE: dict[tuple[Submodule, int], tuple[Submodule, ...]] = {}
-
-
 def _min_ass_rec(I: Submodule, seed: int, depth: int) -> tuple[Submodule, ...]:
     Ic = canonical(I)
-    key = (Ic, seed)
-    hit = _MIN_ASS_CACHE.get(key)
-    if hit is not None:
-        return hit
     if depth > _MAX_DEPTH:
         raise DecompositionError("recursion limit hit while splitting the ideal")
     if is_unit_ideal(Ic):
-        result: tuple[Submodule, ...] = ()
-        _MIN_ASS_CACHE[key] = result
-        return result
+        return ()
     if not Ic.generators:
-        result = (Ic,)
-        _MIN_ASS_CACHE[key] = result
-        return result
+        return (Ic,)
     for u in _candidate_independent_sets(Ic):
         try:
-            result = _minimalize(_gtz_split(Ic, u, seed, depth))
-            _MIN_ASS_CACHE[key] = result
-            return result
+            return _minimalize(_gtz_split(Ic, u, seed, depth))
         except _CertificationFailure:
             continue
     rot = seed % len(_SHEAR_LAMBDAS)
@@ -354,11 +342,7 @@ def _min_ass_rec(I: Submodule, seed: int, depth: int) -> tuple[Submodule, ...]:
                 primes = _min_ass_rec(sheared, seed, depth + 1)
             except DecompositionError:
                 continue
-            result = _minimalize(
-                _unshear_prime(P, i, j, lam) for P in primes
-            )
-            _MIN_ASS_CACHE[key] = result
-            return result
+            return _minimalize(_unshear_prime(P, i, j, lam) for P in primes)
         if attempts >= _MAX_SHEARS:
             break
     raise DecompositionError(
@@ -367,11 +351,16 @@ def _min_ass_rec(I: Submodule, seed: int, depth: int) -> tuple[Submodule, ...]:
     )
 
 
+@lru_cache(maxsize=4096)
+def _min_ass_cached(Ic: Submodule, seed: int) -> tuple[Submodule, ...]:
+    return _min_ass_rec(Ic, seed, 0)
+
+
 def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
     """Minimal associated primes of an ideal, canonical and sorted."""
     if I.ambient_rank != 1:
         raise ValueError("minimal primes are computed for ideals")
-    return list(_min_ass_rec(canonical(I), seed, 0))
+    return list(_min_ass_cached(canonical(I), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +429,6 @@ class Component:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    input: Submodule
     components: tuple[Component, ...]
 
 
@@ -509,7 +497,7 @@ def primary_decomposition(
     """Irredundant primary decomposition of a proper submodule."""
     Mc = canonical(M)
     if buchberger(Mc).is_full():
-        return DecompositionResult(Mc, ())
+        return DecompositionResult(())
     N1 = equidim_hull(Mc)
     # N1 is unmixed, so its associated primes are the minimal primes of its
     # annihilator, and no Ext module above codim(N1) needs computing.
@@ -549,4 +537,4 @@ def primary_decomposition(
         for (Q, P, m, trace), c, emb in _drop_redundant(pieces, Mc)
     ]
     comps.sort(key=lambda c: (c.codim, _render_key(c.prime)))
-    return DecompositionResult(Mc, tuple(comps))
+    return DecompositionResult(tuple(comps))

@@ -393,7 +393,6 @@ def _augmented_order(order: MonomialOrder) -> MonomialOrder:
         return order
     return MonomialOrder(
         kind=order.kind,
-        split_index=None,
         weights=order.weights,
         module_extension=POSITION_OVER_TERM,
         blocks=order.blocks,
@@ -627,17 +626,24 @@ def _support_masks(leads, comp: int) -> list[int]:
     return masks
 
 
-def _monomial_dim(masks: list[int], n: int) -> int:
+def _max_independent_sets(masks: list[int], n: int):
+    """Yield the largest variable sets that contain no mask, as index tuples.
+
+    Nothing is yielded when a mask is empty, that is when a lead is constant.
+    """
     if any(m == 0 for m in masks):
-        return -1
+        return
     for size in range(n, -1, -1):
+        found = False
         for combo in combinations(range(n), size):
             sel = 0
             for i in combo:
                 sel |= 1 << i
             if all(m & ~sel for m in masks):
-                return size
-    return -1
+                found = True
+                yield combo
+        if found:
+            return
 
 
 def krull_dim(X) -> int:
@@ -652,7 +658,9 @@ def krull_dim(X) -> int:
     for comp in range(G.ambient_rank):
         if comp not in present:
             return n
-        best = max(best, _monomial_dim(_support_masks(leads, comp), n))
+        top = next(_max_independent_sets(_support_masks(leads, comp), n), None)
+        if top is not None:
+            best = max(best, len(top))
     return best
 
 
@@ -667,17 +675,4 @@ def independent_sets(X) -> list[tuple[int, ...]]:
     if G.ambient_rank != 1:
         raise RingError("independent sets are defined for ideals")
     n = G.ring.n
-    masks = _support_masks(G.leading_terms(), 0)
-    if any(m == 0 for m in masks):
-        return []
-    for size in range(n, -1, -1):
-        found = []
-        for combo in combinations(range(n), size):
-            sel = 0
-            for i in combo:
-                sel |= 1 << i
-            if all(m & ~sel for m in masks):
-                found.append(combo)
-        if found:
-            return found
-    return []
+    return list(_max_independent_sets(_support_masks(G.leading_terms(), 0), n))

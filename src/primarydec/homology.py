@@ -9,7 +9,6 @@ minimal codimension, pulled back to F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
@@ -96,7 +95,14 @@ def _prune(grids) -> None:
             return
 
 
-def _resolve(first: Submodule, length: int) -> list[Submodule]:
+def free_resolution(M: Submodule, length: int) -> list[Submodule]:
+    """Maps F_{k+1} -> F_k as matrices (generators are the columns).
+
+    maps[0] presents M inside F.
+    """
+    if length < 1:
+        raise ValueError("resolution length must be positive")
+    first = canonical(M)
     ring = first.ring
     maps = [first]
     for _k in range(1, length):
@@ -112,27 +118,9 @@ def _resolve(first: Submodule, length: int) -> list[Submodule]:
     return out
 
 
-def free_resolution(M: Submodule, length: int) -> list[Submodule]:
-    """Maps F_{k+1} -> F_k as matrices (generators are the columns).
-
-    maps[0] presents M inside F.
-    """
-    if length < 1:
-        raise ValueError("resolution length must be positive")
-    return _resolve(canonical(M), length)
-
-
 # ---------------------------------------------------------------------------
 # Ext modules
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtModule:
-    """Ext^c(F/M, R), summarised by its annihilator."""
-
-    annihilator: Submodule
-    is_zero: bool
 
 
 def _ext_cycles(c: int, M: Submodule) -> tuple[list[Submodule], Submodule]:
@@ -148,7 +136,8 @@ def _ext_cycles(c: int, M: Submodule) -> tuple[list[Submodule], Submodule]:
     return t, K
 
 
-def ext_module(c: int, M: Submodule) -> ExtModule:
+def ext_module(c: int, M: Submodule) -> Submodule:
+    """Annihilator of Ext^c(F/M, R), canonical; the unit ideal when Ext vanishes."""
     ring = M.ring
     if c < 0:
         raise ValueError("negative cohomological degree")
@@ -160,8 +149,8 @@ def ext_module(c: int, M: Submodule) -> ExtModule:
         if grid:
             pruned = _from_grid(ring, grid, len(grid))
             if not buchberger(pruned).is_full():
-                return ExtModule(canonical(annihilator(pruned)), False)
-    return ExtModule(canonical(ideal(ring, [ring.one()])), True)
+                return canonical(annihilator(pruned))
+    return canonical(ideal(ring, [ring.one()]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +183,13 @@ def equidim_hull(M: Submodule) -> Submodule:
 
 
 def ass_prim_codim(M: Submodule, c: int) -> Submodule:
-    """Radical-like ideal whose minimal primes are the codim-c associated primes."""
-    ring = M.ring
-    unit = canonical(ideal(ring, [ring.one()]))
-    E = ext_module(c, M)
-    if E.is_zero:
-        return unit
-    I_c = E.annihilator
+    """Radical-like ideal whose minimal primes are the codim-c associated primes.
+
+    A vanishing Ext gives the unit ideal, of codim n + 1, so the codim test
+    covers it.
+    """
+    I_c = ext_module(c, M)
     if codim(I_c) != c:
-        return unit
+        ring = M.ring
+        return canonical(ideal(ring, [ring.one()]))
     return equidim_hull(I_c)

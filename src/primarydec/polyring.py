@@ -12,7 +12,6 @@ from fractions import Fraction
 from operator import mul, neg
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Monomial = tuple  # exponent vector, one slot per ring variable
 
 POSITION_OVER_TERM = "position-over-term"
@@ -29,16 +28,14 @@ class RingError(ValueError):
 class MonomialOrder:
     """A global monomial order plus its extension to free-module terms.
 
-    kind 'block' compares groups of variables before the rest, each group by
-    degrevlex; the groups are the first split_index variables, or explicit
-    index tuples via blocks.  weights, if given, replace total degree by a
+    kind 'block' compares the index tuples in blocks, in turn, before the rest,
+    each group by degrevlex.  weights, if given, replace total degree by a
     weighted degree and are only meaningful with kind 'degrevlex'.  Module
     terms are compared position-over-term or term-over-position, with lower
     position index winning ties in both conventions.
     """
 
     kind: str = "degrevlex"
-    split_index: int | None = None
     weights: tuple[int, ...] | None = None
     module_extension: str = POSITION_OVER_TERM
     blocks: tuple[tuple[int, ...], ...] | None = None
@@ -51,21 +48,16 @@ class MonomialOrder:
         if self.kind not in _ORDER_KINDS:
             raise ValueError(f"unknown order kind {self.kind!r}")
         if self.kind == "block":
-            if (self.split_index is None) == (self.blocks is None):
-                raise ValueError("block order needs split_index or blocks")
-            if self.split_index is not None:
-                if self.split_index < 1:
-                    raise ValueError("block order needs split_index >= 1")
-                object.__setattr__(self, "blocks", (tuple(range(self.split_index)),))
+            if self.blocks is None:
+                raise ValueError("block order needs blocks")
             seen: set[int] = set()
             for grp in self.blocks:
                 if not grp or any(i < 0 for i in grp) or seen & set(grp):
                     raise ValueError("blocks must be nonempty and disjoint")
                 seen |= set(grp)
             object.__setattr__(self, "_in_blocks", frozenset(seen))
-        else:
-            if self.split_index is not None or self.blocks is not None:
-                raise ValueError("split_index/blocks only valid for block orders")
+        elif self.blocks is not None:
+            raise ValueError("blocks only valid for block orders")
         if self.weights is not None:
             if self.kind != "degrevlex":
                 raise ValueError("weights only supported with degrevlex")
@@ -210,20 +202,10 @@ class Polynomial:
             raise ValueError("not a constant")
         return self.terms[0][1]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
-
     def leading_coefficient(self) -> Fraction:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
-
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e, _ in self.terms)
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "Polynomial") -> None:
@@ -422,25 +404,6 @@ def unit_vector(ring: RingContext, rank: int, i: int) -> FreeElement:
     comps = [ring.zero()] * rank
     comps[i] = ring.one()
     return FreeElement(ring, comps)
-
-
-def leading_term(v: FreeElement, order: MonomialOrder | None = None):
-    """Leading (component, coefficient, monomial) of a nonzero vector.
-
-    Component indices are 0-based; the order defaults to the ring's own.
-    """
-    if v.is_zero():
-        raise ValueError("zero element has no leading term")
-    order = order or v.ring.order
-    best = None
-    best_key = None
-    for comp, poly in enumerate(v.components):
-        for exps, c in poly.terms:
-            k = order.term_key(comp, exps)
-            if best_key is None or k > best_key:
-                best_key = k
-                best = (comp, c, exps)
-    return best
 
 
 class Submodule:

@@ -31,9 +31,10 @@ def ring_xy():
 
 def test_parse_script_statement_count():
     script = parse_script("ring r=0,(x,y),dp; ideal I=x^2,x*y; primdec I;")
-    assert len(script.statements) == 3
-    assert isinstance(script.statements[2], Command)
-    assert script.statements[2].verb == "primdec"
+    # declarations bind names while parsing; only the command is a statement
+    assert len(script.statements) == 1
+    assert isinstance(script.statements[0], Command)
+    assert script.statements[0].verb == "primdec"
 
 
 def test_parse_rejects_ideal_before_ring():

@@ -124,6 +124,27 @@ def test_min_ass_deterministic_across_seeds():
     assert primes_text(min_ass(I, seed=0)) == primes_text(min_ass(I, seed=3))
 
 
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2, [["x + y + 1"], ["x - 2*y - 2"]]),
+        (3, [["x + y + 1"], ["x + y + z"], ["x - 2*y - 2"]]),
+    ],
+)
+def test_min_ass_of_line_products_through_coordinate_shears(n, expected):
+    # Over Q(y) the minimal polynomial of x factors, but its coefficients
+    # depend on y, so no linear form splits the ideal and min_ass falls back to
+    # coordinate shears.  The primes are pinned, not the number of shears,
+    # which a stronger certificate may bring to zero.
+    decompose._min_ass_cached.cache_clear()
+    R = RingContext(("x", "y", "z")[:n], MonomialOrder(kind="degrevlex"))
+    x, y = R.variable(0), R.variable(1)
+    f = (x + y + 1) * (-x + 2 * y + 2)
+    if n == 3:
+        f = f * (x + y + R.variable(2))
+    assert primes_text(min_ass(ideal(R, [f]), seed=0)) == expected
+
+
 def _no_shears(monkeypatch):
     """Make any coordinate shear fail the test, and start min_ass cold."""
 
@@ -131,7 +152,7 @@ def _no_shears(monkeypatch):
         raise AssertionError(f"coordinate shear {args[1:]}")
 
     monkeypatch.setattr(decompose, "_apply_shear", refuse)
-    monkeypatch.setattr(decompose, "_MIN_ASS_CACHE", {})
+    decompose._min_ass_cached.cache_clear()
 
 
 @pytest.mark.parametrize("s", [2, 3])

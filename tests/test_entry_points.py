@@ -1,0 +1,69 @@
+"""The library entry points that the benchmark harness calls.
+
+`perfbench/tracer.py` wraps every function in its `LAYERS` table and fails a
+traced run when one is missing; `perfbench/case.py` calls `parse_script`,
+`run_script`, `primary_decomposition` and `min_ass` with fixed keywords and
+filters script statements by `cli.Command`.  These tests fail when a change to
+the library would break either, instead of the benchmark failing later.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import primarydec
+from primarydec import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists():
+    layers = _tracer_module().LAYERS
+    assert layers
+    for layer, fns in layers.items():
+        home = importlib.import_module(f"primarydec.{layer}")
+        for fn in fns:
+            assert callable(getattr(home, fn, None)), f"primarydec.{layer}.{fn}"
+
+
+def test_tracer_installs_and_records_calls():
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        R = primarydec.RingContext(("x", "y"))
+        x, y = R.variable(0), R.variable(1)
+        primarydec.min_ass(primarydec.ideal(R, [x * y, x * x]), seed=0)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["decompose.min_ass"] == 1
+    assert tracer.calls["groebner.buchberger"] > 0
+
+
+def test_harness_keywords_bind():
+    R = primarydec.RingContext(("x", "y"))
+    I = primarydec.ideal(R, [R.variable(0)])
+    script = cli.parse_script("ring r=0,(x,y),dp; ideal I = x; primdec I;")
+    inspect.signature(primarydec.min_ass).bind(I, seed=0)
+    inspect.signature(primarydec.primary_decomposition).bind(I, bound=50, seed=0)
+    inspect.signature(cli.run_script).bind(script, bound=50, seed=0, base_dir=Path())
+    inspect.signature(cli.render_json).bind([])
+    for name in ("canonical", "render_polynomial"):
+        assert callable(getattr(primarydec, name))
+
+
+def test_script_statements_are_commands():
+    script = cli.parse_script("ring r=0,(x,y),dp; ideal I = x; minass I;")
+    commands = [s for s in script.statements if isinstance(s, cli.Command)]
+    assert len(commands) == 1
+    assert commands[0].verb == "minass"
+    assert commands[0].module.ambient_rank == 1

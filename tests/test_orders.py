@@ -17,7 +17,6 @@ from primarydec.polyring import (
     RingContext,
     RingError,
     ideal,
-    leading_term,
 )
 
 ORDERS = Path(__file__).parent / "fixtures" / "orders"
@@ -51,9 +50,10 @@ def test_eliminate_keeps_the_callers_ring(order):
     assert module_equal(E, ideal(R, [x**3 - z**2]))
     for g in E.generators:
         p = g.components[0]
-        assert p.degree_in(1) <= 0
+        assert all(e[1] == 0 for e, _c in p.terms)
         # terms stay sorted in the ring's own order, not the block order
-        assert p.terms[0][0] == leading_term(g)[2]
+        lead = max((e for e, _c in p.terms), key=lambda e: R.order.term_key(0, e))
+        assert p.terms[0][0] == lead
 
 
 def test_block_order_basis_stays_in_the_ring():
