@@ -6,15 +6,17 @@ ideal becomes zero dimensional over the rational function field in the
 independent variables.  There the minimal polynomial of a linear form in the
 dependent variables either factors over Q and splits the ideal, or is
 irreducible of degree equal to the dimension of the quotient, which certifies
-the ideal prime; coordinate shears are a fallback for what no form settles.
+the ideal prime; coordinate shears, at most `_SHEAR_BUDGET` per `min_ass`
+call, are a fallback for what no form settles.
 The module-level decomposition peels one primary component per associated
 prime, using twice-iterated Ext kernels for the equidimensional parts and
 ideal-power witnesses for the multiplicities.  The associated primes that
 localization needs are found once per module: the minimal primes of the
-annihilator for the unmixed hull, of each `ass_prim_codim` ideal for the
-input.  Only embedded components are tested for redundancy: localizing at a
-minimal prime turns every other component into the whole module, so an
-isolated component is never redundant.
+annihilator for the unmixed hull, the codim-b minimal primes of each
+`ass_prim_codim(A, b)` for the input.  The isolated components intersect to
+the hull, so only embedded ones are intersected in.  Only embedded components
+are tested for redundancy: localizing at a minimal prime turns every other
+component into the whole module, so an isolated component is never redundant.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class _CertificationFailure(Exception):
     """Internal signal: the chosen independent set did not certify."""
 
 
-_MAX_DEPTH = 48
 _SHEAR_LAMBDAS = (1, -1, 2, -2, 3, -3, 5, -5)
-_MAX_SHEARS = 12
+# coordinate shears one min_ass call may try, over its whole recursion
+_SHEAR_BUDGET = 16
 _FORM_SCALES = (0, 1, 2, 3, 5)
 
 
@@ -202,7 +204,7 @@ def _vector_dim(J: Submodule, D: tuple[int, ...], d: int) -> int:
     )
 
 
-def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, depth: int):
+def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, left: list):
     """Minimal primes of J when J is zero dimensional over K = Q(u).
 
     Each linear form l = x_d + tail, tail = sum_k c^(k+1) x_{others[k]}, for
@@ -233,7 +235,7 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, depth: int):
                     for fc, _mult in factors:
                         f = substitute(_poly_in_var(ring, d, fc), {d: x + tail})
                         split = canonical(_ideal_sum(J, [f]))
-                        out.extend(_min_ass_rec(split, seed, depth + 1))
+                        out.extend(_min_ass_rec(split, seed, left))
                     return _minimalize(out)
             if (coeffs is not None or deg == 1) and deg == _vector_dim(Jl, D, d):
                 return (canonical(J),)
@@ -244,7 +246,7 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, depth: int):
     raise _CertificationFailure("no linear form certifies or splits the ideal")
 
 
-def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, depth: int):
+def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, left: list):
     ring = I.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
     G = buchberger(I, MonomialOrder(kind="block", blocks=(D,)))
@@ -262,9 +264,9 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, depth: int):
     J = saturate(I, ideal(ring, [h])) if coeffs else Ic
     if is_unit_ideal(J):
         raise _CertificationFailure("saturation by lead coefficients is trivial")
-    primes = list(_zero_dim_primes(J, u, seed, depth))
+    primes = list(_zero_dim_primes(J, u, seed, left))
     if J != Ic:
-        primes.extend(_min_ass_rec(canonical(_ideal_sum(I, [h])), seed, depth + 1))
+        primes.extend(_min_ass_rec(canonical(_ideal_sum(I, [h])), seed, left))
     return primes
 
 
@@ -305,25 +307,16 @@ def _apply_shear(I: Submodule, i: int, j: int, lam: int) -> Submodule:
     )
 
 
-def _unshear_prime(P: Submodule, i: int, j: int, lam: int) -> Submodule:
-    ring = P.ring
-    image = ring.variable(i) - ring.variable(j) * lam
-    return canonical(
-        ideal(ring, [substitute(p, {i: image}) for p in ideal_generators(P)])
-    )
-
-
-def _min_ass_rec(I: Submodule, seed: int, depth: int) -> tuple[Submodule, ...]:
+def _min_ass_rec(I: Submodule, seed: int, left: list) -> tuple[Submodule, ...]:
+    """Minimal primes of I; left[0] counts the shears the whole call has left."""
     Ic = canonical(I)
-    if depth > _MAX_DEPTH:
-        raise DecompositionError("recursion limit hit while splitting the ideal")
     if is_unit_ideal(Ic):
         return ()
     if not Ic.generators:
         return (Ic,)
     for u in _candidate_independent_sets(Ic):
         try:
-            return _minimalize(_gtz_split(Ic, u, seed, depth))
+            return _minimalize(_gtz_split(Ic, u, seed, left))
         except _CertificationFailure:
             continue
     rot = seed % len(_SHEAR_LAMBDAS)
@@ -331,29 +324,25 @@ def _min_ass_rec(I: Submodule, seed: int, depth: int) -> tuple[Submodule, ...]:
     first_sets = independent_sets(Ic)
     u0 = first_sets[0] if first_sets else ()
     D0 = tuple(i for i in range(Ic.ring.n) if i not in set(u0))
-    attempts = 0
-    for i, j in _shear_pairs(Ic.ring, D0):
-        for lam in schedule:
-            if attempts >= _MAX_SHEARS:
-                break
-            attempts += 1
-            sheared = _apply_shear(Ic, i, j, lam)
-            try:
-                primes = _min_ass_rec(sheared, seed, depth + 1)
-            except DecompositionError:
-                continue
-            return _minimalize(_unshear_prime(P, i, j, lam) for P in primes)
-        if attempts >= _MAX_SHEARS:
+    for (i, j), lam in product(_shear_pairs(Ic.ring, D0), schedule):
+        if not left[0]:
             break
+        left[0] -= 1
+        try:
+            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), seed, left)
+        except DecompositionError:
+            continue
+        return _minimalize(_apply_shear(P, i, j, -lam) for P in primes)
     raise DecompositionError(
-        "cannot certify minimal primes; the ideal appears to need factorization "
-        "over a function field, which rational coefficients do not reach"
+        f"cannot certify minimal primes after {_SHEAR_BUDGET - left[0]} coordinate "
+        "shears; the ideal appears to need factorization over a function field, "
+        "which rational coefficients do not reach"
     )
 
 
 @lru_cache(maxsize=4096)
 def _min_ass_cached(Ic: Submodule, seed: int) -> tuple[Submodule, ...]:
-    return _min_ass_rec(Ic, seed, 0)
+    return _min_ass_rec(Ic, seed, [_SHEAR_BUDGET])
 
 
 def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
@@ -369,12 +358,11 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
 
 
 def _associated_primes(A: Submodule, seed: int) -> list[Submodule]:
-    """Associated primes of F/A, A canonical: min_ass of each ass_prim_codim."""
+    """Associated primes of F/A, A canonical: the codim-b minimal primes of
+    each ass_prim_codim(A, b)."""
     primes = []
     for b in range(codim(A), A.ring.n + 1):
-        H = ass_prim_codim(A, b)
-        if not is_unit_ideal(H):
-            primes.extend(min_ass(H, seed))
+        primes.extend(P for P in min_ass(ass_prim_codim(A, b), seed) if codim(P) == b)
     return primes
 
 
@@ -502,14 +490,14 @@ def primary_decomposition(
     # N1 is unmixed, so its associated primes are the minimal primes of its
     # annihilator, and no Ext module above codim(N1) needs computing.
     hull_primes = min_ass(annihilator(N1), seed)
+    if not hull_primes:
+        raise DecompositionError("no minimal primes found for a proper module")
+    # the isolated components of the unmixed N1 intersect to N1 itself
     pieces: list[tuple[Submodule, Submodule, int, tuple]] = []
-    N = None
     for P in hull_primes:
         Q, m, trace = primary_component(N1, P, bound, seed, primes=hull_primes)
         pieces.append((Q, P, m, trace))
-        N = Q if N is None else intersect(N, Q)
-    if N is None:
-        raise DecompositionError("no minimal primes found for a proper module")
+    N = N1
     if not module_equal(N, Mc):
         ass = _associated_primes(Mc, seed)
         c = codim(Mc)

@@ -1,10 +1,11 @@
 """Free resolutions, Ext modules against the ring, and the hull of a module.
 
 A submodule M of F = R^s presents M' = F/M.  The codimension-c part of M' is
-controlled by Ext^c(M', R): its annihilator cuts out the associated primes of
-codimension c, and the kernel of the canonical map from M' into the double
-Ext at c = codim(M') is exactly the intersection of the primary components of
-minimal codimension, pulled back to F.
+controlled by Ext^c(M', R): the minimal primes of codimension c of its
+annihilator are the associated primes of codimension c, and the kernel of the
+canonical map from M' into the double Ext at c = codim(M') is exactly the
+intersection of the primary components of minimal codimension, pulled back
+to F.
 """
 
 from __future__ import annotations
@@ -183,13 +184,15 @@ def equidim_hull(M: Submodule) -> Submodule:
 
 
 def ass_prim_codim(M: Submodule, c: int) -> Submodule:
-    """Radical-like ideal whose minimal primes are the codim-c associated primes.
+    """ann Ext^c(F/M, R) when its codim is c, else the unit ideal.
 
-    A vanishing Ext gives the unit ideal, of codim n + 1, so the codim test
-    covers it.
+    Its codim is at least c, and the associated primes of F/M of codim c are
+    exactly its minimal primes of codim c (Eisenbud-Huneke-Vasconcelos); the
+    callers keep only those.  A vanishing Ext gives the unit ideal, of codim
+    n + 1, so the codim test covers it.
     """
     I_c = ext_module(c, M)
     if codim(I_c) != c:
         ring = M.ring
         return canonical(ideal(ring, [ring.one()]))
-    return equidim_hull(I_c)
+    return I_c

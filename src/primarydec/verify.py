@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .decompose import min_ass
 from .groebner import (
-    annihilator,
     buchberger,
     canonical,
     codim,
@@ -270,12 +269,12 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
     if min_ass(P, seed) != [canonical(P)]:
         return False
     c = codim(P)
-    if codim(annihilator(Q)) != c:
+    if codim(Q) != c:
         return False
-    for b in range(codim(Q), ring.n + 1):
+    for b in range(c, ring.n + 1):
         H = ass_prim_codim(Q, b)
         if b == c:
-            if min_ass(H, seed) != [canonical(P)]:
+            if [X for X in min_ass(H, seed) if codim(X) == c] != [canonical(P)]:
                 return False
         elif not is_unit_ideal(H):
             return False

@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 from primarydec import decompose
@@ -23,12 +24,14 @@ from primarydec.groebner import (
     annihilator,
     buchberger,
     canonical,
+    codim,
+    intersect,
     intersect_many,
     is_sub,
     is_unit_ideal,
     module_equal,
 )
-from primarydec.homology import equidim_hull
+from primarydec.homology import ass_prim_codim, equidim_hull, ext_module
 from primarydec.polyring import (
     FreeElement,
     MonomialOrder,
@@ -41,6 +44,7 @@ from primarydec.polyring import (
     substitute,
 )
 from primarydec.unifactor import univariate_factor
+from primarydec.verify import validate_decomposition
 
 import pytest
 
@@ -143,6 +147,37 @@ def test_min_ass_of_line_products_through_coordinate_shears(n, expected):
     if n == 3:
         f = f * (x + y + R.variable(2))
     assert primes_text(min_ass(ideal(R, [f]), seed=0)) == expected
+
+
+def test_min_ass_exhausting_the_shear_budget_raises_in_bounded_time():
+    # no linear form settles x*y*(x + y) over Q(y), and no shear within the
+    # budget makes it certifiable; without one budget for the whole call the
+    # shears nested per level and did not finish
+    decompose._min_ass_cached.cache_clear()
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    t0 = time.perf_counter()
+    with pytest.raises(DecompositionError, match="after 16 coordinate shears"):
+        min_ass(ideal(R, [x * y * (x + y)]))
+    assert time.perf_counter() - t0 < 5
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_line_product_answers_or_raises_in_bounded_time_at_every_seed(seed):
+    # the seed rotates the shear schedule; some schedules run out of budget
+    decompose._min_ass_cached.cache_clear()
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    f = (x + y + 1) * (-x + 2 * y + 2)
+    t0 = time.perf_counter()
+    try:
+        assert primes_text(min_ass(ideal(R, [f]), seed)) == [
+            ["x + y + 1"],
+            ["x - 2*y - 2"],
+        ]
+    except DecompositionError:
+        pass
+    assert time.perf_counter() - t0 < 5
 
 
 def _no_shears(monkeypatch):
@@ -373,10 +408,20 @@ def test_points_make_no_redundancy_intersections(monkeypatch):
         return intersect_many(modules)
 
     monkeypatch.setattr(decompose, "intersect_many", counting_intersect_many)
+    pairs = []
+
+    def counting_intersect(A, B):
+        pairs.append((A, B))
+        return intersect(A, B)
+
+    monkeypatch.setattr(decompose, "intersect", counting_intersect)
     res = primary_decomposition(ideal(R, [x * x - x, y * y - y, z * z - z]))
     assert len(res.components) == 8
     assert not any(c.embedded for c in res.components)
     assert calls == []
+    # one witness check per component; the isolated components of the hull
+    # are not intersected again
+    assert len(pairs) == 8
 
 
 def test_associated_primes_are_found_once_per_module(monkeypatch):
@@ -412,6 +457,48 @@ def test_associated_primes_of_every_fixture_hull_are_its_minimal_primes():
             assert _associated_primes(N1, 0) == min_ass(annihilator(N1)), path.name
             seen += 1
     assert seen >= 6
+
+
+def _rank2_module():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    v = FreeElement(R, ((x * x - 3) * (y * y - 3), y * (y * y - 3) * (x * x - 2)))
+    return Submodule(R, 2, [v])
+
+
+def test_codim_filter_matches_the_hull_of_each_ext_annihilator():
+    # the associated primes of codim b are the minimal primes of codim b of
+    # ann Ext^b; the minimal primes of the hull of that annihilator are the
+    # reference
+    modules = [_rank2_module()]
+    for path in sorted(FIXTURES.glob("*.primdec")):
+        modules += [
+            cmd.module
+            for cmd in parse_script(path.read_text()).statements
+            if isinstance(cmd, Command)
+        ]
+    checked = 0
+    for M in modules:
+        Mc = canonical(M)
+        for b in range(Mc.ring.n + 1):
+            E = ext_module(b, Mc)
+            if codim(E) != b:
+                continue
+            filtered = [P for P in min_ass(ass_prim_codim(Mc, b)) if codim(P) == b]
+            assert filtered == min_ass(equidim_hull(E))
+            checked += 1
+    assert checked >= len(modules)
+
+
+def test_rank2_module_keeps_only_the_codim_one_prime_of_ext1():
+    M = _rank2_module()
+    Mc = canonical(M)
+    # ann Ext^1 = (y^3 - 3y, (x^2 - 3)(y^2 - 3)): minimal primes (y^2 - 3) of
+    # codim 1 and (y, x^2 - 3) of codim 2, which is not associated
+    assert primes_text(min_ass(ext_module(1, Mc))) == [["y^2 - 3"], ["y", "x^2 - 3"]]
+    assert primes_text(_associated_primes(Mc, 0)) == [[], ["y^2 - 3"]]
+    res = primary_decomposition(M)
+    assert validate_decomposition(M, res.components).ok
 
 
 def test_primary_decomposition_three_axes():
