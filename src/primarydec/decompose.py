@@ -329,7 +329,9 @@ def _min_ass_rec(I: Submodule, seed: int, left: list) -> tuple[Submodule, ...]:
             break
         left[0] -= 1
         try:
-            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), seed, left)
+            # a sheared ideal makes no shears of its own, so the budget goes to
+            # single shears in schedule order, not down one chain of them
+            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), seed, [0])
         except DecompositionError:
             continue
         return _minimalize(_apply_shear(P, i, j, -lam) for P in primes)
@@ -357,12 +359,17 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
 # ---------------------------------------------------------------------------
 
 
+def codim_associated_primes(A: Submodule, b: int, seed: int = 0) -> list[Submodule]:
+    """Associated primes of F/A of codim b: the codim-b minimal primes of
+    ass_prim_codim(A, b) (Eisenbud-Huneke-Vasconcelos)."""
+    return [P for P in min_ass(ass_prim_codim(A, b), seed) if codim(P) == b]
+
+
 def _associated_primes(A: Submodule, seed: int) -> list[Submodule]:
-    """Associated primes of F/A, A canonical: the codim-b minimal primes of
-    each ass_prim_codim(A, b)."""
+    """Associated primes of F/A, A canonical, by codim."""
     primes = []
     for b in range(codim(A), A.ring.n + 1):
-        primes.extend(P for P in min_ass(ass_prim_codim(A, b), seed) if codim(P) == b)
+        primes.extend(codim_associated_primes(A, b, seed))
     return primes
 
 

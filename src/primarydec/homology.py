@@ -186,10 +186,9 @@ def equidim_hull(M: Submodule) -> Submodule:
 def ass_prim_codim(M: Submodule, c: int) -> Submodule:
     """ann Ext^c(F/M, R) when its codim is c, else the unit ideal.
 
-    Its codim is at least c, and the associated primes of F/M of codim c are
-    exactly its minimal primes of codim c (Eisenbud-Huneke-Vasconcelos); the
-    callers keep only those.  A vanishing Ext gives the unit ideal, of codim
-    n + 1, so the codim test covers it.
+    Its codim is at least c; `decompose.codim_associated_primes` reads the
+    codim-c associated primes of F/M off it.  A vanishing Ext gives the unit
+    ideal, of codim n + 1, so the codim test covers it.
     """
     I_c = ext_module(c, M)
     if codim(I_c) != c:

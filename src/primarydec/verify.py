@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .decompose import min_ass
+from .decompose import codim_associated_primes, min_ass
 from .groebner import (
     buchberger,
     canonical,
@@ -271,14 +271,9 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
     c = codim(P)
     if codim(Q) != c:
         return False
-    for b in range(c, ring.n + 1):
-        H = ass_prim_codim(Q, b)
-        if b == c:
-            if [X for X in min_ass(H, seed) if codim(X) == c] != [canonical(P)]:
-                return False
-        elif not is_unit_ideal(H):
-            return False
-    return True
+    if codim_associated_primes(Q, c, seed) != [canonical(P)]:
+        return False
+    return all(is_unit_ideal(ass_prim_codim(Q, b)) for b in range(c + 1, ring.n + 1))
 
 
 def _meet(A, B):

@@ -10,7 +10,10 @@ differ.  Exits 1 when some script finishes on both sides with different
 output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
-        [--timeout 20] [--out DIR]
+        [--timeout 20]
+
+The scripts are written to a fresh temporary directory, which is kept and
+named in the last line of output.
 
 Standard library only.
 """
@@ -103,10 +106,8 @@ def main(argv=None) -> int:
     ap.add_argument("--count", type=int, default=56, help="number of scripts")
     ap.add_argument("--seed", type=int, default=7, help="generator seed")
     ap.add_argument("--timeout", type=float, default=20.0, help="seconds per run")
-    ap.add_argument("--out", type=Path, help="directory for the scripts (default: temporary)")
     args = ap.parse_args(argv)
-    out = args.out or Path(tempfile.mkdtemp(prefix="primdec-diff-"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(tempfile.mkdtemp(prefix="primdec-diff-"))
     rng = random.Random(args.seed)
     scripts = []
     for k in range(args.count):
