@@ -14,7 +14,10 @@ elements.  All higher operations (syzygies, lifts, kernels of induced maps,
 intersections, quotients, saturation, elimination) reduce to Groebner runs
 over suitably extended free modules or rings, or in another monomial order.
 The order is an argument of buchberger; every result stays in the caller's
-ring.
+ring.  syzygies returns generators of the relations, not a Groebner basis of
+them: the run on the tagged generators sets tag-led remainders aside instead
+of pairing them, as long as no S-pair leaves a new top-led element.  syzygies
+and lift of one matrix share that one memoized run.
 """
 
 from __future__ import annotations
@@ -185,6 +188,9 @@ def _spair(e1, e2, order: MonomialOrder):
 
 
 def _coprime_ok(e1, e2) -> bool:
+    # Off for elements spread over components.  This keeps it off in the
+    # tagged run of syzygies, whose elements all carry a tag: the Koszul
+    # syzygies of the pairs it skips would be lost from Syz(A).
     if e1[5] is None or e2[5] is None:
         return False
     return not any(map(min, e1[3], e2[3]))
@@ -221,17 +227,33 @@ def _update_pairs(basis, by_comp, pair_set, heap, t, order: MonomialOrder):
         heapq.heappush(heap, (key, i, t))
 
 
-def _buchberger_engine(vectors, order: MonomialOrder):
+def _buchberger_engine(vectors, order: MonomialOrder, split: int | None = None):
+    """Groebner basis of the vectors, and the remainders a split run set aside.
+
+    With split given, a remainder led in a component >= split is made
+    primitive and set aside, never paired and never used to reduce, for as
+    long as no S-pair leaves a remainder led below split.  The first one that
+    does ends this: the set-aside elements join the basis and the run
+    completes as a full one.  Returns (basis, set-aside elements).
+    """
     basis = []
+    aside = []
     by_comp: dict = {}
     pair_set: dict = {}
     heap: list = []
+    truncated = split is not None
 
-    def add(terms):
-        elem = _make_elem(_primitive(terms))
+    def insert(elem):
         basis.append(elem)
         by_comp.setdefault(elem[2], []).append(elem)
         _update_pairs(basis, by_comp, pair_set, heap, len(basis) - 1, order)
+
+    def add(terms):
+        elem = _make_elem(_primitive(terms))
+        if truncated and elem[2] >= split:
+            aside.append(elem)
+        else:
+            insert(elem)
 
     for v in vectors:
         _s, r = _reduce_full(v, by_comp, order)
@@ -243,8 +265,13 @@ def _buchberger_engine(vectors, order: MonomialOrder):
             continue
         _s, r = _reduce_full(_spair(basis[i], basis[j], order), by_comp, order)
         if r:
+            if truncated and r[0][1] < split:
+                truncated = False
+                for elem in aside:
+                    insert(elem)
+                aside.clear()
             add(r)
-    return basis
+    return basis, aside
 
 
 def _reduced_basis(basis, order: MonomialOrder):
@@ -325,11 +352,17 @@ class GroebnerBasis:
 
 
 @lru_cache(maxsize=4096)
-def _gb_cached(A: Submodule, order: MonomialOrder) -> GroebnerBasis:
+def _gb_cached(A: Submodule, order: MonomialOrder, split: int | None = None):
+    """Reduced Groebner basis of A in order.  With split, the elements of a
+    split run instead: (basis led below split, elements led at or above it).
+    """
     vectors = [
         _to_engine_terms(g, order)[0] for g in A.generators if not g.is_zero()
     ]
-    basis = _buchberger_engine(vectors, order)
+    basis, aside = _buchberger_engine(vectors, order, split)
+    if split is not None:
+        top = [e for e in basis if e[2] < split]
+        return top, aside + _reduced_basis([e for e in basis if e[2] >= split], order)
     reduced = _reduced_basis(basis, order)
     gens = tuple(
         _from_engine_terms(A.ring, A.ambient_rank, e[0], order, scale=e[4])
@@ -399,8 +432,28 @@ def _augmented_order(order: MonomialOrder) -> MonomialOrder:
     )
 
 
-def _augmented_gb(A: Submodule) -> GroebnerBasis:
-    """GB of {[a_i; e_i]} with the original components dominating the tags."""
+def _tagged_run(A: Submodule):
+    """The Buchberger run on {[a_i; e_i]} split at the tags e_i, which sit
+    below the components of A: (top-led basis, syzygy elements), memoized.
+
+    Under position over term a remainder led by a tag has top part zero, so
+    its tag part c is a syzygy, A c = 0.  While no S-pair leaves a top-led
+    remainder, the top-led basis G = A T (T their tags) comes from the
+    inputs alone, and the tag-led remainders set aside generate Syz(A)
+    without any S-pair between two of them (Schreyer).  With L the columns
+    with G L_i = s_i a_i that reduce each input, a syzygy c equals
+    sum c_i / s_i (s_i e_i - T L_i) + T (sum c_i / s_i L_i), the last
+    column lying in Syz(G).  So Syz(A) is generated by the (I - TL) columns,
+    which are the tag-led remainders of the inputs, together with T times
+    the S-pair syzygies of G, which the top S-pairs that the Gebauer-Moeller
+    criteria keep (a generating set of the lead-term syzygies) reduce to.
+
+    A top-led S-pair remainder carries a tag that combines earlier ones, and
+    unreduced tags compound from there: a principal syzygy module of
+    degree 3 came out as 43 generators of degree up to 27.  So the run then
+    completes, tag-tag S-pairs included, and the syzygies are the reduced
+    tag-led part of its basis, a Groebner basis of Syz(A).
+    """
     ring = A.ring
     s, g = A.ambient_rank, len(A.generators)
     zero = ring.zero()
@@ -409,20 +462,21 @@ def _augmented_gb(A: Submodule) -> GroebnerBasis:
         tail = [zero] * g
         tail[i] = ring.one()
         gens.append(FreeElement(ring, gen.components + tuple(tail)))
-    return buchberger(Submodule(ring, s + g, gens), _augmented_order(ring.order))
+    tagged = Submodule(ring, s + g, gens)
+    return _gb_cached(tagged, _augmented_order(ring.order), s)
 
 
 def syzygies(A: Submodule) -> Submodule:
-    """Relations among the given generators of A, as a submodule of R^g."""
+    """Generators of the relations among the given generators of A, as a
+    submodule of R^g, each monic in position over term; they need not form
+    a Groebner basis (see _tagged_run)."""
     ring = A.ring
     s, g = A.ambient_rank, len(A.generators)
     if g == 0:
         return zero_module(ring, 0)
-    gb = _augmented_gb(A)
-    out = []
-    for e in gb._elems:
-        if e[2] >= s:
-            out.append(_from_engine_terms(ring, g, e[0], gb.order, s, e[4]))
+    _basis, syz = _tagged_run(A)
+    order = _augmented_order(ring.order)
+    out = [_from_engine_terms(ring, g, e[0], order, s, e[4]) for e in syz]
     return Submodule(ring, g, out)
 
 
@@ -435,19 +489,19 @@ def lift(A: Submodule, B: Submodule) -> Submodule:
     s, g = A.ambient_rank, len(A.generators)
     if B.ambient_rank != s:
         raise RingError("rank mismatch in lift")
-    gb = _augmented_gb(A)
+    basis, _syz = _tagged_run(A)
+    order = _augmented_order(ring.order)
     top_by_comp: dict = {}
-    for e in gb._elems:
-        if e[2] < s:
-            top_by_comp.setdefault(e[2], []).append(e)
+    for e in basis:
+        top_by_comp.setdefault(e[2], []).append(e)
     cols = []
     for b in B.generators:
-        terms, denom = _to_engine_terms(b, gb.order)
-        scale, r = _reduce_full(terms, top_by_comp, gb.order)
+        terms, denom = _to_engine_terms(b, order)
+        scale, r = _reduce_full(terms, top_by_comp, order)
         if any(comp < s for _key, comp, _exps, _c in r):
             raise ValueError("lift does not exist: vector outside the module")
         # scale * denom * b = A * (-tail of r)
-        cols.append(_from_engine_terms(ring, g, r, gb.order, s, -scale * denom))
+        cols.append(_from_engine_terms(ring, g, r, order, s, -scale * denom))
     return Submodule(ring, g, cols)
 
 

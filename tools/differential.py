@@ -1,13 +1,13 @@
 """Differential run of random primdec scripts under two source trees.
 
-Writes N seeded random scripts (ideals and rank-2 modules in two or three
-variables, each entry a product of linear, quadratic and monomial factors),
-runs `python3 -m primarydec run --json` on each with PYTHONPATH=<tree>/src
-for both trees, two processes at a time, and prints per script the exit codes
-and a status: `same`, `differs` or `timeout` (with the side that timed out).
-Output means exit code and stdout; the wording of an error on stderr may
-differ.  Exits 1 when some script finishes on both sides with different
-output.
+Writes N seeded random scripts (ideals and rank-2 or rank-3 modules in two or
+three variables, each entry a product of linear, quadratic and monomial
+factors), runs `python3 -m primarydec run --json` on each with
+PYTHONPATH=<tree>/src for both trees, two processes at a time, and prints per
+script the exit codes and a status: `same`, `differs` or `timeout` (with the
+side that timed out).  Output means exit code and stdout; the wording of an
+error on stderr may differ.  Exits 1 when some script finishes on both sides
+with different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
         [--timeout 20]
@@ -72,9 +72,10 @@ def random_script(rng: random.Random) -> str:
         lines.append(f"ideal I = {gens};")
         lines.append("primdec I;")
     else:
+        rank = rng.randint(2, 3)
         vectors = []
         for _ in range(rng.randint(1, 2)):
-            entries = [_product(rng, names) if rng.random() < 0.8 else "0" for _ in range(2)]
+            entries = [_product(rng, names) if rng.random() < 0.8 else "0" for _ in range(rank)]
             vectors.append("[" + ", ".join(entries) + "]")
         lines.append(f"module m = {', '.join(vectors)};")
         lines.append("primdec m;")
