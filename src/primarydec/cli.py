@@ -322,8 +322,8 @@ class _Parser:
             self.advance()
             vectors.append(self._parse_vector(ring))
         self.expect_sym(";")
-        rank = len(vectors[0].components)
-        if any(len(v.components) != rank for v in vectors):
+        rank = vectors[0].rank
+        if any(v.rank != rank for v in vectors):
             raise ScriptError("module generators have mixed lengths", name.line, name.col)
         self.bindings[name.text] = Submodule(ring, rank, vectors)
 

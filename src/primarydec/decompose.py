@@ -48,10 +48,12 @@ from .polyring import (
     RingContext,
     RingError,
     Submodule,
+    from_terms,
     full_module,
     ideal,
     ideal_generators,
     poly_from_terms,
+    rekey,
     render_polynomial,
     substitute,
 )
@@ -121,15 +123,13 @@ def _minimalize(primes) -> tuple[Submodule, ...]:
 def _field_lead_coefficient(p: Polynomial, lead, D: tuple[int, ...]) -> Polynomial:
     """Coefficient in the independent variables of the D-part of lead in p."""
     dpart = tuple(e if i in D else 0 for i, e in enumerate(lead))
-    c = poly_from_terms(
-        p.ring,
-        (
-            (tuple(0 if i in D else e for i, e in enumerate(exps)), coeff)
-            for exps, coeff in p.terms
-            if tuple(e if i in D else 0 for i, e in enumerate(exps)) == dpart
-        ),
-    )
-    return c * (1 / c.leading_coefficient())
+    terms = rekey(p.ring.order, (
+        (0, tuple(0 if i in D else e for i, e in enumerate(exps)), c)
+        for _k, _comp, exps, c in p.terms
+        if tuple(e if i in D else 0 for i, e in enumerate(exps)) == dpart
+    ))
+    # over its lead coefficient, the polynomial is monic
+    return from_terms(p.ring, 1, terms, terms[0][3], Polynomial)
 
 
 def _poly_in_var(ring: RingContext, d: int, coeffs) -> Polynomial:
@@ -164,7 +164,7 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
     if best is None or best_deg == 0:
         raise _CertificationFailure("no elimination polynomial found")
     groups: dict[int, list] = {}
-    for exps, coeff in best.terms:
+    for _k, _comp, exps, coeff in best.terms:
         upart = tuple(0 if i == d else e for i, e in enumerate(exps))
         groups.setdefault(exps[d], []).append((upart, coeff))
     ck = {k: poly_from_terms(ring, items) for k, items in groups.items()}
@@ -506,11 +506,13 @@ def primary_decomposition(
         pieces.append((Q, P, m, trace))
     N = N1
     if not module_equal(N, Mc):
-        ass = _associated_primes(Mc, seed)
+        # the codim-c associated primes of Mc, c = codim(Mc), are the hull's
         c = codim(Mc)
-        for P in ass:
-            if codim(P) <= c:
-                continue
+        embedded = [
+            P for b in range(c + 1, Mc.ring.n + 1) for P in codim_associated_primes(Mc, b, seed)
+        ]
+        ass = hull_primes + embedded
+        for P in embedded:
             Q, m, trace = primary_component(Mc, P, bound, seed, primes=ass)
             pieces.append((Q, P, m, trace))
             N = intersect(N, Q)

@@ -1,13 +1,15 @@
 """Groebner bases for submodules of free modules over Q[x1..xn].
 
-The engine keeps each vector as a tuple of terms (key, component, exponents,
-coefficient) sorted by descending key, where keys are the additive tuples
-produced by MonomialOrder.  Coefficients are Python ints: a vector enters
-with its denominators cleared, S-vectors and reductions run fraction-free,
-and basis elements are primitive (content 1, positive lead).  Fractions are
-built only at the boundary, where a result is divided by one integer: its
-lead coefficient for basis generators and syzygies, the accumulated scale
-for normal forms and lifts.  Buchberger runs with the Gebauer-Moeller pair
+The engine works on the terms that elements store (see polyring): tuples
+(key, component, exponents, coefficient) with int coefficients, sorted by
+descending key, where keys are the additive tuples produced by MonomialOrder.
+A vector enters as its stored terms, re-keyed (polyring.rekey) only when the
+run's order is not the ring's.  S-vectors and reductions run fraction-free,
+and basis elements are primitive (content 1, positive lead).  A result
+leaves as terms over one denominator: the lead coefficient for basis
+generators and syzygies, the accumulated scale times the input's denominator
+for normal forms and lifts; in the ring's order a basis generator shares its
+engine element's term tuple.  Buchberger runs with the Gebauer-Moeller pair
 update; the coprime criterion is applied only to pairs whose elements both
 live entirely in one component, since it is unsound for general module
 elements.  All higher operations (syzygies, lifts, kernels of induced maps,
@@ -23,26 +25,26 @@ and lift of one matrix share that one memoized run.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+from dataclasses import replace
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import add, le, neg, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .polyring import (
     POSITION_OVER_TERM,
     TERM_OVER_POSITION,
     FreeElement,
     MonomialOrder,
-    Polynomial,
     RingContext,
     RingError,
     Submodule,
+    from_terms,
     full_module,
     ideal,
     ideal_generators,
-    poly_from_terms,
+    rekey,
     unit_vector,
     zero_module,
 )
@@ -55,34 +57,9 @@ from .polyring import (
 #       primitive: integer content 1 and a positive lead_coeff
 
 
-def _to_engine_terms(v: FreeElement, order: MonomialOrder):
-    """Integer terms of denom * v, sorted by descending key, and denom."""
-    denom = lcm(*(c.denominator for p in v.components for _e, c in p.terms))
-    terms = [
-        (order.term_key(comp, exps), comp, exps, c.numerator * denom // c.denominator)
-        for comp, poly in enumerate(v.components)
-        for exps, c in poly.terms
-    ]
-    terms.sort(reverse=True)
-    return tuple(terms), denom
-
-
-def _from_engine_terms(
-    ring: RingContext,
-    rank: int,
-    terms,
-    order: MonomialOrder,
-    first: int = 0,
-    scale: int = 1,
-) -> FreeElement:
-    """Components first .. first+rank-1 of engine terms in order, over scale."""
-    buckets: list[list] = [[] for _ in range(rank)]
-    for _key, comp, exps, c in terms:
-        buckets[comp - first].append((exps, Fraction(c, scale)))
-    if order.same_ring_key(ring.order):
-        # within one component the engine terms are then in the ring's order
-        return FreeElement(ring, tuple(Polynomial(ring, tuple(b)) for b in buckets))
-    return FreeElement(ring, tuple(poly_from_terms(ring, b) for b in buckets))
+def _in_order(terms, order: MonomialOrder, shift: int = 0):
+    """terms keyed in order, their components moved down by shift."""
+    return rekey(order, ((comp - shift, exps, c) for _k, comp, exps, c in terms))
 
 
 def _make_elem(terms):
@@ -309,6 +286,7 @@ class GroebnerBasis:
     def __init__(self, module: Submodule, elems, order: MonomialOrder):
         self.module = module
         self.order = order
+        self._native = order == module.ring.order
         self._elems = elems
         self._by_comp: dict = {}
         for e in elems:
@@ -329,17 +307,23 @@ class GroebnerBasis:
     def leading_terms(self):
         return tuple((e[2], e[3]) for e in self._elems)
 
-    def reduce_vector(self, v: FreeElement) -> FreeElement:
+    def _reduce(self, v: FreeElement):
+        """(s, r) with r reduced, in the basis order, and s * v.terms - r in
+        the module."""
         if v.ring != self.ring or v.rank != self.ambient_rank:
             raise RingError("vector does not match basis ambient module")
-        terms, denom = _to_engine_terms(v, self.order)
-        s, r = _reduce_full(terms, self._by_comp, self.order)
-        return _from_engine_terms(
-            self.ring, self.ambient_rank, r, self.order, scale=s * denom
-        )
+        terms = v.terms if self._native else _in_order(v.terms, self.order)
+        return _reduce_full(terms, self._by_comp, self.order)
+
+    def reduce_vector(self, v: FreeElement) -> FreeElement:
+        """Normal form of v, a polynomial when v is one."""
+        s, r = self._reduce(v)
+        if not self._native:
+            r = _in_order(r, self.ring.order)
+        return from_terms(self.ring, v.rank, r, s * v.den, type(v))
 
     def contains(self, v: FreeElement) -> bool:
-        return self.reduce_vector(v).is_zero()
+        return not self._reduce(v)[1]
 
     def is_full(self) -> bool:
         """Does the basis generate the whole ambient free module?"""
@@ -356,8 +340,10 @@ def _gb_cached(A: Submodule, order: MonomialOrder, split: int | None = None):
     """Reduced Groebner basis of A in order.  With split, the elements of a
     split run instead: (basis led below split, elements led at or above it).
     """
+    ring, rank = A.ring, A.ambient_rank
+    native = order == ring.order
     vectors = [
-        _to_engine_terms(g, order)[0] for g in A.generators if not g.is_zero()
+        g.terms if native else _in_order(g.terms, order) for g in A.generators if g.terms
     ]
     basis, aside = _buchberger_engine(vectors, order, split)
     if split is not None:
@@ -365,10 +351,10 @@ def _gb_cached(A: Submodule, order: MonomialOrder, split: int | None = None):
         return top, aside + _reduced_basis([e for e in basis if e[2] >= split], order)
     reduced = _reduced_basis(basis, order)
     gens = tuple(
-        _from_engine_terms(A.ring, A.ambient_rank, e[0], order, scale=e[4])
+        from_terms(ring, rank, e[0] if native else _in_order(e[0], ring.order), e[4])
         for e in reduced
     )
-    return GroebnerBasis(Submodule(A.ring, A.ambient_rank, gens), reduced, order)
+    return GroebnerBasis(Submodule(ring, rank, gens), reduced, order)
 
 
 def buchberger(A: Submodule, order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -383,18 +369,15 @@ def canonical(A: Submodule) -> Submodule:
     return buchberger(A).module
 
 
-def normal_form(v, G) -> Union[FreeElement, Polynomial]:
+def normal_form(v: FreeElement, G) -> FreeElement:
+    """Normal form of v against G, a polynomial when v is one."""
     if isinstance(G, Submodule):
         G = buchberger(G)
-    if isinstance(v, Polynomial):
-        r = G.reduce_vector(FreeElement(v.ring, (v,)))
-        return r.components[0]
     return G.reduce_vector(v)
 
 
-def is_member(v, G) -> bool:
-    r = normal_form(v, G)
-    return r.is_zero()
+def is_member(v: FreeElement, G) -> bool:
+    return normal_form(v, G).is_zero()
 
 
 def is_sub(A: Submodule, B) -> bool:
@@ -422,14 +405,7 @@ def is_unit_ideal(I: Submodule) -> bool:
 
 
 def _augmented_order(order: MonomialOrder) -> MonomialOrder:
-    if order.module_extension == POSITION_OVER_TERM:
-        return order
-    return MonomialOrder(
-        kind=order.kind,
-        weights=order.weights,
-        module_extension=POSITION_OVER_TERM,
-        blocks=order.blocks,
-    )
+    return replace(order, module_extension=POSITION_OVER_TERM)
 
 
 def _tagged_run(A: Submodule):
@@ -456,12 +432,13 @@ def _tagged_run(A: Submodule):
     """
     ring = A.ring
     s, g = A.ambient_rank, len(A.generators)
-    zero = ring.zero()
-    gens = []
-    for i, gen in enumerate(A.generators):
-        tail = [zero] * g
-        tail[i] = ring.one()
-        gens.append(FreeElement(ring, gen.components + tuple(tail)))
+    zero = (0,) * ring.n
+    key = ring.order.term_key
+    # the tag den * e_{s+i} of gen = terms / den has the least key of them all
+    gens = [
+        from_terms(ring, s + g, gen.terms + ((key(s + i, zero), s + i, zero, gen.den),), gen.den)
+        for i, gen in enumerate(A.generators)
+    ]
     tagged = Submodule(ring, s + g, gens)
     return _gb_cached(tagged, _augmented_order(ring.order), s)
 
@@ -475,8 +452,7 @@ def syzygies(A: Submodule) -> Submodule:
     if g == 0:
         return zero_module(ring, 0)
     _basis, syz = _tagged_run(A)
-    order = _augmented_order(ring.order)
-    out = [_from_engine_terms(ring, g, e[0], order, s, e[4]) for e in syz]
+    out = [from_terms(ring, g, _in_order(e[0], ring.order, s), e[4]) for e in syz]
     return Submodule(ring, g, out)
 
 
@@ -491,17 +467,18 @@ def lift(A: Submodule, B: Submodule) -> Submodule:
         raise RingError("rank mismatch in lift")
     basis, _syz = _tagged_run(A)
     order = _augmented_order(ring.order)
+    native = order == ring.order
     top_by_comp: dict = {}
     for e in basis:
         top_by_comp.setdefault(e[2], []).append(e)
     cols = []
     for b in B.generators:
-        terms, denom = _to_engine_terms(b, order)
+        terms = b.terms if native else _in_order(b.terms, order)
         scale, r = _reduce_full(terms, top_by_comp, order)
         if any(comp < s for _key, comp, _exps, _c in r):
             raise ValueError("lift does not exist: vector outside the module")
-        # scale * denom * b = A * (-tail of r)
-        cols.append(_from_engine_terms(ring, g, r, order, s, -scale * denom))
+        # scale * b = A * (-tail of r)
+        cols.append(from_terms(ring, g, _in_order(r, ring.order, s), -scale * b.den))
     return Submodule(ring, g, cols)
 
 
@@ -515,9 +492,10 @@ def modulo_kernel(A: Submodule, B: Submodule) -> Submodule:
     S = syzygies(combined)
     out = []
     for rel in S.generators:
-        head = FreeElement(ring, rel.components[:na])
-        if not head.is_zero():
-            out.append(head)
+        # a term's key does not depend on the rank, so the head keeps its keys
+        head = tuple(t for t in rel.terms if t[1] < na)
+        if head:
+            out.append(from_terms(ring, na, head, rel.den))
     return Submodule(ring, na, out)
 
 
@@ -546,23 +524,19 @@ def _t_ring(ring: RingContext) -> RingContext:
 
 
 def _extend_vector(v: FreeElement, ext: RingContext, ts) -> FreeElement:
-    """The sum of a * @t^k * v over (k, a) in ts, as a vector over ext."""
-    return FreeElement(ext, [
-        poly_from_terms(ext, [((k,) + e, c * a) for k, a in ts for e, c in p.terms])
-        for p in v.components
-    ])
+    """The sum of a * @t^k * v over (k, a) in ts, a and k ints, over ext."""
+    items = [(comp, (k,) + e, c * a) for k, a in ts for _key, comp, e, c in v.terms]
+    return from_terms(ext, v.rank, rekey(ext.order, items), v.den)
 
 
 def _t_free(gens, ext: RingContext, ring: RingContext, s: int) -> Submodule:
     """The elements free of @t in the module gens span, contracted to ring."""
-    out = []
-    for g in buchberger(Submodule(ext, s, gens)).generators:
-        # terms sort by @t degree first, so a @t-free component starts @t-free
-        if all(not p.terms or p.terms[0][0][0] == 0 for p in g.components):
-            out.append(FreeElement(ring, [
-                poly_from_terms(ring, ((e[1:], c) for e, c in p.terms))
-                for p in g.components
-            ]))
+    # ext's order is eliminate's block order for @t
+    free = eliminate(Submodule(ext, s, gens), (0,)).generators
+    out = [
+        from_terms(ring, s, rekey(ring.order, ((i, e[1:], c) for _k, i, e, c in g.terms)), g.den)
+        for g in free
+    ]
     return Submodule(ring, s, out)
 
 
@@ -642,7 +616,12 @@ def saturate(A: Submodule, J: Submodule) -> Submodule:
 
 
 def eliminate(A: Submodule, drop: Iterable[int]) -> Submodule:
-    """Generators of the elements of A free of the dropped variables."""
+    """Generators of the elements of A free of the dropped variables.
+
+    Under the block order, term over position, the degree in the dropped
+    variables leads every term's key, so a basis element whose lead is free
+    of them is free of them throughout.
+    """
     ring = A.ring
     drop = tuple(sorted(set(drop)))
     if not drop:
@@ -652,13 +631,12 @@ def eliminate(A: Submodule, drop: Iterable[int]) -> Submodule:
     block = MonomialOrder(
         kind="block", blocks=(drop,), module_extension=TERM_OVER_POSITION
     )
-    out = []
-    for gen in buchberger(A, block).generators:
-        if all(
-            all(all(e[i] == 0 for i in drop) for e, _c in p.terms)
-            for p in gen.components
-        ):
-            out.append(gen)
+    G = buchberger(A, block)
+    out = [
+        gen
+        for gen, (_comp, lead) in zip(G.generators, G.leading_terms())
+        if not any(lead[i] for i in drop)
+    ]
     return Submodule(ring, A.ambient_rank, out)
 
 

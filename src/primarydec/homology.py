@@ -10,8 +10,6 @@ to F.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .groebner import (
     annihilator,
     buchberger,
@@ -42,7 +40,8 @@ class HomologyError(ValueError):
 
 
 def _to_grid(m: Submodule) -> list[list[Polynomial]]:
-    return [[g.components[i] for g in m.generators] for i in range(m.ambient_rank)]
+    cols = [g.components for g in m.generators]
+    return [[col[i] for col in cols] for i in range(m.ambient_rank)]
 
 
 def _from_grid(ring: RingContext, grid: list[list[Polynomial]], nrows: int) -> Submodule:
@@ -71,7 +70,7 @@ def _eliminate(grids, k, i0, j0):
     change nothing else, and all of those entries are dropped here.
     """
     P = grids[k]
-    inv = Fraction(1) / P[i0][j0].constant_value()
+    inv = 1 / P[i0][j0].constant_value()
     lams = [(j, p * inv) for j, p in enumerate(P[i0]) if j != j0 and not p.is_zero()]
     for i, row in enumerate(P):
         if i != i0 and not row[j0].is_zero():

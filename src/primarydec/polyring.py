@@ -1,15 +1,22 @@
 """Exact sparse multivariate polynomials over Q, free-module elements, and orders.
 
 Everything here is immutable and purely functional: operations return new
-objects, coefficients are exact rationals, and term lists are kept strictly
-sorted so that equal values have equal representations.
+objects.  An element of R^s (a FreeElement; a Polynomial is the rank-1 case)
+stores one tuple of terms (key, comp, exps, c) and one denominator den, for
+the value sum c * x^exps * e_comp / den.  Each c is a nonzero int,
+key = ring.order.term_key(comp, exps), and the terms are sorted by descending
+key: they are the terms the Groebner engine works on.  den > 0 and the gcd of
+den and every c is 1, so equal values have equal storage.  Rationals appear
+only at the boundary: constructors that take a rational, leading_coefficient,
+constant_value and render_polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul, neg
+from math import gcd, lcm
+from operator import add, mul, neg
 from typing import Iterable, Sequence, Union
 
 Monomial = tuple  # exponent vector, one slot per ring variable
@@ -87,11 +94,6 @@ class MonomialOrder:
             deg = sum(exps)
         return (deg, *map(neg, reversed(exps)))
 
-    def same_ring_key(self, other: "MonomialOrder") -> bool:
-        """Do both orders rank monomials alike, whatever their module extension?"""
-        mine = (self.kind, self.weights, self.blocks)
-        return mine == (other.kind, other.weights, other.blocks)
-
     def term_key(self, comp: int, exps: Monomial) -> tuple:
         if self.module_extension == POSITION_OVER_TERM:
             return (-comp, *self.ring_key(exps))
@@ -132,29 +134,22 @@ class RingContext:
         return len(self.variables)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
+        return from_terms(self, 1, (), 1, Polynomial)
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, (((0,) * self.n, c),))
+        return self.monomial((0,) * self.n, c)
 
     def variable(self, i: int) -> "Polynomial":
-        exps = tuple(1 if j == i else 0 for j in range(self.n))
-        return Polynomial(self, ((exps, Fraction(1)),))
+        return self.monomial(tuple(1 if j == i else 0 for j in range(self.n)))
 
     def monomial(self, exps: Sequence[int], coeff=1) -> "Polynomial":
         exps = tuple(exps)
         if len(exps) != self.n or any(e < 0 for e in exps):
             raise ValueError("bad exponent vector")
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return self.zero()
-        return Polynomial(self, ((exps, coeff),))
+        return poly_from_terms(self, ((exps, coeff),))
 
     def var_index(self, name: str) -> int:
         try:
@@ -163,90 +158,193 @@ class RingContext:
             raise KeyError(f"no variable {name!r}") from None
 
 
-def poly_from_terms(ring: RingContext, items: Iterable) -> "Polynomial":
-    """Polynomial from (exponents, coefficient) pairs with distinct exponents.
+# ---------------------------------------------------------------------------
+# term tuples
+# ---------------------------------------------------------------------------
 
-    Zero coefficients are dropped and the terms sorted descending in the
-    ring's order.
+
+def rekey(order: MonomialOrder, items: Iterable) -> tuple:
+    """Terms (key, comp, exps, c) keyed in order and sorted by descending key,
+    from (comp, exps, c) triples with distinct (comp, exps).
+
+    The one place terms change keys: for a run in another order, a shift of
+    components, or a change of ring.
     """
-    key = ring.order.ring_key
-    terms = [(exps, c) for exps, c in items if c]
-    terms.sort(key=lambda t: key(t[0]), reverse=True)
-    return Polynomial(ring, tuple(terms))
+    key = order.term_key
+    return tuple(
+        sorted(((key(comp, exps), comp, exps, c) for comp, exps, c in items), reverse=True)
+    )
 
 
-class Polynomial:
-    """Immutable polynomial; terms are (exponents, coefficient) sorted descending."""
+def _collect(pieces, order: MonomialOrder) -> tuple:
+    """Sorted terms of the sum of the pieces (terms, factor, shift), each
+    factor * x^shift * terms, an empty shift meaning 1.  Like terms are merged
+    and zero coefficients dropped."""
+    acc: dict = {}
+    for terms, factor, shift in pieces:
+        if any(shift):
+            addk = order.addend(shift)
+            terms = [
+                (tuple(map(add, key, addk)), comp, tuple(map(add, exps, shift)), c)
+                for key, comp, exps, c in terms
+            ]
+        for key, comp, exps, c in terms:
+            prev = acc.get(key)
+            acc[key] = (comp, exps, c * factor if prev is None else prev[2] + c * factor)
+    return tuple((key, *v) for key, v in sorted(acc.items(), reverse=True) if v[2])
 
-    __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring: RingContext, terms: tuple):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+_set = object.__setattr__
+
+
+def _raw(cls, ring: RingContext, rank: int, terms: tuple, den: int):
+    """An element from storage that already satisfies the invariants."""
+    obj = object.__new__(cls)
+    _set(obj, "ring", ring)
+    _set(obj, "rank", rank)
+    _set(obj, "terms", terms)
+    _set(obj, "den", den)
+    _set(obj, "_hash", None)
+    return obj
+
+
+def from_terms(ring: RingContext, rank: int, terms: tuple, den: int = 1, cls=None):
+    """The element sum c * x^exps * e_comp / den of terms already keyed in
+    ring's order and sorted, reduced to lowest terms.  den may be negative.
+    cls is FreeElement unless given (Polynomial for rank 1)."""
+    if not terms:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *(t[3] for t in terms))
+        if den < 0:
+            g = -g
+        if g != 1:
+            terms = tuple((k, comp, exps, c // g) for k, comp, exps, c in terms)
+            den //= g
+    return _raw(cls or FreeElement, ring, rank, terms, den)
+
+
+def poly_from_terms(ring: RingContext, items: Iterable) -> "Polynomial":
+    """Polynomial from (exponents, rational coefficient) pairs with distinct
+    exponents; zero coefficients are dropped."""
+    items = [(exps, Fraction(c)) for exps, c in items if c]
+    den = lcm(*(c.denominator for _e, c in items))
+    terms = rekey(ring.order, ((0, e, c.numerator * (den // c.denominator)) for e, c in items))
+    return from_terms(ring, 1, terms, den, Polynomial)
+
+
+# ---------------------------------------------------------------------------
+# elements
+# ---------------------------------------------------------------------------
+
+
+class FreeElement:
+    """Element of a free module R^rank; see the module docstring for storage."""
+
+    __slots__ = ("ring", "rank", "terms", "den", "_hash")
+
+    def __new__(cls, ring: RingContext, components: Sequence["Polynomial"]):
+        # the column of the entries is the transpose of the row they form
+        return Submodule(ring, 1, components).transpose().generators[0]
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def components(self) -> tuple["Polynomial", ...]:
+        """The polynomial in each component."""
+        rows = (self,)
+        if self.rank > 1:
+            rows = Submodule(self.ring, self.rank, rows).transpose().generators
+        return tuple(_raw(Polynomial, self.ring, 1, r.terms, r.den) for r in rows)
 
     # -- structure -----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or sum(self.terms[0][0]) == 0
+        return not self.terms or not any(self.terms[0][2])
 
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.terms[0][1]
+        return self.leading_coefficient()
 
     def leading_coefficient(self) -> Fraction:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
+        return Fraction(self.terms[0][3], self.den)
 
     # -- arithmetic ----------------------------------------------------
-    def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
-            raise RingError("mixed rings")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
-        self._check(other)
-        acc = dict(self.terms)
-        for exps, c in other.terms:
-            acc[exps] = acc.get(exps, Fraction(0)) + c
-        return poly_from_terms(self.ring, acc.items())
+        if self.ring != other.ring or self.rank != other.rank:
+            raise RingError("rank or ring mismatch")
+        den = lcm(self.den, other.den)
+        pieces = ((self.terms, den // self.den, ()), (other.terms, den // other.den, ()))
+        return from_terms(
+            self.ring, self.rank, _collect(pieces, self.ring.order), den, type(self)
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def scale(self, f: Union["Polynomial", int, Fraction]) -> "FreeElement":
+        """The element times f, a polynomial or a rational."""
+        ring = self.ring
+        if isinstance(f, FreeElement):
+            if f.ring != ring or f.rank != 1:
+                raise RingError("scalar is not a polynomial of the element's ring")
+            pieces = [(self.terms, c, exps) for _k, _c, exps, c in f.terms]
+            terms = _collect(pieces, ring.order)
+            return from_terms(ring, self.rank, terms, self.den * f.den, type(self))
+        num, den = f.numerator, f.denominator
+        terms = tuple((k, comp, exps, c * num) for k, comp, exps, c in self.terms)
+        return from_terms(ring, self.rank, terms if num else (), self.den * den, type(self))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.terms == other.terms
+            and self.den == other.den
+            and self.rank == other.rank
+            and self.ring == other.ring
+        )
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.rank, self.terms, self.den))
+            _set(self, "_hash", h)
+        return h
+
+    def __str__(self):
+        if self.rank == 1:
+            return render_polynomial(self)
+        return "[" + ",".join(str(p) for p in self.components) + "]"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class Polynomial(FreeElement):
+    """A polynomial: the rank-1 element, with ring products and powers."""
+
+    __slots__ = ()
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return self.ring.zero()
-            return Polynomial(self.ring, tuple((e, k * c) for e, k in self.terms))
-        self._check(other)
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return poly_from_terms(self.ring, acc.items())
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -261,26 +359,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, self.terms))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __str__(self) -> str:
-        return render_polynomial(self)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({render_polynomial(self)!r})"
 
 
 def _monomial_str(ring: RingContext, exps: Monomial) -> str:
@@ -298,9 +376,9 @@ def render_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for idx, (exps, c) in enumerate(p.terms):
+    for idx, (_k, _comp, exps, c) in enumerate(p.terms):
         mono = _monomial_str(p.ring, exps)
-        mag = abs(c)
+        mag = abs(Fraction(c, p.den))
         if mono and mag == 1:
             body = mono
         elif mono:
@@ -321,89 +399,23 @@ def substitute(p: Polynomial, images: dict[int, Polynomial]) -> Polynomial:
         if img.ring != ring:
             raise RingError("substitution image from wrong ring")
     powers: dict[tuple[int, int], Polynomial] = {}
-    acc: dict = {}
-    for exps, c in p.terms:
-        fixed = tuple(0 if i in images else e for i, e in enumerate(exps))
-        term = ring.monomial(fixed, c)
+    parts = []
+    for _k, _comp, exps, c in p.terms:
+        q = ring.one()
         for i, e in enumerate(exps):
             if e and i in images:
                 if (i, e) not in powers:
                     powers[i, e] = images[i] ** e
-                term = term * powers[i, e]
-        for key, k in term.terms:
-            acc[key] = acc.get(key, Fraction(0)) + k
-    return poly_from_terms(ring, acc.items())
-
-
-class FreeElement:
-    """Element of a free module R^s, stored as a vector of polynomials."""
-
-    __slots__ = ("ring", "components", "_hash")
-
-    def __init__(self, ring: RingContext, components: Sequence[Polynomial]):
-        comps = tuple(components)
-        for p in comps:
-            if p.ring != ring:
-                raise RingError("component from wrong ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("FreeElement is immutable")
-
-    @property
-    def rank(self) -> int:
-        return len(self.components)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.components)
-
-    def _check(self, other: "FreeElement") -> None:
-        if self.ring != other.ring or self.rank != other.rank:
-            raise RingError("rank or ring mismatch")
-
-    def __add__(self, other: "FreeElement"):
-        self._check(other)
-        return FreeElement(self.ring, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "FreeElement"):
-        self._check(other)
-        return FreeElement(self.ring, tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self):
-        return FreeElement(self.ring, tuple(-a for a in self.components))
-
-    def scale(self, f: Union[Polynomial, int, Fraction]) -> "FreeElement":
-        return FreeElement(self.ring, tuple(p * f for p in self.components))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeElement)
-            and self.ring == other.ring
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, self.components))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __str__(self):
-        if self.rank == 1:
-            return str(self.components[0])
-        return "[" + ",".join(str(p) for p in self.components) + "]"
-
-    def __repr__(self):
-        return f"FreeElement({self})"
+                q = q * powers[i, e]
+        fixed = tuple(0 if i in images else e for i, e in enumerate(exps))
+        parts.append((q, c, fixed))
+    den = lcm(*(q.den for q, _c, _e in parts))
+    pieces = [(q.terms, c * (den // q.den), fixed) for q, c, fixed in parts]
+    return from_terms(ring, 1, _collect(pieces, ring.order), den * p.den, Polynomial)
 
 
 def unit_vector(ring: RingContext, rank: int, i: int) -> FreeElement:
-    comps = [ring.zero()] * rank
-    comps[i] = ring.one()
-    return FreeElement(ring, comps)
+    return from_terms(ring, rank, rekey(ring.order, [(i, (0,) * ring.n, 1)]))
 
 
 class Submodule:
@@ -422,10 +434,10 @@ class Submodule:
                 raise RingError("generator does not match ambient module")
         if ambient_rank < 0:
             raise ValueError("negative rank")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_hash", None)
+        _set(self, "ring", ring)
+        _set(self, "ambient_rank", ambient_rank)
+        _set(self, "generators", gens)
+        _set(self, "_hash", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("Submodule is immutable")
@@ -445,31 +457,36 @@ class Submodule:
         h = self._hash
         if h is None:
             h = hash((self.ring, self.ambient_rank, self.generators))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def transpose(self) -> "Submodule":
         gens = self.generators
-        cols = [
-            FreeElement(self.ring, tuple(g.components[i] for g in gens))
-            for i in range(self.ambient_rank)
-        ]
+        den = lcm(*(g.den for g in gens))
+        rows: list[list] = [[] for _ in range(self.ambient_rank)]
+        for j, g in enumerate(gens):
+            f = den // g.den
+            for _k, i, exps, c in g.terms:
+                rows[i].append((j, exps, c * f))
+        order = self.ring.order
+        cols = [from_terms(self.ring, len(gens), rekey(order, r), den) for r in rows]
         return Submodule(self.ring, len(gens), cols)
 
     def mul(self, other: "Submodule") -> "Submodule":
         """Matrix product: column j is sum_k other[k, j] * (generator k)."""
-        if other.ambient_rank != len(self.generators):
+        gens = self.generators
+        if other.ambient_rank != len(gens):
             raise RingError("matrix shape mismatch")
+        order = self.ring.order
         cols = []
         for bc in other.generators:
-            acc = [self.ring.zero()] * self.ambient_rank
-            for j, f in enumerate(bc.components):
-                if f.is_zero():
-                    continue
-                for i, g in enumerate(self.generators[j].components):
-                    if not g.is_zero():
-                        acc[i] = acc[i] + g * f
-            cols.append(FreeElement(self.ring, acc))
+            den = lcm(*(gens[k].den for _key, k, _e, _c in bc.terms))
+            pieces = [
+                (gens[k].terms, c * (den // gens[k].den), exps)
+                for _key, k, exps, c in bc.terms
+            ]
+            terms = _collect(pieces, order)
+            cols.append(from_terms(self.ring, self.ambient_rank, terms, den * bc.den))
         return Submodule(self.ring, self.ambient_rank, cols)
 
     def __repr__(self):

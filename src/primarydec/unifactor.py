@@ -104,12 +104,6 @@ def _squarefree_parts(f: list) -> list[tuple[list, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _p_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _p_mul(a: list, b: list, m: int) -> list:
     if not a or not b:
         return []
@@ -119,13 +113,13 @@ def _p_mul(a: list, b: list, m: int) -> list:
             continue
         for j, y in enumerate(b):
             out[i + j] = (out[i + j] + x * y) % m
-    return _p_trim(out)
+    return _trim(out)
 
 
 def _p_sub(a: list, b: list, m: int) -> list:
     n = max(len(a), len(b))
     out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    return _p_trim(out)
+    return _trim(out)
 
 
 def _p_divmod(a: list, b: list, m: int) -> tuple[list, list]:
@@ -142,11 +136,11 @@ def _p_divmod(a: list, b: list, m: int) -> tuple[list, list]:
         for i, y in enumerate(b):
             a[shift + i] = (a[shift + i] - c * y) % m
         a.pop()
-    return _p_trim(q), _p_trim(a)
+    return _trim(q), _trim(a)
 
 
 def _p_gcd(a: list, b: list, p: int) -> list:
-    a, b = _p_trim(list(a)), _p_trim(list(b))
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         _q, r = _p_divmod(a, b, p)
         a, b = b, r
@@ -202,7 +196,7 @@ def _berlekamp(f: list, p: int) -> list[list]:
         return [f]
     factors = [f]
     for vec in basis:
-        v = _p_trim(list(vec))
+        v = _trim(list(vec))
         if _q_deg(v) < 1:
             continue
         for s in range(p):
@@ -270,22 +264,22 @@ def _hensel_pair(f: list, g: list, h: list, p: int, target: int):
     while m < target:
         m2 = m * m
         e = [(fc - c) % m2 for fc, c in _pad_pair(f, _p_mul(g, h, m2))]
-        e = _p_trim(e)
+        e = _trim(e)
         if e:
             b = _p_divmod(_p_mul(s, e, m2), h, m2)[1]
             a = _p_divmod(_p_sub(e, _p_mul(b, g, m2), m2), h, m2)[0]
-            g = _p_trim([(x + y) % m2 for x, y in _pad_pair(g, _p_mul(a, [1], m2))])
-            h = _p_trim([(x + y) % m2 for x, y in _pad_pair(h, b)])
+            g = _trim([(x + y) % m2 for x, y in _pad_pair(g, _p_mul(a, [1], m2))])
+            h = _trim([(x + y) % m2 for x, y in _pad_pair(h, b)])
         # refresh the Bezout pair so the next round works mod the new modulus
-        d = [(x - y) % m2 for x, y in _pad_pair([1], _p_trim(
+        d = [(x - y) % m2 for x, y in _pad_pair([1], _trim(
             [(u + v) % m2 for u, v in _pad_pair(_p_mul(s, g, m2), _p_mul(t, h, m2))]
         ))]
-        d = _p_trim(d)
+        d = _trim(d)
         if d:
             ds = _p_divmod(_p_mul(s, d, m2), h, m2)[1]
             dt = _p_divmod(_p_sub(_p_mul(d, [1], m2), _p_mul(ds, g, m2), m2), h, m2)[0]
-            s = _p_trim([(x + y) % m2 for x, y in _pad_pair(s, ds)])
-            t = _p_trim([(x + y) % m2 for x, y in _pad_pair(t, dt)])
+            s = _trim([(x + y) % m2 for x, y in _pad_pair(s, ds)])
+            t = _trim([(x + y) % m2 for x, y in _pad_pair(t, dt)])
         m = m2
     return g, h, m
 
@@ -319,34 +313,18 @@ def _symmetric(a: list, m: int) -> list[int]:
     return [c - m if c > half else c for c in a]
 
 
-def _z_divides(f: list[int], g: list[int]) -> bool:
-    """Does the monic integer polynomial g divide f exactly over the integers?"""
+def _z_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by the monic integer polynomial g."""
     a = [int(c) for c in f]
+    q = [0] * max(0, len(a) - len(g) + 1)
     while len(a) >= len(g):
-        if a[-1] == 0:
-            a.pop()
-            continue
         c = a[-1]
         shift = len(a) - len(g)
+        q[shift] = c
         for i, y in enumerate(g):
             a[shift + i] -= c * y
         a.pop()
-    return not _p_trim(a)
-
-
-def _z_exact_div(f: list[int], g: list[int]) -> list[int]:
-    a = [int(c) for c in f]
-    q = [0] * (len(a) - len(g) + 1)
-    while len(a) >= len(g):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1]
-        q[len(a) - len(g)] = c
-        for i, y in enumerate(g):
-            a[len(a) - len(g) + i] -= c * y
-        a.pop()
-    return q
+    return q, _trim(a)
 
 
 _PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
@@ -365,7 +343,7 @@ def _factor_squarefree_monic_integer(f: list[int]) -> list[list[int]]:
     d = len(f) - 1
     if d <= 1:
         return [f] if d == 1 else []
-    df = _p_trim([f[i] * i for i in range(1, len(f))])
+    df = _trim([f[i] * i for i in range(1, len(f))])
 
     chosen = None
     candidates = iter(_PRIMES)
@@ -377,7 +355,7 @@ def _factor_squarefree_monic_integer(f: list[int]) -> list[list[int]]:
             if extra is None:
                 extra = _more_primes(_PRIMES[-1])
             p = next(extra)
-        fp = _p_trim([c % p for c in f])
+        fp = _trim([c % p for c in f])
         if _q_deg(fp) != d:
             continue
         if _q_deg(_p_gcd(fp, [c % p for c in df], p)) == 0:
@@ -403,9 +381,10 @@ def _factor_squarefree_monic_integer(f: list[int]) -> list[list[int]]:
             for i in combo:
                 prod = _p_mul(prod, lifted[i], modulus)
             cand = _symmetric(prod, modulus)
-            if _z_divides(current, cand):
+            quo, rem = _z_divmod(current, cand)
+            if not rem:
                 result.append(cand)
-                current = _z_exact_div(current, cand)
+                current = quo
                 remaining = [i for i in remaining if i not in combo]
                 hit = True
                 break

@@ -24,9 +24,7 @@ from .groebner import (
 )
 from .homology import ass_prim_codim
 from .polyring import (
-    FreeElement,
     Monomial,
-    Polynomial,
     RingContext,
     Submodule,
     ideal,
@@ -48,7 +46,7 @@ def _monomial_exps(I: Submodule) -> list[Monomial]:
             continue
         if len(p.terms) != 1:
             raise ValueError("generators must be monomials")
-        out.append(p.terms[0][0])
+        out.append(p.terms[0][2])
     return out
 
 
@@ -172,8 +170,6 @@ def membership_oracle(v, A: Submodule, degree_bound: int) -> bool:
     only rules out multipliers up to the bound.
     """
     ring = A.ring
-    if isinstance(v, Polynomial):
-        v = FreeElement(ring, (v,))
     if v.is_zero():
         return True
     if not A.generators:
@@ -190,16 +186,13 @@ def membership_oracle(v, A: Submodule, degree_bound: int) -> bool:
     for gen in A.generators:
         for m in mons:
             col: dict[int, Fraction] = {}
-            for comp_index, p in enumerate(gen.components):
-                for exps, coeff in p.terms:
-                    shifted = tuple(a + b for a, b in zip(exps, m))
-                    r = row_of((comp_index, shifted))
-                    col[r] = col.get(r, Fraction(0)) + coeff
+            for _k, comp, exps, c in gen.terms:
+                shifted = tuple(a + b for a, b in zip(exps, m))
+                col[row_of((comp, shifted))] = Fraction(c, gen.den)
             columns.append(col)
     rhs: dict[int, Fraction] = {}
-    for comp_index, p in enumerate(v.components):
-        for exps, coeff in p.terms:
-            rhs[row_of((comp_index, exps))] = coeff
+    for _k, comp, exps, c in v.terms:
+        rhs[row_of((comp, exps))] = Fraction(c, v.den)
     nrows = len(rows)
     ncols = len(columns)
     dense = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]

@@ -457,6 +457,24 @@ def test_associated_primes_are_found_once_per_module(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_hull_primes_are_not_recomputed_at_the_input_codim(monkeypatch):
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    embedded_mix = ideal(R, [z * z * (x - 1) ** 2, x * y * (y - 1), x**3 * z - z])
+    asked = []
+    real = decompose.codim_associated_primes
+
+    def recording(A, b, seed=0):
+        asked.append(b)
+        return real(A, b, seed)
+
+    monkeypatch.setattr(decompose, "codim_associated_primes", recording)
+    res = primary_decomposition(embedded_mix)
+    assert [c.embedded for c in res.components].count(True) == 2
+    assert asked
+    assert codim(embedded_mix) not in asked
+
+
 def test_associated_primes_of_every_fixture_hull_are_its_minimal_primes():
     # the hull is unmixed, which primary_decomposition relies on when it
     # localizes the hull at the minimal primes of its annihilator alone

@@ -265,7 +265,7 @@ def test_eliminate_twisted_cubic():
     E = eliminate(I, [1])
     assert module_equal(E, ideal(R, [x**3 - z**2]))
     for g in E.generators:
-        assert all(e[1] == 0 for e, _c in g.components[0].terms)
+        assert all(e[1] == 0 for _key, _comp, e, _c in g.terms)
 
 
 def test_eliminate_nothing():
@@ -361,6 +361,15 @@ def test_rational_coefficients_survive():
     assert is_member(x**2 + 2 * y, buchberger(I))
 
 
+def test_basis_generators_are_the_engine_elements_in_the_ring_order():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    G = buchberger(ideal(R, [Fraction(1, 2) * x**2 + y, 3 * x * y - 1]))
+    assert all(g.terms is e[0] and g.den == e[4] for g, e in zip(G.generators, G._elems))
+    block = buchberger(G.module, MonomialOrder(kind="block", blocks=((1,),)))
+    assert all(g.terms is not e[0] for g, e in zip(block.generators, block._elems))
+
+
 # The engine computes on integer coefficients with the denominators cleared
 # and the content divided out; the tests below pin the exact rational values
 # that come back out of it.
@@ -413,7 +422,7 @@ def test_syzygies_are_monic_in_position_over_term(extension):
     pot = MonomialOrder(module_extension=POSITION_OVER_TERM)
     for g in S.generators:
         lead = max(
-            ((comp, e, c) for comp, p in enumerate(g.components) for e, c in p.terms),
+            ((comp, e, Fraction(c, g.den)) for _key, comp, e, c in g.terms),
             key=lambda t: pot.term_key(t[0], t[1]),
         )
         assert lead[2] == 1

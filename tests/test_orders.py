@@ -50,10 +50,10 @@ def test_eliminate_keeps_the_callers_ring(order):
     assert module_equal(E, ideal(R, [x**3 - z**2]))
     for g in E.generators:
         p = g.components[0]
-        assert all(e[1] == 0 for e, _c in p.terms)
+        assert all(e[1] == 0 for _key, _comp, e, _c in p.terms)
         # terms stay sorted in the ring's own order, not the block order
-        lead = max((e for e, _c in p.terms), key=lambda e: R.order.term_key(0, e))
-        assert p.terms[0][0] == lead
+        lead = max((e for _key, _comp, e, _c in p.terms), key=lambda e: R.order.term_key(0, e))
+        assert p.terms[0][2] == lead
 
 
 def test_block_order_basis_stays_in_the_ring():

@@ -147,7 +147,7 @@ def test_polynomial_arithmetic():
     assert (x + 1) * (x - 1) == x * x - 1
     third = R.constant(Fraction(1, 3))
     assert third * x * 3 == x
-    assert [sum(e) for e, _c in (x * y + 1).terms] == [2, 0]
+    assert [sum(e) for _key, _comp, e, _c in (x * y + 1).terms] == [2, 0]
     assert R.zero().terms == ()
 
 
@@ -178,7 +178,7 @@ def test_terms_stay_sorted_and_canonical():
     R = make_ring("xy")
     x, y = R.variable(0), R.variable(1)
     p = y**2 + x * y + x**2
-    keys = [R.order.ring_key(e) for e, _ in p.terms]
+    keys = [R.order.ring_key(e) for _key, _comp, e, _c in p.terms]
     assert keys == sorted(keys, reverse=True)
     q = x**2 + x * y + y**2
     assert p == q and hash(p) == hash(q)
@@ -206,7 +206,7 @@ def test_leading_term_of_vectors():
     R = make_ring("xy")
     x, y = R.variable(0), R.variable(1)
     v = FreeElement(R, (y, x**2))
-    terms = [(comp, e) for comp, p in enumerate(v.components) for e, _c in p.terms]
+    terms = [(comp, e) for _key, comp, e, _c in v.terms]
 
     def lead(order):
         return max(terms, key=lambda t: order.term_key(*t))

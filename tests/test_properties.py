@@ -1,4 +1,4 @@
-"""Property tests of substitution, intersection and saturation on generated input.
+"""Property tests of the polynomial layer and the Groebner operations on generated input.
 
 The examples are drawn deterministically (derandomize, no example database),
 so every run checks the same inputs.
@@ -6,6 +6,7 @@ so every run checks the same inputs.
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import mul
 
 import pytest
@@ -14,12 +15,23 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from primarydec.groebner import intersect, is_sub, saturate  # noqa: E402
+from primarydec.cli import parse_polynomial  # noqa: E402
+from primarydec.groebner import (  # noqa: E402
+    buchberger,
+    canonical,
+    intersect,
+    is_sub,
+    lift,
+    saturate,
+    syzygies,
+)
 from primarydec.polyring import (  # noqa: E402
     FreeElement,
+    MonomialOrder,
     RingContext,
     Submodule,
     ideal,
+    render_polynomial,
     substitute,
 )
 
@@ -76,8 +88,8 @@ def _expand_term_by_term(p, images):
     """Reference substitution: each term's powers computed afresh, summed one by one."""
     ring = p.ring
     result = ring.zero()
-    for exps, c in p.terms:
-        term = ring.constant(c)
+    for _key, _comp, exps, c in p.terms:
+        term = ring.constant(Fraction(c, p.den))
         for i, e in enumerate(exps):
             unit = tuple(1 if j == i else 0 for j in range(ring.n))
             term = term * images.get(i, ring.monomial(unit)) ** e
@@ -89,3 +101,61 @@ def _expand_term_by_term(p, images):
 @given(polys, st.dictionaries(st.sampled_from([0, 1]), polys, max_size=2))
 def test_substitute_matches_term_by_term_expansion(p, images):
     assert substitute(p, images) == _expand_term_by_term(p, images)
+
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+nonzero_fractions = fractions.filter(bool)
+rational_polys = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), fractions), max_size=4
+).map(lambda ts: sum((R.monomial(e, c) for e, c in ts), R.zero()))
+
+
+@PROPERTY
+@given(rational_polys)
+def test_render_then_parse_is_the_identity(p):
+    assert parse_polynomial(R, render_polynomial(p)) == p
+
+
+@PROPERTY
+@given(any_module, st.data())
+def test_canonical_ignores_generator_order_and_rational_scaling(A, data):
+    gens = A.generators
+    perm = data.draw(st.permutations(range(len(gens))))
+    scales = data.draw(st.lists(nonzero_fractions, min_size=len(gens), max_size=len(gens)))
+    B = Submodule(R, A.ambient_rank, [gens[i].scale(c) for i, c in zip(perm, scales)])
+    assert canonical(B) == canonical(A)
+
+
+@PROPERTY
+@given(any_module, st.data())
+def test_lift_solves_for_combinations_of_the_generators(A, data):
+    g = len(A.generators)
+    coeffs = st.lists(entries, min_size=g, max_size=g).map(lambda cs: FreeElement(R, cs))
+    C = Submodule(R, g, data.draw(st.lists(coeffs, min_size=1, max_size=2)))
+    B = A.mul(C)
+    assert A.mul(lift(A, B)) == B
+
+
+def _assert_stored_canonically(v):
+    assert v.den > 0
+    assert gcd(v.den, *(c for _k, _comp, _e, c in v.terms)) == 1
+    keys = [k for k, _comp, _e, _c in v.terms]
+    assert keys == sorted(set(keys), reverse=True)
+    for k, comp, e, c in v.terms:
+        assert type(c) is int and c != 0
+        assert k == v.ring.order.term_key(comp, e)
+
+
+BLOCK = MonomialOrder(kind="block", blocks=((1,),))
+
+
+@PROPERTY
+@given(any_module, rational_polys)
+def test_stored_terms_are_keyed_sorted_and_in_lowest_terms(A, p):
+    made = [p, p * p - p, -p]
+    for v in A.generators:
+        made += [v, v + v.scale(p), v - v.scale(Fraction(1, 3)), *v.components]
+    for M in (canonical(A), buchberger(A, BLOCK).module, syzygies(A), A.transpose()):
+        made += M.generators
+    for v in made:
+        _assert_stored_canonically(v)

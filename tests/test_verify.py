@@ -108,7 +108,7 @@ def test_minimal_prime_agreement_random():
             for g in P.generators:
                 p = g.components[0]
                 assert len(p.terms) == 1
-                exps = p.terms[0][0]
+                exps = p.terms[0][2]
                 assert sum(exps) == 1
                 idx.append(exps.index(1))
             got.append(tuple(sorted(idx)))

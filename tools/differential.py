@@ -2,12 +2,13 @@
 
 Writes N seeded random scripts (ideals and rank-2 or rank-3 modules in two or
 three variables, each entry a product of linear, quadratic and monomial
-factors), runs `python3 -m primarydec run --json` on each with
-PYTHONPATH=<tree>/src for both trees, two processes at a time, and prints per
-script the exit codes and a status: `same`, `differs` or `timeout` (with the
-side that timed out).  Output means exit code and stdout; the wording of an
-error on stderr may differ.  Exits 1 when some script finishes on both sides
-with different output.
+factors, some with rational coefficients such as 1/2 and -2/3), runs
+`python3 -m primarydec run --json` on each with PYTHONPATH=<tree>/src for both
+trees, two processes at a time, and prints per script the exit codes and a
+status: `same`, `differs` or `timeout` (with the side that timed out).
+Output means exit code and stdout; the wording of an error on stderr may
+differ.  Exits 1 when some script finishes on both sides with different
+output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
         [--timeout 20]
@@ -27,12 +28,14 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 VARIABLES = ("x", "y", "z")
+HALF, MINUS_TWO_THIRDS = Fraction(1, 2), Fraction(-2, 3)
 
 
-def _term(coeff: int, mono: str, first: bool) -> str:
+def _term(coeff: int | Fraction, mono: str, first: bool) -> str:
     sign = "-" if coeff < 0 else ("" if first else "+")
     mag = abs(coeff)
     body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
@@ -41,8 +44,8 @@ def _term(coeff: int, mono: str, first: bool) -> str:
 
 def _linear(rng: random.Random, names) -> str:
     picked = rng.sample(names, rng.randint(1, min(2, len(names))))
-    terms = [(rng.choice((1, 1, -1, 2, -2, 3)), v) for v in picked]
-    const = rng.choice((0, 0, 1, -1, 2, -2, 3))
+    terms = [(rng.choice((1, 1, -1, 2, -2, 3, HALF)), v) for v in picked]
+    const = rng.choice((0, 0, 1, -1, 2, -2, 3, MINUS_TWO_THIRDS))
     if const:
         terms.append((const, ""))
     return "(" + "".join(_term(c, m, i == 0) for i, (c, m) in enumerate(terms)) + ")"
@@ -51,7 +54,8 @@ def _linear(rng: random.Random, names) -> str:
 def _quadratic(rng: random.Random, names) -> str:
     a = rng.choice(names)
     lead = f"{a}^2" if rng.random() < 0.6 else f"{a}*{rng.choice(names)}"
-    return "(" + lead + _term(rng.choice((1, -1, 2, -2, -3, 5)), "", False) + ")"
+    const = rng.choice((1, -1, 2, -2, -3, 5, HALF, MINUS_TWO_THIRDS))
+    return "(" + lead + _term(const, "", False) + ")"
 
 
 def _monomial(rng: random.Random, names) -> str:
