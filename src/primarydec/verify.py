@@ -4,7 +4,10 @@ The monomial oracle decomposes monomial ideals by purely combinatorial
 splitting, with no Groebner machinery, so it can confirm hulls and minimal
 primes computed by the main pipeline.  The membership oracle solves a dense
 linear system over the rationals for the same reason.  The validator checks
-the defining properties of a primary decomposition directly.
+the defining properties of a primary decomposition directly.  It tests each
+component for primality by contraction over Q(u), u an independent set of
+the claimed prime (Gianni-Trager-Zacharias): saturations and Groebner bases,
+never an Ext module, so it does not reuse the path that found the primes.
 """
 
 from __future__ import annotations
@@ -13,21 +16,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .decompose import codim_associated_primes, min_ass
+from .decompose import min_ass
 from .groebner import (
+    annihilator,
     buchberger,
     canonical,
-    codim,
+    independent_sets,
     intersect,
+    is_member,
+    is_sub,
     is_unit_ideal,
     module_equal,
+    saturate,
 )
-from .homology import ass_prim_codim
 from .polyring import (
+    DEGREVLEX,
     Monomial,
+    MonomialOrder,
+    Polynomial,
     RingContext,
     Submodule,
+    from_terms,
     ideal,
+    ideal_generators,
+    rekey,
 )
 
 
@@ -257,16 +269,71 @@ class ValidationReport:
         }
 
 
+def _lead_coefficient_product(Q: Submodule, D: tuple[int, ...]) -> Polynomial:
+    """The product of the distinct K[u]-lead coefficients of a basis of Q,
+    K = Q(u), u the variables outside D.
+
+    The basis is taken in position over term with the block x_D first, so
+    the lead of an element over K is its lead component with the D-part of
+    its lead; the coefficient is the sum of its terms there with that
+    D-part.  Term over position would compare the u-part before the
+    component, and the lead over K would not be well defined.  Written
+    apart from the engine's GTZ split, whose minimal primes it checks.
+    """
+    ring = Q.ring
+    # DEGREVLEX is position over term as well: with D empty, K is the whole
+    # fraction field and the lead over K is the lead component alone
+    order = MonomialOrder("block", blocks=(D,)) if D else DEGREVLEX
+    G = buchberger(Q, order)
+    coeffs: dict = {}
+    for (comp, lead), gen in zip(G.leading_terms(), G.generators):
+        dpart = [lead[i] for i in D]
+        items = [
+            (0, tuple(0 if i in D else e for i, e in enumerate(exps)), c)
+            for _k, cp, exps, c in gen.terms
+            if cp == comp and [exps[i] for i in D] == dpart
+        ]
+        terms = rekey(ring.order, items)
+        # over its lead coefficient, so equal coefficients compare equal
+        coeffs.setdefault(from_terms(ring, 1, terms, terms[0][3], Polynomial), None)
+    h = ring.one()
+    for f in coeffs:
+        h = h * f
+    return h
+
+
+def _in_radical(f: Polynomial, a: Submodule) -> bool:
+    """Whether f^k lies in a for some k: try f, f^2, f^4, then a : f^infinity."""
+    g = f
+    for _ in range(3):
+        if is_member(g, a):
+            return True
+        g = g * g
+    return is_unit_ideal(saturate(a, ideal(a.ring, [f])))
+
+
 def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
+    """Whether F/Q has P as its only associated prime, Q and P canonical.
+
+    A contraction certificate (Gianni-Trager-Zacharias; Becker-Weispfenning,
+    ch. 8) that needs no Ext module: P is prime; the radical of
+    a = ann(F/Q) is P, that is a lies in P and every generator of P in the
+    radical of a; and Q = Q : h^infinity for h the product of the K[u]-lead
+    coefficients of Q, u an independent set of P.  Then Q K[x_D]^s has
+    radical P K[x_D], a maximal ideal, so it is primary, and Q is its
+    contraction.  Conversely h lies outside a P-primary Q's one associated
+    prime, so h is a nonzerodivisor on F/Q.
+    """
     ring = Q.ring
     if min_ass(P, seed) != [canonical(P)]:
         return False
-    c = codim(P)
-    if codim(Q) != c:
+    a = Q if Q.ambient_rank == 1 else annihilator(Q)
+    if not is_sub(a, P) or not all(_in_radical(f, a) for f in ideal_generators(P)):
         return False
-    if codim_associated_primes(Q, c, seed) != [canonical(P)]:
-        return False
-    return all(is_unit_ideal(ass_prim_codim(Q, b)) for b in range(c + 1, ring.n + 1))
+    u = set(independent_sets(P)[0])
+    D = tuple(i for i in range(ring.n) if i not in u)
+    h = _lead_coefficient_product(Q, D)
+    return h.is_constant() or module_equal(saturate(Q, ideal(ring, [h])), Q)
 
 
 def _meet(A, B):
