@@ -14,15 +14,15 @@ ideal-power witnesses for the multiplicities.  The associated primes that
 localization needs are found once per module: the minimal primes of the
 annihilator for the unmixed hull, the codim-b minimal primes of each
 `ass_prim_codim(A, b)` for the input.  The isolated components intersect to
-the hull, so only embedded ones are intersected in.  Only embedded components
-are tested for redundancy: localizing at a minimal prime turns every other
-component into the whole module, so an isolated component is never redundant.
+the hull, so only the higher-codim ones are intersected in.  No component is
+redundant: were M the intersection of the components other than Q_j, F/M would
+embed in the sum of their quotients, whose associated primes exclude P_j, yet
+P_j is an associated prime of F/M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 from .groebner import (
@@ -33,7 +33,6 @@ from .groebner import (
     eliminate,
     independent_sets,
     intersect,
-    intersect_many,
     is_member,
     is_sub,
     is_unit_ideal,
@@ -342,16 +341,11 @@ def _min_ass_rec(I: Submodule, seed: int, left: list) -> tuple[Submodule, ...]:
     )
 
 
-@lru_cache(maxsize=4096)
-def _min_ass_cached(Ic: Submodule, seed: int) -> tuple[Submodule, ...]:
-    return _min_ass_rec(Ic, seed, [_SHEAR_BUDGET])
-
-
 def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
     """Minimal associated primes of an ideal, canonical and sorted."""
     if I.ambient_rank != 1:
         raise ValueError("minimal primes are computed for ideals")
-    return list(_min_ass_cached(canonical(I), seed))
+    return list(_min_ass_rec(canonical(I), seed, [_SHEAR_BUDGET]))
 
 
 # ---------------------------------------------------------------------------
@@ -461,35 +455,11 @@ def primary_component(
     )
 
 
-def _drop_redundant(pieces: list, Mc: Submodule) -> list:
-    """Greedily drop redundant pieces; return (piece, codim, embedded) triples.
-
-    A piece is embedded when the prime of another piece, of strictly lower
-    codim, lies inside its prime.  Only embedded pieces are tested for
-    redundancy (see the module docstring).  The flags hold for the kept pieces
-    too: each embedded prime contains an isolated one, and isolated pieces are
-    never dropped.
-    """
-    primes = [(P, codim(P)) for _Q, P, _m, _t in pieces]
-    kept = [
-        (piece, h, any(hq < h and is_sub(Q, P) for Q, hq in primes))
-        for piece, (P, h) in zip(pieces, primes)
-    ]
-    idx = 0
-    while idx < len(kept):
-        if kept[idx][2]:
-            rest = [k[0][0] for j, k in enumerate(kept) if j != idx]
-            if module_equal(intersect_many(rest), Mc):
-                kept.pop(idx)
-                continue
-        idx += 1
-    return kept
-
-
 def primary_decomposition(
     M: Submodule, bound: int = 50, seed: int = 0
 ) -> DecompositionResult:
-    """Irredundant primary decomposition of a proper submodule."""
+    """Irredundant primary decomposition of a proper submodule: one component
+    per associated prime (see the module docstring)."""
     Mc = canonical(M)
     if buchberger(Mc).is_full():
         return DecompositionResult(())
@@ -499,39 +469,30 @@ def primary_decomposition(
     hull_primes = min_ass(annihilator(N1), seed)
     if not hull_primes:
         raise DecompositionError("no minimal primes found for a proper module")
-    # the isolated components of the unmixed N1 intersect to N1 itself
-    pieces: list[tuple[Submodule, Submodule, int, tuple]] = []
+    # the codim-c associated primes of Mc, c = codim(Mc), are the hull's, and
+    # its isolated components intersect to N1 itself
+    c = codim(Mc)
+    comps = []
     for P in hull_primes:
         Q, m, trace = primary_component(N1, P, bound, seed, primes=hull_primes)
-        pieces.append((Q, P, m, trace))
-    N = N1
-    if not module_equal(N, Mc):
-        # the codim-c associated primes of Mc, c = codim(Mc), are the hull's
-        c = codim(Mc)
-        embedded = [
-            P for b in range(c + 1, Mc.ring.n + 1) for P in codim_associated_primes(Mc, b, seed)
+        comps.append(Component(canonical(Q), P, c, False, m, trace))
+    if not module_equal(N1, Mc):
+        higher = [
+            (P, b)
+            for b in range(c + 1, Mc.ring.n + 1)
+            for P in codim_associated_primes(Mc, b, seed)
         ]
-        ass = hull_primes + embedded
-        for P in embedded:
+        ass = hull_primes + [P for P, _b in higher]
+        N = N1
+        for P, b in higher:
             Q, m, trace = primary_component(Mc, P, bound, seed, primes=ass)
-            pieces.append((Q, P, m, trace))
+            # embedded when P contains an associated prime of lower codim
+            embedded = any(C.codim < b and is_sub(C.prime, P) for C in comps)
+            comps.append(Component(canonical(Q), P, b, embedded, m, trace))
             N = intersect(N, Q)
-            if module_equal(N, Mc):
-                break
         if not module_equal(N, Mc):
             raise DecompositionError(
                 "computed components do not intersect back to the input"
             )
-    comps = [
-        Component(
-            module=canonical(Q),
-            prime=P,
-            codim=c,
-            embedded=emb,
-            witness_exponent=m,
-            hull_trace=trace,
-        )
-        for (Q, P, m, trace), c, emb in _drop_redundant(pieces, Mc)
-    ]
     comps.sort(key=lambda c: (c.codim, _render_key(c.prime)))
     return DecompositionResult(tuple(comps))

@@ -9,7 +9,6 @@ from primarydec.decompose import (
     DecompositionResult,
     _CertificationFailure,
     _associated_primes,
-    _drop_redundant,
     _minimalize,
     _minpoly_data,
     _vector_dim,
@@ -139,7 +138,6 @@ def test_min_ass_of_line_products_through_coordinate_shears(n, expected):
     # depend on y, so no linear form splits the ideal and min_ass falls back to
     # coordinate shears.  The primes are pinned, not the number of shears,
     # which a stronger certificate may bring to zero.
-    decompose._min_ass_cached.cache_clear()
     R = RingContext(("x", "y", "z")[:n], MonomialOrder(kind="degrevlex"))
     x, y = R.variable(0), R.variable(1)
     f = (x + y + 1) * (-x + 2 * y + 2)
@@ -149,7 +147,7 @@ def test_min_ass_of_line_products_through_coordinate_shears(n, expected):
 
 
 def _count_shears(monkeypatch) -> list:
-    """Record every _apply_shear call, and start min_ass cold."""
+    """Record every _apply_shear call."""
     calls = []
     real = decompose._apply_shear
 
@@ -158,7 +156,6 @@ def _count_shears(monkeypatch) -> list:
         return real(I, i, j, lam)
 
     monkeypatch.setattr(decompose, "_apply_shear", record)
-    decompose._min_ass_cached.cache_clear()
     return calls
 
 
@@ -196,13 +193,12 @@ def test_line_product_answers_at_every_seed(monkeypatch, seed, shears):
 
 
 def _no_shears(monkeypatch):
-    """Make any coordinate shear fail the test, and start min_ass cold."""
+    """Make any coordinate shear fail the test."""
 
     def refuse(*args):
         raise AssertionError(f"coordinate shear {args[1:]}")
 
     monkeypatch.setattr(decompose, "_apply_shear", refuse)
-    decompose._min_ass_cached.cache_clear()
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -392,25 +388,17 @@ def test_primary_decomposition_embedded_example():
     assert module_equal(inter, I)
 
 
-def test_drop_redundant_drops_only_the_redundant_embedded_piece():
+def test_embedded_flag_marks_only_primes_over_a_lower_associated_prime():
     R = ring3()
     x, y, z = (R.variable(i) for i in range(3))
-    M = canonical(ideal(R, [x * x, x * y]))
-    pieces = [
-        (ideal(R, [x]), canonical(ideal(R, [x])), 1, ()),
-        (ideal(R, [x * x, y]), canonical(ideal(R, [x, y])), 1, ()),
-        (ideal(R, [x * x, y, z]), canonical(ideal(R, [x, y, z])), 1, ()),
-    ]
-    kept = _drop_redundant(pieces, M)
-    assert [piece for piece, _c, _e in kept] == pieces[:2]
-    assert [(c, emb) for _p, c, emb in kept] == [(1, False), (2, True)]
-    # a higher prime that contains no lower one is isolated
-    pieces = [
-        (ideal(R, [x]), canonical(ideal(R, [x])), 1, ()),
-        (ideal(R, [y, z]), canonical(ideal(R, [y, z])), 1, ()),
-    ]
-    kept = _drop_redundant(pieces, canonical(ideal(R, [x * y, x * z])))
-    assert [(c, emb) for _p, c, emb in kept] == [(1, False), (2, False)]
+
+    def flags(I):
+        res = primary_decomposition(ideal(R, I))
+        return [(itext(c.prime), c.codim, c.embedded) for c in res.components]
+
+    assert flags([x * x, x * y]) == [(["x"], 1, False), (["y", "x"], 2, True)]
+    # a higher-codim prime that contains no lower one is isolated
+    assert flags([x * y, x * z]) == [(["x"], 1, False), (["z", "y"], 2, False)]
 
 
 def test_points_make_no_redundancy_intersections(monkeypatch):
@@ -422,7 +410,8 @@ def test_points_make_no_redundancy_intersections(monkeypatch):
         calls.append(modules)
         return intersect_many(modules)
 
-    monkeypatch.setattr(decompose, "intersect_many", counting_intersect_many)
+    # decompose does not import intersect_many; the patch catches any use
+    monkeypatch.setattr(decompose, "intersect_many", counting_intersect_many, raising=False)
     pairs = []
 
     def counting_intersect(A, B):
@@ -437,6 +426,15 @@ def test_points_make_no_redundancy_intersections(monkeypatch):
     # one witness check per component; the isolated components of the hull
     # are not intersected again
     assert len(pairs) == 8
+    # with higher-codim primes: one call per witness exponent tried, and one
+    # to intersect each higher-codim component in, none to test redundancy
+    pairs.clear()
+    embedded_mix = ideal(R, [z * z * (x - 1) ** 2, x * y * (y - 1), x**3 * z - z])
+    res = primary_decomposition(embedded_mix)
+    higher = [c for c in res.components if c.codim > codim(embedded_mix)]
+    assert higher
+    assert calls == []
+    assert len(pairs) == sum(len(c.hull_trace) for c in res.components) + len(higher)
 
 
 def test_associated_primes_are_found_once_per_module(monkeypatch):

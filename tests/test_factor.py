@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from primarydec.unifactor import is_irreducible, univariate_factor
 
 F = Fraction
@@ -122,3 +124,24 @@ def test_degree_stress_irreducible():
     assert total == 8
     prod = expand(got)
     assert prod == [F(c) for c in f]
+
+
+def test_random_products_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(41)
+    for _ in range(150):
+        f = [F(rng.randint(-5, 5) or 1, rng.randint(1, 7))]
+        for _k in range(rng.randint(1, 4)):
+            g = [F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
+            g.append(F(rng.choice((-3, -2, -1, 1, 2, 3))))
+            for _ in range(rng.choice((1, 1, 2))):
+                f = poly_mul(f, g)
+        got = sorted(univariate_factor(f))
+        rationals = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f)]
+        _content, pairs = sympy.Poly(rationals, t, domain="QQ").factor_list()
+        expected = sorted(
+            (tuple(F(int(c.p), int(c.q)) for c in reversed(p.monic().all_coeffs())), m)
+            for p, m in pairs
+        )
+        assert got == expected, f

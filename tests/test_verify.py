@@ -115,6 +115,46 @@ def test_minimal_prime_agreement_random():
         assert sorted(got) == expected, str(gens_text(I))
 
 
+def test_monomial_module_decomposition_agrees_with_the_row_oracle():
+    # For M = I_1 e_1 + ... + I_s e_s with monomial ideals I_j, Ass(F/M) is
+    # the union of the Ass(R/I_j), and the component of M at an isolated prime
+    # P is, row by row, I_j's component at P, or the whole row when P is not
+    # a prime of I_j (the paper's theorem on monomial modules).
+    rng = random.Random(11)
+    R = ring_xyz()
+
+    def direct_sum(gens_by_row):
+        s = len(gens_by_row)
+        return Submodule(R, s, [
+            FreeElement(R, tuple(p if k == j else R.zero() for k in range(s)))
+            for j, gens in enumerate(gens_by_row)
+            for p in gens
+        ])
+
+    for _ in range(12):
+        rows = [
+            random_monomial_ideal(R, rng, max_gens=3, max_deg=3)
+            for _ in range(rng.randint(2, 3))
+        ]
+        M = direct_sum([[g.components[0] for g in I.generators] for I in rows])
+        oracles = [dict(monomial_primdec_oracle(I)) for I in rows]
+        union = {p for oracle in oracles for p in oracle}
+        res = primary_decomposition(M)
+        got = {canonical(c.prime): c for c in res.components}
+        prime_of = {p: canonical(ideal(R, [R.variable(i) for i in p])) for p in union}
+        assert len(res.components) == len(union)
+        assert set(got) == set(prime_of.values())
+        for p, P in prime_of.items():
+            isolated = not any(set(q) < set(p) for q in union)
+            assert got[P].embedded is not isolated
+            if isolated:
+                expected = direct_sum([
+                    [R.monomial(m) for m in oracle.get(p, [(0, 0, 0)])] for oracle in oracles
+                ])
+                assert module_equal(got[P].module, expected)
+        assert validate_decomposition(M, res.components).ok
+
+
 def test_membership_oracle_positive():
     R = ring_xy()
     x, y = R.variable(0), R.variable(1)
