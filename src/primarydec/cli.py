@@ -506,7 +506,10 @@ def _execute_command(cmd: Command, bound: int, seed: int, base_dir: Path) -> dic
             "primes": [_rendered_generators(P) for P in primes],
         }
     if cmd.verb == "localize":
-        L = localize_module(M, cmd.extra_module, seed)
+        J = cmd.extra_module
+        if min_ass(J, seed) != [canonical(J)]:
+            raise ScriptError("localize expects a prime ideal as second argument")
+        L = localize_module(M, J, seed)
         return {
             "command": "localize",
             "input": cmd.shown_input,

@@ -5,7 +5,8 @@ controlled by Ext^c(M', R): the minimal primes of codimension c of its
 annihilator are the associated primes of codimension c, and the kernel of the
 canonical map from M' into the double Ext at c = codim(M') is exactly the
 intersection of the primary components of minimal codimension, pulled back
-to F.
+to F.  Neither depends on the free resolution used (Eisenbud-Huneke-
+Vasconcelos), so resolutions here are the plain syzygy chain, not minimal.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from .groebner import (
     reduce_columns,
     syzygies,
 )
-from .polyring import (
-    FreeElement,
-    Polynomial,
-    RingContext,
-    Submodule,
-    ideal,
-)
+from .polyring import Submodule, ideal
 
 
 class HomologyError(ValueError):
@@ -39,83 +34,19 @@ class HomologyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _to_grid(m: Submodule) -> list[list[Polynomial]]:
-    cols = [g.components for g in m.generators]
-    return [[col[i] for col in cols] for i in range(m.ambient_rank)]
-
-
-def _from_grid(ring: RingContext, grid: list[list[Polynomial]], nrows: int) -> Submodule:
-    ncols = len(grid[0]) if grid else 0
-    cols = [
-        FreeElement(ring, tuple(grid[i][j] for i in range(nrows)))
-        for j in range(ncols)
-    ]
-    return Submodule(ring, nrows, cols)
-
-
-def _find_constant(grid) -> tuple[int, int] | None:
-    for i, row in enumerate(grid):
-        for j, p in enumerate(row):
-            if not p.is_zero() and p.is_constant():
-                return i, j
-    return None
-
-
-def _eliminate(grids, k, i0, j0):
-    """Split off the unit entry c = P[i0][j0] of P = grids[k].
-
-    Only the Schur complement P[i][j] - P[i][j0] * P[i0][j] / c is computed.
-    The row and column operations that clear row i0 and column j0, and the
-    matching updates of column i0 of grids[k-1] and row j0 of grids[k+1],
-    change nothing else, and all of those entries are dropped here.
-    """
-    P = grids[k]
-    inv = 1 / P[i0][j0].constant_value()
-    lams = [(j, p * inv) for j, p in enumerate(P[i0]) if j != j0 and not p.is_zero()]
-    for i, row in enumerate(P):
-        if i != i0 and not row[j0].is_zero():
-            for j, lam in lams:
-                row[j] = row[j] - lam * row[j0]
-    del P[i0]
-    for grid, col in ((P, j0), (grids[k - 1], i0)):
-        for row in grid:
-            del row[col]
-    if k + 1 < len(grids) and grids[k + 1]:
-        del grids[k + 1][j0]
-
-
-def _prune(grids) -> None:
-    while True:
-        for k in range(1, len(grids)):
-            spot = _find_constant(grids[k])
-            if spot is not None:
-                _eliminate(grids, k, *spot)
-                break
-        else:
-            return
-
-
 def free_resolution(M: Submodule, length: int) -> list[Submodule]:
     """Maps F_{k+1} -> F_k as matrices (generators are the columns).
 
-    maps[0] presents M inside F.
+    maps[0] = canonical(M) presents M inside F and maps[k + 1] =
+    syzygies(maps[k]).  This is the plain syzygy chain, not a minimal
+    resolution: Ext modules and the hull do not depend on the choice.
     """
     if length < 1:
         raise ValueError("resolution length must be positive")
-    first = canonical(M)
-    ring = first.ring
-    maps = [first]
+    maps = [canonical(M)]
     for _k in range(1, length):
         maps.append(syzygies(maps[-1]))
-    grids = [_to_grid(m) for m in maps]
-    _prune(grids)
-    out = []
-    nrows = first.ambient_rank
-    for g in grids:
-        m = _from_grid(ring, g, len(g)) if g else Submodule(ring, nrows, [])
-        out.append(m)
-        nrows = len(m.generators)
-    return out
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +75,8 @@ def ext_module(c: int, M: Submodule) -> Submodule:
     t, K = _ext_cycles(c, M)
     if K.generators:
         pres = modulo_kernel(K, t[c - 1]) if c >= 1 else syzygies(K)
-        grid = _to_grid(pres)
-        _prune([[], grid])  # empty neighbour slot, skipped by _eliminate
-        if grid:
-            pruned = _from_grid(ring, grid, len(grid))
-            if not buchberger(pruned).is_full():
-                return canonical(annihilator(pruned))
+        if not buchberger(pres).is_full():
+            return canonical(annihilator(pres))
     return canonical(ideal(ring, [ring.one()]))
 
 

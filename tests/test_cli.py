@@ -140,6 +140,35 @@ def test_run_script_hull_minass_localize():
     }
 
 
+@pytest.mark.parametrize("prime", ["x*y", "1"])
+def test_localize_rejects_a_non_prime_ideal(tmp_path, capsys, prime):
+    f = tmp_path / "job.primdec"
+    f.write_text(
+        f"ring r=0,(x,y),dp; ideal I=x^2,x*y; ideal J={prime}; localize I, J;\n"
+    )
+    assert main(["run", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "localize expects a prime ideal as second argument" in captured.err
+
+
+def test_localize_at_the_zero_prime():
+    # no associated prime of (x^2, xy) lies inside (0)
+    script = parse_script(
+        "ring r=0,(x,y),dp; ideal I=x^2,x*y; ideal Z=0; localize I, Z;"
+    )
+    assert run_script(script)[0]["generators"] == ["1"]
+
+
+def test_localize_at_a_prime_is_unchanged():
+    repo = Path(__file__).resolve().parents[1]
+    axes = repo / "tests" / "fixtures" / "axes_localize.primdec"
+    expected = json.loads(axes.with_suffix(".expected.json").read_text())
+    assert run_script(parse_script(axes.read_text())) == expected
+    batch = run_script(parse_script((repo / "demos" / "batch.primdec").read_text()))
+    assert batch[-1] == {"command": "localize", "input": "J, P", "generators": ["x"]}
+
+
 def test_run_script_module_binding():
     script = parse_script(
         "ring r=0,(x,y),dp; module m = [x,0],[0,y]; primdec m;"

@@ -3,8 +3,10 @@
 `perfbench/tracer.py` wraps every function in its `LAYERS` table and fails a
 traced run when one is missing; `perfbench/case.py` calls `parse_script`,
 `run_script`, `primary_decomposition` and `min_ass` with fixed keywords and
-filters script statements by `cli.Command`.  These tests fail when a change to
-the library would break either, instead of the benchmark failing later.
+filters script statements by `cli.Command`; `perfbench/run.py` fails a traced
+run when a function in its `EXERCISED` table records no call on its workload.
+These tests fail when a change to the library would break any of them,
+instead of the benchmark failing later.
 """
 
 import importlib
@@ -12,8 +14,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import primarydec
-from primarydec import cli
+from primarydec import cli, groebner
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,3 +71,35 @@ def test_script_statements_are_commands():
     assert len(commands) == 1
     assert commands[0].verb == "minass"
     assert commands[0].module.ambient_rank == 1
+
+
+@pytest.mark.parametrize("workload", ["cli", "points", "minass"])
+def test_traced_workload_calls_every_exercised_function(monkeypatch, workload):
+    # run.py fails a traced run when a function in EXERCISED records no call;
+    # the cases run in this process, each called the way case.py calls it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    corpus = importlib.import_module("corpus")
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        for case in corpus.cases(workload, 0):
+            groebner._gb_cached.cache_clear()
+            if case.fixture:
+                path = PERFBENCH.parent / case.fixture
+                source, base_dir = path.read_text(), path.parent
+            else:
+                source, base_dir = case.script, PERFBENCH.parent
+            script = cli.parse_script(source)
+            module = next(s for s in script.statements if isinstance(s, cli.Command)).module
+            if case.mode == "cli":
+                cli.render_json(cli.run_script(script, bound=50, seed=0, base_dir=base_dir))
+            elif case.mode == "primdec":
+                primarydec.primary_decomposition(module, bound=50, seed=0)
+            else:
+                assert case.mode == "minass"
+                primarydec.min_ass(module, seed=0)
+    finally:
+        tracer.uninstall()
+    silent = [name for name in run.EXERCISED[workload] if not tracer.calls[name]]
+    assert not silent, f"no calls recorded on {workload} for: {', '.join(silent)}"

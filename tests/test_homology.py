@@ -1,9 +1,7 @@
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
-from primarydec import homology
 from primarydec.cli import Command, parse_polynomial, parse_script
 from primarydec.groebner import (
     canonical,
@@ -275,43 +273,6 @@ def test_hull_matches_fixture_components(name):
         assert module_equal(equidim_hull(M), intersect_many(top))
 
 
-def _reference_eliminate(grids, k, i0, j0):
-    # the row-and-column elimination that _eliminate replaced: it also clears
-    # row i0 and column j0 of P and updates the neighbouring maps
-    P = grids[k]
-    c = P[i0][j0].constant_value()
-    ncols = len(P[0])
-    nrows = len(P)
-    for j in range(ncols):
-        if j == j0 or P[i0][j].is_zero():
-            continue
-        lam = P[i0][j] * (Fraction(1) / c)
-        for i in range(nrows):
-            P[i][j] = P[i][j] - lam * P[i][j0]
-        if k + 1 < len(grids) and grids[k + 1]:
-            nxt = grids[k + 1]
-            for l in range(len(nxt[0])):
-                nxt[j0][l] = nxt[j0][l] + lam * nxt[j][l]
-    for i in range(nrows):
-        if i == i0 or P[i][j0].is_zero():
-            continue
-        mu = P[i][j0] * (Fraction(1) / c)
-        for j in range(ncols):
-            P[i][j] = P[i][j] - mu * P[i0][j]
-        prev = grids[k - 1]
-        if prev:
-            for r in range(len(prev)):
-                prev[r][i0] = prev[r][i0] + mu * prev[r][i]
-    del P[i0]
-    for row in P:
-        del row[j0]
-    if grids[k - 1]:
-        for row in grids[k - 1]:
-            del row[i0]
-    if k + 1 < len(grids) and grids[k + 1]:
-        del grids[k + 1][j0]
-
-
 PRUNE_INPUTS = {
     "binomial_cone": "x*y^2 - x*z, x^2*z - y*z, x*y*z",
     "unit_product": "x^2*y - z^2, y^3 - x*z, x*y*z - 1",
@@ -333,36 +294,32 @@ def _prune_inputs() -> list[Submodule]:
     return list(dict.fromkeys(canonical(m) for m in mods))
 
 
-def test_schur_pruning_matches_row_and_column_elimination(monkeypatch):
-    fired = []
-    real = homology._eliminate
-
-    def counted(grids, k, i0, j0):
-        fired.append(k)
-        real(grids, k, i0, j0)
-
-    mods = _prune_inputs()
-    assert len(mods) >= 9
-    for M in mods:
-        maps = [M]
-        for _k in range(M.ring.n + 1):
-            maps.append(syzygies(maps[-1]))
-        grids = [homology._to_grid(m) for m in maps]
-        reference = [[list(row) for row in g] for g in grids]
-        monkeypatch.setattr(homology, "_eliminate", counted)
-        homology._prune(grids)
-        monkeypatch.setattr(homology, "_eliminate", _reference_eliminate)
-        homology._prune(reference)
-        assert grids == reference
-        for k in range(1, len(grids)):
-            assert homology._find_constant(grids[k]) is None
+def test_resolution_is_the_plain_syzygy_chain():
+    for M in _prune_inputs():
+        n = M.ring.n
+        maps = free_resolution(M, n + 1)
+        assert len(maps) == n + 1
+        assert maps[0] == canonical(M)
+        for k in range(n):
+            assert maps[k + 1] == syzygies(maps[k])
             # consecutive maps compose to zero
-            A, B = grids[k - 1], grids[k]
-            if A and B and B[0]:
-                for row in A:
-                    for j in range(len(B[0])):
-                        total = M.ring.zero()
-                        for a, b_row in zip(row, B):
-                            total = total + a * b_row[j]
-                        assert total.is_zero()
-    assert fired
+            if maps[k].generators and maps[k + 1].generators:
+                assert maps[k].mul(maps[k + 1]).is_zero()
+
+
+def _rendered(A: Submodule) -> list[list[str]]:
+    return [[render_polynomial(p) for p in g.components] for g in A.generators]
+
+
+def test_ext_and_hull_match_pins():
+    # ext_module(c, M) for c = 0..n and equidim_hull(M), rendered, pinned from
+    # pruned (minimal) resolutions: the plain syzygy chain must give the same
+    pins = json.loads((FIXTURES / "ext_pins.json").read_text())
+    mods = _prune_inputs()
+    assert len(mods) == len(pins) == 10
+    for M, pin in zip(mods, pins):
+        assert list(M.ring.variables) == pin["variables"]
+        assert _rendered(M) == pin["module"]
+        ext = [_rendered(ext_module(c, M)) for c in range(M.ring.n + 1)]
+        assert ext == pin["ext"]
+        assert _rendered(equidim_hull(M)) == pin["hull"]
