@@ -9,15 +9,16 @@ irreducible of degree equal to the dimension of the quotient, which certifies
 the ideal prime; coordinate shears, at most `_SHEAR_BUDGET` per `min_ass`
 call, are a fallback for what no form settles.
 The module-level decomposition peels one primary component per associated
-prime, using twice-iterated Ext kernels for the equidimensional parts and
-ideal-power witnesses for the multiplicities.  The associated primes that
-localization needs are found once per module: the minimal primes of the
-annihilator for the unmixed hull, the codim-b minimal primes of each
-`ass_prim_codim(A, b)` for the input.  The isolated components intersect to
-the hull, so only the higher-codim ones are intersected in.  No component is
-redundant: were M the intersection of the components other than Q_j, F/M would
-embed in the sum of their quotients, whose associated primes exclude P_j, yet
-P_j is an associated prime of F/M.
+prime, using twice-iterated Ext kernels for the equidimensional parts (none
+when the Groebner basis shows the module unmixed: zero dimensional, or an
+ideal of height c with c generators) and ideal-power witnesses for the
+multiplicities.  The associated primes that localization needs are found
+once per module: the minimal primes of the annihilator for the unmixed hull,
+the codim-b minimal primes of each `ass_prim_codim(A, b)` for the input.
+The isolated components intersect to the hull, so only the higher-codim ones
+are intersected in.  No component is redundant: were M the intersection of
+the components other than Q_j, F/M would embed in the sum of their quotients,
+whose associated primes exclude P_j, yet P_j is an associated prime of F/M.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ canonical map from M' into the double Ext at c = codim(M') is exactly the
 intersection of the primary components of minimal codimension, pulled back
 to F.  Neither depends on the free resolution used (Eisenbud-Huneke-
 Vasconcelos), so resolutions here are the plain syzygy chain, not minimal.
+The hull needs no Ext module when F/M is zero dimensional or M is an ideal of
+height c with c generators in its reduced Groebner basis: F/M is unmixed then,
+and M is its own hull.
 """
 
 from __future__ import annotations
@@ -86,12 +89,21 @@ def ext_module(c: int, M: Submodule) -> Submodule:
 
 
 def canon_map(M: Submodule) -> Submodule:
-    """Preimage in F of the kernel of F/M -> Ext^c(Ext^c(F/M, R), R), c = codim."""
+    """Preimage in F of the kernel of F/M -> Ext^c(Ext^c(F/M, R), R), c = codim.
+
+    When F/M is zero dimensional, or M is an ideal of height c with a
+    c-element basis, this is the reduced Groebner basis of M, and no Ext is
+    computed.
+    """
     ring = M.ring
     G = buchberger(M)
     if G.is_full():
         raise HomologyError("module equals its ambient free module")
     c = ring.n - krull_dim(G)
+    # Zero-dimensional F/M has only maximal, hence minimal, associated primes; a
+    # height-c ideal with c generators is unmixed (Macaulay).  Either way M is its hull.
+    if c == ring.n or (M.ambient_rank == 1 and len(G.generators) == c):
+        return G.module
     t, K = _ext_cycles(c, G.module)
     if not K.generators:
         raise HomologyError("vanishing Ext at the codimension of the module")

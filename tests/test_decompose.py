@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from primarydec import decompose
@@ -621,3 +625,40 @@ def test_random_monomial_decompositions_intersect_back():
         assert module_equal(inter, I)
         primes = [tuple(itext(c.prime)) for c in res.components]
         assert len(primes) == len(set(primes))
+
+
+S008 = """ring r = 0, (x, y, z), dp;
+ideal I = (x^2 - 1)*(x^2 - 2), x*y*(z^2 + 5)*(2*z + x - 1), (x*z - 2)*(y*x + 5)*(x);
+primdec I;
+"""
+
+
+def test_zero_dimensional_ideal_s008_answers_without_ext(tmp_path):
+    # it hung resolving the input itself for the hull; being zero dimensional
+    # it is its own hull.  The timeout makes a regression fail, not hang.
+    script = tmp_path / "s008.primdec"
+    script.write_text(S008)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PRIMDEC_SEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "primarydec", "run", str(script), "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (entry,) = json.loads(proc.stdout)
+    assert entry["validation"]["ok"] is True
+    assert [c["prime"] for c in entry["components"]] == [
+        ["x + 2/5*y", "z^2 + 5", "y^2 - 25/2"],
+        ["y", "x - z", "z^2 - 2"],
+        ["y + 5", "x - 1", "z^2 + 5"],
+        ["y - 5", "x + 1", "z^2 + 5"],
+        ["y - 5*z + 5/2", "x + 2*z - 1", "z^2 - z - 1/4"],
+        ["z", "y + 5", "x - 1"],
+        ["z + 2", "y", "x + 1"],
+        ["z - 1", "y - 5", "x + 1"],
+        ["z - 2", "y", "x - 1"],
+    ]
+    assert {c["codim"] for c in entry["components"]} == {3}

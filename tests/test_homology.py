@@ -1,15 +1,21 @@
 import json
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
+from primarydec import homology
 from primarydec.cli import Command, parse_polynomial, parse_script
 from primarydec.groebner import (
+    buchberger,
     canonical,
     codim,
     intersect_many,
     is_sub,
     is_unit_ideal,
+    lift,
     module_equal,
+    modulo_kernel,
+    reduce_columns,
     syzygies,
 )
 from primarydec.homology import (
@@ -323,3 +329,109 @@ def test_ext_and_hull_match_pins():
         ext = [_rendered(ext_module(c, M)) for c in range(M.ring.n + 1)]
         assert ext == pin["ext"]
         assert _rendered(equidim_hull(M)) == pin["hull"]
+
+
+def _ext_path_hull(M: Submodule) -> Submodule:
+    """The hull as the kernel of F/M -> Ext^c(Ext^c(F/M, R), R), always."""
+    M = canonical(M)
+    c = codim(M)
+    t = [m.transpose() for m in free_resolution(M, c + 1)]
+    K = syzygies(t[c])
+    if c == 0:
+        return canonical(syzygies(K.transpose()))
+    K = reduce_columns(K, buchberger(t[c - 1]))
+    gmaps = free_resolution(modulo_kernel(K, t[c - 1]), c)
+    cur = K
+    for i in range(1, c + 1):
+        cur = lift(t[c - i], cur.mul(gmaps[i - 1]))
+    return canonical(modulo_kernel(cur.transpose(), gmaps[c - 1].transpose()))
+
+
+def _power_sum(A: Submodule, P: Submodule, m: int) -> Submodule:
+    """A + P^m for ideals A and P."""
+    R = A.ring
+    powers = []
+    for gens in combinations_with_replacement(P.generators, m):
+        f = R.one()
+        for g in gens:
+            f *= g.components[0]
+        powers.append(f)
+    return ideal(R, [g.components[0] for g in A.generators] + powers)
+
+
+def _random_zero_dim_rank2(rng: random.Random) -> Submodule:
+    """Every generator lies in (x, y)F, so F/M is not zero, and each basis
+    vector times a power of x and of y lies in M, so F/M has finite length."""
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    zero = R.zero()
+
+    def poly():
+        terms = [
+            rng.randint(-3, 3) * x ** rng.randint(0, 2) * y ** rng.randint(1, 2)
+            for _ in range(3)
+        ]
+        return sum(terms, zero)
+
+    gens = []
+    for i in range(2):
+        for var in (x, y):
+            f = var ** rng.randint(2, 3) + rng.randint(-2, 2) * var
+            gens.append(FreeElement(R, (f, zero) if i == 0 else (zero, f)))
+    gens.append(FreeElement(R, (poly(), poly())))
+    return Submodule(R, 2, gens)
+
+
+class _ExtCalled(Exception):
+    pass
+
+
+def _no_ext(monkeypatch):
+    def refuse(c, M):
+        raise _ExtCalled
+
+    monkeypatch.setattr(homology, "_ext_cycles", refuse)
+
+
+def test_hull_shortcut_agrees_with_the_ext_path(monkeypatch):
+    # zero-dimensional inputs and ideals of height c with c generators are
+    # their own hull, which canon_map returns without computing any Ext
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    cases = [
+        M
+        for M in _prune_inputs()
+        if codim(M) == M.ring.n
+        or (M.ambient_rank == 1 and len(M.generators) == codim(M))
+    ]
+    assert len(cases) == 4
+    embedded_mix = ideal(R, [z * z * (x - 1) ** 2, x * y * (y - 1), x**3 * z - z])
+    # its two embedded primes, the maximal ones, where the witness loop runs
+    maximal = [
+        ideal(R, [parse_polynomial(R, g) for g in gens])
+        for gens in (("z", "y", "x^2 + x + 1"), ("z", "y - 1", "x^2 + x + 1"))
+    ]
+    cases += [_power_sum(embedded_mix, P, m) for P in maximal for m in (1, 2, 3)]
+    rng = random.Random(18)
+    drawn = [_random_zero_dim_rank2(rng) for _ in range(6)]
+    assert all(codim(M) == 2 for M in drawn)
+    cases += drawn
+    expected = [_ext_path_hull(M) for M in cases]
+    _no_ext(monkeypatch)
+    for M, H in zip(cases, expected):
+        assert equidim_hull(M) == H
+
+
+def test_mixed_and_non_complete_intersection_ideals_take_the_ext_path(monkeypatch):
+    R2 = ring2()
+    x, y = R2.variable(0), R2.variable(1)
+    R4 = RingContext(("x", "y", "z", "w"), MonomialOrder(kind="degrevlex"))
+    a, b, c, d = (R4.variable(i) for i in range(4))
+    twisted_cubic = ideal(R4, [a * c - b * b, b * d - c * c, a * d - b * c])
+    mixed = ideal(R2, [x * x, x * y])
+    assert _rendered(_ext_path_hull(mixed)) == [["x"]]
+    assert _ext_path_hull(twisted_cubic) == canonical(twisted_cubic)
+    _no_ext(monkeypatch)
+    for M in (mixed, twisted_cubic):
+        with pytest.raises(_ExtCalled):
+            equidim_hull(M)
