@@ -579,19 +579,6 @@ def annihilator(A: Submodule) -> Submodule:
     return quotient(A, full_module(A.ring, A.ambient_rank))
 
 
-def quotient_by_ideal(A: Submodule, J: Submodule) -> Submodule:
-    """Submodule {v : J v inside A}."""
-    ring, s = A.ring, A.ambient_rank
-    steps = [
-        modulo_kernel(
-            Submodule(ring, s, [unit_vector(ring, s, i).scale(f) for i in range(s)]), A
-        )
-        for f in ideal_generators(J)
-        if not f.is_zero()
-    ]
-    return intersect_many(steps) if steps else full_module(ring, s)
-
-
 def saturate(A: Submodule, J: Submodule) -> Submodule:
     """A : J^infinity in canonical form, computed by elimination.
 

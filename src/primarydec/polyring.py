@@ -7,8 +7,8 @@ the value sum c * x^exps * e_comp / den.  Each c is a nonzero int,
 key = ring.order.term_key(comp, exps), and the terms are sorted by descending
 key: they are the terms the Groebner engine works on.  den > 0 and the gcd of
 den and every c is 1, so equal values have equal storage.  Rationals appear
-only at the boundary: constructors that take a rational, leading_coefficient,
-constant_value and render_polynomial.
+only at the boundary: constructors that take a rational, leading_coefficient
+and render_polynomial.
 """
 
 from __future__ import annotations
@@ -264,13 +264,6 @@ class FreeElement:
 
     def is_constant(self) -> bool:
         return not self.terms or not any(self.terms[0][2])
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.leading_coefficient()
 
     def leading_coefficient(self) -> Fraction:
         if not self.terms:

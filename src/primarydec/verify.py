@@ -1,20 +1,15 @@
-"""Independent checks for decompositions.
+"""An independent check of primary decompositions.
 
-The monomial oracle decomposes monomial ideals by purely combinatorial
-splitting, with no Groebner machinery, so it can confirm hulls and minimal
-primes computed by the main pipeline.  The membership oracle solves a dense
-linear system over the rationals for the same reason.  The validator checks
-the defining properties of a primary decomposition directly.  It tests each
-component for primality by contraction over Q(u), u an independent set of
-the claimed prime (Gianni-Trager-Zacharias): saturations and Groebner bases,
-never an Ext module, so it does not reuse the path that found the primes.
+The validator checks the defining properties of a primary decomposition
+directly.  It tests each component for primality by contraction over Q(u),
+u an independent set of the claimed prime (Gianni-Trager-Zacharias):
+saturations and Groebner bases, never an Ext module, so it does not reuse the
+path that found the primes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 from .decompose import min_ass
 from .groebner import (
@@ -31,214 +26,14 @@ from .groebner import (
 )
 from .polyring import (
     DEGREVLEX,
-    Monomial,
     MonomialOrder,
     Polynomial,
-    RingContext,
     Submodule,
     from_terms,
     ideal,
     ideal_generators,
     rekey,
 )
-
-
-# ---------------------------------------------------------------------------
-# monomial primary decomposition oracle
-# ---------------------------------------------------------------------------
-
-
-def _monomial_exps(I: Submodule) -> list[Monomial]:
-    if I.ambient_rank != 1:
-        raise ValueError("the monomial oracle works on ideals")
-    out = []
-    for g in I.generators:
-        p = g.components[0]
-        if p.is_zero():
-            continue
-        if len(p.terms) != 1:
-            raise ValueError("generators must be monomials")
-        out.append(p.terms[0][2])
-    return out
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _minimalize_monomials(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
-    uniq = sorted(set(gens))
-    kept = [
-        m for m in uniq if not any(o != m and _divides(o, m) for o in uniq)
-    ]
-    return tuple(kept)
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _intersect_monomial(A: Sequence[Monomial], B: Sequence[Monomial]):
-    return _minimalize_monomials([_lcm(a, b) for a in A for b in B])
-
-
-def _contains_monomial(A: Sequence[Monomial], B: Sequence[Monomial]) -> bool:
-    """Whether the ideal generated by A contains the one generated by B."""
-    return all(any(_divides(a, b) for a in A) for b in B)
-
-
-def _split_irreducible(gens: tuple[Monomial, ...]) -> list[tuple[Monomial, ...]]:
-    for g in gens:
-        support = [i for i, e in enumerate(g) if e]
-        if len(support) < 2:
-            continue
-        i = support[0]
-        rest = [m for m in gens if m != g]
-        p = tuple(e if pos == i else 0 for pos, e in enumerate(g))
-        q = tuple(0 if pos == i else e for pos, e in enumerate(g))
-        left = _minimalize_monomials(rest + [p])
-        right = _minimalize_monomials(rest + [q])
-        return _split_irreducible(left) + _split_irreducible(right)
-    return [gens]
-
-
-def monomial_primdec_oracle(I: Submodule):
-    """Primary decomposition of a monomial ideal by coprime-part splitting.
-
-    Returns a list of (prime variable indices, component generators) sorted
-    by codimension, with an irredundant component list.
-    """
-    gens = _minimalize_monomials(_monomial_exps(I))
-    if not gens:
-        return [((), ())]
-    if any(all(e == 0 for e in m) for m in gens):
-        return []
-    by_prime: dict[tuple[int, ...], tuple[Monomial, ...]] = {}
-    for irr in _split_irreducible(gens):
-        prime = tuple(sorted({i for m in irr for i, e in enumerate(m) if e}))
-        cur = by_prime.get(prime)
-        by_prime[prime] = irr if cur is None else _intersect_monomial(cur, irr)
-    comps = sorted(by_prime.items(), key=lambda t: (len(t[0]), t[0]))
-    idx = 0
-    while idx < len(comps) and len(comps) > 1:
-        rest = None
-        for j, (_p, ideal_j) in enumerate(comps):
-            if j == idx:
-                continue
-            rest = ideal_j if rest is None else _intersect_monomial(rest, ideal_j)
-        if _contains_monomial(comps[idx][1], rest):
-            comps.pop(idx)
-        else:
-            idx += 1
-    return comps
-
-
-def _monomial_ideal(ring: RingContext, gens: Sequence[Monomial]) -> Submodule:
-    return ideal(ring, [ring.monomial(m) for m in gens])
-
-
-def monomial_hull_oracle(I: Submodule) -> Submodule:
-    """Intersection of the maximal-dimension components of a monomial ideal."""
-    comps = monomial_primdec_oracle(I)
-    if not comps:
-        return canonical(ideal(I.ring, [I.ring.one()]))
-    low = min(len(p) for p, _g in comps)
-    acc = None
-    for p, g in comps:
-        if len(p) != low:
-            continue
-        acc = g if acc is None else _intersect_monomial(acc, g)
-    return canonical(_monomial_ideal(I.ring, acc))
-
-
-def monomial_minimal_primes(I: Submodule) -> list[tuple[int, ...]]:
-    comps = monomial_primdec_oracle(I)
-    primes = [set(p) for p, _g in comps]
-    kept = [
-        p for p in primes if not any(q != p and q.issubset(p) for q in primes)
-    ]
-    return sorted(tuple(sorted(p)) for p in kept)
-
-
-# ---------------------------------------------------------------------------
-# membership by linear algebra
-# ---------------------------------------------------------------------------
-
-
-def _monomials_up_to(n: int, bound: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _monomials_up_to(n - 1, bound - first):
-            yield (first,) + rest
-
-
-def membership_oracle(v, A: Submodule, degree_bound: int) -> bool:
-    """Whether v lies in A using multipliers of total degree <= degree_bound.
-
-    Solves the linear system over Q directly; independent of any Groebner
-    computation.  A True answer always certifies membership, a False answer
-    only rules out multipliers up to the bound.
-    """
-    ring = A.ring
-    if v.is_zero():
-        return True
-    if not A.generators:
-        return False
-    mons = sorted(_monomials_up_to(ring.n, degree_bound))
-    columns = []
-    rows: dict[tuple[int, Monomial], int] = {}
-
-    def row_of(key):
-        if key not in rows:
-            rows[key] = len(rows)
-        return rows[key]
-
-    for gen in A.generators:
-        for m in mons:
-            col: dict[int, Fraction] = {}
-            for _k, comp, exps, c in gen.terms:
-                shifted = tuple(a + b for a, b in zip(exps, m))
-                col[row_of((comp, shifted))] = Fraction(c, gen.den)
-            columns.append(col)
-    rhs: dict[int, Fraction] = {}
-    for _k, comp, exps, c in v.terms:
-        rhs[row_of((comp, exps))] = Fraction(c, v.den)
-    nrows = len(rows)
-    ncols = len(columns)
-    dense = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, val in col.items():
-            dense[i][j] = val
-    for i, val in rhs.items():
-        dense[i][ncols] = val
-    pivot_row = 0
-    for j in range(ncols):
-        sel = None
-        for i in range(pivot_row, nrows):
-            if dense[i][j]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        dense[pivot_row], dense[sel] = dense[sel], dense[pivot_row]
-        inv = 1 / dense[pivot_row][j]
-        prow = [x * inv for x in dense[pivot_row]]
-        dense[pivot_row] = prow
-        for i in range(nrows):
-            if i != pivot_row and dense[i][j]:
-                f = dense[i][j]
-                dense[i] = [a - f * b for a, b in zip(dense[i], prow)]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return all(not dense[i][ncols] for i in range(pivot_row, nrows))
-
-
-# ---------------------------------------------------------------------------
-# decomposition validation
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -377,9 +172,9 @@ def validate_decomposition(M: Submodule, components, seed: int = 0) -> Validatio
     primes_distinct = len(canon_primes) == len(set(canon_primes))
     if not primes_distinct:
         messages.append("two components share a prime")
-    # Every component is tested, isolated ones too.  The engine skips isolated
-    # components by a height argument; this check must not rely on the
-    # argument it is judging.
+    # Every component is tested, isolated ones too.  The engine runs no
+    # redundancy test, since it keeps one component per associated prime;
+    # this check must not rely on the associated-prime argument it is judging.
     irredundant = True
     if k > 1:
         for i in range(k):

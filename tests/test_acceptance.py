@@ -27,7 +27,6 @@ from primarydec.groebner import (
     is_unit_ideal,
     module_equal,
     normal_form,
-    quotient_by_ideal,
     saturate,
 )
 from primarydec.homology import equidim_hull, ext_module
@@ -39,11 +38,9 @@ from primarydec.polyring import (
     ideal,
     render_polynomial,
 )
-from primarydec.verify import (
-    membership_oracle,
-    monomial_hull_oracle,
-    validate_decomposition,
-)
+from primarydec.verify import validate_decomposition
+
+from oracles import membership_oracle, monomial_hull_oracle, quotient_by_ideal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

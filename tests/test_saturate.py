@@ -23,7 +23,6 @@ from primarydec.groebner import (
     intersect_many,
     is_sub,
     module_equal,
-    quotient_by_ideal,
     saturate,
 )
 from primarydec.polyring import (
@@ -34,6 +33,8 @@ from primarydec.polyring import (
     full_module,
     ideal,
 )
+
+from oracles import quotient_by_ideal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

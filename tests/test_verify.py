@@ -12,12 +12,13 @@ from primarydec.polyring import (
     ideal,
 )
 import primarydec.verify as verify
-from primarydec.verify import (
+from primarydec.verify import validate_decomposition
+
+from oracles import (
     membership_oracle,
     monomial_hull_oracle,
     monomial_minimal_primes,
     monomial_primdec_oracle,
-    validate_decomposition,
 )
 
 
