@@ -15,6 +15,10 @@ ideal of height c with c generators) and ideal-power witnesses for the
 multiplicities.  The associated primes that localization needs are found
 once per module: the minimal primes of the annihilator for the unmixed hull,
 the codim-b minimal primes of each `ass_prim_codim(A, b)` for the input.
+Localizing at P is one saturation, by the product of one separator per
+associated prime outside P.  At a minimal prime (every prime of the hull, and
+each higher-codim prime that contains no lower one) the localization is
+already P-primary, so the witness test saturates it by P no further.
 The isolated components intersect to the hull, so only the higher-codim ones
 are intersected in.  No component is redundant: were M the intersection of
 the components other than Q_j, F/M would embed in the sum of their quotients,
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from .groebner import (
     annihilator,
@@ -34,7 +39,6 @@ from .groebner import (
     eliminate,
     independent_sets,
     intersect,
-    is_member,
     is_sub,
     is_unit_ideal,
     krull_dim,
@@ -375,8 +379,11 @@ def localize_module(
 
     Keeps exactly the primary components whose prime is contained in J.  Each
     associated prime P not inside J has a separator, the first generator of P
-    not in J.  Saturating by the separators one after another removes the
-    components at those primes and no other: no prime inside J contains one.
+    not in J.  One saturation by the product h of the distinct separators
+    removes the components at those primes and no other: h lies in each of
+    them, and outside J, so outside every prime inside J.  It equals the
+    saturations by the separators one after another, since
+    A : (fg)^inf = (A : f^inf) : g^inf.
     `primes` lists the associated primes of F/A when the caller has them;
     otherwise they are read off the Ext modules (`_associated_primes`).
     """
@@ -389,15 +396,16 @@ def localize_module(
     if J.ambient_rank != 1:
         raise ValueError("localization expects a prime ideal")
     Ac = canonical(A)
+    GJ = buchberger(J)
     separators: dict = {}
     for P in _associated_primes(Ac, seed) if primes is None else primes:
         for f in ideal_generators(P):
-            if not is_member(f, J):
+            if not GJ.contains(f):
                 separators.setdefault(f, None)
                 break
-    for f in separators:
-        Ac = saturate(Ac, ideal(ring, [f]))
-    return Ac
+    if not separators:
+        return Ac
+    return saturate(Ac, ideal(ring, [prod(separators, start=ring.one())]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +437,16 @@ def primary_component(
     seed: int = 0,
     *,
     primes: list | None = None,
+    minimal: bool = False,
 ) -> tuple[Submodule, int, tuple[tuple[int, Submodule], ...]]:
     """P-primary component of A with the least power of P that witnesses it.
 
     Returns (component, exponent, trace of (exponent, hull) attempts).
     `primes`, the associated primes of F/A if known, goes to `localize_module`.
+    A hull Q = hull(A + P^m F) witnesses when AP2 cap Q lies in AP, where AP
+    is the localization at P and AP2 = AP : P^inf.  `minimal` says that P is
+    a minimal associated prime of F/A: then AP is P-primary, so AP2 is the
+    free module F and no saturation by P is computed.
     """
     ring = A.ring
     s = A.ambient_rank
@@ -441,8 +454,8 @@ def primary_component(
     shown = ", ".join(g[0] for g in _render_key(P))
     if buchberger(AP).is_full():
         raise DecompositionError(f"({shown}) contains no associated prime of the module")
-    AP2 = saturate(AP, P)
     B = full_module(ring, s)
+    AP2 = B if minimal else saturate(AP, P)
     T = _ideal_times_module(P, B)
     trace = []
     for m in range(1, bound + 1):
@@ -475,7 +488,9 @@ def primary_decomposition(
     c = codim(Mc)
     comps = []
     for P in hull_primes:
-        Q, m, trace = primary_component(N1, P, bound, seed, primes=hull_primes)
+        Q, m, trace = primary_component(
+            N1, P, bound, seed, primes=hull_primes, minimal=True
+        )
         comps.append(Component(canonical(Q), P, c, False, m, trace))
     if not module_equal(N1, Mc):
         higher = [
@@ -486,9 +501,12 @@ def primary_decomposition(
         ass = hull_primes + [P for P, _b in higher]
         N = N1
         for P, b in higher:
-            Q, m, trace = primary_component(Mc, P, bound, seed, primes=ass)
-            # embedded when P contains an associated prime of lower codim
+            # embedded when P contains an associated prime of lower codim; comps
+            # holds all of those, since `higher` ascends in codim
             embedded = any(C.codim < b and is_sub(C.prime, P) for C in comps)
+            Q, m, trace = primary_component(
+                Mc, P, bound, seed, primes=ass, minimal=not embedded
+            )
             comps.append(Component(canonical(Q), P, b, embedded, m, trace))
             N = intersect(N, Q)
         if not module_equal(N, Mc):

@@ -32,6 +32,7 @@ from primarydec.groebner import (
     is_sub,
     is_unit_ideal,
     module_equal,
+    saturate,
 )
 from primarydec.homology import ass_prim_codim, equidim_hull, ext_module
 from primarydec.polyring import (
@@ -439,6 +440,51 @@ def test_points_make_no_redundancy_intersections(monkeypatch):
     assert higher
     assert calls == []
     assert len(pairs) == sum(len(c.hull_trace) for c in res.components) + len(higher)
+
+
+def test_one_saturation_per_localization_and_none_by_a_minimal_prime(monkeypatch):
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    calls = []
+
+    def recording_saturate(A, J):
+        calls.append(canonical(J))
+        return saturate(A, J)
+
+    monkeypatch.setattr(decompose, "saturate", recording_saturate)
+    res = primary_decomposition(ideal(R, [x * x - x, y * y - y, z * z - z]))
+    assert len(res.components) == 8
+    # one saturation by the product of the separators per localization, and
+    # none by the prime: each point is a minimal prime
+    assert len(calls) == len(res.components)
+    assert not set(calls) & {c.prime for c in res.components}
+    # an embedded prime's localization is still saturated by that prime
+    calls.clear()
+    embedded_mix = ideal(R, [z * z * (x - 1) ** 2, x * y * (y - 1), x**3 * z - z])
+    res = primary_decomposition(embedded_mix)
+    embedded = {c.prime for c in res.components if c.embedded}
+    assert embedded and embedded <= set(calls)
+    assert not set(calls) & {c.prime for c in res.components if not c.embedded}
+
+
+def test_minimal_prime_of_higher_codim_keeps_its_witness():
+    # (y, z) contains no associated prime of lower codim, so it is minimal
+    # though not a prime of the hull; the pins were computed with the
+    # saturation by the prime in place
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+
+    def higher(I):
+        (c,) = [c for c in primary_decomposition(ideal(R, I)).components if c.codim == 2]
+        assert not c.embedded and itext(c.prime) == ["z", "y"]
+        return itext(c.module), c.witness_exponent, [(m, itext(h)) for m, h in c.hull_trace]
+
+    assert higher([x * y, x * z]) == (["z", "y"], 1, [(1, ["z", "y"])])
+    assert higher([x * y * y, x * z]) == (
+        ["z", "y^2"],
+        2,
+        [(1, ["z", "y"]), (2, ["z", "y^2"])],
+    )
 
 
 def test_associated_primes_are_found_once_per_module(monkeypatch):

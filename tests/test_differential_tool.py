@@ -1,12 +1,15 @@
 """Smoke test of tools/differential.py: this checkout against itself.
 
 Running one tree twice also checks that the CLI's output is deterministic.
-A `timeout (...)` line is a reported status, not a failure.
+A `timeout (...)` line is a reported status, not a failure.  The wall times
+on each line and their totals in the summary are parsed and summed.
 """
 
 import importlib.util
 import tempfile
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +30,20 @@ def test_differential_tool_runs_a_tree_against_itself(monkeypatch, tmp_path, cap
     assert not any(line.endswith(" differs") for line in lines)
     *per_script, summary = lines
     assert len(per_script) == count
+    totals = {"old_s": 0.0, "new_s": 0.0}
+    for line in per_script:
+        # name, two exit codes, two wall times, then the status
+        _name, _old, _new, old_s, new_s, status = line.split(" ", 5)
+        assert status in ("same", "differs") or status.startswith("timeout (")
+        for field in (old_s, new_s):
+            key, value = field.split("=")
+            assert float(value) > 0
+            totals[key] += float(value)
     assert summary.startswith(f"{count} scripts in {tmp_path}")
-    tallies = summary.split(": ", 1)[1].split(", ")
+    head, tail = summary.split(": ", 1)
+    *_, old_total, new_total = head.split(" ")
+    for field in (old_total, new_total):
+        key, value = field.split("=")
+        assert float(value) == pytest.approx(totals[key], abs=0.001 * (count + 1))
+    tallies = tail.split(", ")
     assert sum(int(t.split(" ", 1)[0]) for t in tallies) == count

@@ -1,11 +1,11 @@
 """Saturation by elimination and localization by separators.
 
 `saturate` computes A : J^inf with one Groebner run per generator of J, and
-`localize_module` saturates by one separator polynomial per associated prime
-outside the localizing prime.  Both are compared here with references
-written from the definitions: saturation as the fixed point of repeated
-`quotient_by_ideal`, and localization as the saturation by the intersection
-of the associated primes to remove.
+`localize_module` saturates once, by the product of one separator polynomial
+per associated prime outside the localizing prime.  Both are compared here
+with references written from the definitions: saturation as the fixed point
+of repeated `quotient_by_ideal`, and localization as the saturation by the
+intersection of the associated primes to remove.
 """
 
 import json

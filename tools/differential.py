@@ -4,11 +4,14 @@ Writes N seeded random scripts (ideals and rank-2 or rank-3 modules in two or
 three variables, each entry a product of linear, quadratic and monomial
 factors, some with rational coefficients such as 1/2 and -2/3), runs
 `python3 -m primarydec run --json` on each with PYTHONPATH=<tree>/src for both
-trees, two processes at a time, and prints per script the exit codes and a
-status: `same`, `differs` or `timeout` (with the side that timed out).
-Output means exit code and stdout; the wording of an error on stderr may
-differ.  Exits 1 when some script finishes on both sides with different
-output.
+trees, two processes at a time, and prints per script the exit codes, each
+tree's wall time in seconds and a status, the last word on the line: `same`,
+`differs` or `timeout` (with the side that timed out).  The summary line adds
+each tree's total wall time; a run that times out counts until it is stopped.
+The two trees' runs overlap, so their times are comparable but not
+contention free.  Output means exit code and stdout; the wording of an error
+on stderr may differ.  Exits 1 when some script finishes on both sides with
+different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
         [--timeout 20]
@@ -27,6 +30,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -87,14 +91,15 @@ def random_script(rng: random.Random) -> str:
 
 
 def _run(tree: Path, script: Path, timeout: float):
-    """(exit code, stdout), or None on timeout."""
+    """(wall seconds, (exit code, stdout) or None on timeout)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "primarydec", "run", "--json", str(script)]
+    start = time.perf_counter()
     try:
         done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return None
-    return done.returncode, done.stdout
+        return time.perf_counter() - start, None
+    return time.perf_counter() - start, (done.returncode, done.stdout)
 
 
 def _status(old, new) -> str:
@@ -124,14 +129,18 @@ def main(argv=None) -> int:
         results = list(pool.map(lambda job: _run(*job, args.timeout), jobs))
     totals: dict[str, int] = {}
     for k, path in enumerate(scripts):
-        old, new = results[2 * k], results[2 * k + 1]
+        (old_s, old), (new_s, new) = results[2 * k], results[2 * k + 1]
         status = _status(old, new)
         totals[status] = totals.get(status, 0) + 1
         codes = " ".join(
             f"{side}={'-' if r is None else r[0]}" for side, r in (("old", old), ("new", new))
         )
-        print(f"{path.name} {codes} {status}")
-    print(f"{len(scripts)} scripts in {out}: " + ", ".join(f"{v} {k}" for k, v in sorted(totals.items())))
+        print(f"{path.name} {codes} old_s={old_s:.3f} new_s={new_s:.3f} {status}")
+    old_total, new_total = (sum(seconds for seconds, _r in results[i::2]) for i in (0, 1))
+    print(
+        f"{len(scripts)} scripts in {out}, old_s={old_total:.3f} new_s={new_total:.3f}: "
+        + ", ".join(f"{v} {k}" for k, v in sorted(totals.items()))
+    )
     return 1 if totals.get("differs") else 0
 
 
