@@ -17,8 +17,9 @@ once per module: the minimal primes of the annihilator for the unmixed hull,
 the codim-b minimal primes of each `ass_prim_codim(A, b)` for the input.
 Localizing at P is one saturation, by the product of one separator per
 associated prime outside P.  At a minimal prime (every prime of the hull, and
-each higher-codim prime that contains no lower one) the localization is
-already P-primary, so the witness test saturates it by P no further.
+each higher-codim prime that contains no lower one; P is the only associated
+prime inside P) the localization is already P-primary, so the witness test
+saturates it by P no further.
 The isolated components intersect to the hull, so only the higher-codim ones
 are intersected in.  No component is redundant: were M the intersection of
 the components other than Q_j, F/M would embed in the sum of their quotients,
@@ -372,6 +373,12 @@ def _associated_primes(A: Submodule, seed: int) -> list[Submodule]:
     return primes
 
 
+def _separator(P: Submodule, GJ):
+    """The first generator of P outside the ideal with reduced basis GJ, or
+    None when P lies inside that ideal."""
+    return next((f for f in ideal_generators(P) if not GJ.contains(f)), None)
+
+
 def localize_module(
     A: Submodule, J: Submodule, seed: int = 0, *, primes: list | None = None
 ) -> Submodule:
@@ -397,12 +404,11 @@ def localize_module(
         raise ValueError("localization expects a prime ideal")
     Ac = canonical(A)
     GJ = buchberger(J)
-    separators: dict = {}
-    for P in _associated_primes(Ac, seed) if primes is None else primes:
-        for f in ideal_generators(P):
-            if not GJ.contains(f):
-                separators.setdefault(f, None)
-                break
+    separators = dict.fromkeys(
+        f
+        for P in (_associated_primes(Ac, seed) if primes is None else primes)
+        if (f := _separator(P, GJ)) is not None
+    )
     if not separators:
         return Ac
     return saturate(Ac, ideal(ring, [prod(separators, start=ring.one())]))
@@ -437,25 +443,28 @@ def primary_component(
     seed: int = 0,
     *,
     primes: list | None = None,
-    minimal: bool = False,
 ) -> tuple[Submodule, int, tuple[tuple[int, Submodule], ...]]:
     """P-primary component of A with the least power of P that witnesses it.
 
     Returns (component, exponent, trace of (exponent, hull) attempts).
     `primes`, the associated primes of F/A if known, goes to `localize_module`.
     A hull Q = hull(A + P^m F) witnesses when AP2 cap Q lies in AP, where AP
-    is the localization at P and AP2 = AP : P^inf.  `minimal` says that P is
-    a minimal associated prime of F/A: then AP is P-primary, so AP2 is the
-    free module F and no saturation by P is computed.
+    is the localization at P and AP2 = AP : P^inf.  When P is the only
+    associated prime inside P, it is a minimal one: AP is then P-primary, so
+    AP2 is the free module F and no saturation by P is computed.
     """
     ring = A.ring
     s = A.ambient_rank
+    if primes is None:
+        primes = _associated_primes(canonical(A), seed)
     AP = localize_module(A, P, seed, primes=primes)
     shown = ", ".join(g[0] for g in _render_key(P))
     if buchberger(AP).is_full():
         raise DecompositionError(f"({shown}) contains no associated prime of the module")
     B = full_module(ring, s)
-    AP2 = B if minimal else saturate(AP, P)
+    GP = buchberger(P)
+    inside = [canonical(Pi) for Pi in primes if _separator(Pi, GP) is None]
+    AP2 = B if inside == [GP.module] else saturate(AP, P)
     T = _ideal_times_module(P, B)
     trace = []
     for m in range(1, bound + 1):
@@ -488,9 +497,7 @@ def primary_decomposition(
     c = codim(Mc)
     comps = []
     for P in hull_primes:
-        Q, m, trace = primary_component(
-            N1, P, bound, seed, primes=hull_primes, minimal=True
-        )
+        Q, m, trace = primary_component(N1, P, bound, seed, primes=hull_primes)
         comps.append(Component(canonical(Q), P, c, False, m, trace))
     if not module_equal(N1, Mc):
         higher = [
@@ -501,12 +508,9 @@ def primary_decomposition(
         ass = hull_primes + [P for P, _b in higher]
         N = N1
         for P, b in higher:
-            # embedded when P contains an associated prime of lower codim; comps
-            # holds all of those, since `higher` ascends in codim
+            Q, m, trace = primary_component(Mc, P, bound, seed, primes=ass)
+            # embedded when P contains an associated prime of lower codim
             embedded = any(C.codim < b and is_sub(C.prime, P) for C in comps)
-            Q, m, trace = primary_component(
-                Mc, P, bound, seed, primes=ass, minimal=not embedded
-            )
             comps.append(Component(canonical(Q), P, b, embedded, m, trace))
             N = intersect(N, Q)
         if not module_equal(N, Mc):

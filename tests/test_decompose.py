@@ -372,6 +372,32 @@ def test_primary_component_witnesses():
     ]
 
 
+def test_primary_component_tells_minimal_primes_from_its_own_primes(monkeypatch):
+    # no caller says which primes are minimal: over (x^2, xy) the minimal (x)
+    # is not saturated by, while the embedded (x, y) is, and so is (x, y - 1),
+    # which is not associated but contains (x); the values are the parent's
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    calls = []
+
+    def recording_saturate(A, J):
+        calls.append(itext(canonical(J)))
+        return saturate(A, J)
+
+    monkeypatch.setattr(decompose, "saturate", recording_saturate)
+    I = ideal(R, [x * x, x * y])
+    got = []
+    for P in ([x], [x, y], [x, y - 1]):
+        calls.clear()
+        Q, m, trace = primary_component(I, ideal(R, P))
+        got.append((itext(Q), m, len(trace), list(calls)))
+    assert got == [
+        (["x"], 1, 1, [["y"]]),
+        (["y^2", "x*y", "x^2"], 2, 2, [["y", "x"]]),
+        (["y - 1", "x"], 1, 1, [["y"], ["y - 1", "x"]]),
+    ]
+
+
 def test_primary_decomposition_embedded_example():
     R = ring2()
     x, y = R.variable(0), R.variable(1)

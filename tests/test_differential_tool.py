@@ -1,8 +1,8 @@
 """Smoke test of tools/differential.py: this checkout against itself.
 
 Running one tree twice also checks that the CLI's output is deterministic.
-A `timeout (...)` line is a reported status, not a failure.  The wall times
-on each line and their totals in the summary are parsed and summed.
+A `timeout (...)` line is a reported status, not a failure.  The CPU times
+on each line are parsed and summed, and their totals in the summary checked.
 """
 
 import importlib.util
@@ -30,12 +30,12 @@ def test_differential_tool_runs_a_tree_against_itself(monkeypatch, tmp_path, cap
     assert not any(line.endswith(" differs") for line in lines)
     *per_script, summary = lines
     assert len(per_script) == count
-    totals = {"old_s": 0.0, "new_s": 0.0}
+    totals = {"old_cpu": 0.0, "new_cpu": 0.0}
     for line in per_script:
-        # name, two exit codes, two wall times, then the status
-        _name, _old, _new, old_s, new_s, status = line.split(" ", 5)
+        # name, two exit codes, two CPU times, then the status
+        _name, _old, _new, old_cpu, new_cpu, status = line.split(" ", 5)
         assert status in ("same", "differs") or status.startswith("timeout (")
-        for field in (old_s, new_s):
+        for field in (old_cpu, new_cpu):
             key, value = field.split("=")
             assert float(value) > 0
             totals[key] += float(value)

@@ -4,13 +4,13 @@ Writes N seeded random scripts (ideals and rank-2 or rank-3 modules in two or
 three variables, each entry a product of linear, quadratic and monomial
 factors, some with rational coefficients such as 1/2 and -2/3), runs
 `python3 -m primarydec run --json` on each with PYTHONPATH=<tree>/src for both
-trees, two processes at a time, and prints per script the exit codes, each
-tree's wall time in seconds and a status, the last word on the line: `same`,
+trees, one process at a time (the tree that goes first alternates), and
+prints per script the exit codes, each tree's CPU seconds (user + system of
+the child process) and a status, the last word on the line: `same`,
 `differs` or `timeout` (with the side that timed out).  The summary line adds
-each tree's total wall time; a run that times out counts until it is stopped.
-The two trees' runs overlap, so their times are comparable but not
-contention free.  Output means exit code and stdout; the wording of an error
-on stderr may differ.  Exits 1 when some script finishes on both sides with
+each tree's total CPU seconds; a run that times out counts until it is
+stopped.  Output means exit code and stdout; the wording of an error on
+stderr may differ.  Exits 1 when some script finishes on both sides with
 different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
@@ -27,11 +27,10 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
-import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,16 +89,26 @@ def random_script(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _run(tree: Path, script: Path, timeout: float):
-    """(wall seconds, (exit code, stdout) or None on timeout)."""
+    """(CPU seconds of the child, (exit code, stdout) or None on timeout).
+
+    Only one child runs at a time, so the change in the reaped children's
+    usage is this child's; on timeout it is killed and reaped before the
+    second reading."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "primarydec", "run", "--json", str(script)]
-    start = time.perf_counter()
+    start = _cpu_seconds()
     try:
         done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
+        result = done.returncode, done.stdout
     except subprocess.TimeoutExpired:
-        return time.perf_counter() - start, None
-    return time.perf_counter() - start, (done.returncode, done.stdout)
+        result = None
+    return _cpu_seconds() - start, result
 
 
 def _status(old, new) -> str:
@@ -124,21 +133,25 @@ def main(argv=None) -> int:
         path = out / f"s{k:03d}.primdec"
         path.write_text(random_script(rng))
         scripts.append(path)
-    jobs = [(tree, s) for s in scripts for tree in (args.old, args.new)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(lambda job: _run(*job, args.timeout), jobs))
+    results = {}
+    for k, script in enumerate(scripts):
+        sides = (("old", args.old), ("new", args.new))
+        for side, tree in sides if k % 2 == 0 else sides[::-1]:
+            results[side, k] = _run(tree, script, args.timeout)
     totals: dict[str, int] = {}
     for k, path in enumerate(scripts):
-        (old_s, old), (new_s, new) = results[2 * k], results[2 * k + 1]
+        (old_cpu, old), (new_cpu, new) = results["old", k], results["new", k]
         status = _status(old, new)
         totals[status] = totals.get(status, 0) + 1
         codes = " ".join(
             f"{side}={'-' if r is None else r[0]}" for side, r in (("old", old), ("new", new))
         )
-        print(f"{path.name} {codes} old_s={old_s:.3f} new_s={new_s:.3f} {status}")
-    old_total, new_total = (sum(seconds for seconds, _r in results[i::2]) for i in (0, 1))
+        print(f"{path.name} {codes} old_cpu={old_cpu:.3f} new_cpu={new_cpu:.3f} {status}")
+    old_total, new_total = (
+        sum(results[side, k][0] for k in range(len(scripts))) for side in ("old", "new")
+    )
     print(
-        f"{len(scripts)} scripts in {out}, old_s={old_total:.3f} new_s={new_total:.3f}: "
+        f"{len(scripts)} scripts in {out}, old_cpu={old_total:.3f} new_cpu={new_total:.3f}: "
         + ", ".join(f"{v} {k}" for k, v in sorted(totals.items()))
     )
     return 1 if totals.get("differs") else 0
