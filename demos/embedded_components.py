@@ -18,7 +18,7 @@ from primarydec import (
 
 
 def show(A):
-    return ", ".join(render_polynomial(g.components[0]) for g in A.generators) or "0"
+    return ", ".join(render_polynomial(g) for g in A.generators) or "0"
 
 
 R = RingContext(("x", "y"), MonomialOrder(kind="degrevlex"))

@@ -28,7 +28,6 @@ from .homology import HomologyError, equidim_hull
 from .polyring import (
     FreeElement,
     MonomialOrder,
-    Polynomial,
     RingContext,
     Submodule,
     ideal,
@@ -190,7 +189,7 @@ class _Parser:
 
     # -- polynomials --------------------------------------------------------
 
-    def parse_polynomial(self) -> Polynomial:
+    def parse_polynomial(self) -> FreeElement:
         ring = self.require_ring(self.peek())
         sign = 1
         if self.at_sym("+") or self.at_sym("-"):
@@ -205,21 +204,21 @@ class _Parser:
             acc = acc + term if op == "+" else acc - term
         return acc
 
-    def _parse_term(self, ring: RingContext) -> Polynomial:
+    def _parse_term(self, ring: RingContext) -> FreeElement:
         acc = self._parse_factor(ring)
         while self.at_sym("*"):
             self.advance()
             acc = acc * self._parse_factor(ring)
         return acc
 
-    def _parse_factor(self, ring: RingContext) -> Polynomial:
+    def _parse_factor(self, ring: RingContext) -> FreeElement:
         base = self._parse_base(ring)
         if self.at_sym("^"):
             self.advance()
             return base ** self.expect_int()
         return base
 
-    def _parse_base(self, ring: RingContext) -> Polynomial:
+    def _parse_base(self, ring: RingContext) -> FreeElement:
         t = self.advance()
         if t.kind == "name":
             try:
@@ -396,7 +395,7 @@ def parse_script(source: str) -> Script:
     return _Parser(tokenize(source)).parse_script()
 
 
-def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
+def parse_polynomial(ring: RingContext, text: str) -> FreeElement:
     """Parse a single polynomial in the given ring; used for round trips."""
     parser = _Parser(tokenize(text))
     parser.ring = ring
@@ -415,7 +414,7 @@ def parse_polynomial(ring: RingContext, text: str) -> Polynomial:
 def _rendered_generators(A: Submodule):
     Ac = canonical(A)
     if Ac.ambient_rank == 1:
-        return [render_polynomial(g.components[0]) for g in Ac.generators]
+        return [render_polynomial(g) for g in Ac.generators]
     return [
         [render_polynomial(p) for p in g.components] for g in Ac.generators
     ]

@@ -48,8 +48,8 @@ from .groebner import (
 )
 from .homology import ass_prim_codim, equidim_hull
 from .polyring import (
+    FreeElement,
     MonomialOrder,
-    Polynomial,
     RingContext,
     RingError,
     Submodule,
@@ -84,10 +84,6 @@ def _render_key(A: Submodule) -> tuple:
         tuple(render_polynomial(p) for p in g.components)
         for g in canonical(A).generators
     )
-
-
-def _ideal_sum(I: Submodule, polys) -> Submodule:
-    return ideal(I.ring, list(ideal_generators(I)) + list(polys))
 
 
 def _module_sum(A: Submodule, B: Submodule) -> Submodule:
@@ -125,7 +121,7 @@ def _minimalize(primes) -> tuple[Submodule, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _field_lead_coefficient(p: Polynomial, lead, D: tuple[int, ...]) -> Polynomial:
+def _field_lead_coefficient(p: FreeElement, lead, D: tuple[int, ...]) -> FreeElement:
     """Coefficient in the independent variables of the D-part of lead in p."""
     dpart = tuple(e if i in D else 0 for i, e in enumerate(lead))
     terms = rekey(p.ring.order, (
@@ -134,10 +130,10 @@ def _field_lead_coefficient(p: Polynomial, lead, D: tuple[int, ...]) -> Polynomi
         if tuple(e if i in D else 0 for i, e in enumerate(exps)) == dpart
     ))
     # over its lead coefficient, the polynomial is monic
-    return from_terms(p.ring, 1, terms, terms[0][3], Polynomial)
+    return from_terms(p.ring, 1, terms, terms[0][3])
 
 
-def _poly_in_var(ring: RingContext, d: int, coeffs) -> Polynomial:
+def _poly_in_var(ring: RingContext, d: int, coeffs) -> FreeElement:
     exps = (
         tuple(k if i == d else 0 for i in range(ring.n)) for k in range(len(coeffs))
     )
@@ -165,7 +161,7 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
         if any(lead[i] for i in others):
             continue
         if best is None or lead[d] < best_deg:
-            best, best_deg = gen.components[0], lead[d]
+            best, best_deg = gen, lead[d]
     if best is None or best_deg == 0:
         raise _CertificationFailure("no elimination polynomial found")
     groups: dict[int, list] = {}
@@ -239,7 +235,7 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, left: list):
                     out = []
                     for fc, _mult in factors:
                         f = substitute(_poly_in_var(ring, d, fc), {d: x + tail})
-                        split = canonical(_ideal_sum(J, [f]))
+                        split = canonical(ideal(ring, [*J.generators, f]))
                         out.extend(_min_ass_rec(split, seed, left))
                     return _minimalize(out)
             if (coeffs is not None or deg == 1) and deg == _vector_dim(Jl, D, d):
@@ -259,7 +255,7 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, left: list):
     for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
         if not any(lead[i] for i in D):
             raise _CertificationFailure("independent set meets the ideal")
-        c = _field_lead_coefficient(gen.components[0], lead, D)
+        c = _field_lead_coefficient(gen, lead, D)
         if not c.is_constant():
             coeffs.add(c)
     h = ring.one()
@@ -271,7 +267,8 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, left: list):
         raise _CertificationFailure("saturation by lead coefficients is trivial")
     primes = list(_zero_dim_primes(J, u, seed, left))
     if J != Ic:
-        primes.extend(_min_ass_rec(canonical(_ideal_sum(I, [h])), seed, left))
+        Ih = canonical(ideal(ring, [*I.generators, h]))
+        primes.extend(_min_ass_rec(Ih, seed, left))
     return primes
 
 
@@ -451,7 +448,8 @@ def primary_component(
     A hull Q = hull(A + P^m F) witnesses when AP2 cap Q lies in AP, where AP
     is the localization at P and AP2 = AP : P^inf.  When P is the only
     associated prime inside P, it is a minimal one: AP is then P-primary, so
-    AP2 is the free module F and no saturation by P is computed.
+    AP2 is the free module F and no saturation by P is computed.  P^m F is
+    built from the reduced P^(m-1) F, so its generators do not multiply.
     """
     ring = A.ring
     s = A.ambient_rank
@@ -472,7 +470,7 @@ def primary_component(
         trace.append((m, Q))
         if is_sub(intersect(AP2, Q), AP):
             return Q, m, tuple(trace)
-        T = _ideal_times_module(P, T)
+        T = canonical(_ideal_times_module(P, T))
     raise DecompositionError(
         f"no witness exponent up to {bound} isolates the component at ({shown})"
     )

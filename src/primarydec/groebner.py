@@ -173,7 +173,7 @@ def _coprime_ok(e1, e2) -> bool:
     return not any(map(min, e1[3], e2[3]))
 
 
-def _update_pairs(basis, by_comp, pair_set, heap, t, order: MonomialOrder):
+def _update_pairs(basis, pair_set, heap, t, order: MonomialOrder):
     """Gebauer-Moeller pair update after appending basis[t]."""
     h = basis[t]
     hcomp, hexps = h[2], h[3]
@@ -223,7 +223,7 @@ def _buchberger_engine(vectors, order: MonomialOrder, split: int | None = None):
     def insert(elem):
         basis.append(elem)
         by_comp.setdefault(elem[2], []).append(elem)
-        _update_pairs(basis, by_comp, pair_set, heap, len(basis) - 1, order)
+        _update_pairs(basis, pair_set, heap, len(basis) - 1, order)
 
     def add(terms):
         elem = _make_elem(_primitive(terms))
@@ -320,7 +320,7 @@ class GroebnerBasis:
         s, r = self._reduce(v)
         if not self._native:
             r = _in_order(r, self.ring.order)
-        return from_terms(self.ring, v.rank, r, s * v.den, type(v))
+        return from_terms(self.ring, v.rank, r, s * v.den)
 
     def contains(self, v: FreeElement) -> bool:
         return not self._reduce(v)[1]

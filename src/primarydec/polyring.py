@@ -1,14 +1,15 @@
 """Exact sparse multivariate polynomials over Q, free-module elements, and orders.
 
 Everything here is immutable and purely functional: operations return new
-objects.  An element of R^s (a FreeElement; a Polynomial is the rank-1 case)
-stores one tuple of terms (key, comp, exps, c) and one denominator den, for
-the value sum c * x^exps * e_comp / den.  Each c is a nonzero int,
-key = ring.order.term_key(comp, exps), and the terms are sorted by descending
-key: they are the terms the Groebner engine works on.  den > 0 and the gcd of
-den and every c is 1, so equal values have equal storage.  Rationals appear
-only at the boundary: constructors that take a rational, leading_coefficient
-and render_polynomial.
+objects.  An element of R^s is a FreeElement, and a polynomial is simply an
+element of R^1, as an ideal is a submodule of R^1; only rank 1 multiplies and
+takes powers.  An element stores one tuple of terms (key, comp, exps, c) and
+one denominator den, for the value sum c * x^exps * e_comp / den.  Each c is
+a nonzero int, key = ring.order.term_key(comp, exps), and the terms are
+sorted by descending key: they are the terms the Groebner engine works on.
+den > 0 and the gcd of den and every c is 1, so equal values have equal
+storage.  Rationals appear only at the boundary: constructors that take a
+rational, leading_coefficient and render_polynomial.
 """
 
 from __future__ import annotations
@@ -133,19 +134,19 @@ class RingContext:
     def n(self) -> int:
         return len(self.variables)
 
-    def zero(self) -> "Polynomial":
-        return from_terms(self, 1, (), 1, Polynomial)
+    def zero(self) -> "FreeElement":
+        return from_terms(self, 1, ())
 
-    def one(self) -> "Polynomial":
+    def one(self) -> "FreeElement":
         return self.constant(1)
 
-    def constant(self, c) -> "Polynomial":
+    def constant(self, c) -> "FreeElement":
         return self.monomial((0,) * self.n, c)
 
-    def variable(self, i: int) -> "Polynomial":
+    def variable(self, i: int) -> "FreeElement":
         return self.monomial(tuple(1 if j == i else 0 for j in range(self.n)))
 
-    def monomial(self, exps: Sequence[int], coeff=1) -> "Polynomial":
+    def monomial(self, exps: Sequence[int], coeff=1) -> "FreeElement":
         exps = tuple(exps)
         if len(exps) != self.n or any(e < 0 for e in exps):
             raise ValueError("bad exponent vector")
@@ -197,21 +198,9 @@ def _collect(pieces, order: MonomialOrder) -> tuple:
 _set = object.__setattr__
 
 
-def _raw(cls, ring: RingContext, rank: int, terms: tuple, den: int):
-    """An element from storage that already satisfies the invariants."""
-    obj = object.__new__(cls)
-    _set(obj, "ring", ring)
-    _set(obj, "rank", rank)
-    _set(obj, "terms", terms)
-    _set(obj, "den", den)
-    _set(obj, "_hash", None)
-    return obj
-
-
-def from_terms(ring: RingContext, rank: int, terms: tuple, den: int = 1, cls=None):
+def from_terms(ring: RingContext, rank: int, terms: tuple, den: int = 1):
     """The element sum c * x^exps * e_comp / den of terms already keyed in
-    ring's order and sorted, reduced to lowest terms.  den may be negative.
-    cls is FreeElement unless given (Polynomial for rank 1)."""
+    ring's order and sorted, reduced to lowest terms.  den may be negative."""
     if not terms:
         den = 1
     elif den != 1:
@@ -221,16 +210,22 @@ def from_terms(ring: RingContext, rank: int, terms: tuple, den: int = 1, cls=Non
         if g != 1:
             terms = tuple((k, comp, exps, c // g) for k, comp, exps, c in terms)
             den //= g
-    return _raw(cls or FreeElement, ring, rank, terms, den)
+    obj = object.__new__(FreeElement)
+    _set(obj, "ring", ring)
+    _set(obj, "rank", rank)
+    _set(obj, "terms", terms)
+    _set(obj, "den", den)
+    _set(obj, "_hash", None)
+    return obj
 
 
-def poly_from_terms(ring: RingContext, items: Iterable) -> "Polynomial":
-    """Polynomial from (exponents, rational coefficient) pairs with distinct
+def poly_from_terms(ring: RingContext, items: Iterable) -> "FreeElement":
+    """A polynomial from (exponents, rational coefficient) pairs with distinct
     exponents; zero coefficients are dropped."""
     items = [(exps, Fraction(c)) for exps, c in items if c]
     den = lcm(*(c.denominator for _e, c in items))
     terms = rekey(ring.order, ((0, e, c.numerator * (den // c.denominator)) for e, c in items))
-    return from_terms(ring, 1, terms, den, Polynomial)
+    return from_terms(ring, 1, terms, den)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +238,19 @@ class FreeElement:
 
     __slots__ = ("ring", "rank", "terms", "den", "_hash")
 
-    def __new__(cls, ring: RingContext, components: Sequence["Polynomial"]):
+    def __new__(cls, ring: RingContext, components: Sequence["FreeElement"]):
         # the column of the entries is the transpose of the row they form
         return Submodule(ring, 1, components).transpose().generators[0]
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("FreeElement is immutable")
 
     @property
-    def components(self) -> tuple["Polynomial", ...]:
-        """The polynomial in each component."""
-        rows = (self,)
-        if self.rank > 1:
-            rows = Submodule(self.ring, self.rank, rows).transpose().generators
-        return tuple(_raw(Polynomial, self.ring, 1, r.terms, r.den) for r in rows)
+    def components(self) -> tuple["FreeElement", ...]:
+        """The polynomial in each component; a polynomial's is itself."""
+        if self.rank == 1:
+            return (self,)
+        return Submodule(self.ring, self.rank, (self,)).transpose().generators
 
     # -- structure -----------------------------------------------------
     def is_zero(self) -> bool:
@@ -278,9 +272,7 @@ class FreeElement:
             raise RingError("rank or ring mismatch")
         den = lcm(self.den, other.den)
         pieces = ((self.terms, den // self.den, ()), (other.terms, den // other.den, ()))
-        return from_terms(
-            self.ring, self.rank, _collect(pieces, self.ring.order), den, type(self)
-        )
+        return from_terms(self.ring, self.rank, _collect(pieces, self.ring.order), den)
 
     __radd__ = __add__
 
@@ -293,7 +285,7 @@ class FreeElement:
     def __rsub__(self, other):
         return (-self) + other
 
-    def scale(self, f: Union["Polynomial", int, Fraction]) -> "FreeElement":
+    def scale(self, f: Union["FreeElement", int, Fraction]) -> "FreeElement":
         """The element times f, a polynomial or a rational."""
         ring = self.ring
         if isinstance(f, FreeElement):
@@ -301,14 +293,37 @@ class FreeElement:
                 raise RingError("scalar is not a polynomial of the element's ring")
             pieces = [(self.terms, c, exps) for _k, _c, exps, c in f.terms]
             terms = _collect(pieces, ring.order)
-            return from_terms(ring, self.rank, terms, self.den * f.den, type(self))
+            return from_terms(ring, self.rank, terms, self.den * f.den)
         num, den = f.numerator, f.denominator
         terms = tuple((k, comp, exps, c * num) for k, comp, exps, c in self.terms)
-        return from_terms(ring, self.rank, terms if num else (), self.den * den, type(self))
+        return from_terms(ring, self.rank, terms if num else (), self.den * den)
+
+    def __mul__(self, other):
+        """Ring product, of polynomials only: a vector is scaled instead."""
+        if self.rank != 1:
+            raise RingError("only polynomials multiply; scale a vector")
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        """Power of a polynomial; a vector has none (TypeError)."""
+        if self.rank != 1:
+            return NotImplemented
+        if k < 0:
+            raise ValueError("negative power")
+        result = self.ring.one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
 
     def __eq__(self, other):
         return (
-            type(other) is type(self)
+            isinstance(other, FreeElement)
             and self.terms == other.terms
             and self.den == other.den
             and self.rank == other.rank
@@ -328,30 +343,7 @@ class FreeElement:
         return "[" + ",".join(str(p) for p in self.components) + "]"
 
     def __repr__(self):
-        return f"{type(self).__name__}({self})"
-
-
-class Polynomial(FreeElement):
-    """A polynomial: the rank-1 element, with ring products and powers."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return f"FreeElement({self})"
 
 
 def _monomial_str(ring: RingContext, exps: Monomial) -> str:
@@ -364,7 +356,7 @@ def _monomial_str(ring: RingContext, exps: Monomial) -> str:
     return "*".join(parts)
 
 
-def render_polynomial(p: Polynomial) -> str:
+def render_polynomial(p: FreeElement) -> str:
     """Canonical text form; parses back to an equal polynomial."""
     if not p.terms:
         return "0"
@@ -385,13 +377,13 @@ def render_polynomial(p: Polynomial) -> str:
     return "".join(pieces)
 
 
-def substitute(p: Polynomial, images: dict[int, Polynomial]) -> Polynomial:
+def substitute(p: FreeElement, images: dict[int, FreeElement]) -> FreeElement:
     """Replace variables by polynomials; indices absent from images stay fixed."""
     ring = p.ring
     for img in images.values():
         if img.ring != ring:
             raise RingError("substitution image from wrong ring")
-    powers: dict[tuple[int, int], Polynomial] = {}
+    powers: dict[tuple[int, int], FreeElement] = {}
     parts = []
     for _k, _comp, exps, c in p.terms:
         q = ring.one()
@@ -404,7 +396,7 @@ def substitute(p: Polynomial, images: dict[int, Polynomial]) -> Polynomial:
         parts.append((q, c, fixed))
     den = lcm(*(q.den for q, _c, _e in parts))
     pieces = [(q.terms, c * (den // q.den), fixed) for q, c, fixed in parts]
-    return from_terms(ring, 1, _collect(pieces, ring.order), den * p.den, Polynomial)
+    return from_terms(ring, 1, _collect(pieces, ring.order), den * p.den)
 
 
 def unit_vector(ring: RingContext, rank: int, i: int) -> FreeElement:
@@ -487,15 +479,15 @@ class Submodule:
         return f"Submodule(rank={self.ambient_rank}: {gens})"
 
 
-def ideal(ring: RingContext, polys: Iterable[Polynomial]) -> Submodule:
-    """Ideals are rank-1 submodules."""
-    return Submodule(ring, 1, [FreeElement(ring, (p,)) for p in polys])
+def ideal(ring: RingContext, polys: Iterable[FreeElement]) -> Submodule:
+    """Ideals are rank-1 submodules, generated by the polynomials themselves."""
+    return Submodule(ring, 1, polys)
 
 
-def ideal_generators(I: Submodule) -> tuple[Polynomial, ...]:
+def ideal_generators(I: Submodule) -> tuple[FreeElement, ...]:
     if I.ambient_rank != 1:
         raise RingError("not an ideal (ambient rank != 1)")
-    return tuple(g.components[0] for g in I.generators)
+    return I.generators
 
 
 def full_module(ring: RingContext, rank: int) -> Submodule:

@@ -26,8 +26,8 @@ from .groebner import (
 )
 from .polyring import (
     DEGREVLEX,
+    FreeElement,
     MonomialOrder,
-    Polynomial,
     Submodule,
     from_terms,
     ideal,
@@ -64,7 +64,7 @@ class ValidationReport:
         }
 
 
-def _lead_coefficient_product(Q: Submodule, D: tuple[int, ...]) -> Polynomial:
+def _lead_coefficient_product(Q: Submodule, D: tuple[int, ...]) -> FreeElement:
     """The product of the distinct K[u]-lead coefficients of a basis of Q,
     K = Q(u), u the variables outside D.
 
@@ -90,14 +90,14 @@ def _lead_coefficient_product(Q: Submodule, D: tuple[int, ...]) -> Polynomial:
         ]
         terms = rekey(ring.order, items)
         # over its lead coefficient, so equal coefficients compare equal
-        coeffs.setdefault(from_terms(ring, 1, terms, terms[0][3], Polynomial), None)
+        coeffs.setdefault(from_terms(ring, 1, terms, terms[0][3]), None)
     h = ring.one()
     for f in coeffs:
         h = h * f
     return h
 
 
-def _in_radical(f: Polynomial, a: Submodule) -> bool:
+def _in_radical(f: FreeElement, a: Submodule) -> bool:
     """Whether f^k lies in a for some k: try f, f^2, f^4, then a : f^infinity."""
     g = f
     for _ in range(3):

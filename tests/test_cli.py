@@ -202,14 +202,89 @@ def test_main_run_json(tmp_path, capsys):
 
 
 def test_main_run_text(tmp_path, capsys):
+    wrong = {"components": [{"generators": ["x"], "prime": ["x"]}]}
+    (tmp_path / "wrong.json").write_text(json.dumps(wrong))
     f = tmp_path / "job.primdec"
-    f.write_text("ring r=0,(x,y),dp; ideal I=x^2,x*y; primdec I;\n")
+    f.write_text(
+        "ring r=0,(x,y),dp; ideal I=x^2,x*y; ideal U=1;\n"
+        "primdec I; minass I; primdec U; validate I, wrong.json;\n"
+    )
     code = main(["run", str(f)])
     out = capsys.readouterr().out
     assert code == 0
     assert "component 1: codim 1, isolated" in out
     assert "component 2: codim 2, embedded" in out
     assert "validation: ok" in out
+    assert "minass I:\n  prime: x\nprimdec U:\n" in out
+    assert "primdec U:\n  no components (input is the full module)\n" in out
+    assert out.endswith(
+        "validate I, wrong.json:\n"
+        "  validation: FAILED (components do not intersect to the input)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "script, expected, message",
+    [
+        (
+            'ring r=0,(x,y),dp; ideal I=x;\nvalidate I, "out.json;',
+            None,
+            "line 2, column 13: unterminated string",
+        ),
+        ("ring r=0,(x,y),dp; ideal I = x $ y;", None, "line 1, column 32: unexpected character '$'"),
+        ("ring r=0,(x,x),dp;", None, "line 1, column 8: duplicate variable name"),
+        ("ring r=0,(x,y),dp; ideal I = 1/0*x;", None, "line 1, column 30: zero denominator"),
+        (
+            "ring r=0,(x,y),dp; module M=[x,y],[x];",
+            None,
+            "line 1, column 27: module generators have mixed lengths",
+        ),
+        ("ring r=0,(x,y),dp; frob I;", None, "line 1, column 20: unknown statement 'frob'"),
+        ("; ring r=0,(x,y),dp;", None, "line 1, column 1: expected a statement"),
+        (
+            "ring r=0,(x,y),dp; ideal I=x; module M=[x,y]; localize I, M;",
+            None,
+            "line 1, column 59: localize expects an ideal as second argument",
+        ),
+        # the expected file's generator "x )" goes through parse_polynomial
+        (
+            "ring r=0,(x,y),dp; ideal I=x; validate I, trailing.json;",
+            None,
+            "line 1, column 3: trailing input after polynomial",
+        ),
+        # the validate subcommand runs the script, then reads the expected file
+        (
+            "ring r=0,(x,y),dp; ideal I=x; minass I;",
+            "absent.json",
+            "cannot read 'absent.json': ",
+        ),
+    ],
+    ids=[
+        "unterminated-string",
+        "unexpected-character",
+        "duplicate-variable",
+        "zero-denominator",
+        "mixed-lengths",
+        "unknown-statement",
+        "symbol-first",
+        "localize-at-module",
+        "trailing-input",
+        "unreadable-expected-file",
+    ],
+)
+def test_main_reports_input_errors(tmp_path, capsys, monkeypatch, script, expected, message):
+    monkeypatch.chdir(tmp_path)
+    trailing = {"components": [{"generators": ["x )"], "prime": ["x"]}]}
+    Path("trailing.json").write_text(json.dumps(trailing))
+    Path("bad.primdec").write_text(script + "\n")
+    argv = ["run", "bad.primdec"] if expected is None else ["validate", "bad.primdec", expected]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line: the message, then for a file the operating system's reason
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    if expected is None:
+        assert captured.err == f"error: {message}\n"
 
 
 def test_main_parse_error_exit_code(tmp_path, capsys):

@@ -372,6 +372,29 @@ def test_primary_component_witnesses():
     ]
 
 
+def test_witness_loop_builds_each_power_of_the_prime_from_a_reduced_one(monkeypatch):
+    # (x^30, xy) needs P^30 at P = (x, y); a reduced P^m has m + 1 generators,
+    # an unreduced product would double them at each step, past 64 by m = 6
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+
+    def bounded_module_sum(A, B):
+        assert len(A.generators) + len(B.generators) <= 64
+        return module_sum(A, B)
+
+    module_sum = decompose._module_sum
+    monkeypatch.setattr(decompose, "_module_sum", bounded_module_sum)
+    res = primary_decomposition(ideal(R, [x**30, x * y]))
+    got = [
+        (itext(c.module), itext(c.prime), c.embedded, c.witness_exponent)
+        for c in res.components
+    ]
+    assert got == [
+        (["x"], ["x"], False, 1),
+        (["x*y", "y^30", "x^30"], ["y", "x"], True, 30),
+    ]
+
+
 def test_primary_component_tells_minimal_primes_from_its_own_primes(monkeypatch):
     # no caller says which primes are minimal: over (x^2, xy) the minimal (x)
     # is not saturated by, while the embedded (x, y) is, and so is (x, y - 1),

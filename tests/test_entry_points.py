@@ -3,7 +3,8 @@
 `perfbench/tracer.py` wraps every function in its `LAYERS` table and fails a
 traced run when one is missing; `perfbench/case.py` calls `parse_script`,
 `run_script`, `primary_decomposition` and `min_ass` with fixed keywords and
-filters script statements by `cli.Command`; `perfbench/run.py` fails a traced
+filters script statements by `cli.Command`, and renders a generator's
+`components` with `render_polynomial`; `perfbench/run.py` fails a traced
 run when a function in its `EXERCISED` table records no call on its workload.
 These tests fail when a change to the library would break any of them,
 instead of the benchmark failing later.
@@ -63,6 +64,20 @@ def test_harness_keywords_bind():
     inspect.signature(cli.render_json).bind([])
     for name in ("canonical", "render_polynomial"):
         assert callable(getattr(primarydec, name))
+
+
+def test_rendered_generators_read_components_as_the_harness_does():
+    # perfbench/case.py renders an ideal's generator g as
+    # render_polynomial(g.components[0]) and a module's component-wise
+    R = primarydec.RingContext(("x", "y"))
+    x, y = R.variable(0), R.variable(1)
+    p = x * y - 1
+    (g,) = primarydec.ideal(R, [p]).generators
+    for f in (p, g):
+        assert f.components == (f,)
+        assert primarydec.render_polynomial(f.components[0]) == "x*y - 1"
+    v = primarydec.FreeElement(R, (p, y))
+    assert [primarydec.render_polynomial(c) for c in v.components] == ["x*y - 1", "y"]
 
 
 def test_script_statements_are_commands():

@@ -13,6 +13,7 @@ from primarydec.polyring import (
     Submodule,
     full_module,
     ideal,
+    ideal_generators,
     render_polynomial,
     unit_vector,
 )
@@ -244,6 +245,34 @@ def test_submodule_and_ideal_wrappers():
     assert Z.is_zero()
     with pytest.raises(RingError):
         Submodule(R, 2, [FreeElement(R, (x,))])
+
+
+def test_a_polynomial_is_a_rank_one_element():
+    # one element class: an ideal's generator is the polynomial it was given,
+    # so equal values compare and hash equal however they were built
+    R = make_ring("xy")
+    x, y = R.variable(0), R.variable(1)
+    I = ideal(R, [x])
+    assert I.generators[0] == x and x in I.generators
+    assert ideal_generators(I) == (x,)
+    assert Submodule(R, 1, [x]) == I and hash(Submodule(R, 1, [x])) == hash(I)
+    assert FreeElement(R, (x,)) == x
+    assert x.components == (x,)
+    assert FreeElement(R, (x, y)).components == (x, y)
+
+
+def test_only_polynomials_multiply_and_take_powers():
+    R = make_ring("xy")
+    x, y = R.variable(0), R.variable(1)
+    v = FreeElement(R, (x, y))
+    with pytest.raises(RingError):
+        v * x
+    with pytest.raises(RingError):
+        x * v
+    with pytest.raises(TypeError):
+        v**2
+    assert v.scale(x) == FreeElement(R, (x * x, x * y))
+    assert 2 * x == x * 2 == x + x and x**2 == x * x
 
 
 def test_matrix_operations():
