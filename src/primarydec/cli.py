@@ -50,6 +50,10 @@ class ScriptError(Exception):
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "=,;()[]+-*^/."
+# str.isdigit also accepts digits such as '²' that int() rejects or misreads
+_DIGITS = "0123456789"
+# each parenthesis costs the recursive-descent parser four stack frames
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,9 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             toks.append(Token("int", source[i:j], line, col))
             col += j - i
@@ -143,6 +147,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
         self.ring: RingContext | None = None
         self.bindings: dict[str, Submodule] = {}
 
@@ -235,8 +240,14 @@ class _Parser:
                 return ring.constant(Fraction(num, den))
             return ring.constant(num)
         if t.kind == "sym" and t.text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ScriptError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", t.line, t.col
+                )
+            self.depth += 1
             p = self.parse_polynomial()
             self.expect_sym(")")
+            self.depth -= 1
             return p
         raise ScriptError("expected a polynomial", t.line, t.col)
 

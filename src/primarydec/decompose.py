@@ -7,7 +7,9 @@ independent variables.  There the minimal polynomial of a linear form in the
 dependent variables either factors over Q and splits the ideal, or is
 irreducible of degree equal to the dimension of the quotient, which certifies
 the ideal prime; coordinate shears, at most `_SHEAR_BUDGET` per `min_ass`
-call, are a fallback for what no form settles.
+call, are a fallback for what no form settles.  The splits return candidate
+primes, which may repeat or contain one another; `min_ass` alone keeps the
+inclusion-minimal ones and sorts them, once.
 The module-level decomposition peels one primary component per associated
 prime, using twice-iterated Ext kernels for the equidimensional parts (none
 when the Groebner basis shows the module unmixed: zero dimensional, or an
@@ -37,7 +39,6 @@ from .groebner import (
     buchberger,
     canonical,
     codim,
-    eliminate,
     independent_sets,
     intersect,
     is_sub,
@@ -86,6 +87,10 @@ def _render_key(A: Submodule) -> tuple:
     )
 
 
+def _shown(P: Submodule) -> str:
+    return ", ".join(g[0] for g in _render_key(P))
+
+
 def _module_sum(A: Submodule, B: Submodule) -> Submodule:
     return Submodule(A.ring, A.ambient_rank, list(A.generators) + list(B.generators))
 
@@ -95,7 +100,7 @@ def _ideal_times_module(P: Submodule, X: Submodule) -> Submodule:
     return Submodule(X.ring, X.ambient_rank, gens)
 
 
-def _minimalize(primes) -> tuple[Submodule, ...]:
+def _minimalize(primes) -> list[Submodule]:
     """The inclusion-minimal primes among `primes`, sorted by (codim, rendering).
 
     Distinct primes of equal height are never nested, because a strict
@@ -113,7 +118,7 @@ def _minimalize(primes) -> tuple[Submodule, ...]:
         if not any(hq < h and is_sub(Q, P) for Q, hq in heights.items())
     ]
     kept.sort(key=lambda P: (heights[P], _render_key(P)))
-    return tuple(kept)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,8 @@ def _vector_dim(J: Submodule, D: tuple[int, ...], d: int) -> int:
 
 
 def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, left: list):
-    """Minimal primes of J when J is zero dimensional over K = Q(u).
+    """Candidate primes of J (see `_min_ass_rec`) when J is zero dimensional
+    over K = Q(u).
 
     Each linear form l = x_d + tail, tail = sum_k c^(k+1) x_{others[k]}, for
     c in _FORM_SCALES and d in D, is tested through its minimal polynomial p
@@ -237,9 +243,9 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, left: list):
                         f = substitute(_poly_in_var(ring, d, fc), {d: x + tail})
                         split = canonical(ideal(ring, [*J.generators, f]))
                         out.extend(_min_ass_rec(split, seed, left))
-                    return _minimalize(out)
+                    return out
             if (coeffs is not None or deg == 1) and deg == _vector_dim(Jl, D, d):
-                return (canonical(J),)
+                return [canonical(J)]
         # once a variable's p depends on u, so do the forms' in general, and such
         # a p certifies only at degree 1; with one dependent variable l = x_d
         if u_dependent or len(D) == 1:
@@ -258,14 +264,12 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, left: list):
         c = _field_lead_coefficient(gen, lead, D)
         if not c.is_constant():
             coeffs.add(c)
-    h = ring.one()
-    for c in sorted(coeffs, key=render_polynomial):
-        h = h * c
+    h = prod(coeffs, start=ring.one())
     Ic = canonical(I)
     J = saturate(I, ideal(ring, [h])) if coeffs else Ic
     if is_unit_ideal(J):
         raise _CertificationFailure("saturation by lead coefficients is trivial")
-    primes = list(_zero_dim_primes(J, u, seed, left))
+    primes = _zero_dim_primes(J, u, seed, left)
     if J != Ic:
         Ih = canonical(ideal(ring, [*I.generators, h]))
         primes.extend(_min_ass_rec(Ih, seed, left))
@@ -273,20 +277,13 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, left: list):
 
 
 def _candidate_independent_sets(I: Submodule):
+    """The independent sets read off the leading terms, then every other set
+    of their size; `_gtz_split` rejects one that meets the ideal."""
     lead_based = independent_sets(I)
-    for u in lead_based:
-        yield u
+    yield from lead_based
     d = krull_dim(I)
-    tried = set(lead_based)
-    if d <= 0:
-        return
-    n = I.ring.n
-    for combo in combinations(range(n), d):
-        if combo in tried:
-            continue
-        drop = tuple(i for i in range(n) if i not in combo)
-        if not eliminate(I, drop).generators:
-            yield combo
+    if d > 0:
+        yield from (u for u in combinations(range(I.ring.n), d) if u not in lead_based)
 
 
 def _shear_pairs(ring: RingContext, D: tuple[int, ...]):
@@ -309,16 +306,20 @@ def _apply_shear(I: Submodule, i: int, j: int, lam: int) -> Submodule:
     )
 
 
-def _min_ass_rec(I: Submodule, seed: int, left: list) -> tuple[Submodule, ...]:
-    """Minimal primes of I; left[0] counts the shears the whole call has left."""
+def _min_ass_rec(I: Submodule, seed: int, left: list) -> list[Submodule]:
+    """Candidate primes of I; left[0] counts the shears the whole call has left.
+
+    Each candidate is a canonical prime containing I, and every minimal prime
+    of I is among them; they may repeat or contain one another.
+    """
     Ic = canonical(I)
     if is_unit_ideal(Ic):
-        return ()
+        return []
     if not Ic.generators:
-        return (Ic,)
+        return [Ic]
     for u in _candidate_independent_sets(Ic):
         try:
-            return _minimalize(_gtz_split(Ic, u, seed, left))
+            return _gtz_split(Ic, u, seed, left)
         except _CertificationFailure:
             continue
     rot = seed % len(_SHEAR_LAMBDAS)
@@ -336,7 +337,7 @@ def _min_ass_rec(I: Submodule, seed: int, left: list) -> tuple[Submodule, ...]:
             primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), seed, [0])
         except DecompositionError:
             continue
-        return _minimalize(_apply_shear(P, i, j, -lam) for P in primes)
+        return [_apply_shear(P, i, j, -lam) for P in primes]
     raise DecompositionError(
         f"cannot certify minimal primes after {_SHEAR_BUDGET - left[0]} coordinate "
         "shears; the ideal appears to need factorization over a function field, "
@@ -348,7 +349,7 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
     """Minimal associated primes of an ideal, canonical and sorted."""
     if I.ambient_rank != 1:
         raise ValueError("minimal primes are computed for ideals")
-    return list(_min_ass_rec(canonical(I), seed, [_SHEAR_BUDGET]))
+    return _minimalize(_min_ass_rec(canonical(I), seed, [_SHEAR_BUDGET]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +457,8 @@ def primary_component(
     if primes is None:
         primes = _associated_primes(canonical(A), seed)
     AP = localize_module(A, P, seed, primes=primes)
-    shown = ", ".join(g[0] for g in _render_key(P))
     if buchberger(AP).is_full():
-        raise DecompositionError(f"({shown}) contains no associated prime of the module")
+        raise DecompositionError(f"({_shown(P)}) contains no associated prime of the module")
     B = full_module(ring, s)
     GP = buchberger(P)
     inside = [canonical(Pi) for Pi in primes if _separator(Pi, GP) is None]
@@ -472,7 +472,7 @@ def primary_component(
             return Q, m, tuple(trace)
         T = canonical(_ideal_times_module(P, T))
     raise DecompositionError(
-        f"no witness exponent up to {bound} isolates the component at ({shown})"
+        f"no witness exponent up to {bound} isolates the component at ({_shown(P)})"
     )
 
 

@@ -358,6 +358,8 @@ def _monomial_str(ring: RingContext, exps: Monomial) -> str:
 
 def render_polynomial(p: FreeElement) -> str:
     """Canonical text form; parses back to an equal polynomial."""
+    if p.rank != 1:
+        raise RingError("only a polynomial renders; render a vector's components")
     if not p.terms:
         return "0"
     pieces = []

@@ -37,6 +37,13 @@ def test_parse_script_statement_count():
     assert script.statements[0].verb == "primdec"
 
 
+def test_parse_script_reads_parentheses_nested_to_the_limit():
+    nested = "(" * 100 + "x + 1" + ")" * 100
+    script = parse_script(f"ring r=0,(x,y),dp; ideal I = {nested}, y - {nested}; minass I;")
+    x, y = (script.statements[0].module.ring.variable(i) for i in range(2))
+    assert script.statements[0].module.generators == (x + 1, y - x - 1)
+
+
 def test_parse_rejects_ideal_before_ring():
     with pytest.raises(ScriptError, match="no ring"):
         parse_script("ideal I = x^2;")
@@ -258,6 +265,16 @@ def test_main_run_text(tmp_path, capsys):
             "absent.json",
             "cannot read 'absent.json': ",
         ),
+        # integers are ASCII digits only: int() rejects '²' and reads '١' as 1
+        ("ring r=0,(x,y),dp; ideal I = ²;", None, "line 1, column 30: unexpected character '²'"),
+        ("ring r=0,(x,y),dp; ideal I = x^²;", None, "line 1, column 32: unexpected character '²'"),
+        ("ring r=0,(x,y),wp(١, 2);", None, "line 1, column 19: unexpected character '١'"),
+        # the 101st of 400 nested parentheses is refused, before the stack runs out
+        (
+            "ring r=0,(x,y),dp; ideal I = " + "(" * 400 + "x" + ")" * 400 + ";",
+            None,
+            "line 1, column 130: parentheses nested deeper than 100",
+        ),
     ],
     ids=[
         "unterminated-string",
@@ -270,6 +287,10 @@ def test_main_run_text(tmp_path, capsys):
         "localize-at-module",
         "trailing-input",
         "unreadable-expected-file",
+        "superscript-integer",
+        "superscript-exponent",
+        "non-ascii-weight",
+        "deep-nesting",
     ],
 )
 def test_main_reports_input_errors(tmp_path, capsys, monkeypatch, script, expected, message):

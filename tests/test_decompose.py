@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from primarydec import decompose
+from primarydec import decompose, groebner
 from primarydec.cli import Command, parse_script, run_script
 from primarydec.decompose import (
     Component,
@@ -318,6 +318,47 @@ def test_minimalize_drops_a_prime_over_a_lower_one():
     x, y, z = (R.variable(i) for i in range(3))
     primes = [ideal(R, [x, y, z - 2]), ideal(R, [y, z - 2]), ideal(R, [x - 1])]
     assert primes_text(_minimalize(primes)) == [["x - 1"], ["z - 2", "y"]]
+
+
+def test_min_ass_minimalizes_once_over_a_splitting_input(monkeypatch):
+    # the splits return candidate primes; min_ass alone prunes and sorts them
+    calls = []
+    real = decompose._minimalize
+
+    def record(primes):
+        calls.append(None)
+        return real(primes)
+
+    monkeypatch.setattr(decompose, "_minimalize", record)
+    R = ring3()
+    I = ideal(R, [R.variable(i) ** 3 - R.variable(i) for i in range(3)])
+    primes = min_ass(I)
+    assert len(calls) == 1
+    assert len(primes) == 27
+    assert all(codim(P) == 3 for P in primes)
+    assert primes == sorted(primes, key=lambda P: itext(P))
+
+
+def test_min_ass_tests_independence_by_the_split_alone(monkeypatch):
+    # the lead-based set {y} of x^2 - y fails and {x} certifies; {x} is
+    # independent by the block-order basis of the split, with no elimination
+    def refuse(*args):
+        raise AssertionError("eliminate called")
+
+    monkeypatch.setattr(groebner, "eliminate", refuse)
+    monkeypatch.setattr(decompose, "eliminate", refuse, raising=False)
+    sets = []
+    real = decompose._gtz_split
+
+    def record(I, u, seed, left):
+        sets.append(u)
+        return real(I, u, seed, left)
+
+    monkeypatch.setattr(decompose, "_gtz_split", record)
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    assert primes_text(min_ass(ideal(R, [x * x - y]))) == [["x^2 - y"]]
+    assert sets == [(1,), (0,)]
 
 
 def test_localize_module_known_values():

@@ -196,6 +196,19 @@ def test_render_polynomial():
     assert render_polynomial(R.constant(Fraction(-1, 2))) == "-1/2"
 
 
+def test_render_polynomial_refuses_a_vector():
+    R = make_ring("xy")
+    x = R.variable(0)
+    v = FreeElement(R, (x, x))
+    # joined, [x, x] would read "x + x", which parses back to 2*x
+    with pytest.raises(RingError):
+        render_polynomial(v)
+    with pytest.raises(RingError):
+        render_polynomial(FreeElement(R, (x, R.zero())))
+    assert [render_polynomial(p) for p in v.components] == ["x", "x"]
+    assert str(v) == "[x,x]"
+
+
 def test_mixed_ring_operations_rejected():
     R1 = make_ring("xy")
     R2 = make_ring("xz")
