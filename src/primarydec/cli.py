@@ -422,6 +422,14 @@ def parse_polynomial(ring: RingContext, text: str) -> FreeElement:
 # ---------------------------------------------------------------------------
 
 
+def _read_file(path: Path, shown: str) -> str:
+    """The text of a script or JSON file, decoded as UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScriptError(f"cannot read {shown!r}: {exc}")
+
+
 def _rendered_generators(A: Submodule):
     Ac = canonical(A)
     if Ac.ambient_rank == 1:
@@ -529,11 +537,10 @@ def _execute_command(cmd: Command, bound: int, seed: int, base_dir: Path) -> dic
         path = Path(cmd.file_arg)
         if not path.is_absolute():
             path = base_dir / path
+        text = _read_file(path, cmd.file_arg)
         try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise ScriptError(f"cannot read {cmd.file_arg!r}: {exc}")
-        except json.JSONDecodeError as exc:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ScriptError(f"cannot parse {cmd.file_arg!r}: {exc}")
         pairs = _components_from_json(doc, M)
         report = validate_decomposition(M, pairs, seed=seed)
@@ -616,11 +623,7 @@ def _seed_from_env() -> int:
 
 def _run_file(path_text: str, bound: int, json_mode: bool) -> str:
     path = Path(path_text)
-    try:
-        source = path.read_text()
-    except OSError as exc:
-        raise ScriptError(f"cannot read {path_text!r}: {exc}")
-    script = parse_script(source)
+    script = parse_script(_read_file(path, path_text))
     seed = _seed_from_env()
     results = run_script(script, bound=bound, seed=seed, base_dir=path.parent)
     return render_json(results) if json_mode else render_text(results)
@@ -653,10 +656,7 @@ def main(argv=None) -> int:
             sys.stdout.write(_run_file(args.file, args.bound, args.json))
             return 0
         output = _run_file(args.file, 50, True)
-        try:
-            expected = Path(args.expected).read_text()
-        except OSError as exc:
-            raise ScriptError(f"cannot read {args.expected!r}: {exc}")
+        expected = _read_file(Path(args.expected), args.expected)
         if output.strip() == expected.strip():
             sys.stdout.write("ok\n")
             return 0

@@ -1,14 +1,17 @@
 """Factorization of univariate polynomials over Q.
 
 Polynomials are coefficient sequences from the constant term upward.  The
-pipeline is squarefree splitting, factorization modulo a good small prime,
-Hensel lifting past the coefficient bound, and subset recombination.  Only
-monic irreducible factors are reported; the leading coefficient of the input
-is discarded.
+pipeline is Yun's squarefree splitting over Q; for each squarefree part,
+distinct-degree and then equal-degree (Cantor-Zassenhaus) splitting modulo
+the first odd prime that keeps the part squarefree; Hensel lifting of those
+factors past the coefficient bound; and recombination of the lifted factors
+by subsets.  Only monic irreducible factors are reported; the leading
+coefficient of the input is discarded.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
@@ -116,10 +119,14 @@ def _p_mul(a: list, b: list, m: int) -> list:
     return _trim(out)
 
 
-def _p_sub(a: list, b: list, m: int) -> list:
+def _p_add(a: list, b: list, m: int) -> list:
     n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
+    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
     return _trim(out)
+
+
+def _p_sub(a: list, b: list, m: int) -> list:
+    return _p_add(a, [-c for c in b], m)
 
 
 def _p_divmod(a: list, b: list, m: int) -> tuple[list, list]:
@@ -176,79 +183,42 @@ def _p_pow_mod(base: list, e: int, mod: list, p: int) -> list:
     return result
 
 
-def _berlekamp(f: list, p: int) -> list[list]:
-    """Irreducible monic factors of a monic squarefree polynomial mod p."""
-    d = _q_deg(f)
-    if d == 1:
-        return [f]
-    xp = _p_pow_mod([0, 1], p, f, p)
-    rows = []
-    cur = [1]
-    for _i in range(d):
-        row = [cur[j] if j < len(cur) else 0 for j in range(d)]
-        rows.append(row)
-        cur = _p_divmod(_p_mul(cur, xp, p), f, p)[1]
-    # kernel of (Q - I)^T acting on coefficient vectors v: v(x)^p = v(x) mod f
-    mat = [[(rows[i][j] - (1 if i == j else 0)) % p for i in range(d)] for j in range(d)]
-    basis = _kernel_basis(mat, p)
-    r = len(basis)
-    if r == 1:
-        return [f]
-    factors = [f]
-    for vec in basis:
-        v = _trim(list(vec))
-        if _q_deg(v) < 1:
-            continue
-        for s in range(p):
-            if len(factors) == r:
-                return factors
-            vs = _p_sub(v, [s], p)
-            nxt = []
-            for g in factors:
-                if _q_deg(g) == 1:
-                    nxt.append(g)
-                    continue
-                h = _p_gcd(g, vs, p)
-                if 0 < _q_deg(h) < _q_deg(g):
-                    nxt.append(h)
-                    nxt.append(_p_divmod(g, h, p)[0])
-                else:
-                    nxt.append(g)
-            factors = nxt
-    return factors
+def _factor_mod_p(f: list, p: int) -> list[list]:
+    """Irreducible monic factors of a monic squarefree polynomial mod an odd prime.
 
-
-def _kernel_basis(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    pivots: dict[int, int] = {}
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, n):
-            if m[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
+    Distinct-degree splitting takes out g = gcd(f, x^(p^d) - x), the product of
+    the factors of degree d, for d = 1, 2, ...; once deg f < 2(d + 1) what is
+    left is irreducible.  Equal-degree splitting (Cantor-Zassenhaus) breaks
+    each g with gcd(g, r^((p^d - 1)/2) - 1) for random r, which is a proper
+    factor with probability about 1/2.
+    """
+    rng = random.Random(p)
+    out = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= _q_deg(f):
+        d += 1
+        h = _p_pow_mod(h, p, f, p)
+        g = _p_gcd(f, _p_sub(h, [0, 1], p), p)
+        if _q_deg(g) < 1:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [(c * inv) % p for c in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] % p:
-                c = m[r][col]
-                m[r] = [(a - c * b) % p for a, b in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for col, r in pivots.items():
-            vec[col] = (-m[r][fc]) % p
-        basis.append(vec)
-    return basis
+        f = _p_divmod(f, g, p)[0]
+        h = _p_divmod(h, f, p)[1]
+        pending = [g]
+        while pending:
+            g = pending.pop()
+            if _q_deg(g) == d:
+                out.append(g)
+                continue
+            r = [rng.randrange(p) for _i in range(_q_deg(g))]
+            w = _p_gcd(g, _p_sub(_p_pow_mod(r, (p**d - 1) // 2, g, p), [1], p), p)
+            if 0 < _q_deg(w) < _q_deg(g):
+                pending += [w, _p_divmod(g, w, p)[0]]
+            else:
+                pending.append(g)
+    if _q_deg(f) > 0:
+        out.append(f)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,36 +230,20 @@ def _hensel_pair(f: list, g: list, h: list, p: int, target: int):
     """Lift f = g*h from mod p to mod p^k >= target; all monic."""
     _one, s, t = _p_ext_gcd(g, h, p)
     m = p
-    g, h = list(g), list(h)
     while m < target:
-        m2 = m * m
-        e = [(fc - c) % m2 for fc, c in _pad_pair(f, _p_mul(g, h, m2))]
-        e = _trim(e)
+        m *= m
+        e = _p_sub(f, _p_mul(g, h, m), m)
         if e:
-            b = _p_divmod(_p_mul(s, e, m2), h, m2)[1]
-            a = _p_divmod(_p_sub(e, _p_mul(b, g, m2), m2), h, m2)[0]
-            g = _trim([(x + y) % m2 for x, y in _pad_pair(g, _p_mul(a, [1], m2))])
-            h = _trim([(x + y) % m2 for x, y in _pad_pair(h, b)])
+            b = _p_divmod(_p_mul(s, e, m), h, m)[1]
+            a = _p_divmod(_p_sub(e, _p_mul(b, g, m), m), h, m)[0]
+            g, h = _p_add(g, a, m), _p_add(h, b, m)
         # refresh the Bezout pair so the next round works mod the new modulus
-        d = [(x - y) % m2 for x, y in _pad_pair([1], _trim(
-            [(u + v) % m2 for u, v in _pad_pair(_p_mul(s, g, m2), _p_mul(t, h, m2))]
-        ))]
-        d = _trim(d)
+        d = _p_sub([1], _p_add(_p_mul(s, g, m), _p_mul(t, h, m), m), m)
         if d:
-            ds = _p_divmod(_p_mul(s, d, m2), h, m2)[1]
-            dt = _p_divmod(_p_sub(_p_mul(d, [1], m2), _p_mul(ds, g, m2), m2), h, m2)[0]
-            s = _trim([(x + y) % m2 for x, y in _pad_pair(s, ds)])
-            t = _trim([(x + y) % m2 for x, y in _pad_pair(t, dt)])
-        m = m2
+            ds = _p_divmod(_p_mul(s, d, m), h, m)[1]
+            dt = _p_divmod(_p_sub(d, _p_mul(ds, g, m), m), h, m)[0]
+            s, t = _p_add(s, ds, m), _p_add(t, dt, m)
     return g, h, m
-
-
-def _pad_pair(a: list, b: list):
-    n = max(len(a), len(b))
-    return zip(
-        [a[i] if i < len(a) else 0 for i in range(n)],
-        [b[i] if i < len(b) else 0 for i in range(n)],
-    )
 
 
 def _hensel_list(f: list, parts: list[list], p: int, target: int) -> tuple[list[list], int]:
@@ -327,42 +281,27 @@ def _z_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return q, _trim(a)
 
 
-_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73]
-
-
-def _more_primes(start: int):
-    n = start
+def _odd_primes():
+    n = 3
     while True:
-        n += 2
         if all(n % q for q in range(3, isqrt(n) + 1, 2)):
             yield n
+        n += 2
 
 
 def _factor_squarefree_monic_integer(f: list[int]) -> list[list[int]]:
-    """Irreducible monic integer factors of a monic squarefree integer poly."""
-    d = len(f) - 1
-    if d <= 1:
-        return [f] if d == 1 else []
-    df = _trim([f[i] * i for i in range(1, len(f))])
+    """Irreducible monic integer factors of a monic squarefree integer poly.
 
-    chosen = None
-    candidates = iter(_PRIMES)
-    extra = None
-    while chosen is None:
-        try:
-            p = next(candidates)
-        except StopIteration:
-            if extra is None:
-                extra = _more_primes(_PRIMES[-1])
-            p = next(extra)
-        fp = _trim([c % p for c in f])
-        if _q_deg(fp) != d:
-            continue
-        if _q_deg(_p_gcd(fp, [c % p for c in df], p)) == 0:
-            chosen = p
-    p = chosen
-    fp = [c % p for c in f]
-    model = _berlekamp(fp, p)
+    f has degree at least 2; it is factored mod the first odd prime that keeps
+    it squarefree.
+    """
+    d = len(f) - 1
+    df = [f[i] * i for i in range(1, len(f))]
+    p = next(
+        p for p in _odd_primes()
+        if _q_deg(_p_gcd([c % p for c in f], [c % p for c in df], p)) == 0
+    )
+    model = _factor_mod_p([c % p for c in f], p)
     if len(model) == 1:
         return [f]
     model.sort(key=lambda g: (len(g), tuple(g)))
@@ -411,12 +350,10 @@ def univariate_factor(coeffs: Sequence) -> list[tuple[tuple[Fraction, ...], int]
     if _q_deg(f) < 1:
         return []
     out: list[tuple[tuple[Fraction, ...], int]] = []
-    shift = 0
-    while f[0] == 0:
-        shift += 1
-        f = f[1:]
+    shift = next(i for i, c in enumerate(f) if c)
     if shift:
         out.append(((Fraction(0), Fraction(1)), shift))
+        f = f[shift:]
     if _q_deg(f) >= 1:
         f = _q_monic(f)
         for part, mult in _squarefree_parts(f):

@@ -419,6 +419,84 @@ def test_in_script_validate_rejects_malformed_json(tmp_path, capsys, binding, en
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "binding, content, message",
+    [
+        (
+            "ideal I=x;",
+            [{"components": []}, {"components": []}],
+            "expected output holds more than one command",
+        ),
+        ("ideal I=x;", {"primes": [["x"]]}, "expected output carries no component list"),
+        ("ideal I=x;", {"components": ["x"]}, "component entries must be objects"),
+        (
+            "ideal I=x;",
+            {"components": [{"generators": ["x"]}]},
+            "component entries need generators and prime",
+        ),
+        (
+            "module I=[x,0],[0,y];",
+            {"components": [{"generators": [["x"]], "prime": ["x"]}]},
+            "component generator has wrong length",
+        ),
+        ("ideal I=x;", None, "cannot read 'expected.json': "),
+        ("ideal I=x;", "{", "cannot parse 'expected.json': Expecting property name"),
+        (
+            "ideal I=x;",
+            "[" * 200000 + "]" * 200000,
+            "cannot parse 'expected.json': maximum recursion depth exceeded",
+        ),
+    ],
+    ids=[
+        "two-commands",
+        "no-component-list",
+        "entry-not-object",
+        "entry-without-prime",
+        "generator-wrong-length",
+        "missing-file",
+        "not-json",
+        "deeply-nested",
+    ],
+)
+def test_in_script_validate_reports_bad_files(tmp_path, capsys, binding, content, message):
+    if isinstance(content, str):
+        (tmp_path / "expected.json").write_text(content)
+    elif content is not None:
+        (tmp_path / "expected.json").write_text(json.dumps(content))
+    g = tmp_path / "check.primdec"
+    g.write_text(f"ring r=0,(x,y),dp; {binding} validate I, expected.json;\n")
+    assert main(["run", str(g), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, undecodable",
+    [
+        (["run", "job.primdec"], "job.primdec"),
+        (["run", "job.primdec"], "in.json"),
+        (["validate", "job.primdec", "out.json"], "out.json"),
+    ],
+    ids=["script", "validate-file", "expected-file"],
+)
+def test_main_reports_files_that_are_not_utf8(tmp_path, capsys, monkeypatch, argv, undecodable):
+    # files are read as UTF-8 whatever the locale, and 0xff starts no UTF-8 sequence
+    monkeypatch.chdir(tmp_path)
+    Path("job.primdec").write_text("ring r=0,(x,y),dp; ideal I=x; validate I, in.json;\n")
+    Path("in.json").write_text(json.dumps({"components": [{"generators": ["x"], "prime": ["x"]}]}))
+    Path("out.json").write_text("[]")
+    with open(undecodable, "ab") as fh:
+        fh.write(b"\xff")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot read '{undecodable}': 'utf-8' codec can't decode byte 0xff"
+    )
+    assert captured.err.count("\n") == 1
+
+
 def test_main_validate_subcommand(tmp_path, capsys):
     f = tmp_path / "job.primdec"
     f.write_text("ring r=0,(x,y),dp; ideal I=x*y; minass I;\n")

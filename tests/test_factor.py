@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from primarydec.unifactor import is_irreducible, univariate_factor
+from primarydec.unifactor import _factor_mod_p, _p_gcd, is_irreducible, univariate_factor
 
 F = Fraction
 
@@ -145,3 +146,77 @@ def test_random_products_agree_with_sympy():
             for p, m in pairs
         )
         assert got == expected, f
+
+
+def test_strips_a_high_power_of_x():
+    assert univariate_factor([0] * 100000 + [1]) == [((0, 1), 100000)]
+
+
+def test_factors_mod_a_prime_above_73():
+    # x^2 - D and x^2 - D^2 are x^2 mod every odd prime up to 73, so the first
+    # prime that keeps them squarefree is 79
+    D = 1
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73):
+        D *= q
+    assert univariate_factor([-D, 0, 1]) == [((-D, 0, 1), 1)]
+    assert univariate_factor([-D * D, 0, 1]) == [((-D, 1), 1), ((D, 1), 1)]
+
+
+def _divides_mod(g, f, p):
+    """Whether the monic g divides f mod p, by long division."""
+    a = [c % p for c in f]
+    while len(a) >= len(g):
+        c, shift = a[-1], len(a) - len(g)
+        for i, y in enumerate(g):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        a.pop()
+    return not any(a)
+
+
+def _irreducible_mod(f, p):
+    """No monic polynomial of degree 1 .. deg f / 2 divides f mod p."""
+    return all(
+        not _divides_mod(list(low) + [1], f, p)
+        for k in range(1, (len(f) - 1) // 2 + 1)
+        for low in product(range(p), repeat=k)
+    )
+
+
+def _squarefree_monic_mod(p, count):
+    rng = random.Random(p)
+    out = []
+    while len(out) < count:
+        f = [rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1]
+        df = [(i * c) % p for i, c in enumerate(f)][1:]
+        if len(_p_gcd(f, df, p)) == 1:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_mod_p_splits_x_to_the_p_minus_x(p):
+    f = [0, p - 1] + [0] * (p - 2) + [1]
+    assert sorted(_factor_mod_p(f, p)) == [[c, 1] for c in range(p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_factor_mod_p_gives_irreducible_factors(p):
+    for f in _squarefree_monic_mod(p, 25):
+        factors = _factor_mod_p(f, p)
+        prod = [1]
+        for g in factors:
+            assert g[-1] == 1 and len(g) > 1 and _irreducible_mod(g, p), (f, g)
+            prod = [c % p for c in poly_mul(prod, g)]
+        assert prod == f
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_factor_mod_p_agrees_with_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for f in _squarefree_monic_mod(p, 25):
+        _lead, pairs = sympy.Poly(list(reversed(f)), t, modulus=p).factor_list()
+        expected = sorted(
+            [int(c) % p for c in reversed(g.all_coeffs())] for g, _mult in pairs
+        )
+        assert sorted(_factor_mod_p(f, p)) == expected, f
