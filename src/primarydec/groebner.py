@@ -540,14 +540,33 @@ def _t_free(gens, ext: RingContext, ring: RingContext, s: int) -> Submodule:
     return Submodule(ring, s, out)
 
 
+def _has_every_unit(A: Submodule) -> bool:
+    """Whether A's generators include a nonzero constant multiple of every
+    unit vector, as full_module builds them: then A is the whole free module.
+    It reads the generators only, with no Groebner run."""
+    units = {
+        g.terms[0][1] for g in A.generators if len(g.terms) == 1 and not any(g.terms[0][2])
+    }
+    return len(units) == A.ambient_rank
+
+
 def intersect(A: Submodule, B: Submodule) -> Submodule:
-    """A cap B: the @t-free part of t A + (1 - t) B."""
+    """A cap B: the @t-free part of t A + (1 - t) B.
+
+    When either operand has every unit vector among its generators, it is the
+    whole free module and the other operand is returned as given, with no
+    elimination run.
+    """
     ring = A.ring
     if B.ring != ring or B.ambient_rank != A.ambient_rank:
         raise RingError("operands live in different modules")
     s = A.ambient_rank
     if not A.generators or not B.generators:
         return zero_module(ring, s)
+    if _has_every_unit(A):
+        return B
+    if _has_every_unit(B):
+        return A
     ext = _t_ring(ring)
     gens = [_extend_vector(a, ext, ((1, 1),)) for a in A.generators]
     gens += [_extend_vector(b, ext, ((0, 1), (1, -1))) for b in B.generators]

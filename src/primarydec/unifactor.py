@@ -1,12 +1,14 @@
 """Factorization of univariate polynomials over Q.
 
-Polynomials are coefficient sequences from the constant term upward.  The
-pipeline is Yun's squarefree splitting over Q; for each squarefree part,
-distinct-degree and then equal-degree (Cantor-Zassenhaus) splitting modulo
-the first odd prime that keeps the part squarefree; Hensel lifting of those
-factors past the coefficient bound; and recombination of the lifted factors
-by subsets.  Only monic irreducible factors are reported; the leading
-coefficient of the input is discarded.
+Polynomials are coefficient sequences from the constant term upward.  A
+linear input is returned monic.  Otherwise the pipeline is Yun's squarefree
+splitting over Q, skipped when a squarefree test mod one prime already shows
+the input squarefree; for each squarefree part, distinct-degree and then
+equal-degree (Cantor-Zassenhaus) splitting modulo the first odd prime that
+keeps the part squarefree; Hensel lifting of those factors past the
+coefficient bound; and recombination of the lifted factors by subsets.
+Only monic irreducible factors are reported; the leading coefficient of the
+input is discarded.
 """
 
 from __future__ import annotations
@@ -354,13 +356,37 @@ def univariate_factor(coeffs: Sequence) -> list[tuple[tuple[Fraction, ...], int]
     if shift:
         out.append(((Fraction(0), Fraction(1)), shift))
         f = f[shift:]
-    if _q_deg(f) >= 1:
+    if _q_deg(f) == 1:
+        out.append((tuple(_q_monic(f)), 1))
+    elif _q_deg(f) > 1:
         f = _q_monic(f)
-        for part, mult in _squarefree_parts(f):
+        parts = [(f, 1)] if _squarefree_mod_p(f) else _squarefree_parts(f)
+        for part, mult in parts:
             for irr in _factor_part(part):
                 out.append((tuple(irr), mult))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
+
+
+def _primitive_integer(f: list) -> list[int]:
+    """The primitive integer polynomial that is a rational multiple of f."""
+    den = 1
+    for c in f:
+        den = lcm(den, c.denominator)
+    zz = [int(c * den) for c in f]
+    g = gcd(*zz)
+    return [c // g for c in zz]
+
+
+def _squarefree_mod_p(f: list) -> bool:
+    """Whether f is squarefree mod the first odd prime p that does not divide
+    the leading coefficient of its primitive integer multiple F.  Then f is
+    squarefree over Q: a square factor g^2 of F keeps its degree mod p, since
+    lc(g) divides lc(F).  False says nothing."""
+    zz = _primitive_integer(f)
+    p = next(p for p in _odd_primes() if zz[-1] % p)
+    df = [(c * i) % p for i, c in enumerate(zz) if i]
+    return _q_deg(_p_gcd([c % p for c in zz], df, p)) == 0
 
 
 def _factor_part(part: list) -> list[list]:
@@ -368,14 +394,7 @@ def _factor_part(part: list) -> list[list]:
         return [_q_monic(part)]
     # clear denominators, then remove the leading coefficient by substitution:
     # factors of c^(d-1) f(x/c) in y = c x are monic with integer coefficients
-    den = 1
-    for c in part:
-        den = lcm(den, c.denominator)
-    zz = [int(c * den) for c in part]
-    g = 0
-    for c in zz:
-        g = gcd(g, c)
-    zz = [c // g for c in zz]
+    zz = _primitive_integer(part)
     lead = zz[-1]
     d = len(zz) - 1
     monic = [c * lead ** (d - 1 - i) for i, c in enumerate(zz[:-1])] + [1]

@@ -4,7 +4,9 @@ The validator checks the defining properties of a primary decomposition
 directly.  It tests each component for primality by contraction over Q(u),
 u an independent set of the claimed prime (Gianni-Trager-Zacharias):
 saturations and Groebner bases, never an Ext module, so it does not reuse the
-path that found the primes.
+path that found the primes.  One fold of the components checks their
+intersection, and the all-but-one intersections of the irredundancy check
+are computed only at components whose claimed prime contains another.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .polyring import (
     MonomialOrder,
     Submodule,
     from_terms,
+    full_module,
     ideal,
     ideal_generators,
     rekey,
@@ -131,11 +134,6 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
     return h.is_constant() or module_equal(saturate(Q, ideal(ring, [h])), Q)
 
 
-def _meet(A, B):
-    """A cap B, where None stands for the whole ambient module."""
-    return B if A is None else A if B is None else intersect(A, B)
-
-
 def validate_decomposition(M: Submodule, components, seed: int = 0) -> ValidationReport:
     """Check the defining properties of a primary decomposition of M.
 
@@ -149,17 +147,15 @@ def validate_decomposition(M: Submodule, components, seed: int = 0) -> Validatio
             pairs.append((comp[0], comp[1]))
     messages: list[str] = []
     Mc = canonical(M)
-    # before[i] meets the first i components, after[i] those from i on, so
-    # "all but i" is before[i] cap after[i+1]: at most 3k intersections.
+    # before[i] meets the first i components, starting from the free module
+    # F, which intersect meets at no cost; before[k] is the whole meet
+    F = full_module(Mc.ring, Mc.ambient_rank)
     qs = [q for q, _p in pairs]
     k = len(qs)
-    before = [None]
+    before = [F]
     for q in qs:
-        before.append(_meet(before[-1], q))
-    after = [None] * (k + 1)
-    for i in range(k - 1, 0, -1):
-        after[i] = _meet(qs[i], after[i + 1])
-    intersection_ok = module_equal(before[k], Mc) if k else buchberger(Mc).is_full()
+        before.append(intersect(before[-1], q))
+    intersection_ok = module_equal(before[k], Mc)
     if not intersection_ok:
         messages.append("components do not intersect to the input")
     components_primary = True
@@ -172,13 +168,30 @@ def validate_decomposition(M: Submodule, components, seed: int = 0) -> Validatio
     primes_distinct = len(canon_primes) == len(set(canon_primes))
     if not primes_distinct:
         messages.append("two components share a prime")
-    # Every component is tested, isolated ones too.  The engine runs no
-    # redundancy test, since it keeps one component per associated prime;
-    # this check must not rely on the associated-prime argument it is judging.
+    # Component i is redundant when the others meet to M.  Once the components
+    # meet to M and each is primary for its prime, that needs another claimed
+    # prime inside P_i: the others' meet then lies in Q_i, so the product of
+    # their annihilators lies in the prime P_i, and so do one of them and its
+    # radical P_j (isolated components are unique; Atiyah-Macdonald 4.11).
+    # This rests on the checks above, not on the engine's associated primes.
+    # A tested component i is checked on before[i] cap after[i+1], after[i]
+    # meeting the components from i on: at most 3k intersections in all.
     irredundant = True
     if k > 1:
-        for i in range(k):
-            if module_equal(_meet(before[i], after[i + 1]), Mc):
+        if intersection_ok and components_primary:
+            bases = [buchberger(P) for P in canon_primes]
+            tested = [
+                i
+                for i, G in enumerate(bases)
+                if any(j != i and is_sub(Pj, G) for j, Pj in enumerate(canon_primes))
+            ]
+        else:
+            tested = range(k)
+        after = [F] * (k + 1)
+        for i in range(k - 1, min(tested, default=k), -1):
+            after[i] = intersect(qs[i], after[i + 1])
+        for i in tested:
+            if module_equal(intersect(before[i], after[i + 1]), Mc):
                 irredundant = False
                 messages.append("a component is redundant")
                 break

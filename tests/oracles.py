@@ -5,7 +5,9 @@ splitting, with no Groebner machinery, so it can confirm hulls and minimal
 primes computed by the main pipeline.  The membership oracle solves a dense
 linear system over the rationals for the same reason.  `quotient_by_ideal`
 computes A : J from one `modulo_kernel` per generator of J, the reference
-that saturation is compared against as a fixed point.
+that saturation is compared against as a fixed point.  `validation_reference`
+is the validator's report with its irredundancy test run at every component,
+each all-but-one intersection computed on its own.
 
 Tests import it as `from oracles import ...`; pytest puts this directory on
 sys.path.  It uses only names that `primarydec` exports.
@@ -24,8 +26,10 @@ from primarydec import (
     ideal,
     ideal_generators,
     intersect_many,
+    module_equal,
     modulo_kernel,
     unit_vector,
+    validate_decomposition,
 )
 
 Monomial = tuple  # exponent vector, one slot per ring variable
@@ -240,3 +244,44 @@ def quotient_by_ideal(A: Submodule, J: Submodule) -> Submodule:
         if not f.is_zero()
     ]
     return intersect_many(steps) if steps else full_module(ring, s)
+
+
+# ---------------------------------------------------------------------------
+# validation report with every all-but-one intersection
+# ---------------------------------------------------------------------------
+
+
+def validation_reference(M: Submodule, pairs, seed: int = 0) -> dict:
+    """The `as_dict()` of the validator's report for (module, prime) pairs,
+    with component i redundant when the other components meet to M, tested
+    at every i.  The primary flag is the validator's on each component
+    alone, where it has no redundancy to test."""
+    Mc = canonical(M)
+    F = full_module(M.ring, M.ambient_rank)
+    qs = [q for q, _p in pairs]
+    messages = []
+    intersection = module_equal(intersect_many([F, *qs]), Mc)
+    if not intersection:
+        messages.append("components do not intersect to the input")
+    primary = all(
+        validate_decomposition(q, [(q, p)], seed).components_primary for q, p in pairs
+    )
+    if not primary:
+        messages.append("a component is not primary for its claimed prime")
+    primes = [canonical(p) for _q, p in pairs]
+    distinct = len(set(primes)) == len(primes)
+    if not distinct:
+        messages.append("two components share a prime")
+    redundant = len(qs) > 1 and any(
+        module_equal(intersect_many([F, *qs[:i], *qs[i + 1 :]]), Mc) for i in range(len(qs))
+    )
+    if redundant:
+        messages.append("a component is redundant")
+    return {
+        "ok": intersection and primary and distinct and not redundant,
+        "intersection": intersection,
+        "components_primary": primary,
+        "primes_distinct": distinct,
+        "irredundant": not redundant,
+        "messages": messages,
+    }

@@ -220,3 +220,57 @@ def test_factor_mod_p_agrees_with_sympy(p):
             [int(c) % p for c in reversed(g.all_coeffs())] for g, _mult in pairs
         )
         assert sorted(_factor_mod_p(f, p)) == expected, f
+
+
+def _refuse(*_args):
+    raise AssertionError("called")
+
+
+def test_linear_input_takes_no_squarefree_split(monkeypatch):
+    import primarydec.unifactor as unifactor
+
+    monkeypatch.setattr(unifactor, "_squarefree_parts", _refuse)
+    monkeypatch.setattr(unifactor, "_factor_part", _refuse)
+    assert univariate_factor([F(3), F(-6)]) == [((F(-1, 2), F(1)), 1)]
+    assert univariate_factor([0, 0, F(1, 3), 2]) == [((F(0), F(1)), 2), ((F(1, 6), F(1)), 1)]
+
+
+def test_squarefree_mod_p_decides_when_yun_runs(monkeypatch):
+    import primarydec.unifactor as unifactor
+
+    yun = []
+
+    def recorded(f):
+        yun.append(f)
+        return real(f)
+
+    real = unifactor._squarefree_parts
+    monkeypatch.setattr(unifactor, "_squarefree_parts", recorded)
+    # squarefree mod 3
+    assert univariate_factor([-2, 0, 1]) == [((F(-2), F(0), F(1)), 1)]
+    assert yun == []
+    # x^2 + x + 1 = (x - 1)^2 mod 3, so Yun decides
+    assert univariate_factor([1, 1, 1]) == [((F(1), F(1), F(1)), 1)]
+    assert len(yun) == 1
+    # (3x + 1)^2 (x + 2) is x + 2 mod 3, squarefree; the test skips 3, which
+    # divides the leading coefficient 9, and 5 shows the square
+    assert univariate_factor([2, 13, 24, 9]) == [((F(1, 3), F(1)), 2), ((F(2), F(1)), 1)]
+    assert len(yun) == 2
+
+
+def test_squarefree_mod_p_agrees_with_yun(monkeypatch):
+    import primarydec.unifactor as unifactor
+
+    rng = random.Random(24)
+    inputs = []
+    for _ in range(60):
+        f = [F(rng.randint(1, 5), rng.randint(1, 3))]
+        for _k in range(rng.randint(1, 3)):
+            g = [F(rng.randint(-9, 9)) for _i in range(rng.randint(2, 4))]
+            g[-1] = g[-1] or F(1)
+            for _m in range(rng.choice((1, 1, 2))):
+                f = poly_mul(f, g)
+        inputs.append(f)
+    fast = [univariate_factor(f) for f in inputs]
+    monkeypatch.setattr(unifactor, "_squarefree_mod_p", lambda f: False)
+    assert fast == [univariate_factor(f) for f in inputs]

@@ -217,6 +217,35 @@ def test_intersect_modules():
     assert module_equal(got, A)
 
 
+def test_intersect_with_the_full_module_runs_no_elimination(monkeypatch):
+    import primarydec.groebner as groebner
+
+    def refuse(*_args):
+        raise AssertionError("eliminate called")
+
+    monkeypatch.setattr(groebner, "eliminate", refuse)
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    zero = R.zero()
+    cases = [
+        (full_module(R, 1), ideal(R, [x**2, x * y])),
+        # a constant multiple of a unit vector counts, other generators too
+        (ideal(R, [R.constant(3), x]), ideal(R, [y - 1])),
+        (
+            full_module(R, 2),
+            Submodule(R, 2, [FreeElement(R, (x, y)), FreeElement(R, (zero, y**2))]),
+        ),
+    ]
+    for F, Q in cases:
+        assert module_equal(intersect(F, Q), Q)
+        assert module_equal(intersect(Q, F), Q)
+    # (1, 0) and (x, 1) span the free module too, but only a basis would
+    # show it, so this intersection is eliminated as any other
+    hidden = Submodule(R, 2, [FreeElement(R, (R.one(), zero)), FreeElement(R, (x, R.one()))])
+    with pytest.raises(AssertionError, match="eliminate called"):
+        intersect(hidden, cases[2][1])
+
+
 def test_quotient_examples():
     R = ring2()
     x, y = R.variable(0), R.variable(1)

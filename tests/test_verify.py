@@ -10,6 +10,7 @@ from primarydec.polyring import (
     RingContext,
     Submodule,
     ideal,
+    unit_vector,
 )
 import primarydec.verify as verify
 from primarydec.verify import validate_decomposition
@@ -19,6 +20,7 @@ from oracles import (
     monomial_hull_oracle,
     monomial_minimal_primes,
     monomial_primdec_oracle,
+    validation_reference,
 )
 
 
@@ -345,10 +347,88 @@ def test_validator_makes_at_most_three_intersections_per_component(monkeypatch):
 
     monkeypatch.setattr(verify, "intersect", counted)
     assert validate_decomposition(grid, res.components).ok
-    assert 0 < len(calls) <= 3 * k
+    # the points are isolated: one fold checks the intersection, and no
+    # all-but-one intersection is needed
+    assert 0 < len(calls) <= k
 
 
 def test_validator_full_module_empty_components():
     R = ring_xy()
     assert validate_decomposition(ideal(R, [R.one()]), []).ok
     assert not validate_decomposition(mono_ideal(R, [(1, 0)]), []).ok
+
+
+def test_validator_reads_redundant_when_the_intersection_fails():
+    # (x), (y) and (z) meet to (xyz), not to (xy), and without (z) they meet
+    # to (xy): (z) is redundant although its prime contains no other
+    R = ring_xyz()
+    x, y, z = (R.variable(i) for i in range(3))
+    comps = [(ideal(R, [v]), ideal(R, [v])) for v in (x, y, z)]
+    assert validate_decomposition(ideal(R, [x * y]), comps).as_dict() == {
+        "ok": False,
+        "intersection": False,
+        "components_primary": True,
+        "primes_distinct": True,
+        "irredundant": False,
+        "messages": [
+            "components do not intersect to the input",
+            "a component is redundant",
+        ],
+    }
+
+
+def _altered(pairs, extras):
+    """The pairs permuted, less one, with one twice, with an extra
+    component, and with two primes swapped."""
+    k = len(pairs)
+    yield pairs
+    yield pairs[::-1]
+    yield pairs[1:] + pairs[:1]
+    for i in range(k):
+        yield pairs[:i] + pairs[i + 1 :]
+    yield pairs + pairs[:1]
+    for extra in extras:
+        yield [extra] + pairs
+    for i in range(k - 1):
+        (qa, pa), (qb, pb) = pairs[i], pairs[i + 1]
+        yield pairs[:i] + [(qa, pb), (qb, pa)] + pairs[i + 2 :]
+
+
+def test_validator_agrees_with_the_all_but_one_reference(monkeypatch):
+    calls = []
+    real = verify.intersect
+
+    def counted(A, B):
+        calls.append(1)
+        return real(A, B)
+
+    monkeypatch.setattr(verify, "intersect", counted)
+    R2, R3 = ring_xy(), ring_xyz()
+    x, y = R2.variable(0), R2.variable(1)
+    X, Y, Z = (R3.variable(i) for i in range(3))
+    zero = R2.zero()
+    inputs = [
+        ideal(R2, [x**2, x * y]),
+        ideal(R2, [x * x - x, y * y - y]),
+        ideal(R3, [X * Y]),
+        ideal(R3, [X * Y, X * Z**2]),
+        Submodule(R2, 2, [FreeElement(R2, (x * y, zero)), FreeElement(R2, (zero, x**2))]),
+    ]
+    rejected = 0
+    for M in inputs:
+        R, s = M.ring, M.ambient_rank
+        v = [R.variable(i) for i in range(R.n)]
+        # P F for P the maximal ideal at the origin, which contains M, and
+        # for a prime that does not
+        extras = []
+        for P in (v, [v[0] - 7]):
+            PF = [unit_vector(R, s, j).scale(f) for f in P for j in range(s)]
+            extras.append((Submodule(R, s, PF), ideal(R, P)))
+        pairs = [(c.module, c.prime) for c in primary_decomposition(M).components]
+        for altered in _altered(pairs, extras):
+            want = validation_reference(M, altered)
+            calls.clear()
+            assert validate_decomposition(M, altered).as_dict() == want
+            assert len(calls) <= 3 * len(altered)
+            rejected += not want["ok"]
+    assert rejected > 30
