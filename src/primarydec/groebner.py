@@ -20,13 +20,25 @@ ring.  syzygies returns generators of the relations, not a Groebner basis of
 them: the run on the tagged generators sets tag-led remainders aside instead
 of pairing them, as long as no S-pair leaves a new top-led element.  syzygies
 and lift of one matrix share that one memoized run.
+
+Runs are memoized in one bounded cache (_GroebnerCache), which also stores
+each reduced basis under the module of its own generators.  A module that
+is its own reduced basis in the ring order is answered in another order
+from its generators, with no run, when no lead moves; and a run starts from
+the cached basis of a proper prefix of the generators.  Both are exact, as
+the reduced basis is unique: leads that stay leads span the initial module
+in both orders (the standard monomials of any order are a basis of F/M,
+see _reordered), and S-pairs within a Groebner basis reduce to zero.  The
+split runs of syzygies and lift give no reduced basis and are reused only
+as themselves.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import replace
-from functools import lru_cache, reduce
+from collections import OrderedDict
+from functools import reduce
 from itertools import combinations
 from math import gcd
 from operator import add, le, neg, sub
@@ -204,18 +216,26 @@ def _update_pairs(basis, pair_set, heap, t, order: MonomialOrder):
         heapq.heappush(heap, (key, i, t))
 
 
-def _buchberger_engine(vectors, order: MonomialOrder, split: int | None = None):
-    """Groebner basis of the vectors, and the remainders a split run set aside.
+def _buchberger_engine(
+    vectors, order: MonomialOrder, split: int | None = None, known=()
+):
+    """Groebner basis of the known elements and the vectors, and the
+    remainders a split run set aside.
 
-    With split given, a remainder led in a component >= split is made
-    primitive and set aside, never paired and never used to reduce, for as
-    long as no S-pair leaves a remainder led below split.  The first one that
-    does ends this: the set-aside elements join the basis and the run
-    completes as a full one.  Returns (basis, set-aside elements).
+    known is a Groebner basis in order, as engine elements: they enter the
+    basis with no pairs among themselves, whose S-vectors reduce to zero
+    against them, and the vectors then pair with them as usual.  With split
+    given, a remainder led in a component >= split is made primitive and
+    set aside, never paired and never used to reduce, for as long as no
+    S-pair leaves a remainder led below split.  The first one that does ends
+    this: the set-aside elements join the basis and the run completes as a
+    full one.  Returns (basis, set-aside elements).
     """
-    basis = []
+    basis = list(known)
     aside = []
     by_comp: dict = {}
+    for elem in basis:
+        by_comp.setdefault(elem[2], []).append(elem)
     pair_set: dict = {}
     heap: list = []
     truncated = split is not None
@@ -335,26 +355,110 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.module!r})"
 
 
-@lru_cache(maxsize=4096)
-def _gb_cached(A: Submodule, order: MonomialOrder, split: int | None = None):
-    """Reduced Groebner basis of A in order.  With split, the elements of a
-    split run instead: (basis led below split, elements led at or above it).
-    """
-    ring, rank = A.ring, A.ambient_rank
-    native = order == ring.order
+def _split_run(A: Submodule, order: MonomialOrder, split: int):
+    """The elements of a split run on A's generators: (basis led below split,
+    elements led at or above it)."""
+    native = order == A.ring.order
     vectors = [
         g.terms if native else _in_order(g.terms, order) for g in A.generators if g.terms
     ]
     basis, aside = _buchberger_engine(vectors, order, split)
-    if split is not None:
-        top = [e for e in basis if e[2] < split]
-        return top, aside + _reduced_basis([e for e in basis if e[2] >= split], order)
-    reduced = _reduced_basis(basis, order)
-    gens = tuple(
-        from_terms(ring, rank, e[0] if native else _in_order(e[0], ring.order), e[4])
-        for e in reduced
-    )
-    return GroebnerBasis(Submodule(ring, rank, gens), reduced, order)
+    top = [e for e in basis if e[2] < split]
+    return top, aside + _reduced_basis([e for e in basis if e[2] >= split], order)
+
+
+def _reordered(G: GroebnerBasis, order: MonomialOrder):
+    """The reduced basis in order of G's module, G being that module's reduced
+    basis in the ring order, or None when some generator's lead moves.
+
+    G's leads generate the initial module N of its module M in the ring
+    order.  With every lead unchanged, N lies in the initial module N' of M
+    in order.  The standard monomials of N and of N' each form a basis of
+    F/M, and those of N' lie among those of N, so N = N': G is a Groebner
+    basis in order too, and still the reduced one.  Its generators stay
+    primitive with a positive lead, as the engine leaves them; only their
+    keys and their sequence change.
+    """
+    pairs = []
+    for gen in G.generators:
+        terms = _in_order(gen.terms, order)
+        if terms[0][1:3] != gen.terms[0][1:3]:
+            return None
+        pairs.append((_make_elem(terms), gen))
+    pairs.sort(key=lambda p: p[0][1])
+    module = Submodule(G.ring, G.ambient_rank, [gen for _e, gen in pairs])
+    return GroebnerBasis(module, [e for e, _gen in pairs], order)
+
+
+class _GroebnerCache:
+    """The memo of Groebner runs, keyed (A, order, split), evicting the least
+    recently used entry beyond maxsize; see the module docstring for what it
+    reuses."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.entries: OrderedDict = OrderedDict()
+
+    def cache_clear(self) -> None:
+        self.entries.clear()
+
+    def _get(self, key):
+        hit = self.entries.get(key)
+        if hit is not None:
+            self.entries.move_to_end(key)
+        return hit
+
+    def _put(self, key, value) -> None:
+        self.entries[key] = value
+        self.entries.move_to_end(key)
+        if len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+
+    def __call__(self, A: Submodule, order: MonomialOrder, split: int | None = None):
+        """Reduced Groebner basis of A in order.  With split, the elements of
+        a split run instead (_split_run)."""
+        key = (A, order, split)
+        hit = self._get(key)
+        if hit is not None:
+            return hit
+        if split is not None:
+            result = _split_run(A, order, split)
+        else:
+            result = None
+            if order != A.ring.order:
+                G = self._get((A, A.ring.order, None))
+                if G is not None and G.module == A:
+                    result = _reordered(G, order)
+            if result is None:
+                result = self._run(A, order)
+            self._put((result.module, order, None), result)
+        self._put(key, result)
+        return result
+
+    def _run(self, A: Submodule, order: MonomialOrder) -> GroebnerBasis:
+        """One engine run, from the basis of the longest proper prefix of A's
+        generators that has one cached in order."""
+        ring, rank, gens = A.ring, A.ambient_rank, A.generators
+        native = order == ring.order
+        known, start = (), 0
+        for j in range(len(gens) - 1, 0, -1):
+            G = self._get((Submodule(ring, rank, gens[:j]), order, None))
+            if G is not None:
+                known, start = G._elems, j
+                break
+        vectors = [
+            g.terms if native else _in_order(g.terms, order) for g in gens[start:] if g.terms
+        ]
+        basis, _aside = _buchberger_engine(vectors, order, known=known)
+        reduced = _reduced_basis(basis, order)
+        out = [
+            from_terms(ring, rank, e[0] if native else _in_order(e[0], ring.order), e[4])
+            for e in reduced
+        ]
+        return GroebnerBasis(Submodule(ring, rank, out), reduced, order)
+
+
+_gb_cached = _GroebnerCache(4096)
 
 
 def buchberger(A: Submodule, order: MonomialOrder | None = None) -> GroebnerBasis:

@@ -47,10 +47,12 @@ class MonomialOrder:
     weights: tuple[int, ...] | None = None
     module_extension: str = POSITION_OVER_TERM
     blocks: tuple[tuple[int, ...], ...] | None = None
-    # variable indices covered by blocks, derived from them once
-    _in_blocks: frozenset = field(
-        default=frozenset(), init=False, repr=False, compare=False
-    )
+    # derived from blocks once, for ring_key: each block's indices reversed;
+    # the variables in no block are those from _rest_from on and, below it,
+    # _rest_below (again reversed)
+    _groups: tuple = field(default=(), init=False, repr=False, compare=False)
+    _rest_from: int = field(default=0, init=False, repr=False, compare=False)
+    _rest_below: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _ORDER_KINDS:
@@ -63,7 +65,11 @@ class MonomialOrder:
                 if not grp or any(i < 0 for i in grp) or seen & set(grp):
                     raise ValueError("blocks must be nonempty and disjoint")
                 seen |= set(grp)
-            object.__setattr__(self, "_in_blocks", frozenset(seen))
+            rest_from = max(seen) + 1
+            below = tuple(i for i in reversed(range(rest_from)) if i not in seen)
+            object.__setattr__(self, "_groups", tuple(grp[::-1] for grp in self.blocks))
+            object.__setattr__(self, "_rest_from", rest_from)
+            object.__setattr__(self, "_rest_below", below)
         elif self.blocks is not None:
             raise ValueError("blocks only valid for block orders")
         if self.weights is not None:
@@ -79,15 +85,16 @@ class MonomialOrder:
         if self.kind == "lex":
             return exps
         if self.kind == "block":
+            # per group: its degree, then its negated exponents in reverse
             key: list[int] = []
-            for grp in self.blocks:
-                sub = [exps[i] for i in grp]
-                key.append(sum(sub))
-                key.extend(-e for e in reversed(sub))
-            used = self._in_blocks
-            rest = [e for i, e in enumerate(exps) if i not in used]
-            key.append(sum(rest))
-            key.extend(-e for e in reversed(rest))
+            for grp in self._groups:
+                sub = [-exps[i] for i in grp]
+                key.append(-sum(sub))
+                key += sub
+            rest = [-e for e in exps[self._rest_from :][::-1]]
+            rest += [-exps[i] for i in self._rest_below]
+            key.append(-sum(rest))
+            key += rest
             return tuple(key)
         if self.weights is not None:
             deg = sum(map(mul, self.weights, exps))

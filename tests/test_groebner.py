@@ -597,3 +597,162 @@ def test_syzygies_complete_the_run_once_an_s_pair_leaves_a_top_remainder(monkeyp
     S = syzygies(A)
     assert S == _tag_part_of_full_tagged_basis(A)
     assert [str(p) for p in S.generators[0].components] == ["x^2", "-x*y - 1"]
+
+
+# ---------------------------------------------------------------------------
+# the Groebner cache: reuse across orders and from a cached prefix
+# ---------------------------------------------------------------------------
+
+
+def _engine_runs(monkeypatch):
+    """The size of `known` per engine run from here on, one entry a run."""
+    from primarydec import groebner
+
+    runs = []
+    real = groebner._buchberger_engine
+
+    def counting(vectors, order, split=None, known=()):
+        runs.append(len(known))
+        return real(vectors, order, split, known)
+
+    monkeypatch.setattr(groebner, "_buchberger_engine", counting)
+    return runs
+
+
+def _cold(A, order=None):
+    from primarydec import groebner
+
+    groebner._gb_cached.cache_clear()
+    return buchberger(A, order)
+
+
+def _same_basis(G, H):
+    return (
+        G.generators == H.generators
+        and G.leading_terms() == H.leading_terms()
+        and G.order == H.order
+    )
+
+
+def _random_module(R, rng, rank, count):
+    """count generators of R^rank, each entry zero or a binomial of degree 1
+    or 2: without constants, bases rarely collapse to the whole module."""
+    monos = [e for e in product(range(3), repeat=R.n) if 1 <= sum(e) <= 2]
+
+    def entry():
+        if rng.random() < 0.3:
+            return R.zero()
+        return sum(
+            (R.monomial(rng.choice(monos), rng.choice((-2, -1, 1, 3))) for _ in range(2)),
+            R.zero(),
+        )
+
+    gens = [FreeElement(R, tuple(entry() for _ in range(rank))) for _ in range(count)]
+    return Submodule(R, rank, gens)
+
+
+_REUSE_ORDERS = {
+    "lex": MonomialOrder(kind="lex"),
+    "block": MonomialOrder(kind="block", blocks=((2,),)),
+    "top": MonomialOrder(module_extension=TERM_OVER_POSITION),
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_basis_reused_in_another_order_equals_a_cold_run(monkeypatch, rank):
+    R = ring3()
+    rng = random.Random(f"reuse-{rank}")
+    runs = _engine_runs(monkeypatch)
+    outcomes = set()
+    for _ in range(8):
+        # quadratic rank-2 modules with three generators can take minutes in lex
+        A = _random_module(R, rng, rank, 4 - rank)
+        for name, order in _REUSE_ORDERS.items():
+            C = _cold(A).module
+            del runs[:]
+            warm = buchberger(C, order)
+            # no run when every lead stays; one full run when some lead moves
+            assert runs in ([], [0])
+            outcomes.add((name, bool(runs)))
+            assert _same_basis(warm, _cold(C, order))
+            assert _same_basis(warm, _cold(A, order))
+    # both outcomes are met in every order, except that rank 1 has a single
+    # component, so term over position moves no lead there
+    expected = {(name, ran) for name in _REUSE_ORDERS for ran in (False, True)}
+    if rank == 1:
+        expected.discard(("top", True))
+    assert outcomes == expected
+
+
+def test_a_moving_lead_falls_back_to_a_full_run(monkeypatch):
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    # degrevlex leads y^2, lex leads x
+    C = _cold(ideal(R, [x + y**2, z**3 - y])).module
+    runs = _engine_runs(monkeypatch)
+    warm = buchberger(C, _REUSE_ORDERS["lex"])
+    assert runs == [0]
+    assert _same_basis(warm, _cold(C, _REUSE_ORDERS["lex"]))
+    assert [str(g) for g in warm.generators] == ["-z^3 + y", "z^6 + x"]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_basis_extended_by_a_generator_starts_from_the_cached_prefix(monkeypatch, rank):
+    R = ring3()
+    rng = random.Random(f"prefix-{rank}")
+    runs = _engine_runs(monkeypatch)
+    for _ in range(8):
+        G = _cold(_random_module(R, rng, rank, 4 - rank))
+        f = _random_module(R, rng, rank, 1).generators[0]
+        B = Submodule(R, rank, [*G.generators, f])
+        del runs[:]
+        warm = canonical(B)
+        assert runs == [len(G.generators)]
+        assert warm == _cold(B).module
+
+
+def test_a_reduced_basis_is_cached_under_its_own_module(monkeypatch):
+    from primarydec import groebner
+
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    A = ideal(R, [x**2 * y - z, x * y**2 - x, 2 * y * z - 3])
+    groebner._gb_cached.cache_clear()
+    runs = _engine_runs(monkeypatch)
+    C = canonical(A)
+    assert C != A
+    assert canonical(C) == C
+    assert len(runs) == 1
+
+
+def test_linear_forms_asked_again_in_lex_make_no_run(monkeypatch):
+    # on degree-one monomials lex and degrevlex agree, so no lead moves
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    C = _cold(ideal(R, [x + 2 * y - z, 3 * y + z + 1, x - y])).module
+    runs = _engine_runs(monkeypatch)
+    G = buchberger(C, _REUSE_ORDERS["lex"])
+    assert runs == []
+    assert _same_basis(G, _cold(C, _REUSE_ORDERS["lex"]))
+
+
+def test_the_cache_stays_bounded_and_keeps_the_latest_entries(monkeypatch):
+    from primarydec import groebner
+
+    R = ring3()
+    groebner._gb_cached.cache_clear()
+    runs = _engine_runs(monkeypatch)
+    # 2 x^k is not monic, so each call stores two entries: input and result
+    inputs = [ideal(R, [R.monomial((k, 0, 0), 2)]) for k in range(2100)]
+    for A in inputs:
+        buchberger(A)
+    assert len(runs) == 2100
+    assert len(groebner._gb_cached.entries) == groebner._gb_cached.maxsize == 4096
+    buchberger(inputs[-1])
+    assert len(runs) == 2100
+    buchberger(inputs[0])
+    assert len(runs) == 2101
+    # a split run is stored under its own key only
+    groebner._gb_cached.cache_clear()
+    syzygies(ideal(R, [R.variable(0), R.variable(1)]))
+    assert len(groebner._gb_cached.entries) == 1

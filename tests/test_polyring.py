@@ -71,6 +71,37 @@ def test_block_order_with_explicit_groups():
         RingContext(("x", "y"), MonomialOrder(kind="block", blocks=((5,),)))
 
 
+def _block_key_reference(blocks, exps):
+    """The block key written out: per block, then for the variables in no
+    block, the degree followed by the negated exponents in reverse."""
+    used = {i for grp in blocks for i in grp}
+    key = []
+    for grp in blocks:
+        sub = [exps[i] for i in grp]
+        key.append(sum(sub))
+        key.extend(-e for e in reversed(sub))
+    rest = [e for i, e in enumerate(exps) if i not in used]
+    key.append(sum(rest))
+    key.extend(-e for e in reversed(rest))
+    return tuple(key)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [((0,),), ((3,),), ((1, 2),), ((2,), (0,)), ((0, 3), (1,)), ((3, 1, 0),), ((0, 1, 2, 3),)],
+)
+def test_block_keys_match_the_written_out_formula(blocks):
+    from itertools import product
+
+    order = MonomialOrder(kind="block", blocks=blocks)
+    vectors = [e for e in product(range(5), repeat=4) if sum(e) <= 4]
+    assert len(vectors) == 70
+    for exps in vectors:
+        assert order.ring_key(exps) == _block_key_reference(blocks, exps)
+    # an order is not tied to a ring: the same blocks key a larger ring too
+    assert order.ring_key((1, 2, 3, 4, 5, 6)) == _block_key_reference(blocks, (1, 2, 3, 4, 5, 6))
+
+
 def test_substitute():
     from primarydec.polyring import substitute
 
