@@ -7,9 +7,14 @@ independent variables.  There the minimal polynomial of a linear form in the
 dependent variables either factors over Q and splits the ideal, or is
 irreducible of degree equal to the dimension of the quotient, which certifies
 the ideal prime; coordinate shears, at most `_SHEAR_BUDGET` per `min_ass`
-call, are a fallback for what no form settles.  The splits return candidate
-primes, which may repeat or contain one another; `min_ass` alone keeps the
-inclusion-minimal ones and sorts them, once.
+call, are a fallback for what no form settles.  When the ideal is zero
+dimensional over Q itself, the minimal polynomial is the first linear
+dependence among the normal forms of the form's powers against the ideal's
+one ring-order basis (FGLM); otherwise it is read off a block-order basis of
+the sheared ideal.  Each distinct polynomial is factored once per `min_ass`
+call, in a memo that the call creates and drops.  The splits return
+candidate primes, which may repeat or contain one another; `min_ass` alone
+keeps the inclusion-minimal ones and sorts them, once.
 The module-level decomposition peels one primary component per associated
 prime, using twice-iterated Ext kernels for the equidimensional parts (none
 when the Groebner basis shows the module unmixed: zero dimensional, or an
@@ -30,11 +35,13 @@ whose associated primes exclude P_j, yet P_j is an associated prime of F/M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
 from .groebner import (
+    GroebnerBasis,
     annihilator,
     buchberger,
     canonical,
@@ -138,11 +145,12 @@ def _field_lead_coefficient(p: FreeElement, lead, D: tuple[int, ...]) -> FreeEle
     return from_terms(p.ring, 1, terms, terms[0][3])
 
 
-def _poly_in_var(ring: RingContext, d: int, coeffs) -> FreeElement:
-    exps = (
-        tuple(k if i == d else 0 for i in range(ring.n)) for k in range(len(coeffs))
-    )
-    return poly_from_terms(ring, zip(exps, coeffs))
+def _poly_of(l: FreeElement, coeffs) -> FreeElement:
+    """coeffs[0] + coeffs[1] l + coeffs[2] l^2 + ..., by Horner's rule."""
+    f = l.ring.zero()
+    for a in reversed(coeffs):
+        f = f * l + a
+    return f
 
 
 def _elimination_order(D: tuple[int, ...], d: int) -> MonomialOrder:
@@ -189,16 +197,11 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
     return top, tuple(coeffs)
 
 
-def _vector_dim(J: Submodule, D: tuple[int, ...], d: int) -> int:
-    """dim over K = Q(u) of K[x_D]/J, as the number of standard monomials.
-
-    _minpoly_data's order ranks x_D before u, so the D-parts of its lead terms
-    are J's lead terms over K; its basis is cached.
-    """
-    G = buchberger(J, _elimination_order(D, d))
-    leads = [tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()]
+def _standard_count(leads) -> int:
+    """The number of monomials outside the monomial ideal the exponent
+    vectors leads generate, which must be zero dimensional."""
     bounds = []
-    for pos in range(len(D)):
+    for pos in range(len(leads[0])):
         powers = [m[pos] for m in leads if m[pos] and sum(m) == m[pos]]
         if not powers:
             raise _CertificationFailure("ideal is not zero dimensional over Q(u)")
@@ -210,41 +213,119 @@ def _vector_dim(J: Submodule, D: tuple[int, ...], d: int) -> int:
     )
 
 
-def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, left: list):
+def _vector_dim(J: Submodule, D: tuple[int, ...], d: int) -> int:
+    """dim over K = Q(u) of K[x_D]/J, as the number of standard monomials.
+
+    _minpoly_data's order ranks x_D before u, so the D-parts of its lead terms
+    are J's lead terms over K; its basis is cached.
+    """
+    G = buchberger(J, _elimination_order(D, d))
+    return _standard_count([tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()])
+
+
+def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement) -> tuple[Fraction, ...]:
+    """Monic generator of J cap Q[l], coefficients low to high, for G the
+    reduced basis of a zero-dimensional ideal J in the ring order.
+
+    It is the first linear dependence among NF(1), NF(l), NF(l^2), ...
+    (Faugere-Gianni-Lazard-Mora 1993), found by elimination over Q as each
+    NF(l^k) = NF(l * NF(l^(k-1))) arrives.  Each row is kept with its pivot
+    entry 1 and the combination of powers of l whose normal form it is.
+    """
+    rows = []
+    # NF(1) = 1, J being proper
+    v = l.ring.one()
+    k = 0
+    while True:
+        w = {exps: Fraction(c, v.den) for _key, _comp, exps, c in v.terms}
+        combo = {k: Fraction(1)}
+        for pivot, row, row_combo in rows:
+            f = w.get(pivot)
+            if not f:
+                continue
+            for m, a in row.items():
+                b = w.get(m, 0) - f * a
+                if b:
+                    w[m] = b
+                else:
+                    del w[m]
+            for j, a in row_combo.items():
+                combo[j] = combo.get(j, 0) - f * a
+        if not w:
+            return tuple(combo.get(j, Fraction(0)) for j in range(k + 1))
+        pivot = max(w)
+        inv = 1 / w[pivot]
+        rows.append(
+            (pivot, {m: a * inv for m, a in w.items()}, {j: a * inv for j, a in combo.items()})
+        )
+        v = G.reduce_vector(v * l)
+        k += 1
+
+
+@dataclass
+class _Search:
+    """What one min_ass call shares over its recursion: the coordinate shears
+    it has left, and each factorization made, by coefficient tuple."""
+
+    shears: int
+    factored: dict = field(default_factory=dict)
+
+    def factor(self, coeffs: tuple) -> list:
+        hit = self.factored.get(coeffs)
+        if hit is None:
+            hit = self.factored[coeffs] = univariate_factor(coeffs)
+        return hit
+
+
+def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, search: _Search):
     """Candidate primes of J (see `_min_ass_rec`) when J is zero dimensional
     over K = Q(u).
 
     Each linear form l = x_d + tail, tail = sum_k c^(k+1) x_{others[k]}, for
     c in _FORM_SCALES and d in D, is tested through its minimal polynomial p
-    over K, that of x_d after the shear x_d -> x_d - tail.  A rational p that
-    factors or has a repeated factor splits J along its factors.  An
-    irreducible p of degree dim_K K[x_D]/J makes that quotient the field
-    K[t]/(p); J, saturated by the lead coefficients, is the contraction of
-    that field's kernel and so prime.  Raises _CertificationFailure otherwise.
+    over K.  When u = (), p comes from normal forms against J's ring-order
+    basis (`_normal_form_minpoly`), and dim_Q Q[x]/J is the number of that
+    basis's standard monomials.  Otherwise p is that of x_d after the shear
+    x_d -> x_d - tail, read off a block-order basis (`_minpoly_data`).  A
+    rational p that factors or has a repeated factor splits J along its
+    factors f, into J + (f(l)); each distinct p is factored once per
+    `min_ass` call.  An irreducible p of degree dim_K K[x_D]/J makes that
+    quotient the field K[t]/(p); J, saturated by the lead coefficients, is
+    the contraction of that field's kernel and so prime.  Raises
+    _CertificationFailure otherwise.
     """
     ring = J.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
     gens = ideal_generators(J)
+    if not u:
+        G = buchberger(J)
+        dim = _standard_count([lead for _comp, lead in G.leading_terms()])
     u_dependent = False
     for c in _FORM_SCALES:
         for d in D:
             x = ring.variable(d)
             others = [i for i in D if i != d]
             tail = sum(ring.variable(o) * c ** (k + 1) for k, o in enumerate(others))
-            Jl = ideal(ring, [substitute(g, {d: x - tail}) for g in gens]) if c else J
-            deg, coeffs = _minpoly_data(Jl, D, d)
+            l = x + tail
+            if u:
+                Jl = ideal(ring, [substitute(g, {d: x - tail}) for g in gens]) if c else J
+                deg, coeffs = _minpoly_data(Jl, D, d)
+            else:
+                coeffs = _normal_form_minpoly(G, l)
+                deg = len(coeffs) - 1
             if coeffs is None:
                 u_dependent = True
             else:
-                factors = univariate_factor(coeffs)
+                factors = search.factor(coeffs)
                 if len(factors) > 1 or factors[0][1] > 1:
                     out = []
                     for fc, _mult in factors:
-                        f = substitute(_poly_in_var(ring, d, fc), {d: x + tail})
-                        split = canonical(ideal(ring, [*J.generators, f]))
-                        out.extend(_min_ass_rec(split, seed, left))
+                        split = canonical(ideal(ring, [*J.generators, _poly_of(l, fc)]))
+                        out.extend(_min_ass_rec(split, seed, search))
                     return out
-            if (coeffs is not None or deg == 1) and deg == _vector_dim(Jl, D, d):
+            if (coeffs is not None or deg == 1) and deg == (
+                _vector_dim(Jl, D, d) if u else dim
+            ):
                 return [canonical(J)]
         # once a variable's p depends on u, so do the forms' in general, and such
         # a p certifies only at degree 1; with one dependent variable l = x_d
@@ -253,7 +334,7 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, left: list):
     raise _CertificationFailure("no linear form certifies or splits the ideal")
 
 
-def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, left: list):
+def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, search: _Search):
     ring = I.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
     G = buchberger(I, MonomialOrder(kind="block", blocks=(D,)))
@@ -269,10 +350,10 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, left: list):
     J = saturate(I, ideal(ring, [h])) if coeffs else Ic
     if is_unit_ideal(J):
         raise _CertificationFailure("saturation by lead coefficients is trivial")
-    primes = _zero_dim_primes(J, u, seed, left)
+    primes = _zero_dim_primes(J, u, seed, search)
     if J != Ic:
         Ih = canonical(ideal(ring, [*I.generators, h]))
-        primes.extend(_min_ass_rec(Ih, seed, left))
+        primes.extend(_min_ass_rec(Ih, seed, search))
     return primes
 
 
@@ -306,8 +387,8 @@ def _apply_shear(I: Submodule, i: int, j: int, lam: int) -> Submodule:
     )
 
 
-def _min_ass_rec(I: Submodule, seed: int, left: list) -> list[Submodule]:
-    """Candidate primes of I; left[0] counts the shears the whole call has left.
+def _min_ass_rec(I: Submodule, seed: int, search: _Search) -> list[Submodule]:
+    """Candidate primes of I, within what search has left for the whole call.
 
     Each candidate is a canonical prime containing I, and every minimal prime
     of I is among them; they may repeat or contain one another.
@@ -319,7 +400,7 @@ def _min_ass_rec(I: Submodule, seed: int, left: list) -> list[Submodule]:
         return [Ic]
     for u in _candidate_independent_sets(Ic):
         try:
-            return _gtz_split(Ic, u, seed, left)
+            return _gtz_split(Ic, u, seed, search)
         except _CertificationFailure:
             continue
     rot = seed % len(_SHEAR_LAMBDAS)
@@ -328,18 +409,18 @@ def _min_ass_rec(I: Submodule, seed: int, left: list) -> list[Submodule]:
     u0 = first_sets[0] if first_sets else ()
     D0 = tuple(i for i in range(Ic.ring.n) if i not in set(u0))
     for (i, j), lam in product(_shear_pairs(Ic.ring, D0), schedule):
-        if not left[0]:
+        if not search.shears:
             break
-        left[0] -= 1
+        search.shears -= 1
         try:
             # a sheared ideal makes no shears of its own, so the budget goes to
             # single shears in schedule order, not down one chain of them
-            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), seed, [0])
+            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), seed, _Search(0, search.factored))
         except DecompositionError:
             continue
         return [_apply_shear(P, i, j, -lam) for P in primes]
     raise DecompositionError(
-        f"cannot certify minimal primes after {_SHEAR_BUDGET - left[0]} coordinate "
+        f"cannot certify minimal primes after {_SHEAR_BUDGET - search.shears} coordinate "
         "shears; the ideal appears to need factorization over a function field, "
         "which rational coefficients do not reach"
     )
@@ -349,7 +430,7 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
     """Minimal associated primes of an ideal, canonical and sorted."""
     if I.ambient_rank != 1:
         raise ValueError("minimal primes are computed for ideals")
-    return _minimalize(_min_ass_rec(canonical(I), seed, [_SHEAR_BUDGET]))
+    return _minimalize(_min_ass_rec(canonical(I), seed, _Search(_SHEAR_BUDGET)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from primarydec import decompose, groebner
@@ -14,8 +16,11 @@ from primarydec.decompose import (
     _CertificationFailure,
     _associated_primes,
     _minimalize,
+    _FORM_SCALES,
+    _Search,
     _minpoly_data,
-    _vector_dim,
+    _normal_form_minpoly,
+    _standard_count,
     _zero_dim_primes,
     localize_module,
     min_ass,
@@ -224,17 +229,92 @@ def test_linear_form_of_lower_degree_than_the_quotient_is_refused(monkeypatch):
     R = ring3()
     x, y, z = (R.variable(i) for i in range(3))
     J = canonical(ideal(R, [x * x - 2, y * y - 2, z * z - 2]))
-    D = (0, 1, 2)
-    # x stands for x + y + z after the shear x -> x - y - z
-    sheared = ideal(R, [substitute(g, {0: x - y - z}) for g in ideal_generators(J)])
-    assert _minpoly_data(sheared, D, 0)[0] == 4
-    assert _vector_dim(J, D, 0) == _vector_dim(sheared, D, 0) == 8
+    G = buchberger(J)
+    assert len(_normal_form_minpoly(G, x + y + z)) - 1 == 4
+    assert _standard_count([lead for _comp, lead in G.leading_terms()]) == 8
     # even when every minimal polynomial is taken as irreducible, forms of
     # degree 2 (c = 0) and 4 (c = 1, x + y + z) against dim 8 certify nothing
     monkeypatch.setattr(decompose, "univariate_factor", lambda c: [(tuple(c), 1)])
     monkeypatch.setattr(decompose, "_FORM_SCALES", (0, 1))
     with pytest.raises(_CertificationFailure):
-        _zero_dim_primes(J, (), 0, 0)
+        _zero_dim_primes(J, (), 0, _Search(0))
+
+
+def _vanishing_grid(n: int, roots) -> Submodule:
+    R = ring3() if n == 3 else ring2()
+    gens = [prod((R.variable(i) - r for r in roots), start=R.one()) for i in range(n)]
+    return ideal(R, gens)
+
+
+def _random_univariate_products(rng: random.Random) -> Submodule:
+    """f_i(x_i) for each variable, each f_i a product of one or two linear or
+    quadratic factors."""
+    R = ring3() if rng.random() < 0.5 else ring2()
+    gens = []
+    for i in range(R.n):
+        v, f = R.variable(i), R.one()
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.6:
+                f = f * (v - rng.choice((-2, -1, 1, 2, Fraction(1, 2))))
+            else:
+                f = f * (v * v - rng.choice((-1, 2, 3, 5)))
+        gens.append(f)
+    return ideal(R, gens)
+
+
+def _zero_dimensional_ideals():
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    yield "grid9", _vanishing_grid(2, (1, -1, 2))
+    yield "grid8", _vanishing_grid(3, (1, -2))
+    yield "sqrt_cube", ideal(R, [x * x - 3, y * y - 3, z * z - 3])
+    yield "cyclic3", ideal(R, [x + y + z, x * y + y * z + z * x, x * y * z - 1])
+    yield "katsura3", ideal(
+        R, [x + 2 * y + 2 * z - 1, x * x + 2 * y * y + 2 * z * z - x, 2 * x * y + 2 * y * z - y]
+    )
+    rng = random.Random(5)
+    for k in range(6):
+        yield f"products{k}", _random_univariate_products(rng)
+
+
+@pytest.mark.parametrize(
+    "I", [pytest.param(I, id=name) for name, I in _zero_dimensional_ideals()]
+)
+def test_normal_form_minimal_polynomial_equals_the_block_order_one(I):
+    # for every form that _zero_dim_primes tries, the first dependence among
+    # the normal forms of 1, l, l^2, ... is the monic polynomial that the
+    # block-order basis of the sheared ideal yields
+    J = canonical(I)
+    R, D = J.ring, tuple(range(J.ring.n))
+    G = buchberger(J)
+    for c in _FORM_SCALES:
+        for d in D:
+            x = R.variable(d)
+            tail = sum(R.variable(o) * c ** (k + 1) for k, o in enumerate(i for i in D if i != d))
+            sheared = ideal(R, [substitute(g, {d: x - tail}) for g in ideal_generators(J)])
+            nf = _normal_form_minpoly(G, x + tail)
+            assert _minpoly_data(sheared, D, d) == (len(nf) - 1, nf), (c, d)
+
+
+def test_each_polynomial_is_factored_once_per_min_ass_call(monkeypatch):
+    # the 64 points of f(x), f(y), f(z), f vanishing at 1, 2, 3, 4: every branch
+    # of the split meets f again, and each linear factor of it, yet each
+    # distinct polynomial is factored once.  A second call factors afresh:
+    # nothing outlives the call that made it.
+    calls = []
+
+    def recording_factor(coeffs):
+        calls.append(tuple(coeffs))
+        return univariate_factor(coeffs)
+
+    monkeypatch.setattr(decompose, "univariate_factor", recording_factor)
+    I = _vanishing_grid(3, (1, 2, 3, 4))
+    assert len(min_ass(I)) == 64
+    first = list(calls)
+    assert len(first) == len(set(first)) == 5
+    calls.clear()
+    assert len(min_ass(I)) == 64
+    assert calls == first
 
 
 def test_non_radical_zero_dimensional_ideal_splits_on_a_repeated_factor(monkeypatch):

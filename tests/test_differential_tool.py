@@ -6,6 +6,7 @@ on each line are parsed and summed, and their totals in the summary checked.
 """
 
 import importlib.util
+import random
 import tempfile
 from pathlib import Path
 
@@ -47,3 +48,23 @@ def test_differential_tool_runs_a_tree_against_itself(monkeypatch, tmp_path, cap
         assert float(value) == pytest.approx(totals[key], abs=0.001 * (count + 1))
     tallies = tail.split(", ")
     assert sum(int(t.split(" ", 1)[0]) for t in tallies) == count
+
+
+def test_only_runs_the_named_scripts_with_their_full_run_text(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    tool = _load_tool()
+    args = [str(ROOT), str(ROOT), "--count", "6", "--seed", "7", "--timeout", "5"]
+    assert tool.main([*args, "--only", "s004,s001"]) == 0
+    *per_script, summary = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in per_script] == ["s004.primdec", "s001.primdec"]
+    assert summary.startswith("2 scripts in ")
+    (out,) = tmp_path.iterdir()
+    assert sorted(p.name for p in out.iterdir()) == ["s001.primdec", "s004.primdec"]
+    rng = random.Random(7)
+    drawn = [tool.random_script(rng) for _ in range(6)]
+    assert (out / "s001.primdec").read_text() == drawn[1]
+    assert (out / "s004.primdec").read_text() == drawn[4]
+    with pytest.raises(SystemExit) as exc:
+        tool.main([*args, "--only", "s006"])
+    assert exc.value.code == 2
+    assert "s006" in capsys.readouterr().err

@@ -14,10 +14,12 @@ stderr may differ.  Exits 1 when some script finishes on both sides with
 different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
-        [--timeout 20]
+        [--timeout 20] [--only s015,s028]
 
-The scripts are written to a fresh temporary directory, which is kept and
-named in the last line of output.
+`--only` runs just the named scripts.  All `--count` scripts are still drawn,
+so each name keeps the text it has in a full run.  The scripts that run are
+written to a fresh temporary directory, which is kept and named in the last
+line of output.
 
 Standard library only.
 """
@@ -125,13 +127,21 @@ def main(argv=None) -> int:
     ap.add_argument("--count", type=int, default=56, help="number of scripts")
     ap.add_argument("--seed", type=int, default=7, help="generator seed")
     ap.add_argument("--timeout", type=float, default=20.0, help="seconds per run")
+    ap.add_argument(
+        "--only", type=lambda text: text.split(","), help="comma-separated names, e.g. s015,s028"
+    )
     args = ap.parse_args(argv)
-    out = Path(tempfile.mkdtemp(prefix="primdec-diff-"))
     rng = random.Random(args.seed)
+    texts = {f"s{k:03d}": random_script(rng) for k in range(args.count)}
+    names = args.only or list(texts)
+    unknown = [name for name in names if name not in texts]
+    if unknown:
+        ap.error(f"--only names no script among the {args.count} drawn: {', '.join(unknown)}")
+    out = Path(tempfile.mkdtemp(prefix="primdec-diff-"))
     scripts = []
-    for k in range(args.count):
-        path = out / f"s{k:03d}.primdec"
-        path.write_text(random_script(rng))
+    for name in names:
+        path = out / f"{name}.primdec"
+        path.write_text(texts[name])
         scripts.append(path)
     results = {}
     for k, script in enumerate(scripts):
