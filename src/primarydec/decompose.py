@@ -1,20 +1,20 @@
 """Associated primes and primary decomposition of submodules of free modules.
 
 Minimal primes of an ideal are found by splitting along a maximal independent
-set of variables: after saturating by the product of leading coefficients the
-ideal becomes zero dimensional over the rational function field in the
-independent variables.  There the minimal polynomial of a linear form in the
-dependent variables either factors over Q and splits the ideal, or is
-irreducible of degree equal to the dimension of the quotient, which certifies
-the ideal prime; coordinate shears, at most `_SHEAR_BUDGET` per `min_ass`
-call, are a fallback for what no form settles.  When the ideal is zero
-dimensional over Q itself, the minimal polynomial is the first linear
-dependence among the normal forms of the form's powers against the ideal's
-one ring-order basis (FGLM); otherwise it is read off a block-order basis of
-the sheared ideal.  Each distinct polynomial is factored once per `min_ass`
-call, in a memo that the call creates and drops.  The splits return
-candidate primes, which may repeat or contain one another; `min_ass` alone
-keeps the inclusion-minimal ones and sorts them, once.
+set u of variables: after saturating by the product of leading coefficients
+(a pass made only when u is nonempty; with u = () they are all rational) the
+ideal J is zero dimensional over K = Q(u).  J is prime when its quotient has
+dimension 1 over K, or when some linear form in the dependent variables has
+a rational, irreducible minimal polynomial of degree equal to that
+dimension; a form whose rational minimal polynomial factors splits J.
+Coordinate shears, at most `_SHEAR_BUDGET` per `min_ass` call, are a
+fallback for what no form settles.  When u = (), the minimal polynomial is
+the first linear dependence among the normal forms of the form's powers
+against J's one ring-order basis (FGLM); otherwise it is read off a
+block-order basis of the sheared ideal.  Each distinct polynomial is
+factored once per `min_ass` call, in a memo that the call creates and drops.
+The splits return candidate primes, which may repeat or contain one another;
+`min_ass` alone keeps the inclusion-minimal ones and sorts them, once.
 The module-level decomposition peels one primary component per associated
 prime, using twice-iterated Ext kernels for the equidimensional parts (none
 when the Groebner basis shows the module unmixed: zero dimensional, or an
@@ -35,7 +35,7 @@ whose associated primes exclude P_j, yet P_j is an associated prime of F/M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -160,12 +160,11 @@ def _elimination_order(D: tuple[int, ...], d: int) -> MonomialOrder:
 
 
 def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
-    """Least-degree elimination polynomial for x_d, with its content stripped.
-
-    Returns (degree, coefficients of the rational-coefficient minimal
-    polynomial low to high, or None when the content is genuinely dependent
-    on the independent variables).
-    """
+    """The minimal polynomial over K = Q(u) of x_d modulo J: the coefficients,
+    low to high, of the least-degree elimination polynomial with its content
+    stripped, or None when they depend on the independent variables.  J is
+    prime when dim_K K[x_D]/J is 1, or when some form's polynomial is rational
+    and irreducible of degree dim_K (`_zero_dim_primes`)."""
     ring = J.ring
     others = tuple(i for i in D if i != d)
     G = buchberger(J, _elimination_order(D, d))
@@ -192,35 +191,29 @@ def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
             continue
         lam = c.leading_coefficient() / ctop.leading_coefficient()
         if c != ctop * lam:
-            return top, None
+            return None
         coeffs.append(lam)
-    return top, tuple(coeffs)
+    return tuple(coeffs)
 
 
 def _standard_count(leads) -> int:
     """The number of monomials outside the monomial ideal the exponent
-    vectors leads generate, which must be zero dimensional."""
-    bounds = []
-    for pos in range(len(leads[0])):
-        powers = [m[pos] for m in leads if m[pos] and sum(m) == m[pos]]
-        if not powers:
-            raise _CertificationFailure("ideal is not zero dimensional over Q(u)")
-        bounds.append(min(powers))
-    return sum(
-        1
-        for m in product(*(range(b) for b in bounds))
-        if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
-    )
-
-
-def _vector_dim(J: Submodule, D: tuple[int, ...], d: int) -> int:
-    """dim over K = Q(u) of K[x_D]/J, as the number of standard monomials.
-
-    _minpoly_data's order ranks x_D before u, so the D-parts of its lead terms
-    are J's lead terms over K; its basis is cached.
-    """
-    G = buchberger(J, _elimination_order(D, d))
-    return _standard_count([tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()])
+    vectors leads generate, which must be zero dimensional.  Standard
+    monomials are closed under division, so a walk from 1 that multiplies m
+    by x_i, i at or after m's last variable, meets each of them once and goes
+    on from none of the others."""
+    n = len(leads[0])
+    if not all(any(m[i] and sum(m) == m[i] for m in leads) for i in range(n)):
+        raise _CertificationFailure("ideal is not zero dimensional over Q(u)")
+    count = 0
+    stack = [((0,) * n, 0)]
+    while stack:
+        m, last = stack.pop()
+        if any(all(a <= b for a, b in zip(lead, m)) for lead in leads):
+            continue
+        count += 1
+        stack.extend((m[:i] + (m[i] + 1,) + m[i + 1 :], i) for i in range(last, n))
+    return count
 
 
 def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement) -> tuple[Fraction, ...]:
@@ -265,9 +258,11 @@ def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement) -> tuple[Fraction, ..
 @dataclass
 class _Search:
     """What one min_ass call shares over its recursion: the coordinate shears
-    it has left, and each factorization made, by coefficient tuple."""
+    it has left, the shear multipliers in the order its seed gives, and each
+    factorization made, by coefficient tuple."""
 
     shears: int
+    schedule: tuple = _SHEAR_LAMBDAS
     factored: dict = field(default_factory=dict)
 
     def factor(self, coeffs: tuple) -> list:
@@ -277,29 +272,33 @@ class _Search:
         return hit
 
 
-def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, search: _Search):
+def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     """Candidate primes of J (see `_min_ass_rec`) when J is zero dimensional
     over K = Q(u).
 
-    Each linear form l = x_d + tail, tail = sum_k c^(k+1) x_{others[k]}, for
+    dim_K K[x_D]/J is counted first, as the number of standard monomials of
+    one basis whose order ranks x_D before u: J's ring-order basis when
+    u = (), else the basis `_minpoly_data` reads for x_{D[0]}.  J is prime
+    when that dimension is 1, for then the quotient is K itself.  Otherwise
+    each linear form l = x_d + tail, tail = sum_k c^(k+1) x_{others[k]}, for
     c in _FORM_SCALES and d in D, is tested through its minimal polynomial p
     over K.  When u = (), p comes from normal forms against J's ring-order
-    basis (`_normal_form_minpoly`), and dim_Q Q[x]/J is the number of that
-    basis's standard monomials.  Otherwise p is that of x_d after the shear
-    x_d -> x_d - tail, read off a block-order basis (`_minpoly_data`).  A
-    rational p that factors or has a repeated factor splits J along its
+    basis (`_normal_form_minpoly`); otherwise p is that of x_d after the
+    shear x_d -> x_d - tail, read off a block-order basis (`_minpoly_data`).
+    A rational p that factors or has a repeated factor splits J along its
     factors f, into J + (f(l)); each distinct p is factored once per
-    `min_ass` call.  An irreducible p of degree dim_K K[x_D]/J makes that
+    `min_ass` call.  A rational, irreducible p of degree dim_K makes the
     quotient the field K[t]/(p); J, saturated by the lead coefficients, is
     the contraction of that field's kernel and so prime.  Raises
     _CertificationFailure otherwise.
     """
     ring = J.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
+    G = buchberger(J, _elimination_order(D, D[0])) if u else buchberger(J)
+    dim = _standard_count([tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()])
+    if dim == 1:
+        return [canonical(J)]
     gens = ideal_generators(J)
-    if not u:
-        G = buchberger(J)
-        dim = _standard_count([lead for _comp, lead in G.leading_terms()])
     u_dependent = False
     for c in _FORM_SCALES:
         for d in D:
@@ -309,32 +308,33 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], seed: int, search: _Searc
             l = x + tail
             if u:
                 Jl = ideal(ring, [substitute(g, {d: x - tail}) for g in gens]) if c else J
-                deg, coeffs = _minpoly_data(Jl, D, d)
+                coeffs = _minpoly_data(Jl, D, d)
             else:
                 coeffs = _normal_form_minpoly(G, l)
-                deg = len(coeffs) - 1
             if coeffs is None:
                 u_dependent = True
-            else:
-                factors = search.factor(coeffs)
-                if len(factors) > 1 or factors[0][1] > 1:
-                    out = []
-                    for fc, _mult in factors:
-                        split = canonical(ideal(ring, [*J.generators, _poly_of(l, fc)]))
-                        out.extend(_min_ass_rec(split, seed, search))
-                    return out
-            if (coeffs is not None or deg == 1) and deg == (
-                _vector_dim(Jl, D, d) if u else dim
-            ):
+                continue
+            factors = search.factor(coeffs)
+            if len(factors) > 1 or factors[0][1] > 1:
+                out = []
+                for fc, _mult in factors:
+                    split = canonical(ideal(ring, [*J.generators, _poly_of(l, fc)]))
+                    out.extend(_min_ass_rec(split, search))
+                return out
+            if len(coeffs) - 1 == dim:
                 return [canonical(J)]
-        # once a variable's p depends on u, so do the forms' in general, and such
-        # a p certifies only at degree 1; with one dependent variable l = x_d
+        # once a variable's p depends on u, so do the forms'; with one variable, l = x_d
         if u_dependent or len(D) == 1:
             break
     raise _CertificationFailure("no linear form certifies or splits the ideal")
 
 
-def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, search: _Search):
+def _gtz_split(I: Submodule, u: tuple[int, ...], search: _Search):
+    """Candidate primes of the canonical ideal I, split along the independent
+    set u.  With u = () every lead coefficient is rational: nothing is
+    saturated, and I goes to `_zero_dim_primes` as it is."""
+    if not u:
+        return _zero_dim_primes(I, u, search)
     ring = I.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
     G = buchberger(I, MonomialOrder(kind="block", blocks=(D,)))
@@ -346,14 +346,12 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], seed: int, search: _Search):
         if not c.is_constant():
             coeffs.add(c)
     h = prod(coeffs, start=ring.one())
-    Ic = canonical(I)
-    J = saturate(I, ideal(ring, [h])) if coeffs else Ic
+    J = saturate(I, ideal(ring, [h])) if coeffs else I
     if is_unit_ideal(J):
         raise _CertificationFailure("saturation by lead coefficients is trivial")
-    primes = _zero_dim_primes(J, u, seed, search)
-    if J != Ic:
-        Ih = canonical(ideal(ring, [*I.generators, h]))
-        primes.extend(_min_ass_rec(Ih, seed, search))
+    primes = _zero_dim_primes(J, u, search)
+    if J != I:
+        primes.extend(_min_ass_rec(ideal(ring, [*I.generators, h]), search))
     return primes
 
 
@@ -387,7 +385,7 @@ def _apply_shear(I: Submodule, i: int, j: int, lam: int) -> Submodule:
     )
 
 
-def _min_ass_rec(I: Submodule, seed: int, search: _Search) -> list[Submodule]:
+def _min_ass_rec(I: Submodule, search: _Search) -> list[Submodule]:
     """Candidate primes of I, within what search has left for the whole call.
 
     Each candidate is a canonical prime containing I, and every minimal prime
@@ -400,22 +398,20 @@ def _min_ass_rec(I: Submodule, seed: int, search: _Search) -> list[Submodule]:
         return [Ic]
     for u in _candidate_independent_sets(Ic):
         try:
-            return _gtz_split(Ic, u, seed, search)
+            return _gtz_split(Ic, u, search)
         except _CertificationFailure:
             continue
-    rot = seed % len(_SHEAR_LAMBDAS)
-    schedule = _SHEAR_LAMBDAS[rot:] + _SHEAR_LAMBDAS[:rot]
     first_sets = independent_sets(Ic)
     u0 = first_sets[0] if first_sets else ()
     D0 = tuple(i for i in range(Ic.ring.n) if i not in set(u0))
-    for (i, j), lam in product(_shear_pairs(Ic.ring, D0), schedule):
+    for (i, j), lam in product(_shear_pairs(Ic.ring, D0), search.schedule):
         if not search.shears:
             break
         search.shears -= 1
         try:
             # a sheared ideal makes no shears of its own, so the budget goes to
             # single shears in schedule order, not down one chain of them
-            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), seed, _Search(0, search.factored))
+            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), replace(search, shears=0))
         except DecompositionError:
             continue
         return [_apply_shear(P, i, j, -lam) for P in primes]
@@ -430,7 +426,9 @@ def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
     """Minimal associated primes of an ideal, canonical and sorted."""
     if I.ambient_rank != 1:
         raise ValueError("minimal primes are computed for ideals")
-    return _minimalize(_min_ass_rec(canonical(I), seed, _Search(_SHEAR_BUDGET)))
+    rot = seed % len(_SHEAR_LAMBDAS)
+    search = _Search(_SHEAR_BUDGET, _SHEAR_LAMBDAS[rot:] + _SHEAR_LAMBDAS[:rot])
+    return _minimalize(_min_ass_rec(I, search))
 
 
 # ---------------------------------------------------------------------------

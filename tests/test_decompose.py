@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -237,7 +238,7 @@ def test_linear_form_of_lower_degree_than_the_quotient_is_refused(monkeypatch):
     monkeypatch.setattr(decompose, "univariate_factor", lambda c: [(tuple(c), 1)])
     monkeypatch.setattr(decompose, "_FORM_SCALES", (0, 1))
     with pytest.raises(_CertificationFailure):
-        _zero_dim_primes(J, (), 0, _Search(0))
+        _zero_dim_primes(J, (), _Search(0))
 
 
 def _vanishing_grid(n: int, roots) -> Submodule:
@@ -293,7 +294,7 @@ def test_normal_form_minimal_polynomial_equals_the_block_order_one(I):
             tail = sum(R.variable(o) * c ** (k + 1) for k, o in enumerate(i for i in D if i != d))
             sheared = ideal(R, [substitute(g, {d: x - tail}) for g in ideal_generators(J)])
             nf = _normal_form_minpoly(G, x + tail)
-            assert _minpoly_data(sheared, D, d) == (len(nf) - 1, nf), (c, d)
+            assert _minpoly_data(sheared, D, d) == nf, (c, d)
 
 
 def test_each_polynomial_is_factored_once_per_min_ass_call(monkeypatch):
@@ -347,6 +348,112 @@ def test_no_forms_beyond_variables_once_a_minimal_polynomial_depends_on_u(
     I = ideal(R, [x * z - y * y, y * w - z * z, x * w - y * z])
     assert primes_text(min_ass(I)) == [["z^2 - y*w", "y*z - x*w", "y^2 - x*z"]]
     assert substitutions == []
+
+
+def _refuse(monkeypatch, *names):
+    """Make any call to the named decompose functions fail the test."""
+    for name in names:
+
+        def refuse(*args, _name=name):
+            raise AssertionError(f"{_name} called")
+
+        monkeypatch.setattr(decompose, name, refuse)
+
+
+def test_linear_forms_over_a_function_field_split_the_ideal(monkeypatch):
+    # over Q(z) the quotient by (x^2 - 2, y^2 - 2) has dimension 4, and x and y
+    # have minimal polynomials of degree 2; the form x + y has t^3 - 8t, which
+    # splits.  Over Q(u) a form's polynomial is that of x_d in the sheared
+    # ideal, so substitute runs inside _zero_dim_primes
+    _no_shears(monkeypatch)
+    depth, inside = [0], []
+    real = decompose._zero_dim_primes
+
+    def tracked(*args):
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    def recording_substitute(p, images):
+        inside.append(depth[0] > 0)
+        return substitute(p, images)
+
+    monkeypatch.setattr(decompose, "_zero_dim_primes", tracked)
+    monkeypatch.setattr(decompose, "substitute", recording_substitute)
+    R = ring3()
+    x, y = R.variable(0), R.variable(1)
+    got = primes_text(min_ass(ideal(R, [x * x - 2, y * y - 2])))
+    assert got == [["x + y", "y^2 - 2"], ["x - y", "y^2 - 2"]]
+    assert inside and all(inside)
+
+
+@pytest.mark.parametrize("name", ["sqrt_cube", "grid27"])
+def test_zero_dimensional_input_makes_no_lead_coefficient_pass(monkeypatch, name):
+    # with no independent variable every lead coefficient is rational
+    _refuse(monkeypatch, "_field_lead_coefficient")
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    if name == "sqrt_cube":
+        I, count = ideal(R, [x * x - 3, y * y - 3, z * z - 3]), 4
+    else:
+        I, count = _vanishing_grid(3, (1, -1, 2)), 27
+    assert len(min_ass(I)) == count
+
+
+def test_a_rational_point_is_prime_without_a_minimal_polynomial(monkeypatch):
+    # its quotient is Q itself, dimension 1
+    _refuse(monkeypatch, "_normal_form_minpoly", "univariate_factor")
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    got = primes_text(min_ass(ideal(R, [x - 1, y + 2, z - 3])))
+    assert got == [["z - 3", "y + 2", "x - 1"]]
+
+
+def test_a_quotient_of_dimension_one_over_q_u_needs_no_minimal_polynomial(monkeypatch):
+    # over Q(x, y), x - y*z leaves the quotient Q(x, y) itself
+    _refuse(monkeypatch, "_minpoly_data")
+    sets = []
+    real = decompose._gtz_split
+
+    def record(I, u, search):
+        sets.append(u)
+        return real(I, u, search)
+
+    monkeypatch.setattr(decompose, "_gtz_split", record)
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    assert primes_text(min_ass(ideal(R, [x - y * z]))) == [["y*z - x"]]
+    assert sets == [(0, 1)]
+
+
+def _box_count(leads) -> int:
+    """Standard monomials counted over the box of the pure-power bounds."""
+    bounds = [
+        min(m[i] for m in leads if m[i] and sum(m) == m[i]) for i in range(len(leads[0]))
+    ]
+    return sum(
+        1
+        for m in product(*(range(b) for b in bounds))
+        if not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
+    )
+
+
+def test_standard_count_walk_matches_the_box_count():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        leads = [tuple(rng.randint(1, 6) if j == i else 0 for j in range(n)) for i in range(n)]
+        leads += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        leads = [m for m in leads if any(m)]
+        assert _standard_count(leads) == _box_count(leads), leads
+    # x^100, y^100, z^100, xy, xz, yz: the box holds 10^6 monomials, the
+    # quotient 298 standard ones
+    sparse = [(100, 0, 0), (0, 100, 0), (0, 0, 100), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    assert _standard_count(sparse) == 298
+    with pytest.raises(_CertificationFailure):
+        _standard_count([(2, 0), (1, 1)])
 
 
 def test_fixtures_make_no_coordinate_shears(monkeypatch):
@@ -430,9 +537,9 @@ def test_min_ass_tests_independence_by_the_split_alone(monkeypatch):
     sets = []
     real = decompose._gtz_split
 
-    def record(I, u, seed, left):
+    def record(I, u, search):
         sets.append(u)
-        return real(I, u, seed, left)
+        return real(I, u, search)
 
     monkeypatch.setattr(decompose, "_gtz_split", record)
     R = ring2()
