@@ -2,24 +2,32 @@
 
 The engine works on the terms that elements store (see polyring): tuples
 (key, component, exponents, coefficient) with int coefficients, sorted by
-descending key, where keys are the additive tuples produced by MonomialOrder.
-A vector enters as its stored terms, re-keyed (polyring.rekey) only when the
-run's order is not the ring's.  S-vectors and reductions run fraction-free,
-and basis elements are primitive (content 1, positive lead).  A result
-leaves as terms over one denominator: the lead coefficient for basis
-generators and syzygies, the accumulated scale times the input's denominator
-for normal forms and lifts; in the ring's order a basis generator shares its
-engine element's term tuple.  Buchberger runs with the Gebauer-Moeller pair
-update; the coprime criterion is applied only to pairs whose elements both
-live entirely in one component, since it is unsound for general module
-elements.  All higher operations (syzygies, lifts, kernels of induced maps,
-intersections, quotients, saturation, elimination) reduce to Groebner runs
-over suitably extended free modules or rings, or in another monomial order.
-The order is an argument of buchberger; every result stays in the caller's
-ring.  syzygies returns generators of the relations, not a Groebner basis of
-them: the run on the tagged generators sets tag-led remainders aside instead
-of pairing them, as long as no S-pair leaves a new top-led element.  syzygies
-and lift of one matrix share that one memoized run.
+descending key, where keys are the additive tuples produced by
+MonomialOrder.  A vector enters as its stored terms, re-keyed
+(polyring.rekey) only when the run's order is not the ring's.  S-vectors and
+reductions run fraction-free, with the content taken out each time the scale
+grows 64 bits, and basis elements are primitive (content 1, positive lead).
+A result leaves as terms over one denominator: the lead coefficient for
+basis generators and syzygies, the accumulated scale times the input's
+denominator for normal forms and lifts; in the ring's order a basis
+generator shares its engine element's term tuple.  Buchberger runs with the
+Gebauer-Moeller pair update; the coprime criterion is applied only to pairs
+whose elements both live entirely in one component, since it is unsound for
+general module elements.  Keys add under multiplication, so the engine keys
+no shifted term from scratch: a reduction step adds the popped term's key
+minus the reducer's lead key, and an S-pair side adds the key of the lcm,
+which the pair heap holds already, minus that side's lead key.  The reduced
+basis is inter-reduced from below: a tail term lies under its element's
+lead, so only smaller leads can divide it, and each element is reduced
+against the finished smaller ones.  All higher operations (syzygies, lifts,
+kernels of induced maps, intersections, quotients, saturation, elimination)
+reduce to Groebner runs over suitably extended free modules or rings, or in
+another monomial order.  The order is an argument of buchberger; every
+result stays in the caller's ring.  syzygies returns generators of the
+relations, not a Groebner basis of them: the run on the tagged generators
+sets tag-led remainders aside instead of pairing them, as long as no S-pair
+leaves a new top-led element.  syzygies and lift of one matrix share that
+one memoized run.
 
 Runs are memoized in one bounded cache (_GroebnerCache), which also stores
 each reduced basis under the module of its own generators.  A module that
@@ -91,15 +99,16 @@ def _primitive(terms):
     return tuple((k, comp, exps, c // g) for k, comp, exps, c in terms)
 
 
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def _reduce_full(terms, by_comp, order: MonomialOrder):
+def _reduce_full(terms, by_comp):
     """Fraction-free tail reduction of terms against the elements in by_comp.
 
     Returns (s, r) with s a positive integer, r reduced and s * terms - r in
     the module the elements span.  Equal monomials in terms are merged.
+    terms and the elements are keyed in one order.  Keys add under
+    multiplication, so a reduction step shifts the reducer's tail by the
+    popped term's key minus the reducer's lead key: no key is computed here.
+    Each time s has grown 64 bits, s and the coefficients so far are divided
+    by their gcd, which keeps s an integer and r / s unchanged.
     """
     # a min-heap of negated keys pops the largest term first
     coeffs: dict = {}
@@ -114,8 +123,8 @@ def _reduce_full(terms, by_comp, order: MonomialOrder):
             coeffs[spot] = prev + c
     heapq.heapify(heap)
     s = 1
+    next_removal = 64  # the bit length of s that triggers a content removal
     out = []
-    out_coeffs = []
     while heap:
         negkey, comp, exps = heapq.heappop(heap)
         c = coeffs.pop((comp, exps), None)
@@ -127,8 +136,7 @@ def _reduce_full(terms, by_comp, order: MonomialOrder):
                 red = cand
                 break
         if red is None:
-            out.append((tuple(map(neg, negkey)), comp, exps))
-            out_coeffs.append(c)
+            out.append((tuple(map(neg, negkey)), comp, exps, c))
             continue
         # cancel c against the lead lc of red: scale everything by lc / g,
         # then subtract (c / g) * shift * red
@@ -139,10 +147,11 @@ def _reduce_full(terms, by_comp, order: MonomialOrder):
             s *= mult
             for spot in coeffs:
                 coeffs[spot] *= mult
-            out_coeffs = [x * mult for x in out_coeffs]
+            out = [(k, cp, e, x * mult) for k, cp, e, x in out]
         factor = c // g
         shift = tuple(map(sub, exps, red[3]))
-        neg_addk = tuple(map(neg, order.addend(shift)))
+        # the negated increment: -(key - lead key)
+        neg_addk = tuple(map(add, negkey, red[1]))
         for tkey, tcomp, texps, tcoeff in red[0][1:]:
             nexps = tuple(map(add, texps, shift))
             spot = (tcomp, nexps)
@@ -152,68 +161,90 @@ def _reduce_full(terms, by_comp, order: MonomialOrder):
                 heapq.heappush(heap, (tuple(map(sub, neg_addk, tkey)), tcomp, nexps))
             else:
                 coeffs[spot] = prev - factor * tcoeff
-    return s, tuple((*t, c) for t, c in zip(out, out_coeffs))
+        if s.bit_length() > next_removal:
+            d = gcd(s, *(t[3] for t in out), *coeffs.values())
+            if d != 1:
+                s //= d
+                coeffs = {spot: x // d for spot, x in coeffs.items()}
+                out = [(k, cp, e, x // d) for k, cp, e, x in out]
+            next_removal = s.bit_length() + 64
+    return s, tuple(out)
 
 
-def _shift_tail(terms, shift, factor, order: MonomialOrder):
-    """factor * shift * (terms without their lead)."""
-    addk = order.addend(shift)
+def _shift_tail(e, lead, lead_key, factor):
+    """factor * (lead / lead of e) * (the terms of e without their lead)."""
+    shift = tuple(map(sub, lead, e[3]))
+    addk = tuple(map(sub, lead_key, e[1]))
     return [
         (tuple(map(add, key, addk)), comp, tuple(map(add, exps, shift)), c * factor)
-        for key, comp, exps, c in terms[1:]
+        for key, comp, exps, c in e[0][1:]
     ]
 
 
-def _spair(e1, e2, order: MonomialOrder):
+def _spair(e1, e2, lead_key):
     """S-vector of two elements with one lead component, as unsorted terms
-    that may repeat a monomial; _reduce_full merges them."""
+    that may repeat a monomial; _reduce_full merges them.
+
+    lead_key is the key of the lcm of the leads, which the pair update
+    computed for the pair heap; each side's key increment is lead_key minus
+    that side's lead key."""
     lead = tuple(map(max, e1[3], e2[3]))
-    m1 = tuple(map(sub, lead, e1[3]))
-    m2 = tuple(map(sub, lead, e2[3]))
     g = gcd(e1[4], e2[4])
-    return _shift_tail(e1[0], m1, e2[4] // g, order) + _shift_tail(
-        e2[0], m2, -(e1[4] // g), order
+    return _shift_tail(e1, lead, lead_key, e2[4] // g) + _shift_tail(
+        e2, lead, lead_key, -(e1[4] // g)
     )
 
 
-def _coprime_ok(e1, e2) -> bool:
-    # Off for elements spread over components.  This keeps it off in the
-    # tagged run of syzygies, whose elements all carry a tag: the Koszul
-    # syzygies of the pairs it skips would be lost from Syz(A).
-    if e1[5] is None or e2[5] is None:
-        return False
-    return not any(map(min, e1[3], e2[3]))
-
-
 def _update_pairs(basis, pair_set, heap, t, order: MonomialOrder):
-    """Gebauer-Moeller pair update after appending basis[t]."""
+    """Gebauer-Moeller pair update after appending basis[t].
+
+    The coprime criterion applies only when both elements live in one
+    component.  This keeps it off in the tagged run of syzygies, whose
+    elements all carry a tag: the Koszul syzygies of the pairs it skips
+    would be lost from Syz(A).
+    """
     h = basis[t]
     hcomp, hexps = h[2], h[3]
-    cand = [i for i in range(t) if basis[i][2] == hcomp]
-    lcms = {i: tuple(map(max, basis[i][3], hexps)) for i in cand}
-    coprime = {i: _coprime_ok(basis[i], h) for i in cand}
+    single = h[5] is not None
+    # (i, lcm of the leads, coprime criterion applies), in index order
+    cand = []
+    for i in range(t):
+        e = basis[i]
+        if e[2] == hcomp:
+            coprime = single and e[5] is not None and not any(map(min, e[3], hexps))
+            cand.append((i, tuple(map(max, e[3], hexps)), coprime))
+    # criterion M: drop a pair whose lcm a later pair's lcm properly divides,
+    # or any kept pair's lcm divides; coprime pairs are kept for this test
+    # and then dropped
     keep = []
-    rest = list(cand)
-    while rest:
-        i = rest.pop(0)
-        li = lcms[i]
-        if coprime[i] or (
-            not any(_divides(lcms[j], li) and lcms[j] != li for j in rest)
-            and not any(_divides(lcms[j], li) for j in keep)
-        ):
-            keep.append(i)
-    for (i, j) in list(pair_set.keys()):
-        if basis[i][2] != hcomp:
+    for n, (i, li, coprime) in enumerate(cand):
+        if coprime:
+            keep.append((i, li, coprime))
             continue
-        lij = pair_set[(i, j)]
-        if _divides(hexps, lij) and lcms[i] != lij and lcms[j] != lij:
-            del pair_set[(i, j)]
-    for i in keep:
-        if coprime[i]:
-            continue
-        key = order.term_key(hcomp, lcms[i])
-        pair_set[(i, t)] = lcms[i]
-        heapq.heappush(heap, (key, i, t))
+        for _j, lj, _c in keep:
+            if all(map(le, lj, li)):
+                break
+        else:
+            for _j, lj, _c in cand[n + 1 :]:
+                if lj != li and all(map(le, lj, li)):
+                    break
+            else:
+                keep.append((i, li, coprime))
+    # criterion B on the pending pairs
+    if pair_set:
+        lcms = {i: li for i, li, _c in cand}
+        for (i, j), lij in list(pair_set.items()):
+            if (
+                basis[i][2] == hcomp
+                and all(map(le, hexps, lij))
+                and lcms[i] != lij
+                and lcms[j] != lij
+            ):
+                del pair_set[(i, j)]
+    for i, li, coprime in keep:
+        if not coprime:
+            pair_set[(i, t)] = li
+            heapq.heappush(heap, (order.term_key(hcomp, li), i, t))
 
 
 def _buchberger_engine(
@@ -253,14 +284,14 @@ def _buchberger_engine(
             insert(elem)
 
     for v in vectors:
-        _s, r = _reduce_full(v, by_comp, order)
+        _s, r = _reduce_full(v, by_comp)
         if r:
             add(r)
     while heap:
-        _key, i, j = heapq.heappop(heap)
+        key, i, j = heapq.heappop(heap)
         if pair_set.pop((i, j), None) is None:
             continue
-        _s, r = _reduce_full(_spair(basis[i], basis[j], order), by_comp, order)
+        _s, r = _reduce_full(_spair(basis[i], basis[j], key), by_comp)
         if r:
             if truncated and r[0][1] < split:
                 truncated = False
@@ -271,22 +302,24 @@ def _buchberger_engine(
     return basis, aside
 
 
-def _reduced_basis(basis, order: MonomialOrder):
-    """Minimal leads, fully tail-reduced, primitive, sorted by ascending lead key."""
-    ordered = sorted(basis, key=lambda e: e[1])
-    kept = []
-    for e in ordered:
-        if not any(k[2] == e[2] and _divides(k[3], e[3]) for k in kept):
-            kept.append(e)
+def _reduced_basis(basis):
+    """Minimal leads, fully tail-reduced, primitive, sorted by ascending lead key.
+
+    Every term of an element's tail lies below its lead, and a lead that
+    divides a term has a key no larger than the term's.  So only elements
+    with smaller leads can reduce a tail, and each kept element is reduced,
+    in ascending order, against the finished smaller ones alone.
+    """
     final = []
-    for idx, e in enumerate(kept):
-        others: dict = {}
-        for j, k in enumerate(kept):
-            if j != idx:
-                others.setdefault(k[2], []).append(k)
-        _s, r = _reduce_full(e[0], others, order)
-        final.append(_make_elem(_primitive(r)))
-    final.sort(key=lambda e: e[1])
+    below: dict = {}
+    for e in sorted(basis, key=lambda e: e[1]):
+        comp, exps = e[2], e[3]
+        if any(all(map(le, k[3], exps)) for k in below.get(comp, ())):
+            continue
+        _s, r = _reduce_full(e[0], below)
+        elem = _make_elem(_primitive(r))
+        below.setdefault(comp, []).append(elem)
+        final.append(elem)
     return final
 
 
@@ -333,7 +366,7 @@ class GroebnerBasis:
         if v.ring != self.ring or v.rank != self.ambient_rank:
             raise RingError("vector does not match basis ambient module")
         terms = v.terms if self._native else _in_order(v.terms, self.order)
-        return _reduce_full(terms, self._by_comp, self.order)
+        return _reduce_full(terms, self._by_comp)
 
     def reduce_vector(self, v: FreeElement) -> FreeElement:
         """Normal form of v, a polynomial when v is one."""
@@ -364,7 +397,7 @@ def _split_run(A: Submodule, order: MonomialOrder, split: int):
     ]
     basis, aside = _buchberger_engine(vectors, order, split)
     top = [e for e in basis if e[2] < split]
-    return top, aside + _reduced_basis([e for e in basis if e[2] >= split], order)
+    return top, aside + _reduced_basis([e for e in basis if e[2] >= split])
 
 
 def _reordered(G: GroebnerBasis, order: MonomialOrder):
@@ -450,7 +483,7 @@ class _GroebnerCache:
             g.terms if native else _in_order(g.terms, order) for g in gens[start:] if g.terms
         ]
         basis, _aside = _buchberger_engine(vectors, order, known=known)
-        reduced = _reduced_basis(basis, order)
+        reduced = _reduced_basis(basis)
         out = [
             from_terms(ring, rank, e[0] if native else _in_order(e[0], ring.order), e[4])
             for e in reduced
@@ -578,7 +611,7 @@ def lift(A: Submodule, B: Submodule) -> Submodule:
     cols = []
     for b in B.generators:
         terms = b.terms if native else _in_order(b.terms, order)
-        scale, r = _reduce_full(terms, top_by_comp, order)
+        scale, r = _reduce_full(terms, top_by_comp)
         if any(comp < s for _key, comp, _exps, _c in r):
             raise ValueError("lift does not exist: vector outside the module")
         # scale * b = A * (-tail of r)

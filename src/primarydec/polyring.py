@@ -91,7 +91,7 @@ class MonomialOrder:
                 sub = [-exps[i] for i in grp]
                 key.append(-sum(sub))
                 key += sub
-            rest = [-e for e in exps[self._rest_from :][::-1]]
+            rest = [-e for e in exps[: self._rest_from - 1 : -1]]  # from _rest_from, reversed
             rest += [-exps[i] for i in self._rest_below]
             key.append(-sum(rest))
             key += rest
@@ -424,7 +424,7 @@ class Submodule:
     def __init__(self, ring: RingContext, ambient_rank: int, generators: Sequence[FreeElement]):
         gens = tuple(g for g in generators)
         for g in gens:
-            if g.ring != ring or g.rank != ambient_rank:
+            if (g.ring is not ring and g.ring != ring) or g.rank != ambient_rank:
                 raise RingError("generator does not match ambient module")
         if ambient_rank < 0:
             raise ValueError("negative rank")

@@ -68,3 +68,29 @@ def test_only_runs_the_named_scripts_with_their_full_run_text(monkeypatch, tmp_p
         tool.main([*args, "--only", "s006"])
     assert exc.value.code == 2
     assert "s006" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize(
+    "order, ring_orders",
+    [("lp", {2: "lp", 3: "lp"}), ("wp", {2: "wp(3, 1)", 3: "wp(3, 1, 2)"})],
+)
+def test_order_rewrites_only_the_ring_line(monkeypatch, tmp_path, capsys, order, ring_orders):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    tool = _load_tool()
+    args = [str(ROOT), str(ROOT), "--count", "6", "--seed", "7", "--timeout", "5"]
+    assert tool.main([*args, "--order", order, "--only", "s001,s004"]) == 0
+    *per_script, _summary = capsys.readouterr().out.splitlines()
+    assert len(per_script) == 2 and all(line.endswith(" same") for line in per_script)
+    (out,) = tmp_path.iterdir()
+    rng = random.Random(7)
+    drawn = [tool.random_script(rng) for _ in range(6)]
+    # the default is dp: an explicit dp draws the same scripts
+    rng = random.Random(7)
+    assert [tool.random_script(rng, "dp") for _ in range(6)] == drawn
+    for k in (1, 4):
+        ring, *rest = (out / f"s{k:03d}.primdec").read_text().splitlines()
+        dp_ring, *dp_rest = drawn[k].splitlines()
+        assert rest == dp_rest
+        n = dp_ring.count(",") - 1  # "ring r = 0, (x, y), dp;" names 2 variables
+        assert ring == dp_ring.replace(", dp;", f", {ring_orders[n]};")

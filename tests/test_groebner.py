@@ -1,6 +1,8 @@
+import heapq
 import random
 from fractions import Fraction
 from itertools import product
+from operator import le
 
 import pytest
 
@@ -756,3 +758,133 @@ def test_the_cache_stays_bounded_and_keeps_the_latest_entries(monkeypatch):
     groebner._gb_cached.cache_clear()
     syzygies(ideal(R, [R.variable(0), R.variable(1)]))
     assert len(groebner._gb_cached.entries) == 1
+
+
+# ---------------------------------------------------------------------------
+# the engine's bookkeeping against the plain forms it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_update_pairs(basis, pair_set, heap, t, order):
+    """The Gebauer-Moeller update written plainly: dicts of lcms and coprime
+    flags, criterion M through nested scans, every pending pair scanned."""
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def coprime_ok(e1, e2):
+        if e1[5] is None or e2[5] is None:
+            return False
+        return not any(map(min, e1[3], e2[3]))
+
+    h = basis[t]
+    hcomp, hexps = h[2], h[3]
+    cand = [i for i in range(t) if basis[i][2] == hcomp]
+    lcms = {i: tuple(map(max, basis[i][3], hexps)) for i in cand}
+    coprime = {i: coprime_ok(basis[i], h) for i in cand}
+    keep = []
+    rest = list(cand)
+    while rest:
+        i = rest.pop(0)
+        li = lcms[i]
+        if coprime[i] or (
+            not any(divides(lcms[j], li) and lcms[j] != li for j in rest)
+            and not any(divides(lcms[j], li) for j in keep)
+        ):
+            keep.append(i)
+    for (i, j) in list(pair_set.keys()):
+        if basis[i][2] != hcomp:
+            continue
+        lij = pair_set[(i, j)]
+        if divides(hexps, lij) and lcms[i] != lij and lcms[j] != lij:
+            del pair_set[(i, j)]
+    for i in keep:
+        if coprime[i]:
+            continue
+        pair_set[(i, t)] = lcms[i]
+        heapq.heappush(heap, (order.term_key(hcomp, lcms[i]), i, t))
+
+
+def _reference_reduced_basis(basis):
+    """Minimal leads, each kept element reduced against all the others."""
+    from primarydec import groebner
+
+    kept = []
+    for e in sorted(basis, key=lambda e: e[1]):
+        if not any(k[2] == e[2] and all(map(le, k[3], e[3])) for k in kept):
+            kept.append(e)
+    final = []
+    for idx, e in enumerate(kept):
+        others: dict = {}
+        for j, k in enumerate(kept):
+            if j != idx:
+                others.setdefault(k[2], []).append(k)
+        _s, r = groebner._reduce_full(e[0], others)
+        final.append(groebner._make_elem(groebner._primitive(r)))
+    final.sort(key=lambda e: e[1])
+    return final
+
+
+def _checked_engine(monkeypatch):
+    """Check every pair update and reduced basis against its reference as the
+    engine runs; returns counts of the calls and of what the criteria did."""
+    from primarydec import groebner
+
+    seen = {"updates": 0, "m_drops": 0, "b_drops": 0, "reduced": 0, "split": 0}
+    real_update, real_reduced = groebner._update_pairs, groebner._reduced_basis
+    real_engine = groebner._buchberger_engine
+
+    def update(basis, pair_set, heap, t, order):
+        before = list(pair_set)
+        ref_pairs, ref_heap = dict(pair_set), list(heap)
+        _reference_update_pairs(basis, ref_pairs, ref_heap, t, order)
+        real_update(basis, pair_set, heap, t, order)
+        assert list(pair_set.items()) == list(ref_pairs.items())
+        assert heap == ref_heap
+        dropped = sum(key not in pair_set for key in before)
+        added = len(pair_set) - len(before) + dropped
+        candidates = sum(e[2] == basis[t][2] for e in basis[:t])
+        seen["updates"] += 1
+        seen["b_drops"] += dropped
+        seen["m_drops"] += candidates - added
+
+    def reduced(basis):
+        out = real_reduced(basis)
+        assert out == _reference_reduced_basis(basis)
+        seen["reduced"] += 1
+        return out
+
+    def engine(vectors, order, split=None, known=()):
+        seen["split"] += split is not None
+        return real_engine(vectors, order, split, known)
+
+    monkeypatch.setattr(groebner, "_update_pairs", update)
+    monkeypatch.setattr(groebner, "_reduced_basis", reduced)
+    monkeypatch.setattr(groebner, "_buchberger_engine", engine)
+    return seen
+
+
+_ENGINE_ORDERS = {
+    "dp": MonomialOrder(),
+    "lp": MonomialOrder(kind="lex"),
+    "wp": MonomialOrder(weights=(2, 3, 1)),
+    "block": MonomialOrder(kind="block", blocks=((0, 1),)),
+    "dp-top": MonomialOrder(module_extension=TERM_OVER_POSITION),
+}
+
+
+@pytest.mark.parametrize("order", sorted(_ENGINE_ORDERS))
+def test_pair_update_and_reduced_basis_match_their_plain_forms(monkeypatch, order):
+    from primarydec import groebner
+
+    R = RingContext(("x", "y", "z"), _ENGINE_ORDERS[order])
+    seen = _checked_engine(monkeypatch)
+    for rank in (1, 2):
+        rng = random.Random(f"engine-{order}-{rank}")
+        for _ in range(16):
+            A = _random_module(R, rng, rank, 5 - rank)
+            groebner._gb_cached.cache_clear()
+            buchberger(A)
+            syzygies(A)  # a split run
+    assert seen["updates"] and seen["reduced"] and seen["split"]
+    # both criteria drop pairs, so the comparison covers them
+    assert seen["b_drops"] and seen["m_drops"]

@@ -6,6 +6,8 @@ import pytest
 from primarydec.polyring import (
     DEGREVLEX,
     LEX,
+    POSITION_OVER_TERM,
+    TERM_OVER_POSITION,
     FreeElement,
     MonomialOrder,
     RingContext,
@@ -144,6 +146,36 @@ def test_key_is_additive():
             # module keys shift by the ring addend
             tka = order.term_key(3, a)
             assert tuple(x + y for x, y in zip(tka, order.addend(b))) == order.term_key(3, ab)
+
+
+@pytest.mark.parametrize("extension", [POSITION_OVER_TERM, TERM_OVER_POSITION])
+@pytest.mark.parametrize(
+    "order",
+    [
+        MonomialOrder(),
+        MonomialOrder(weights=(2, 1, 1, 3)),
+        MonomialOrder(kind="lex"),
+        # no variable outside the blocks
+        MonomialOrder(kind="block", blocks=((0, 2), (1, 3))),
+        # rest variables both below and above the last block variable
+        MonomialOrder(kind="block", blocks=((1,),)),
+        MonomialOrder(kind="block", blocks=((2,), (0,))),
+    ],
+    ids=["dp", "wp", "lp", "block", "block-rest", "block-rest-below"],
+)
+def test_a_key_difference_is_the_addend_of_the_quotient(order, extension):
+    # the engine's reduction and S-pair steps shift keys by differences of
+    # keys it holds, never computing the addend itself
+    order = MonomialOrder(
+        kind=order.kind, weights=order.weights, blocks=order.blocks, module_extension=extension
+    )
+    rng = random.Random(f"{order}")
+    for _ in range(300):
+        b = tuple(rng.randrange(4) for _ in range(4))
+        a = tuple(e + rng.randrange(4) for e in b)
+        comp = rng.randrange(3)
+        diff = tuple(x - y for x, y in zip(order.term_key(comp, a), order.term_key(comp, b)))
+        assert diff == order.addend(tuple(x - y for x, y in zip(a, b)))
 
 
 def test_key_total_and_multiplicative():

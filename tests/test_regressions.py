@@ -28,8 +28,8 @@ def test_regression_script_prints_its_expected_json(monkeypatch, capsys, name):
     real = groebner._reduce_full
     widest = [0]
 
-    def recording_reduce_full(terms, by_comp, order):
-        s, r = real(terms, by_comp, order)
+    def recording_reduce_full(terms, by_comp):
+        s, r = real(terms, by_comp)
         widest[0] = max([widest[0], *(abs(t[3]).bit_length() for t in r)])
         return s, r
 

@@ -14,10 +14,13 @@ stderr may differ.  Exits 1 when some script finishes on both sides with
 different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
-        [--timeout 20] [--only s015,s028]
+        [--timeout 20] [--only s015,s028] [--order dp|lp|wp]
 
 `--only` runs just the named scripts.  All `--count` scripts are still drawn,
-so each name keeps the text it has in a full run.  The scripts that run are
+so each name keeps the text it has in a full run.  `--order` rewrites only
+the ring line: lp, or wp with the weights WP_WEIGHTS cut to the number of
+variables.  The default, dp, gives the scripts of earlier versions of this
+tool, and every order draws the same polynomials.  The scripts that run are
 written to a fresh temporary directory, which is kept and named in the last
 line of output.
 
@@ -37,6 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 
 VARIABLES = ("x", "y", "z")
+WP_WEIGHTS = (3, 1, 2)
 HALF, MINUS_TWO_THIRDS = Fraction(1, 2), Fraction(-2, 3)
 
 
@@ -73,9 +77,11 @@ def _product(rng: random.Random, names) -> str:
     return "*".join(rng.choice(makers)(rng, names) for _ in range(rng.randint(1, 3)))
 
 
-def random_script(rng: random.Random) -> str:
+def random_script(rng: random.Random, order: str = "dp") -> str:
     names = list(VARIABLES[: rng.randint(2, 3)])
-    lines = [f"ring r = 0, ({', '.join(names)}), dp;"]
+    if order == "wp":
+        order = f"wp({', '.join(map(str, WP_WEIGHTS[: len(names)]))})"
+    lines = [f"ring r = 0, ({', '.join(names)}), {order};"]
     if rng.random() < 0.5:
         gens = ", ".join(_product(rng, names) for _ in range(rng.randint(1, 3)))
         lines.append(f"ideal I = {gens};")
@@ -130,9 +136,10 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--only", type=lambda text: text.split(","), help="comma-separated names, e.g. s015,s028"
     )
+    ap.add_argument("--order", choices=("dp", "lp", "wp"), default="dp", help="ring order")
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
-    texts = {f"s{k:03d}": random_script(rng) for k in range(args.count)}
+    texts = {f"s{k:03d}": random_script(rng, args.order) for k in range(args.count)}
     names = args.only or list(texts)
     unknown = [name for name in names if name not in texts]
     if unknown:
