@@ -8,11 +8,13 @@ dimension 1 over K, or when some linear form in the dependent variables has
 a rational, irreducible minimal polynomial of degree equal to that
 dimension; a form whose rational minimal polynomial factors splits J.
 Coordinate shears, at most `_SHEAR_BUDGET` per `min_ass` call, are a
-fallback for what no form settles.  When u = (), the minimal polynomial is
-the first linear dependence among the normal forms of the form's powers
-against J's one ring-order basis (FGLM); otherwise it is read off a
-block-order basis of the sheared ideal.  Each distinct polynomial is
-factored once per `min_ass` call, in a memo that the call creates and drops.
+fallback for what no form settles.  A form's minimal polynomial is the
+first linear dependence among the normal forms of its powers (FGLM), against
+J's ring-order basis when u = (), else against its basis in the block order
+u > x_D, whose u-free elements are a basis of J cap Q[x_D]; the search stops
+after dim + 1 powers.  That finds it exactly when it is rational, since Q is
+algebraically closed in Q(u).  Each distinct polynomial is factored once per
+`min_ass` call, in a memo that the call creates and drops.
 The splits return candidate primes, which may repeat or contain one another;
 `min_ass` alone keeps the inclusion-minimal ones and sorts them, once.
 The module-level decomposition peels one primary component per associated
@@ -65,7 +67,6 @@ from .polyring import (
     full_module,
     ideal,
     ideal_generators,
-    poly_from_terms,
     rekey,
     render_polynomial,
     substitute,
@@ -153,49 +154,6 @@ def _poly_of(l: FreeElement, coeffs) -> FreeElement:
     return f
 
 
-def _elimination_order(D: tuple[int, ...], d: int) -> MonomialOrder:
-    """Blocks (D without d) > x_d > the independent variables."""
-    others = tuple(i for i in D if i != d)
-    return MonomialOrder(kind="block", blocks=(others, (d,)) if others else ((d,),))
-
-
-def _minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
-    """The minimal polynomial over K = Q(u) of x_d modulo J: the coefficients,
-    low to high, of the least-degree elimination polynomial with its content
-    stripped, or None when they depend on the independent variables.  J is
-    prime when dim_K K[x_D]/J is 1, or when some form's polynomial is rational
-    and irreducible of degree dim_K (`_zero_dim_primes`)."""
-    ring = J.ring
-    others = tuple(i for i in D if i != d)
-    G = buchberger(J, _elimination_order(D, d))
-    best = None
-    for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
-        if any(lead[i] for i in others):
-            continue
-        if best is None or lead[d] < best_deg:
-            best, best_deg = gen, lead[d]
-    if best is None or best_deg == 0:
-        raise _CertificationFailure("no elimination polynomial found")
-    groups: dict[int, list] = {}
-    for _k, _comp, exps, coeff in best.terms:
-        upart = tuple(0 if i == d else e for i, e in enumerate(exps))
-        groups.setdefault(exps[d], []).append((upart, coeff))
-    ck = {k: poly_from_terms(ring, items) for k, items in groups.items()}
-    top = max(ck)
-    ctop = ck[top]
-    coeffs = []
-    for k in range(top + 1):
-        c = ck.get(k)
-        if c is None:
-            coeffs.append(0)
-            continue
-        lam = c.leading_coefficient() / ctop.leading_coefficient()
-        if c != ctop * lam:
-            return None
-        coeffs.append(lam)
-    return tuple(coeffs)
-
-
 def _standard_count(leads) -> int:
     """The number of monomials outside the monomial ideal the exponent
     vectors leads generate, which must be zero dimensional.  Standard
@@ -216,20 +174,25 @@ def _standard_count(leads) -> int:
     return count
 
 
-def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement) -> tuple[Fraction, ...]:
-    """Monic generator of J cap Q[l], coefficients low to high, for G the
-    reduced basis of a zero-dimensional ideal J in the ring order.
+def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement, dim: int):
+    """Monic generator of J cap Q[l], coefficients low to high, or None when
+    it has degree above dim or J cap Q[l] = 0.  G is J's reduced basis in
+    the ring order, or for u nonempty in an order ranking u first, whose
+    u-free elements are a basis of J cap Q[x_D]: the normal forms of the
+    powers of l, a form in x_D, then stay u-free.
 
     It is the first linear dependence among NF(1), NF(l), NF(l^2), ...
     (Faugere-Gianni-Lazard-Mora 1993), found by elimination over Q as each
     NF(l^k) = NF(l * NF(l^(k-1))) arrives.  Each row is kept with its pivot
-    entry 1 and the combination of powers of l whose normal form it is.
+    entry 1 and the combination of powers of l whose normal form it is.  The
+    search stops after dim + 1 powers, as J cap Q[l] may be 0.
     """
     rows = []
     # NF(1) = 1, J being proper
     v = l.ring.one()
-    k = 0
-    while True:
+    for k in range(dim + 1):
+        if k:
+            v = G.reduce_vector(v * l)
         w = {exps: Fraction(c, v.den) for _key, _comp, exps, c in v.terms}
         combo = {k: Fraction(1)}
         for pivot, row, row_combo in rows:
@@ -251,8 +214,7 @@ def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement) -> tuple[Fraction, ..
         rows.append(
             (pivot, {m: a * inv for m, a in w.items()}, {j: a * inv for j, a in combo.items()})
         )
-        v = G.reduce_vector(v * l)
-        k += 1
+    return None
 
 
 @dataclass
@@ -277,42 +239,41 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     over K = Q(u).
 
     dim_K K[x_D]/J is counted first, as the number of standard monomials of
-    one basis whose order ranks x_D before u: J's ring-order basis when
-    u = (), else the basis `_minpoly_data` reads for x_{D[0]}.  J is prime
-    when that dimension is 1, for then the quotient is K itself.  Otherwise
-    each linear form l = x_d + tail, tail = sum_k c^(k+1) x_{others[k]}, for
-    c in _FORM_SCALES and d in D, is tested through its minimal polynomial p
-    over K.  When u = (), p comes from normal forms against J's ring-order
-    basis (`_normal_form_minpoly`); otherwise p is that of x_d after the
-    shear x_d -> x_d - tail, read off a block-order basis (`_minpoly_data`).
-    A rational p that factors or has a repeated factor splits J along its
-    factors f, into J + (f(l)); each distinct p is factored once per
-    `min_ass` call.  A rational, irreducible p of degree dim_K makes the
+    J's basis in the ring order when u = (), else in the block order x_D > u
+    (the basis `_gtz_split` made, when J is its ideal).  J is prime when that
+    dimension is 1, for then the quotient is K itself.  Otherwise each linear
+    form l = x_d + sum_k c^(k+1) x_{others[k]}, for c in _FORM_SCALES and d
+    in D, is tested through its minimal polynomial p over K, which
+    `_normal_form_minpoly` finds, against J's basis in the ring order or in
+    the block order u > x_D, exactly when p is rational; none is when that
+    basis has no u-free element, J cap Q[x_D] being 0.  A rational p(l) lies
+    in J, which is saturated, so p is the least dependence, of degree at most
+    dim_K; a dependence m of that degree is a multiple of p, and its monic
+    factors over K are rational, Q being algebraically closed in Q(u), so
+    p = m.  A rational p that factors or has a repeated factor splits J
+    along its factors f, into J + (f(l)); each distinct p is factored once
+    per `min_ass` call.  A rational, irreducible p of degree dim_K makes the
     quotient the field K[t]/(p); J, saturated by the lead coefficients, is
     the contraction of that field's kernel and so prime.  Raises
     _CertificationFailure otherwise.
     """
     ring = J.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
-    G = buchberger(J, _elimination_order(D, D[0])) if u else buchberger(J)
+    G = buchberger(J, MonomialOrder(kind="block", blocks=(D,))) if u else buchberger(J)
     dim = _standard_count([tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()])
     if dim == 1:
         return [canonical(J)]
-    gens = ideal_generators(J)
-    u_dependent = False
-    for c in _FORM_SCALES:
+    if u:
+        G = buchberger(J, MonomialOrder(kind="block", blocks=(u,)))
+        if all(any(lead[i] for i in u) for _comp, lead in G.leading_terms()):
+            raise _CertificationFailure("J cap Q[x_D] = 0: no form has a rational p")
+    # with one variable, l = x_d for every c
+    for c in _FORM_SCALES if len(D) > 1 else (0,):
         for d in D:
-            x = ring.variable(d)
             others = [i for i in D if i != d]
-            tail = sum(ring.variable(o) * c ** (k + 1) for k, o in enumerate(others))
-            l = x + tail
-            if u:
-                Jl = ideal(ring, [substitute(g, {d: x - tail}) for g in gens]) if c else J
-                coeffs = _minpoly_data(Jl, D, d)
-            else:
-                coeffs = _normal_form_minpoly(G, l)
+            l = ring.variable(d) + sum(ring.variable(o) * c**k for k, o in enumerate(others, 1))
+            coeffs = _normal_form_minpoly(G, l, dim)
             if coeffs is None:
-                u_dependent = True
                 continue
             factors = search.factor(coeffs)
             if len(factors) > 1 or factors[0][1] > 1:
@@ -323,9 +284,6 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
                 return out
             if len(coeffs) - 1 == dim:
                 return [canonical(J)]
-        # once a variable's p depends on u, so do the forms'; with one variable, l = x_d
-        if u_dependent or len(D) == 1:
-            break
     raise _CertificationFailure("no linear form certifies or splits the ideal")
 
 

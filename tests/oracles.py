@@ -7,7 +7,10 @@ linear system over the rationals for the same reason.  `quotient_by_ideal`
 computes A : J from one `modulo_kernel` per generator of J, the reference
 that saturation is compared against as a fixed point.  `validation_reference`
 is the validator's report with its irredundancy test run at every component,
-each all-but-one intersection computed on its own.
+each all-but-one intersection computed on its own.  `minpoly_data` reads the
+minimal polynomial of a variable over Q(u) off a block-order basis that
+eliminates the other dependent variables, the reference for the normal-form
+minimal polynomials of the minimal-prime step.
 
 Tests import it as `from oracles import ...`; pytest puts this directory on
 sys.path.  It uses only names that `primarydec` exports.
@@ -19,8 +22,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from primarydec import (
+    MonomialOrder,
     RingContext,
     Submodule,
+    buchberger,
     canonical,
     full_module,
     ideal,
@@ -285,3 +290,49 @@ def validation_reference(M: Submodule, pairs, seed: int = 0) -> dict:
         "irredundant": not redundant,
         "messages": messages,
     }
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials over Q(u) by elimination
+# ---------------------------------------------------------------------------
+
+
+def elimination_order(D: tuple[int, ...], d: int) -> MonomialOrder:
+    """Blocks (D without d) > x_d > the independent variables."""
+    others = tuple(i for i in D if i != d)
+    return MonomialOrder(kind="block", blocks=(others, (d,)) if others else ((d,),))
+
+
+def minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
+    """The minimal polynomial over K = Q(u), u the variables outside D, of
+    x_d modulo J, an ideal zero dimensional over K: the coefficients, low to
+    high and monic, of the least-degree element of J in x_d and u, or None
+    when they depend on u."""
+    ring = J.ring
+    others = tuple(i for i in D if i != d)
+    G = buchberger(J, elimination_order(D, d))
+    best = None
+    for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
+        if any(lead[i] for i in others):
+            continue
+        if best is None or lead[d] < best_deg:
+            best, best_deg = gen, lead[d]
+    if best is None or best_deg == 0:
+        raise ValueError("no elimination polynomial: J is not zero dimensional over Q(u)")
+    groups: dict[int, object] = {}
+    for _k, _comp, exps, coeff in best.terms:
+        upart = tuple(0 if i == d else e for i, e in enumerate(exps))
+        groups[exps[d]] = groups.get(exps[d], ring.zero()) + ring.monomial(upart, coeff)
+    top = max(groups)
+    ctop = groups[top]
+    coeffs = []
+    for k in range(top + 1):
+        c = groups.get(k)
+        if c is None:
+            coeffs.append(0)
+            continue
+        lam = c.leading_coefficient() / ctop.leading_coefficient()
+        if c != ctop * lam:
+            return None
+        coeffs.append(lam)
+    return tuple(coeffs)

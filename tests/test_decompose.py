@@ -19,7 +19,6 @@ from primarydec.decompose import (
     _minimalize,
     _FORM_SCALES,
     _Search,
-    _minpoly_data,
     _normal_form_minpoly,
     _standard_count,
     _zero_dim_primes,
@@ -56,6 +55,8 @@ from primarydec.unifactor import univariate_factor
 from primarydec.verify import validate_decomposition
 
 import pytest
+
+from oracles import minpoly_data
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -231,7 +232,7 @@ def test_linear_form_of_lower_degree_than_the_quotient_is_refused(monkeypatch):
     x, y, z = (R.variable(i) for i in range(3))
     J = canonical(ideal(R, [x * x - 2, y * y - 2, z * z - 2]))
     G = buchberger(J)
-    assert len(_normal_form_minpoly(G, x + y + z)) - 1 == 4
+    assert len(_normal_form_minpoly(G, x + y + z, 8)) - 1 == 4
     assert _standard_count([lead for _comp, lead in G.leading_terms()]) == 8
     # even when every minimal polynomial is taken as irreducible, forms of
     # degree 2 (c = 0) and 4 (c = 1, x + y + z) against dim 8 certify nothing
@@ -278,23 +279,121 @@ def _zero_dimensional_ideals():
         yield f"products{k}", _random_univariate_products(rng)
 
 
+def _twisted_cubic() -> Submodule:
+    R = RingContext(("x", "y", "z", "w"))
+    x, y, z, w = (R.variable(i) for i in range(4))
+    return ideal(R, [x * z - y * y, y * w - z * z, x * w - y * z])
+
+
+def _function_field_ideals():
+    """Ideals that min_ass splits along a nonempty independent set u, each
+    flagged True when every form's minimal polynomial over Q(u) depends on
+    u; the others have forms with rational ones, and some also without."""
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    yield "sqrt2_over_z", ideal(R, [x * x - 2, y * y - 2]), False
+    yield "sum_over_u", ideal(R, [(x + y) ** 2 - 8, x * z - y - 2]), False
+    yield "shifted_sum_over_u", ideal(R, [(x + y) ** 2 - 8, x - y - 2 * z]), False
+    yield "hyperbola_over_xy", ideal(R, [x - y * z]), True
+    yield "twisted_cubic", _twisted_cubic(), True
+
+
+def _zero_dim_inputs(I: Submodule, monkeypatch) -> list:
+    """The (J, u) of every `_zero_dim_primes` call that min_ass(I) makes."""
+    calls = []
+    real = decompose._zero_dim_primes
+
+    def record(J, u, search):
+        calls.append((J, u))
+        return real(J, u, search)
+
+    with monkeypatch.context() as m:
+        m.setattr(decompose, "_zero_dim_primes", record)
+        min_ass(I)
+    return calls
+
+
+def _compare_with_elimination(J: Submodule, u: tuple) -> list:
+    """For every form that _zero_dim_primes may try on (J, u), the
+    normal-form minimal polynomial equals the one that the block-order basis
+    of the sheared ideal yields; returns those polynomials."""
+    R = J.ring
+    D = tuple(i for i in range(R.n) if i not in u)
+    dim_order = MonomialOrder(kind="block", blocks=(D,)) if u else R.order
+    leads = [lead for _comp, lead in buchberger(J, dim_order).leading_terms()]
+    dim = _standard_count([tuple(lead[i] for i in D) for lead in leads])
+    G = buchberger(J, MonomialOrder(kind="block", blocks=(u,))) if u else buchberger(J)
+    found = []
+    for c in _FORM_SCALES:
+        for d in D:
+            x = R.variable(d)
+            tail = sum(R.variable(o) * c**k for k, o in enumerate((i for i in D if i != d), 1))
+            sheared = ideal(R, [substitute(g, {d: x - tail}) for g in ideal_generators(J)])
+            nf = _normal_form_minpoly(G, x + tail, dim)
+            assert minpoly_data(sheared, D, d) == nf, (c, d)
+            found.append(nf)
+    return found
+
+
 @pytest.mark.parametrize(
     "I", [pytest.param(I, id=name) for name, I in _zero_dimensional_ideals()]
 )
 def test_normal_form_minimal_polynomial_equals_the_block_order_one(I):
-    # for every form that _zero_dim_primes tries, the first dependence among
-    # the normal forms of 1, l, l^2, ... is the monic polynomial that the
-    # block-order basis of the sheared ideal yields
-    J = canonical(I)
-    R, D = J.ring, tuple(range(J.ring.n))
-    G = buchberger(J)
-    for c in _FORM_SCALES:
-        for d in D:
-            x = R.variable(d)
-            tail = sum(R.variable(o) * c ** (k + 1) for k, o in enumerate(i for i in D if i != d))
-            sheared = ideal(R, [substitute(g, {d: x - tail}) for g in ideal_generators(J)])
-            nf = _normal_form_minpoly(G, x + tail)
-            assert _minpoly_data(sheared, D, d) == nf, (c, d)
+    assert None not in _compare_with_elimination(canonical(I), ())
+
+
+@pytest.mark.parametrize(
+    "I, u_dependent",
+    [pytest.param(I, dep, id=name) for name, I, dep in _function_field_ideals()],
+)
+def test_normal_form_minimal_polynomial_over_q_u_equals_the_block_order_one(
+    monkeypatch, I, u_dependent
+):
+    # over Q(u) the block-order side yields None when the minimal polynomial
+    # depends on u, and so must the normal forms, which stop after dim + 1
+    # powers; every (J, u) that min_ass meets is compared, splits included
+    calls = [(J, u) for J, u in _zero_dim_inputs(I, monkeypatch) if u]
+    assert calls
+    found = [p for J, u in calls for p in _compare_with_elimination(J, u)]
+    if u_dependent:
+        assert set(found) == {None}
+    else:
+        assert set(found) - {None}
+
+
+def test_normal_forms_stop_after_dim_plus_one_powers(monkeypatch):
+    # the twisted cubic over Q(x, w): the quotient has dimension 3 (y^3 =
+    # x^2 w), but J cap Q[y, z] = 0, so no power of a form in y and z has a
+    # dependent normal form, and the search gives up after l^0 .. l^3.
+    # min_ass still finds the cubic prime, along another independent set
+    _no_shears(monkeypatch)
+    assert primes_text(min_ass(_twisted_cubic())) == [["z^2 - y*w", "y*z - x*w", "y^2 - x*z"]]
+    J = canonical(_twisted_cubic())
+    R = J.ring
+    y, z = R.variable(1), R.variable(2)
+    u, D = (0, 3), (1, 2)
+    GD = buchberger(J, MonomialOrder(kind="block", blocks=(D,)))
+    leads = [lead for _comp, lead in GD.leading_terms()]
+    assert _standard_count([tuple(lead[i] for i in D) for lead in leads]) == 3
+    G = buchberger(J, MonomialOrder(kind="block", blocks=(u,)))
+    assert all(lead[0] or lead[3] for _comp, lead in G.leading_terms())
+
+    class Counting:
+        reductions = 0
+
+        def reduce_vector(self, v):
+            Counting.reductions += 1
+            return G.reduce_vector(v)
+
+    for l in (y, z, y + z, y - 2 * z):
+        Counting.reductions = 0
+        assert _normal_form_minpoly(Counting(), l, 3) is None
+        # NF(1) = 1; l, l^2 and l^3 are reduced
+        assert Counting.reductions == 3
+    # that basis has no u-free element, so _zero_dim_primes tries no form
+    _refuse(monkeypatch, "_normal_form_minpoly")
+    with pytest.raises(_CertificationFailure):
+        _zero_dim_primes(J, u, _Search(0))
 
 
 def test_each_polynomial_is_factored_once_per_min_ass_call(monkeypatch):
@@ -335,19 +434,18 @@ def test_non_radical_zero_dimensional_ideal_splits_on_a_repeated_factor(monkeypa
     assert factorizations[0] == [((-2, 0, 1), 2)]
 
 
-def test_no_forms_beyond_variables_once_a_minimal_polynomial_depends_on_u(
+def test_a_form_certifies_where_no_variable_has_a_rational_minimal_polynomial(
     monkeypatch,
 ):
+    # over Q(z) the minimal polynomials of x and y depend on z, but x + y has
+    # t^2 - 8, irreducible of the quotient's degree 2: both ideals are prime
     _no_shears(monkeypatch)
-    substitutions = []
-    monkeypatch.setattr(decompose, "substitute", lambda *a: substitutions.append(a))
-    R = RingContext(("x", "y", "z", "w"))
-    x, y, z, w = (R.variable(i) for i in range(4))
-    # twisted cubic: over Q(x, w) the minimal polynomials of y and z have
-    # coefficients in x and w, so no form y + c*z is tried there
-    I = ideal(R, [x * z - y * y, y * w - z * z, x * w - y * z])
-    assert primes_text(min_ass(I)) == [["z^2 - y*w", "y*z - x*w", "y^2 - x*z"]]
-    assert substitutions == []
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    I = ideal(R, [(x + y) ** 2 - 8, x * z - y - 2])
+    assert min_ass(I) == [canonical(I)]
+    I = ideal(R, [(x + y) ** 2 - 8, x - y - 2 * z])
+    assert primes_text(min_ass(I)) == [["x - y - 2*z", "y^2 + 2*y*z + z^2 - 2"]]
 
 
 def _refuse(monkeypatch, *names):
@@ -363,30 +461,13 @@ def _refuse(monkeypatch, *names):
 def test_linear_forms_over_a_function_field_split_the_ideal(monkeypatch):
     # over Q(z) the quotient by (x^2 - 2, y^2 - 2) has dimension 4, and x and y
     # have minimal polynomials of degree 2; the form x + y has t^3 - 8t, which
-    # splits.  Over Q(u) a form's polynomial is that of x_d in the sheared
-    # ideal, so substitute runs inside _zero_dim_primes
+    # splits.  Its polynomial comes from normal forms, with no sheared ideal
     _no_shears(monkeypatch)
-    depth, inside = [0], []
-    real = decompose._zero_dim_primes
-
-    def tracked(*args):
-        depth[0] += 1
-        try:
-            return real(*args)
-        finally:
-            depth[0] -= 1
-
-    def recording_substitute(p, images):
-        inside.append(depth[0] > 0)
-        return substitute(p, images)
-
-    monkeypatch.setattr(decompose, "_zero_dim_primes", tracked)
-    monkeypatch.setattr(decompose, "substitute", recording_substitute)
+    _refuse(monkeypatch, "substitute")
     R = ring3()
     x, y = R.variable(0), R.variable(1)
     got = primes_text(min_ass(ideal(R, [x * x - 2, y * y - 2])))
     assert got == [["x + y", "y^2 - 2"], ["x - y", "y^2 - 2"]]
-    assert inside and all(inside)
 
 
 @pytest.mark.parametrize("name", ["sqrt_cube", "grid27"])
@@ -413,7 +494,7 @@ def test_a_rational_point_is_prime_without_a_minimal_polynomial(monkeypatch):
 
 def test_a_quotient_of_dimension_one_over_q_u_needs_no_minimal_polynomial(monkeypatch):
     # over Q(x, y), x - y*z leaves the quotient Q(x, y) itself
-    _refuse(monkeypatch, "_minpoly_data")
+    _refuse(monkeypatch, "_normal_form_minpoly")
     sets = []
     real = decompose._gtz_split
 
