@@ -2,16 +2,16 @@
 
 A script declares a ring, binds ideals or modules, and runs commands against
 the bindings.  Output is readable text or a JSON array with one object per
-command.  Rationals are rendered as strings inside polynomial text so no JSON
-reader can lose precision.  Exit codes: 0 success, 1 parse or input error,
-2 computational failure.
+command, each a {"command", "input"} record that its verb extends with text
+from `decompose.rendered_generators`, so no JSON reader can lose precision.
+It always runs seed 0.  Exit codes: 0 success, 1 parse or input error (such
+as a `--bound` below 1), 2 computational failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +22,7 @@ from .decompose import (
     localize_module,
     min_ass,
     primary_decomposition,
+    rendered_generators,
 )
 from .groebner import annihilator, buchberger, canonical
 from .homology import HomologyError, equidim_hull
@@ -31,7 +32,6 @@ from .polyring import (
     RingContext,
     Submodule,
     ideal,
-    render_polynomial,
 )
 from .verify import validate_decomposition
 
@@ -182,6 +182,14 @@ class _Parser:
             raise ScriptError("expected an integer", t.line, t.col)
         return int(t.text)
 
+    def comma_list(self, read_item) -> list:
+        """One or more items read by read_item, separated by commas."""
+        items = [read_item()]
+        while self.at_sym(","):
+            self.advance()
+            items.append(read_item())
+        return items
+
     def require_ring(self, tok: Token) -> RingContext:
         if self.ring is None:
             raise ScriptError("no ring declared yet", tok.line, tok.col)
@@ -251,14 +259,18 @@ class _Parser:
             return p
         raise ScriptError("expected a polynomial", t.line, t.col)
 
-    def _parse_vector(self, ring: RingContext) -> FreeElement:
+    def _parse_vector(self) -> FreeElement:
         self.expect_sym("[")
-        comps = [self.parse_polynomial()]
-        while self.at_sym(","):
-            self.advance()
-            comps.append(self.parse_polynomial())
+        comps = self.comma_list(self.parse_polynomial)
         self.expect_sym("]")
-        return FreeElement(ring, tuple(comps))
+        return FreeElement(self.ring, tuple(comps))
+
+    def _parse_weight(self) -> int:
+        t = self.peek()
+        weight = self.expect_int()
+        if weight == 0:
+            raise ScriptError("weights must be positive", t.line, t.col)
+        return weight
 
     # -- statements ---------------------------------------------------------
 
@@ -270,10 +282,7 @@ class _Parser:
             raise ScriptError("only characteristic 0 supported", char.line, char.col)
         self.expect_sym(",")
         self.expect_sym("(")
-        varnames = [self.expect_name().text]
-        while self.at_sym(","):
-            self.advance()
-            varnames.append(self.expect_name().text)
+        varnames = [t.text for t in self.comma_list(self.expect_name)]
         self.expect_sym(")")
         if len(set(varnames)) != len(varnames):
             raise ScriptError("duplicate variable name", char.line, char.col)
@@ -291,15 +300,7 @@ class _Parser:
             order = MonomialOrder(kind="lex")
         else:
             self.expect_sym("(")
-            weights = []
-            while True:
-                t = self.peek()
-                weights.append(self.expect_int())
-                if weights[-1] == 0:
-                    raise ScriptError("weights must be positive", t.line, t.col)
-                if not self.at_sym(","):
-                    break
-                self.advance()
+            weights = self.comma_list(self._parse_weight)
             self.expect_sym(")")
             if len(weights) != len(varnames):
                 raise ScriptError(
@@ -316,10 +317,7 @@ class _Parser:
         name = self.expect_name()
         ring = self.require_ring(name)
         self.expect_sym("=")
-        polys = [self.parse_polynomial()]
-        while self.at_sym(","):
-            self.advance()
-            polys.append(self.parse_polynomial())
+        polys = self.comma_list(self.parse_polynomial)
         self.expect_sym(";")
         self.bindings[name.text] = ideal(ring, polys)
 
@@ -327,10 +325,7 @@ class _Parser:
         name = self.expect_name()
         ring = self.require_ring(name)
         self.expect_sym("=")
-        vectors = [self._parse_vector(ring)]
-        while self.at_sym(","):
-            self.advance()
-            vectors.append(self._parse_vector(ring))
+        vectors = self.comma_list(self._parse_vector)
         self.expect_sym(";")
         rank = vectors[0].rank
         if any(v.rank != rank for v in vectors):
@@ -430,28 +425,21 @@ def _read_file(path: Path, shown: str) -> str:
         raise ScriptError(f"cannot read {shown!r}: {exc}")
 
 
-def _rendered_generators(A: Submodule):
-    Ac = canonical(A)
-    if Ac.ambient_rank == 1:
-        return [render_polynomial(g) for g in Ac.generators]
-    return [
-        [render_polynomial(p) for p in g.components] for g in Ac.generators
-    ]
-
-
 def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def _components_from_json(doc, M: Submodule):
+    """The (component, prime) pairs of a bare component list, of one result
+    object, or of CLI output in which one object carries components."""
     if isinstance(doc, dict):
         doc = doc.get("components")
-    elif isinstance(doc, list) and doc and all(
-        isinstance(x, dict) and "components" in x for x in doc
-    ):
-        if len(doc) != 1:
+    elif isinstance(doc, list):
+        carriers = [x for x in doc if isinstance(x, dict) and "components" in x]
+        if len(carriers) > 1:
             raise ScriptError("expected output holds more than one command")
-        doc = doc[0]["components"]
+        if carriers:
+            doc = carriers[0]["components"]
     if not isinstance(doc, list):
         raise ScriptError("expected output carries no component list")
     ring = M.ring
@@ -487,53 +475,33 @@ def _components_from_json(doc, M: Submodule):
 
 def _execute_command(cmd: Command, bound: int, seed: int, base_dir: Path) -> dict:
     M = cmd.module
+    out = {"command": cmd.verb, "input": cmd.shown_input}
     if cmd.verb == "primdec":
         res = primary_decomposition(M, bound=bound, seed=seed)
         report = validate_decomposition(M, res.components, seed=seed)
-        comps = [
+        out["components"] = [
             {
-                "generators": _rendered_generators(c.module),
-                "prime": _rendered_generators(c.prime),
+                "generators": rendered_generators(c.module),
+                "prime": rendered_generators(c.prime),
                 "codim": c.codim,
                 "embedded": c.embedded,
             }
             for c in res.components
         ]
-        return {
-            "command": "primdec",
-            "input": cmd.shown_input,
-            "components": comps,
-            "validation": report.as_dict(),
-        }
-    if cmd.verb == "hull":
-        if buchberger(M).is_full():
-            H = M
-        else:
-            H = equidim_hull(M)
-        return {
-            "command": "hull",
-            "input": cmd.shown_input,
-            "generators": _rendered_generators(H),
-        }
-    if cmd.verb == "minass":
+        out["validation"] = report.as_dict()
+    elif cmd.verb == "hull":
+        out["generators"] = rendered_generators(
+            M if buchberger(M).is_full() else equidim_hull(M)
+        )
+    elif cmd.verb == "minass":
         I = M if M.ambient_rank == 1 else annihilator(M)
-        primes = min_ass(I, seed)
-        return {
-            "command": "minass",
-            "input": cmd.shown_input,
-            "primes": [_rendered_generators(P) for P in primes],
-        }
-    if cmd.verb == "localize":
+        out["primes"] = [rendered_generators(P) for P in min_ass(I, seed)]
+    elif cmd.verb == "localize":
         J = cmd.extra_module
         if min_ass(J, seed) != [canonical(J)]:
             raise ScriptError("localize expects a prime ideal as second argument")
-        L = localize_module(M, J, seed)
-        return {
-            "command": "localize",
-            "input": cmd.shown_input,
-            "generators": _rendered_generators(L),
-        }
-    if cmd.verb == "validate":
+        out["generators"] = rendered_generators(localize_module(M, J, seed))
+    elif cmd.verb == "validate":
         path = Path(cmd.file_arg)
         if not path.is_absolute():
             path = base_dir / path
@@ -543,13 +511,10 @@ def _execute_command(cmd: Command, bound: int, seed: int, base_dir: Path) -> dic
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ScriptError(f"cannot parse {cmd.file_arg!r}: {exc}")
         pairs = _components_from_json(doc, M)
-        report = validate_decomposition(M, pairs, seed=seed)
-        return {
-            "command": "validate",
-            "input": cmd.shown_input,
-            "validation": report.as_dict(),
-        }
-    raise ScriptError(f"unknown command {cmd.verb!r}")
+        out["validation"] = validate_decomposition(M, pairs, seed=seed).as_dict()
+    else:
+        raise ScriptError(f"unknown command {cmd.verb!r}")
+    return out
 
 
 def run_script(
@@ -613,19 +578,10 @@ def render_text(results: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _seed_from_env() -> int:
-    raw = os.environ.get("PRIMDEC_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScriptError(f"PRIMDEC_SEED must be an integer, got {raw!r}")
-
-
 def _run_file(path_text: str, bound: int, json_mode: bool) -> str:
     path = Path(path_text)
     script = parse_script(_read_file(path, path_text))
-    seed = _seed_from_env()
-    results = run_script(script, bound=bound, seed=seed, base_dir=path.parent)
+    results = run_script(script, bound=bound, base_dir=path.parent)
     return render_json(results) if json_mode else render_text(results)
 
 
@@ -642,13 +598,15 @@ def main(argv=None) -> int:
         "--bound",
         type=int,
         default=50,
-        help="primary component iteration bound (default 50)",
+        help="primary component iteration bound, at least 1 (default 50)",
     )
     vp = sub.add_parser("validate", help="run a script and compare JSON output")
     vp.add_argument("file")
     vp.add_argument("expected")
     try:
         args = ap.parse_args(argv)
+        if args.mode == "run" and args.bound < 1:
+            rp.error(f"--bound must be at least 1, got {args.bound}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -16,7 +16,8 @@ after dim + 1 powers.  That finds it exactly when it is rational, since Q is
 algebraically closed in Q(u).  Each distinct polynomial is factored once per
 `min_ass` call, in a memo that the call creates and drops.
 The splits return candidate primes, which may repeat or contain one another;
-`min_ass` alone keeps the inclusion-minimal ones and sorts them, once.
+`min_ass` alone keeps the inclusion-minimal ones and sorts them, once, by codim
+and then by `rendered_generators`, the text the CLI prints, as are components.
 The module-level decomposition peels one primary component per associated
 prime, using twice-iterated Ext kernels for the equidimensional parts (none
 when the Groebner basis shows the module unmixed: zero dimensional, or an
@@ -88,15 +89,13 @@ _SHEAR_BUDGET = 16
 _FORM_SCALES = (0, 1, 2, 3, 5)
 
 
-def _render_key(A: Submodule) -> tuple:
-    return tuple(
-        tuple(render_polynomial(p) for p in g.components)
-        for g in canonical(A).generators
-    )
-
-
-def _shown(P: Submodule) -> str:
-    return ", ".join(g[0] for g in _render_key(P))
+def rendered_generators(A: Submodule) -> list:
+    """A's canonical generators as text: a string each for an ideal, a list
+    of strings each for a module.  Also the sort key of primes."""
+    gens = canonical(A).generators
+    if A.ambient_rank == 1:
+        return [render_polynomial(g) for g in gens]
+    return [[render_polynomial(p) for p in g.components] for g in gens]
 
 
 def _module_sum(A: Submodule, B: Submodule) -> Submodule:
@@ -125,7 +124,7 @@ def _minimalize(primes) -> list[Submodule]:
         for P, h in heights.items()
         if not any(hq < h and is_sub(Q, P) for Q, hq in heights.items())
     ]
-    kept.sort(key=lambda P: (heights[P], _render_key(P)))
+    kept.sort(key=lambda P: (heights[P], rendered_generators(P)))
     return kept
 
 
@@ -241,9 +240,9 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     dim_K K[x_D]/J is counted first, as the number of standard monomials of
     J's basis in the ring order when u = (), else in the block order x_D > u
     (the basis `_gtz_split` made, when J is its ideal).  J is prime when that
-    dimension is 1, for then the quotient is K itself.  Otherwise each linear
-    form l = x_d + sum_k c^(k+1) x_{others[k]}, for c in _FORM_SCALES and d
-    in D, is tested through its minimal polynomial p over K, which
+    dimension is 1, for then the quotient is K itself.  Otherwise each distinct
+    linear form l = x_d + sum_k c^(k+1) x_{others[k]}, for c in _FORM_SCALES
+    and d in D, is tested once through its minimal polynomial p over K, which
     `_normal_form_minpoly` finds, against J's basis in the ring order or in
     the block order u > x_D, exactly when p is rational; none is when that
     basis has no u-free element, J cap Q[x_D] being 0.  A rational p(l) lies
@@ -267,9 +266,10 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
         G = buchberger(J, MonomialOrder(kind="block", blocks=(u,)))
         if all(any(lead[i] for i in u) for _comp, lead in G.leading_terms()):
             raise _CertificationFailure("J cap Q[x_D] = 0: no form has a rational p")
-    # with one variable, l = x_d for every c
+    # each distinct form once: with one variable l = x_d for every c, and for
+    # c = 1 l is the sum of x_D for every d
     for c in _FORM_SCALES if len(D) > 1 else (0,):
-        for d in D:
+        for d in D[:1] if c == 1 else D:
             others = [i for i in D if i != d]
             l = ring.variable(d) + sum(ring.variable(o) * c**k for k, o in enumerate(others, 1))
             coeffs = _normal_form_minpoly(G, l, dim)
@@ -495,7 +495,9 @@ def primary_component(
         primes = _associated_primes(canonical(A), seed)
     AP = localize_module(A, P, seed, primes=primes)
     if buchberger(AP).is_full():
-        raise DecompositionError(f"({_shown(P)}) contains no associated prime of the module")
+        raise DecompositionError(
+            f"({', '.join(rendered_generators(P))}) contains no associated prime of the module"
+        )
     B = full_module(ring, s)
     GP = buchberger(P)
     inside = [canonical(Pi) for Pi in primes if _separator(Pi, GP) is None]
@@ -509,7 +511,8 @@ def primary_component(
             return Q, m, tuple(trace)
         T = canonical(_ideal_times_module(P, T))
     raise DecompositionError(
-        f"no witness exponent up to {bound} isolates the component at ({_shown(P)})"
+        f"no witness exponent up to {bound} isolates the component at "
+        f"({', '.join(rendered_generators(P))})"
     )
 
 
@@ -552,5 +555,5 @@ def primary_decomposition(
             raise DecompositionError(
                 "computed components do not intersect back to the input"
             )
-    comps.sort(key=lambda c: (c.codim, _render_key(c.prime)))
+    comps.sort(key=lambda c: (c.codim, rendered_generators(c.prime)))
     return DecompositionResult(tuple(comps))

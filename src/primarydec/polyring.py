@@ -107,12 +107,6 @@ class MonomialOrder:
             return (-comp, *self.ring_key(exps))
         return (*self.ring_key(exps), -comp)
 
-    def addend(self, exps: Monomial) -> tuple:
-        """Key increment contributed by multiplying a term by the monomial exps."""
-        if self.module_extension == POSITION_OVER_TERM:
-            return (0, *self.ring_key(exps))
-        return (*self.ring_key(exps), 0)
-
 
 DEGREVLEX = MonomialOrder()
 LEX = MonomialOrder(kind="lex")
@@ -191,7 +185,8 @@ def _collect(pieces, order: MonomialOrder) -> tuple:
     acc: dict = {}
     for terms, factor, shift in pieces:
         if any(shift):
-            addk = order.addend(shift)
+            # multiplying by x^shift adds its component-0 key
+            addk = order.term_key(0, shift)
             terms = [
                 (tuple(map(add, key, addk)), comp, tuple(map(add, exps, shift)), c)
                 for key, comp, exps, c in terms

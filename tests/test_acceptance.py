@@ -272,8 +272,7 @@ def test_criterion_7():
 
 
 @criterion(8, "byte-identical corpus output")
-def test_criterion_8(capsys, monkeypatch):
-    monkeypatch.delenv("PRIMDEC_SEED", raising=False)
+def test_criterion_8(capsys):
     for path in sorted(FIXTURES.glob("*.primdec")):
         assert cli_main(["run", str(path), "--json"]) == 0
         first = capsys.readouterr().out

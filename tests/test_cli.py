@@ -325,17 +325,33 @@ def test_main_missing_file_exit_code(tmp_path, capsys):
 def test_main_bound_exhaustion_exit_code(tmp_path, capsys):
     f = tmp_path / "job.primdec"
     f.write_text("ring r=0,(x,y),dp; ideal I=x^2,x*y; primdec I;\n")
-    code = main(["run", str(f), "--bound", "0"])
+    # the embedded component at (x, y) needs the exponent 2
+    code = main(["run", str(f), "--bound", "1"])
     err = capsys.readouterr().err
     assert code == 2
     assert "computation failed" in err
 
 
-def test_main_bad_seed_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PRIMDEC_SEED", "frog")
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_main_bound_below_one_is_an_input_error(tmp_path, capsys, bound):
     f = tmp_path / "job.primdec"
-    f.write_text("ring r=0,(x,y),dp; ideal I=x; hull I;\n")
-    assert main(["run", str(f), "--json"]) == 1
+    f.write_text("ring r=0,(x,y),dp; ideal I=x^2,x*y; primdec I;\n")
+    code = main(["run", str(f), f"--bound={bound}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"--bound must be at least 1, got {bound}" in captured.err
+
+
+def test_main_bad_seed_env(tmp_path, capsys, monkeypatch):
+    # the CLI always runs seed 0 and reads no environment variable
+    f = tmp_path / "job.primdec"
+    f.write_text("ring r=0,(x,y),dp; ideal I=x^2,x*y; primdec I; minass I;\n")
+    assert main(["run", str(f), "--json"]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("PRIMDEC_SEED", "frog")
+    assert main(["run", str(f), "--json"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_main_determinism(tmp_path, capsys):
@@ -363,6 +379,17 @@ def test_in_script_validate(tmp_path, capsys):
     assert main(["run", str(g), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc[0]["command"] == "validate"
+    assert doc[0]["validation"]["ok"] is True
+
+
+def test_in_script_validate_reads_multi_command_output(tmp_path, capsys):
+    # embedded_line's expected file holds primdec, hull and minass results;
+    # only the primdec object carries components
+    fixture = Path(__file__).resolve().parent / "fixtures" / "embedded_line.expected.json"
+    g = tmp_path / "check.primdec"
+    g.write_text(f'ring r=0,(x,y),dp; ideal I=x^2,x*y; validate I, "{fixture}";\n')
+    assert main(["run", str(g), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc[0]["validation"]["ok"] is True
 
 
@@ -538,7 +565,7 @@ def test_console_script_installed(tmp_path):
     assert exe is not None
     f = tmp_path / "job.primdec"
     f.write_text("ring r=0,(x,y),dp; ideal I=x^2,x*y; hull I;\n")
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PRIMDEC_SEED="0")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [exe, "run", str(f), "--json"], capture_output=True, text=True, env=env
     )
@@ -549,7 +576,7 @@ def test_console_script_installed(tmp_path):
 def test_python_dash_m_runs_fixture():
     tests = Path(__file__).resolve().parent
     fixture = tests / "fixtures" / "embedded_line.primdec"
-    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), PRIMDEC_SEED="0")
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "primarydec", "run", str(fixture), "--json"],
         capture_output=True,

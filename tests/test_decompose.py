@@ -238,8 +238,17 @@ def test_linear_form_of_lower_degree_than_the_quotient_is_refused(monkeypatch):
     # degree 2 (c = 0) and 4 (c = 1, x + y + z) against dim 8 certify nothing
     monkeypatch.setattr(decompose, "univariate_factor", lambda c: [(tuple(c), 1)])
     monkeypatch.setattr(decompose, "_FORM_SCALES", (0, 1))
+    tried = []
+
+    def counting(G, l, dim):
+        tried.append(l)
+        return _normal_form_minpoly(G, l, dim)
+
+    monkeypatch.setattr(decompose, "_normal_form_minpoly", counting)
     with pytest.raises(_CertificationFailure):
         _zero_dim_primes(J, (), _Search(0))
+    # c = 1 gives x + y + z for every d; it is tried once
+    assert tried == [x, y, z, x + y + z]
 
 
 def _vanishing_grid(n: int, roots) -> Submodule:
@@ -1043,7 +1052,7 @@ def test_zero_dimensional_ideal_s008_answers_without_ext(tmp_path):
     script = tmp_path / "s008.primdec"
     script.write_text(S008)
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PRIMDEC_SEED="0")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "primarydec", "run", str(script), "--json"],
         capture_output=True,

@@ -13,7 +13,7 @@ DEMOS = ROOT / "demos"
 
 
 def run(args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PRIMDEC_SEED="0")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT
     )

@@ -143,9 +143,9 @@ def test_key_is_additive():
             ab = tuple(x + y for x, y in zip(a, b))
             ka, kb, kab = order.ring_key(a), order.ring_key(b), order.ring_key(ab)
             assert tuple(x + y for x, y in zip(ka, kb)) == kab
-            # module keys shift by the ring addend
+            # module keys shift by the component-0 key of the factor
             tka = order.term_key(3, a)
-            assert tuple(x + y for x, y in zip(tka, order.addend(b))) == order.term_key(3, ab)
+            assert tuple(x + y for x, y in zip(tka, order.term_key(0, b))) == order.term_key(3, ab)
 
 
 @pytest.mark.parametrize("extension", [POSITION_OVER_TERM, TERM_OVER_POSITION])
@@ -175,7 +175,7 @@ def test_a_key_difference_is_the_addend_of_the_quotient(order, extension):
         a = tuple(e + rng.randrange(4) for e in b)
         comp = rng.randrange(3)
         diff = tuple(x - y for x, y in zip(order.term_key(comp, a), order.term_key(comp, b)))
-        assert diff == order.addend(tuple(x - y for x, y in zip(a, b)))
+        assert diff == order.term_key(0, tuple(x - y for x, y in zip(a, b)))
 
 
 def test_key_total_and_multiplicative():

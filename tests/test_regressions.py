@@ -25,7 +25,6 @@ REMAINDER_BITS = 1024
 
 @pytest.mark.parametrize("name", ["s7_015", "s7_053"])
 def test_regression_script_prints_its_expected_json(monkeypatch, capsys, name):
-    monkeypatch.delenv("PRIMDEC_SEED", raising=False)
     real = groebner._reduce_full
     widest = [0]
 
