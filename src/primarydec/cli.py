@@ -5,7 +5,8 @@ the bindings.  Output is readable text or a JSON array with one object per
 command, each a {"command", "input"} record that its verb extends with text
 from `decompose.rendered_generators`, so no JSON reader can lose precision.
 It always runs seed 0.  Exit codes: 0 success, 1 parse or input error (such
-as a `--bound` below 1), 2 computational failure.
+as a `--bound` below 1 or an input term of degree 2^62), 2 computational
+failure (such as a computed term of degree 2^62).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .polyring import (
     FreeElement,
     MonomialOrder,
     RingContext,
+    RingError,
     Submodule,
     ideal,
 )
@@ -218,10 +220,14 @@ class _Parser:
         return acc
 
     def _parse_term(self, ring: RingContext) -> FreeElement:
-        acc = self._parse_factor(ring)
-        while self.at_sym("*"):
-            self.advance()
-            acc = acc * self._parse_factor(ring)
+        start = self.peek()
+        try:
+            acc = self._parse_factor(ring)
+            while self.at_sym("*"):
+                self.advance()
+                acc = acc * self._parse_factor(ring)
+        except RingError as exc:  # a degree beyond the order keys' bound
+            raise ScriptError(str(exc), start.line, start.col) from None
         return acc
 
     def _parse_factor(self, ring: RingContext) -> FreeElement:
@@ -630,7 +636,8 @@ def main(argv=None) -> int:
     except ScriptError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (DecompositionError, HomologyError) as exc:
+    except (DecompositionError, HomologyError, RingError) as exc:
+        # RingError here: a computed term reached the order keys' degree bound
         sys.stderr.write(f"computation failed: {exc}\n")
         return 2
 

@@ -2,9 +2,9 @@
 
 The engine works on the terms that elements store (see polyring): tuples
 (key, component, exponents, coefficient) with int coefficients, sorted by
-descending key, where keys are the additive tuples produced by
-MonomialOrder.  A vector enters as its stored terms, re-keyed
-(polyring.rekey) only when the run's order is not the ring's.  S-vectors and
+descending key, where keys are the additive ints produced by MonomialOrder.
+A vector enters as its stored terms, re-keyed (polyring.rekey) only when the
+run's order is not the ring's.  S-vectors and
 reductions run fraction-free, with the content taken out each time the scale
 grows 64 bits, and basis elements are primitive (content 1, positive lead).
 A result leaves as terms over one denominator: the lead coefficient for
@@ -16,7 +16,10 @@ whose elements both live entirely in one component, since it is unsound for
 general module elements.  Keys add under multiplication, so the engine keys
 no shifted term from scratch: a reduction step adds the popped term's key
 minus the reducer's lead key, and an S-pair side adds the key of the lcm,
-which the pair heap holds already, minus that side's lead key.  The reduced
+which the pair heap holds already, minus that side's lead key.  Each
+element carries the largest degree among its terms, so one comparison per
+step and side keeps every degree below polyring.KEY_BOUND, as the lowest
+digit of the added key is the degree it adds.  The reduced
 basis is inter-reduced from below: a tail term lies under its element's
 lead, so only smaller leads can divide it, and each element is reduced
 against the finished smaller ones.  All higher operations (syzygies, lifts,
@@ -49,12 +52,14 @@ from collections import OrderedDict
 from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import add, le, neg, sub
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .polyring import (
     POSITION_OVER_TERM,
     TERM_OVER_POSITION,
+    KEY_BOUND,
+    SIZE_MASK,
     FreeElement,
     MonomialOrder,
     RingContext,
@@ -64,6 +69,7 @@ from .polyring import (
     full_module,
     ideal,
     ideal_generators,
+    key_overflow,
     rekey,
     unit_vector,
     zero_module,
@@ -72,9 +78,9 @@ from .polyring import (
 # ---------------------------------------------------------------------------
 # engine representation
 # ---------------------------------------------------------------------------
-# term: (key, comp, exps, coeff) with an int coeff
-# elem: (terms, lead_key, lead_comp, lead_exps, lead_coeff, single_comp),
-#       primitive: integer content 1 and a positive lead_coeff
+# term: (key, comp, exps, coeff) with an int key and an int coeff
+# elem: (terms, lead_key, lead_comp, lead_exps, lead_coeff, single_comp,
+#        top_degree), primitive: integer content 1 and a positive lead_coeff
 
 
 def _in_order(terms, order: MonomialOrder, shift: int = 0):
@@ -86,7 +92,7 @@ def _make_elem(terms):
     lead = terms[0]
     comp = lead[1]
     single = comp if all(t[1] == comp for t in terms) else None
-    return (terms, lead[0], comp, lead[2], lead[3], single)
+    return (terms, lead[0], comp, lead[2], lead[3], single, max(t[0] & SIZE_MASK for t in terms))
 
 
 def _primitive(terms):
@@ -110,33 +116,34 @@ def _reduce_full(terms, by_comp):
     Each time s has grown 64 bits, s and the coefficients so far are divided
     by their gcd, which keeps s an integer and r / s unchanged.
     """
-    # a min-heap of negated keys pops the largest term first
-    coeffs: dict = {}
-    heap = []
+    # the pending terms as [coeff, comp, exps] by negated key, which a
+    # min-heap pops largest term first
+    pending: dict = {}
     for key, comp, exps, c in terms:
-        spot = (comp, exps)
-        prev = coeffs.get(spot)
+        prev = pending.get(-key)
         if prev is None:
-            coeffs[spot] = c
-            heap.append((tuple(map(neg, key)), comp, exps))
+            pending[-key] = [c, comp, exps]
         else:
-            coeffs[spot] = prev + c
+            prev[0] += c
+    heap = list(pending)
     heapq.heapify(heap)
     s = 1
     next_removal = 64  # the bit length of s that triggers a content removal
     out = []
     while heap:
-        negkey, comp, exps = heapq.heappop(heap)
-        c = coeffs.pop((comp, exps), None)
+        negkey = heapq.heappop(heap)
+        c, comp, exps = pending.pop(negkey)
         if not c:
             continue
+        # a lead of higher degree, the lowest digit of its key, cannot divide
+        degree = -negkey & SIZE_MASK
         red = None
         for cand in by_comp.get(comp, ()):
-            if all(map(le, cand[3], exps)):
+            if cand[1] & SIZE_MASK <= degree and all(map(le, cand[3], exps)):
                 red = cand
                 break
         if red is None:
-            out.append((tuple(map(neg, negkey)), comp, exps, c))
+            out.append((-negkey, comp, exps, c))
             continue
         # cancel c against the lead lc of red: scale everything by lc / g,
         # then subtract (c / g) * shift * red
@@ -145,27 +152,29 @@ def _reduce_full(terms, by_comp):
         if g != lc:
             mult = lc // g
             s *= mult
-            for spot in coeffs:
-                coeffs[spot] *= mult
+            for entry in pending.values():
+                entry[0] *= mult
             out = [(k, cp, e, x * mult) for k, cp, e, x in out]
         factor = c // g
-        shift = tuple(map(sub, exps, red[3]))
         # the negated increment: -(key - lead key)
-        neg_addk = tuple(map(add, negkey, red[1]))
+        neg_addk = negkey + red[1]
+        if red[6] + (-neg_addk & SIZE_MASK) >= KEY_BOUND:
+            raise key_overflow()
+        shift = tuple(map(sub, exps, red[3]))
         for tkey, tcomp, texps, tcoeff in red[0][1:]:
-            nexps = tuple(map(add, texps, shift))
-            spot = (tcomp, nexps)
-            prev = coeffs.get(spot)
+            tkey = neg_addk - tkey
+            prev = pending.get(tkey)
             if prev is None:
-                coeffs[spot] = -factor * tcoeff
-                heapq.heappush(heap, (tuple(map(sub, neg_addk, tkey)), tcomp, nexps))
+                pending[tkey] = [-factor * tcoeff, tcomp, tuple(map(add, texps, shift))]
+                heapq.heappush(heap, tkey)
             else:
-                coeffs[spot] = prev - factor * tcoeff
+                prev[0] -= factor * tcoeff
         if s.bit_length() > next_removal:
-            d = gcd(s, *(t[3] for t in out), *coeffs.values())
+            d = gcd(s, *(t[3] for t in out), *(entry[0] for entry in pending.values()))
             if d != 1:
                 s //= d
-                coeffs = {spot: x // d for spot, x in coeffs.items()}
+                for entry in pending.values():
+                    entry[0] //= d
                 out = [(k, cp, e, x // d) for k, cp, e, x in out]
             next_removal = s.bit_length() + 64
     return s, tuple(out)
@@ -173,10 +182,12 @@ def _reduce_full(terms, by_comp):
 
 def _shift_tail(e, lead, lead_key, factor):
     """factor * (lead / lead of e) * (the terms of e without their lead)."""
+    addk = lead_key - e[1]
+    if e[6] + (addk & SIZE_MASK) >= KEY_BOUND:
+        raise key_overflow()
     shift = tuple(map(sub, lead, e[3]))
-    addk = tuple(map(sub, lead_key, e[1]))
     return [
-        (tuple(map(add, key, addk)), comp, tuple(map(add, exps, shift)), c * factor)
+        (key + addk, comp, tuple(map(add, exps, shift)), c * factor)
         for key, comp, exps, c in e[0][1:]
     ]
 
@@ -542,6 +553,9 @@ def is_unit_ideal(I: Submodule) -> bool:
 
 
 def _augmented_order(order: MonomialOrder) -> MonomialOrder:
+    # the order itself when it is one already, keeping the keys it derived
+    if order.module_extension == POSITION_OVER_TERM:
+        return order
     return replace(order, module_extension=POSITION_OVER_TERM)
 
 
@@ -774,7 +788,9 @@ def eliminate(A: Submodule, drop: Iterable[int]) -> Submodule:
     block = MonomialOrder(
         kind="block", blocks=(drop,), module_extension=TERM_OVER_POSITION
     )
-    G = buchberger(A, block)
+    # the ring's own order instance when it is this one, as in _t_ring,
+    # keeping the keys it derived
+    G = buchberger(A, ring.order if ring.order == block else block)
     out = [
         gen
         for gen, (_comp, lead) in zip(G.generators, G.leading_terms())

@@ -10,6 +10,17 @@ sorted by descending key: they are the terms the Groebner engine works on.
 den > 0 and the gcd of den and every c is 1, so equal values have equal
 storage.  Rationals appear only at the boundary: constructors that take a
 rational, leading_coefficient and render_polynomial.
+
+A key is one int: the order's digits for the term (MonomialOrder._digits),
+packed 64 bits a digit, sum d_j * 2^(64 (L - 1 - j)).  Each digit is a
+signed linear form in the component and exponents bounded by the term's
+(weighted) degree or component, and both stay below KEY_BOUND = 2^62, so
+the first digit in which two keys differ decides their int comparison: int
+order is the order of the digit tuples.  Being linear, keys add as terms
+multiply, so a shifted key is key + addk.  The last digit is the degree
+itself; it never decides a comparison, and key & SIZE_MASK reads it, so a
+product checks the bound once per factor: term_key when a key is formed,
+_collect per piece, the engine per reduction step and S-pair side.
 """
 
 from __future__ import annotations
@@ -29,7 +40,20 @@ _ORDER_KINDS = ("degrevlex", "lex", "block")
 
 
 class RingError(ValueError):
-    """Operands belong to different rings or have mismatched ranks."""
+    """Operands belong to different rings or have mismatched ranks, or a
+    term lies beyond the reach of the order keys."""
+
+
+# A key packs its digits into one int, 64 bits a digit.  Every digit of a
+# term with degree and component below KEY_BOUND is below it in magnitude,
+# so the packing is exact and int order is digit-tuple order.
+KEY_BOUND = 1 << 62
+# the lowest digit of a key: its term's degree
+SIZE_MASK = (1 << 64) - 1
+
+
+def key_overflow() -> RingError:
+    return RingError("a term's degree and component must stay below 2^62 for its order key")
 
 
 @dataclass(frozen=True)
@@ -47,12 +71,15 @@ class MonomialOrder:
     weights: tuple[int, ...] | None = None
     module_extension: str = POSITION_OVER_TERM
     blocks: tuple[tuple[int, ...], ...] | None = None
-    # derived from blocks once, for ring_key: each block's indices reversed;
+    # derived from blocks once, for _digits: each block's indices reversed;
     # the variables in no block are those from _rest_from on and, below it,
     # _rest_below (again reversed)
     _groups: tuple = field(default=(), init=False, repr=False, compare=False)
     _rest_from: int = field(default=0, init=False, repr=False, compare=False)
     _rest_below: tuple = field(default=(), init=False, repr=False, compare=False)
+    # per number of variables, derived once: the keys of the unit exponent
+    # vectors and of component 1
+    _units: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _ORDER_KINDS:
@@ -80,32 +107,57 @@ class MonomialOrder:
         if self.module_extension not in (POSITION_OVER_TERM, TERM_OVER_POSITION):
             raise ValueError(f"unknown module extension {self.module_extension!r}")
 
-    def ring_key(self, exps: Monomial) -> tuple:
-        """Sort key for a monomial; keys add componentwise under multiplication."""
+    def _degree(self, exps: Monomial) -> int:
+        if self.weights is None:
+            return sum(exps)
+        return sum(map(mul, self.weights, exps))
+
+    def _digits(self, comp: int, exps: Monomial) -> list[int]:
+        """The key of a term written out, most significant digit first: the
+        negated component first under position over term and last under term
+        over position, around the monomial's digits, then the degree.  The
+        digits before the degree already tell terms apart, so it decides no
+        comparison.  Every digit is linear in comp and exps.
+        """
         if self.kind == "lex":
-            return exps
-        if self.kind == "block":
+            mono = list(exps)
+        elif self.kind == "block":
             # per group: its degree, then its negated exponents in reverse
-            key: list[int] = []
+            mono = []
             for grp in self._groups:
                 sub = [-exps[i] for i in grp]
-                key.append(-sum(sub))
-                key += sub
+                mono.append(-sum(sub))
+                mono += sub
             rest = [-e for e in exps[: self._rest_from - 1 : -1]]  # from _rest_from, reversed
             rest += [-exps[i] for i in self._rest_below]
-            key.append(-sum(rest))
-            key += rest
-            return tuple(key)
-        if self.weights is not None:
-            deg = sum(map(mul, self.weights, exps))
+            mono.append(-sum(rest))
+            mono += rest
         else:
-            deg = sum(exps)
-        return (deg, *map(neg, reversed(exps)))
-
-    def term_key(self, comp: int, exps: Monomial) -> tuple:
+            mono = [self._degree(exps), *map(neg, reversed(exps))]
         if self.module_extension == POSITION_OVER_TERM:
-            return (-comp, *self.ring_key(exps))
-        return (*self.ring_key(exps), -comp)
+            return [-comp, *mono, self._degree(exps)]
+        return [*mono, -comp, self._degree(exps)]
+
+    def _derive_units(self, n: int) -> tuple:
+        def pack(digits):
+            key = 0
+            for d in digits:
+                key = (key << 64) + d
+            return key
+
+        zero = (0,) * n
+        units = tuple(pack(self._digits(0, zero[:i] + (1,) + zero[i + 1 :])) for i in range(n))
+        self._units[n] = found = (units, pack(self._digits(1, zero)))
+        return found
+
+    def term_key(self, comp: int, exps: Monomial) -> int:
+        """The key of comp, exps: larger keys are larger terms, and keys add
+        as the terms multiply.  Raises RingError when the term's degree or
+        component reaches KEY_BOUND."""
+        units, comp_unit = self._units.get(len(exps)) or self._derive_units(len(exps))
+        if self._degree(exps) >= KEY_BOUND or not 0 <= comp < KEY_BOUND:
+            raise key_overflow()
+        return sum(map(mul, exps, units), comp * comp_unit)
 
 
 DEGREVLEX = MonomialOrder()
@@ -183,17 +235,25 @@ def _collect(pieces, order: MonomialOrder) -> tuple:
     factor * x^shift * terms, an empty shift meaning 1.  Like terms are merged
     and zero coefficients dropped."""
     acc: dict = {}
+    last = top = None
     for terms, factor, shift in pieces:
-        if any(shift):
-            # multiplying by x^shift adds its component-0 key
+        moved = any(shift)
+        addk = 0
+        if moved:
+            # multiplying by x^shift adds its component-0 key, whose lowest
+            # digit is the degree the shift adds to every term
             addk = order.term_key(0, shift)
-            terms = [
-                (tuple(map(add, key, addk)), comp, tuple(map(add, exps, shift)), c)
-                for key, comp, exps, c in terms
-            ]
+            if terms is not last:
+                last, top = terms, max((t[0] & SIZE_MASK for t in terms), default=0)
+            if top + (addk & SIZE_MASK) >= KEY_BOUND:
+                raise key_overflow()
         for key, comp, exps, c in terms:
+            key += addk
             prev = acc.get(key)
-            acc[key] = (comp, exps, c * factor if prev is None else prev[2] + c * factor)
+            if prev is not None:
+                prev[2] += c * factor
+            else:
+                acc[key] = [comp, tuple(map(add, exps, shift)) if moved else exps, c * factor]
     return tuple((key, *v) for key, v in sorted(acc.items(), reverse=True) if v[2])
 
 

@@ -10,7 +10,9 @@ is the validator's report with its irredundancy test run at every component,
 each all-but-one intersection computed on its own.  `minpoly_data` reads the
 minimal polynomial of a variable over Q(u) off a block-order basis that
 eliminates the other dependent variables, the reference for the normal-form
-minimal polynomials of the minimal-prime step.
+minimal polynomials of the minimal-prime step.  `written_out_key` writes a
+term's order key out as a digit tuple and `packed_key` packs it into the int
+that `MonomialOrder.term_key` returns.
 
 Tests import it as `from oracles import ...`; pytest puts this directory on
 sys.path.  It uses only names that `primarydec` exports.
@@ -38,6 +40,38 @@ from primarydec import (
 )
 
 Monomial = tuple  # exponent vector, one slot per ring variable
+
+
+def written_out_key(order: MonomialOrder, comp: int, exps: Monomial) -> tuple:
+    """A term's order key as a digit tuple, compared lexicographically: the
+    negated component before (position over term) or after (term over
+    position) the monomial's digits, then the (weighted) degree.  The
+    monomial's digits are its exponents under lex; its degree and negated
+    exponents in reverse under degrevlex; and under a block order, for each
+    block and then for the variables in no block, their degree followed by
+    their negated exponents in reverse."""
+    weights = order.weights or (1,) * len(exps)
+    degree = sum(w * e for w, e in zip(weights, exps))
+    if order.kind == "lex":
+        mono = list(exps)
+    elif order.kind == "block":
+        used = {i for grp in order.blocks for i in grp}
+        groups = [[exps[i] for i in grp] for grp in order.blocks]
+        groups.append([e for i, e in enumerate(exps) if i not in used])
+        mono = []
+        for sub in groups:
+            mono.append(sum(sub))
+            mono.extend(-e for e in reversed(sub))
+    else:
+        mono = [degree, *(-e for e in reversed(exps))]
+    if order.module_extension == "position-over-term":
+        return (-comp, *mono, degree)
+    return (*mono, -comp, degree)
+
+
+def packed_key(digits: Sequence[int]) -> int:
+    """The digits as one int, 64 bits a digit, the first most significant."""
+    return sum(d << (64 * (len(digits) - 1 - j)) for j, d in enumerate(digits))
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,19 @@ def test_main_run_text(tmp_path, capsys):
             None,
             "line 1, column 130: parentheses nested deeper than 100",
         ),
+        # order keys hold degrees below 2^62, for a power and for a product
+        (
+            "ring r=0,(x,y),dp; ideal I = y + x^4611686018427387904;",
+            None,
+            "line 1, column 34: a term's degree and component must stay below 2^62"
+            " for its order key",
+        ),
+        (
+            "ring r=0,(x,y),dp; ideal I = y + 2*x^2305843009213693952*x^2305843009213693952;",
+            None,
+            "line 1, column 34: a term's degree and component must stay below 2^62"
+            " for its order key",
+        ),
     ],
     ids=[
         "unterminated-string",
@@ -291,6 +304,8 @@ def test_main_run_text(tmp_path, capsys):
         "superscript-exponent",
         "non-ascii-weight",
         "deep-nesting",
+        "power-at-key-bound",
+        "product-across-key-bound",
     ],
 )
 def test_main_reports_input_errors(tmp_path, capsys, monkeypatch, script, expected, message):
@@ -330,6 +345,21 @@ def test_main_bound_exhaustion_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "computation failed" in err
+
+
+def test_main_reports_a_computed_term_beyond_the_key_bound(tmp_path, capsys):
+    # the lex S-pair of the two generators multiplies z^(2^61) by z^(2^61)
+    f = tmp_path / "job.primdec"
+    half = 2**61
+    f.write_text(f"ring r=0,(x,y,z),lp; ideal I=x*y-z^{half},x*z^{half}-1; minass I;\n")
+    code = main(["run", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "computation failed: a term's degree and component must stay below 2^62"
+        " for its order key\n"
+    )
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])

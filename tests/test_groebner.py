@@ -34,6 +34,7 @@ from primarydec.polyring import (
     FreeElement,
     MonomialOrder,
     RingContext,
+    RingError,
     Submodule,
     full_module,
     ideal,
@@ -888,3 +889,18 @@ def test_pair_update_and_reduced_basis_match_their_plain_forms(monkeypatch, orde
     assert seen["updates"] and seen["reduced"] and seen["split"]
     # both criteria drop pairs, so the comparison covers them
     assert seen["b_drops"] and seen["m_drops"]
+
+
+def test_reductions_and_s_pairs_refuse_degrees_beyond_the_key_bound():
+    # under lex a reducer's tail may outweigh its lead, so a reduction step
+    # or an S-pair side can raise the degree past what the keys hold
+    half = 2**61
+    R = RingContext(("x", "y", "z"), MonomialOrder(kind="lex"))
+    x, y, z = (R.variable(i) for i in range(3))
+    G = buchberger(ideal(R, [x - y**half]))
+    assert normal_form(x * y ** (half - 1), G) == y ** (2 * half - 1)
+    with pytest.raises(RingError, match=r"2\^62"):
+        normal_form(x * y**half, G)
+    # the S-pair of x*y - z^half and x*z^half - 1 multiplies z^half by z^half
+    with pytest.raises(RingError, match=r"2\^62"):
+        buchberger(ideal(R, [x * y - z**half, x * z**half - 1]))

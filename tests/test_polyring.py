@@ -20,14 +20,21 @@ from primarydec.polyring import (
     unit_vector,
 )
 
+from oracles import packed_key, written_out_key
+
 
 def make_ring(names="xyz", order=None):
     return RingContext(tuple(names), order or DEGREVLEX)
 
 
+def ring_key(order):
+    """The key of a monomial: the term key in component 0."""
+    return lambda exps: order.term_key(0, exps)
+
+
 def test_degrevlex_known_comparisons():
     R = make_ring("xy")
-    key = R.order.ring_key
+    key = ring_key(R.order)
     # same degree: x^2 > x*y > y^2
     assert key((2, 0)) > key((1, 1)) > key((0, 2))
     # degree dominates: y^3 > x^2
@@ -36,7 +43,7 @@ def test_degrevlex_known_comparisons():
 
 def test_lex_known_comparisons():
     R = make_ring("xy", LEX)
-    key = R.order.ring_key
+    key = ring_key(R.order)
     assert key((1, 0)) > key((0, 5))
     assert key((1, 1)) > key((1, 0))
 
@@ -44,7 +51,7 @@ def test_lex_known_comparisons():
 def test_block_order_splits_variables():
     order = MonomialOrder(kind="block", blocks=((0,),))
     R = RingContext(("t", "x", "y"), order)
-    key = R.order.ring_key
+    key = ring_key(R.order)
     # any positive power of t beats anything t-free
     assert key((1, 0, 0)) > key((0, 9, 9))
     # within the t-free block, degrevlex on (x, y)
@@ -54,7 +61,7 @@ def test_block_order_splits_variables():
 def test_weighted_degree_order():
     order = MonomialOrder(weights=(3, 1))
     R = RingContext(("x", "y"), order)
-    key = R.order.ring_key
+    key = ring_key(R.order)
     # wdeg(x) = 3 beats wdeg(y^2) = 2
     assert key((1, 0)) > key((0, 2))
     assert key((0, 4)) > key((1, 0))
@@ -63,7 +70,7 @@ def test_weighted_degree_order():
 def test_block_order_with_explicit_groups():
     order = MonomialOrder(kind="block", blocks=((2,), (0,)))
     R = RingContext(("x", "y", "z"), order)
-    key = R.order.ring_key
+    key = ring_key(R.order)
     # z dominates, then x, then y
     assert key((0, 0, 1)) > key((9, 9, 0))
     assert key((1, 0, 0)) > key((0, 9, 0))
@@ -71,21 +78,6 @@ def test_block_order_with_explicit_groups():
         MonomialOrder(kind="block", blocks=((0,), (0, 1)))
     with pytest.raises(ValueError):
         RingContext(("x", "y"), MonomialOrder(kind="block", blocks=((5,),)))
-
-
-def _block_key_reference(blocks, exps):
-    """The block key written out: per block, then for the variables in no
-    block, the degree followed by the negated exponents in reverse."""
-    used = {i for grp in blocks for i in grp}
-    key = []
-    for grp in blocks:
-        sub = [exps[i] for i in grp]
-        key.append(sum(sub))
-        key.extend(-e for e in reversed(sub))
-    rest = [e for i, e in enumerate(exps) if i not in used]
-    key.append(sum(rest))
-    key.extend(-e for e in reversed(rest))
-    return tuple(key)
 
 
 @pytest.mark.parametrize(
@@ -99,9 +91,49 @@ def test_block_keys_match_the_written_out_formula(blocks):
     vectors = [e for e in product(range(5), repeat=4) if sum(e) <= 4]
     assert len(vectors) == 70
     for exps in vectors:
-        assert order.ring_key(exps) == _block_key_reference(blocks, exps)
+        assert order.term_key(0, exps) == packed_key(written_out_key(order, 0, exps))
     # an order is not tied to a ring: the same blocks key a larger ring too
-    assert order.ring_key((1, 2, 3, 4, 5, 6)) == _block_key_reference(blocks, (1, 2, 3, 4, 5, 6))
+    big = (1, 2, 3, 4, 5, 6)
+    assert order.term_key(0, big) == packed_key(written_out_key(order, 0, big))
+
+
+def test_a_term_at_the_key_bound_is_refused():
+    bound = 2**62
+    R = make_ring("xy")
+    assert R.monomial((bound - 1, 0)).terms[0][2] == (bound - 1, 0)
+    wp = RingContext(("x", "y"), MonomialOrder(weights=(4, 1)))
+    wp.monomial((bound // 4 - 1, 3))
+    wide = make_ring("abcde")
+    # 5 * e is 2^64 + 4: a 64-bit digit would read 4
+    wrapping = (2**64 // 5 + 1,) * 5
+    for ring, exps in [
+        (R, (bound, 0)),
+        (R, (bound // 2, bound // 2)),
+        (wp, (bound // 4, 0)),
+        (wide, wrapping),
+    ]:
+        with pytest.raises(RingError, match=r"2\^62"):
+            ring.monomial(exps)
+    with pytest.raises(RingError, match=r"2\^62"):
+        R.order.term_key(bound, (0, 0))
+
+
+def test_a_product_that_crosses_the_key_bound_is_refused():
+    bound = 2**62
+    R = make_ring("xy")
+    x, y = R.variable(0), R.variable(1)
+    half = R.monomial((bound // 2, 0))
+    for product in (
+        lambda: half * half,
+        lambda: (half + y) * (x * half - 1),
+        lambda: half**2,
+        lambda: FreeElement(R, (y, half)).scale(half),
+    ):
+        with pytest.raises(RingError, match=r"2\^62"):
+            product()
+    # just below the bound the product is exact and still ordered by degree
+    p = half.scale(x ** (bound // 2 - 2)) + y * x
+    assert [e for _k, _c, e, _x in p.terms] == [(bound - 2, 0), (1, 1)]
 
 
 def test_substitute():
@@ -137,15 +169,14 @@ def test_key_is_additive():
         MonomialOrder(weights=(2, 1, 1, 3)),
     ]
     for order in orders:
+        key = ring_key(order)
         for _ in range(200):
             a = tuple(rng.randrange(5) for _ in range(4))
             b = tuple(rng.randrange(5) for _ in range(4))
             ab = tuple(x + y for x, y in zip(a, b))
-            ka, kb, kab = order.ring_key(a), order.ring_key(b), order.ring_key(ab)
-            assert tuple(x + y for x, y in zip(ka, kb)) == kab
+            assert key(a) + key(b) == key(ab)
             # module keys shift by the component-0 key of the factor
-            tka = order.term_key(3, a)
-            assert tuple(x + y for x, y in zip(tka, order.term_key(0, b))) == order.term_key(3, ab)
+            assert order.term_key(3, a) + order.term_key(0, b) == order.term_key(3, ab)
 
 
 @pytest.mark.parametrize("extension", [POSITION_OVER_TERM, TERM_OVER_POSITION])
@@ -174,23 +205,23 @@ def test_a_key_difference_is_the_addend_of_the_quotient(order, extension):
         b = tuple(rng.randrange(4) for _ in range(4))
         a = tuple(e + rng.randrange(4) for e in b)
         comp = rng.randrange(3)
-        diff = tuple(x - y for x, y in zip(order.term_key(comp, a), order.term_key(comp, b)))
+        diff = order.term_key(comp, a) - order.term_key(comp, b)
         assert diff == order.term_key(0, tuple(x - y for x, y in zip(a, b)))
 
 
 def test_key_total_and_multiplicative():
     rng = random.Random(1)
-    order = DEGREVLEX
+    key = ring_key(DEGREVLEX)
     monos = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(60)]
     for a in monos:
         for b in monos:
             if a != b:
-                assert order.ring_key(a) != order.ring_key(b)
-            if order.ring_key(a) > order.ring_key(b):
+                assert key(a) != key(b)
+            if key(a) > key(b):
                 for c in monos[:10]:
                     ac = tuple(x + y for x, y in zip(a, c))
                     bc = tuple(x + y for x, y in zip(b, c))
-                    assert order.ring_key(ac) > order.ring_key(bc)
+                    assert key(ac) > key(bc)
 
 
 def test_position_over_term_prefers_low_component():
@@ -242,7 +273,7 @@ def test_terms_stay_sorted_and_canonical():
     R = make_ring("xy")
     x, y = R.variable(0), R.variable(1)
     p = y**2 + x * y + x**2
-    keys = [R.order.ring_key(e) for _key, _comp, e, _c in p.terms]
+    keys = [R.order.term_key(0, e) for _key, _comp, e, _c in p.terms]
     assert keys == sorted(keys, reverse=True)
     q = x**2 + x * y + y**2
     assert p == q and hash(p) == hash(q)

@@ -26,6 +26,8 @@ from primarydec.groebner import (  # noqa: E402
     syzygies,
 )
 from primarydec.polyring import (  # noqa: E402
+    POSITION_OVER_TERM,
+    TERM_OVER_POSITION,
     FreeElement,
     MonomialOrder,
     RingContext,
@@ -34,6 +36,8 @@ from primarydec.polyring import (  # noqa: E402
     render_polynomial,
     substitute,
 )
+
+from oracles import packed_key, written_out_key  # noqa: E402
 
 R = RingContext(("x", "y"))
 _x, _y = R.variable(0), R.variable(1)
@@ -159,3 +163,32 @@ def test_stored_terms_are_keyed_sorted_and_in_lowest_terms(A, p):
         made += M.generators
     for v in made:
         _assert_stored_canonically(v)
+
+
+KEY_ORDERS = [
+    MonomialOrder(kind=kind, weights=weights, blocks=blocks, module_extension=extension)
+    for kind, weights, blocks in [
+        ("degrevlex", None, None),
+        ("degrevlex", (3, 1, 2, 5), None),
+        ("lex", None, None),
+        ("block", None, ((1, 3),)),
+        ("block", None, ((2,), (0,))),
+    ]
+    for extension in (POSITION_OVER_TERM, TERM_OVER_POSITION)
+]
+# exponents up to 2^56 keep a product's weighted degree below 2^62
+exponent = st.one_of(st.integers(0, 4), st.integers(0, 2**56))
+module_terms = st.tuples(st.integers(0, 3), st.tuples(*[exponent] * 4))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(KEY_ORDERS), module_terms, module_terms)
+def test_int_keys_order_and_add_as_the_written_out_digits(order, a, b):
+    (ca, ea), (cb, eb) = a, b
+    ka, kb = order.term_key(ca, ea), order.term_key(cb, eb)
+    da, db = written_out_key(order, ca, ea), written_out_key(order, cb, eb)
+    assert (ka, kb) == (packed_key(da), packed_key(db))
+    assert (ka < kb) == (da < db)
+    assert (ka == kb) == (a == b)
+    product = tuple(x + y for x, y in zip(ea, eb))
+    assert order.term_key(ca, product) == ka + order.term_key(0, eb)
