@@ -28,6 +28,8 @@ from .decompose import (
 from .groebner import annihilator, buchberger, canonical
 from .homology import HomologyError, equidim_hull
 from .polyring import (
+    DEGREVLEX,
+    LEX,
     FreeElement,
     MonomialOrder,
     RingContext,
@@ -300,11 +302,8 @@ class _Parser:
                 order_tok.line,
                 order_tok.col,
             )
-        if order_tok.text == "dp":
-            order = MonomialOrder(kind="degrevlex")
-        elif order_tok.text == "lp":
-            order = MonomialOrder(kind="lex")
-        else:
+        order = {"dp": DEGREVLEX, "lp": LEX}.get(order_tok.text)
+        if order is None:
             self.expect_sym("(")
             weights = self.comma_list(self._parse_weight)
             self.expect_sym(")")
@@ -345,7 +344,13 @@ class _Parser:
             return t.text
         pieces = []
         while not self.at_sym(";") and self.peek().kind != "end":
-            pieces.append(self.advance().text)
+            tok = self.advance()
+            # a piece starts where the last one ended, at end = (line, column);
+            # a string token's text leaves out its two quotes
+            if pieces and (tok.line, tok.col) != end:
+                raise ScriptError("a file name with spaces must be quoted", tok.line, tok.col)
+            pieces.append(tok.text)
+            end = (tok.line, tok.col + len(tok.text) + 2 * (tok.kind == "string"))
         if not pieces:
             raise ScriptError("expected a file name", t.line, t.col)
         return "".join(pieces)

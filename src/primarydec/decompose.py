@@ -290,7 +290,11 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
 def _gtz_split(I: Submodule, u: tuple[int, ...], search: _Search):
     """Candidate primes of the canonical ideal I, split along the independent
     set u.  With u = () every lead coefficient is rational: nothing is
-    saturated, and I goes to `_zero_dim_primes` as it is."""
+    saturated, and I goes to `_zero_dim_primes` as it is.  J = I : h^infinity
+    is proper: past the loop no lead of I's basis in the block order x_D > u
+    is D-free, so I cap Q[u], which those would generate, is 0, and no power
+    of h, a product of nonzero elements of Q[u], lies in I.  With nothing to
+    saturate J = I, which `_min_ass_rec` has found proper."""
     if not u:
         return _zero_dim_primes(I, u, search)
     ring = I.ring
@@ -305,8 +309,6 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], search: _Search):
             coeffs.add(c)
     h = prod(coeffs, start=ring.one())
     J = saturate(I, ideal(ring, [h])) if coeffs else I
-    if is_unit_ideal(J):
-        raise _CertificationFailure("saturation by lead coefficients is trivial")
     primes = _zero_dim_primes(J, u, search)
     if J != I:
         primes.extend(_min_ass_rec(ideal(ring, [*I.generators, h]), search))

@@ -3,10 +3,11 @@
 The engine works on the terms that elements store (see polyring): tuples
 (key, component, exponents, coefficient) with int coefficients, sorted by
 descending key, where keys are the additive ints produced by MonomialOrder.
-A vector enters as its stored terms, re-keyed (polyring.rekey) only when the
-run's order is not the ring's.  S-vectors and
-reductions run fraction-free, with the content taken out each time the scale
-grows 64 bits, and basis elements are primitive (content 1, positive lead).
+A vector enters as its stored terms, and every change of order or of
+components goes through _in_order, which re-keys (polyring.rekey) only when
+the order or the components change.  S-vectors and reductions run
+fraction-free, with the content taken out each time the scale grows 64
+bits, and basis elements are primitive (content 1, positive lead).
 A result leaves as terms over one denominator: the lead coefficient for
 basis generators and syzygies, the accumulated scale times the input's
 denominator for normal forms and lifts; in the ring's order a basis
@@ -32,11 +33,13 @@ sets tag-led remainders aside instead of pairing them, as long as no S-pair
 leaves a new top-led element.  syzygies and lift of one matrix share that
 one memoized run.
 
-Runs are memoized in one bounded cache (_GroebnerCache), which also stores
-each reduced basis under the module of its own generators.  A module that
-is its own reduced basis in the ring order is answered in another order
-from its generators, with no run, when no lead moves; and a run starts from
-the cached basis of a proper prefix of the generators.  Both are exact, as
+Runs are memoized in one bounded cache (_GroebnerCache), which drops its
+oldest entry when full and also stores each reduced basis under the module
+of its own generators.  Full and split runs share one run path
+(_GroebnerCache._run).  A module that is its own reduced basis in the ring
+order is answered in another order from its generators, with no run, when
+no lead moves; and a full run starts from the cached basis of a proper
+prefix of the generators.  Both are exact, as
 the reduced basis is unique: leads that stay leads span the initial module
 in both orders (the standard monomials of any order are a basis of F/M,
 see _reordered), and S-pairs within a Groebner basis reduce to zero.  The
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import replace
-from collections import OrderedDict
 from functools import reduce
 from itertools import combinations
 from math import gcd
@@ -83,8 +85,11 @@ from .polyring import (
 #        top_degree), primitive: integer content 1 and a positive lead_coeff
 
 
-def _in_order(terms, order: MonomialOrder, shift: int = 0):
-    """terms keyed in order, their components moved down by shift."""
+def _in_order(terms, order: MonomialOrder, source: MonomialOrder, shift: int = 0):
+    """terms, keyed in source, keyed in order with their components moved
+    down by shift: terms itself when neither changes."""
+    if order == source and not shift:
+        return terms
     return rekey(order, ((comp - shift, exps, c) for _k, comp, exps, c in terms))
 
 
@@ -350,7 +355,6 @@ class GroebnerBasis:
     def __init__(self, module: Submodule, elems, order: MonomialOrder):
         self.module = module
         self.order = order
-        self._native = order == module.ring.order
         self._elems = elems
         self._by_comp: dict = {}
         for e in elems:
@@ -376,15 +380,12 @@ class GroebnerBasis:
         the module."""
         if v.ring != self.ring or v.rank != self.ambient_rank:
             raise RingError("vector does not match basis ambient module")
-        terms = v.terms if self._native else _in_order(v.terms, self.order)
-        return _reduce_full(terms, self._by_comp)
+        return _reduce_full(_in_order(v.terms, self.order, self.ring.order), self._by_comp)
 
     def reduce_vector(self, v: FreeElement) -> FreeElement:
         """Normal form of v, a polynomial when v is one."""
         s, r = self._reduce(v)
-        if not self._native:
-            r = _in_order(r, self.ring.order)
-        return from_terms(self.ring, v.rank, r, s * v.den)
+        return from_terms(self.ring, v.rank, _in_order(r, self.ring.order, self.order), s * v.den)
 
     def contains(self, v: FreeElement) -> bool:
         return not self._reduce(v)[1]
@@ -397,18 +398,6 @@ class GroebnerBasis:
 
     def __repr__(self):
         return f"GroebnerBasis({self.module!r})"
-
-
-def _split_run(A: Submodule, order: MonomialOrder, split: int):
-    """The elements of a split run on A's generators: (basis led below split,
-    elements led at or above it)."""
-    native = order == A.ring.order
-    vectors = [
-        g.terms if native else _in_order(g.terms, order) for g in A.generators if g.terms
-    ]
-    basis, aside = _buchberger_engine(vectors, order, split)
-    top = [e for e in basis if e[2] < split]
-    return top, aside + _reduced_basis([e for e in basis if e[2] >= split])
 
 
 def _reordered(G: GroebnerBasis, order: MonomialOrder):
@@ -425,7 +414,7 @@ def _reordered(G: GroebnerBasis, order: MonomialOrder):
     """
     pairs = []
     for gen in G.generators:
-        terms = _in_order(gen.terms, order)
+        terms = _in_order(gen.terms, order, G.ring.order)
         if terms[0][1:3] != gen.terms[0][1:3]:
             return None
         pairs.append((_make_elem(terms), gen))
@@ -435,70 +424,56 @@ def _reordered(G: GroebnerBasis, order: MonomialOrder):
 
 
 class _GroebnerCache:
-    """The memo of Groebner runs, keyed (A, order, split), evicting the least
-    recently used entry beyond maxsize; see the module docstring for what it
-    reuses."""
+    """The memo of Groebner runs, keyed (A, order, split), dropping the oldest
+    entry beyond maxsize; see the module docstring for what it reuses."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self.entries: OrderedDict = OrderedDict()
+        self.entries: dict = {}
 
     def cache_clear(self) -> None:
         self.entries.clear()
 
-    def _get(self, key):
-        hit = self.entries.get(key)
-        if hit is not None:
-            self.entries.move_to_end(key)
-        return hit
-
-    def _put(self, key, value) -> None:
-        self.entries[key] = value
-        self.entries.move_to_end(key)
-        if len(self.entries) > self.maxsize:
-            self.entries.popitem(last=False)
-
     def __call__(self, A: Submodule, order: MonomialOrder, split: int | None = None):
         """Reduced Groebner basis of A in order.  With split, the elements of
-        a split run instead (_split_run)."""
+        a split run instead (_run)."""
         key = (A, order, split)
-        hit = self._get(key)
-        if hit is not None:
-            return hit
-        if split is not None:
-            result = _split_run(A, order, split)
-        else:
-            result = None
-            if order != A.ring.order:
-                G = self._get((A, A.ring.order, None))
-                if G is not None and G.module == A:
-                    result = _reordered(G, order)
-            if result is None:
-                result = self._run(A, order)
-            self._put((result.module, order, None), result)
-        self._put(key, result)
+        result = self.entries.get(key)
+        if result is not None:
+            return result
+        if split is None and order != A.ring.order:
+            G = self.entries.get((A, A.ring.order, None))
+            if G is not None and G.module == A:
+                result = _reordered(G, order)
+        if result is None:
+            result = self._run(A, order, split)
+        if split is None:
+            self.entries[result.module, order, None] = result
+        self.entries[key] = result
+        while len(self.entries) > self.maxsize:
+            del self.entries[next(iter(self.entries))]
         return result
 
-    def _run(self, A: Submodule, order: MonomialOrder) -> GroebnerBasis:
-        """One engine run, from the basis of the longest proper prefix of A's
-        generators that has one cached in order."""
+    def _run(self, A: Submodule, order: MonomialOrder, split: int | None):
+        """One engine run on A's generators in order.  A full run starts from
+        the basis of the longest proper prefix of the generators that has one
+        cached in order, and gives the reduced basis.  A split run gives
+        (basis led below split, elements led at or above it)."""
         ring, rank, gens = A.ring, A.ambient_rank, A.generators
-        native = order == ring.order
         known, start = (), 0
-        for j in range(len(gens) - 1, 0, -1):
-            G = self._get((Submodule(ring, rank, gens[:j]), order, None))
-            if G is not None:
-                known, start = G._elems, j
-                break
-        vectors = [
-            g.terms if native else _in_order(g.terms, order) for g in gens[start:] if g.terms
-        ]
-        basis, _aside = _buchberger_engine(vectors, order, known=known)
+        if split is None:
+            for j in range(len(gens) - 1, 0, -1):
+                G = self.entries.get((Submodule(ring, rank, gens[:j]), order, None))
+                if G is not None:
+                    known, start = G._elems, j
+                    break
+        vectors = [_in_order(g.terms, order, ring.order) for g in gens[start:] if g.terms]
+        basis, aside = _buchberger_engine(vectors, order, split, known)
+        if split is not None:
+            top = [e for e in basis if e[2] < split]
+            return top, aside + _reduced_basis([e for e in basis if e[2] >= split])
         reduced = _reduced_basis(basis)
-        out = [
-            from_terms(ring, rank, e[0] if native else _in_order(e[0], ring.order), e[4])
-            for e in reduced
-        ]
+        out = [from_terms(ring, rank, _in_order(e[0], ring.order, order), e[4]) for e in reduced]
         return GroebnerBasis(Submodule(ring, rank, out), reduced, order)
 
 
@@ -603,7 +578,8 @@ def syzygies(A: Submodule) -> Submodule:
     if g == 0:
         return zero_module(ring, 0)
     _basis, syz = _tagged_run(A)
-    out = [from_terms(ring, g, _in_order(e[0], ring.order, s), e[4]) for e in syz]
+    order = _augmented_order(ring.order)
+    out = [from_terms(ring, g, _in_order(e[0], ring.order, order, s), e[4]) for e in syz]
     return Submodule(ring, g, out)
 
 
@@ -618,18 +594,16 @@ def lift(A: Submodule, B: Submodule) -> Submodule:
         raise RingError("rank mismatch in lift")
     basis, _syz = _tagged_run(A)
     order = _augmented_order(ring.order)
-    native = order == ring.order
     top_by_comp: dict = {}
     for e in basis:
         top_by_comp.setdefault(e[2], []).append(e)
     cols = []
     for b in B.generators:
-        terms = b.terms if native else _in_order(b.terms, order)
-        scale, r = _reduce_full(terms, top_by_comp)
+        scale, r = _reduce_full(_in_order(b.terms, order, ring.order), top_by_comp)
         if any(comp < s for _key, comp, _exps, _c in r):
             raise ValueError("lift does not exist: vector outside the module")
         # scale * b = A * (-tail of r)
-        cols.append(from_terms(ring, g, _in_order(r, ring.order, s), -scale * b.den))
+        cols.append(from_terms(ring, g, _in_order(r, ring.order, order, s), -scale * b.den))
     return Submodule(ring, g, cols)
 
 
@@ -667,11 +641,15 @@ def reduce_columns(A: Submodule, G) -> Submodule:
 # ---------------------------------------------------------------------------
 
 
+# the order of every @t ring: a term-over-position block order that
+# eliminates the first variable, degrevlex on the others; one instance, so
+# its unit keys are derived once per number of variables
+_T_ORDER = MonomialOrder("block", blocks=((0,),), module_extension=TERM_OVER_POSITION)
+
+
 def _t_ring(ring: RingContext) -> RingContext:
-    """ring with a first variable @t that the order eliminates: a
-    term-over-position block order, degrevlex on the other variables."""
-    order = MonomialOrder("block", blocks=((0,),), module_extension=TERM_OVER_POSITION)
-    return RingContext(("@t",) + ring.variables, order)
+    """ring with a first variable @t that the order eliminates (_T_ORDER)."""
+    return RingContext(("@t",) + ring.variables, _T_ORDER)
 
 
 def _extend_vector(v: FreeElement, ext: RingContext, ts) -> FreeElement:

@@ -71,12 +71,6 @@ class MonomialOrder:
     weights: tuple[int, ...] | None = None
     module_extension: str = POSITION_OVER_TERM
     blocks: tuple[tuple[int, ...], ...] | None = None
-    # derived from blocks once, for _digits: each block's indices reversed;
-    # the variables in no block are those from _rest_from on and, below it,
-    # _rest_below (again reversed)
-    _groups: tuple = field(default=(), init=False, repr=False, compare=False)
-    _rest_from: int = field(default=0, init=False, repr=False, compare=False)
-    _rest_below: tuple = field(default=(), init=False, repr=False, compare=False)
     # per number of variables, derived once: the keys of the unit exponent
     # vectors and of component 1
     _units: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -92,11 +86,6 @@ class MonomialOrder:
                 if not grp or any(i < 0 for i in grp) or seen & set(grp):
                     raise ValueError("blocks must be nonempty and disjoint")
                 seen |= set(grp)
-            rest_from = max(seen) + 1
-            below = tuple(i for i in reversed(range(rest_from)) if i not in seen)
-            object.__setattr__(self, "_groups", tuple(grp[::-1] for grp in self.blocks))
-            object.__setattr__(self, "_rest_from", rest_from)
-            object.__setattr__(self, "_rest_below", below)
         elif self.blocks is not None:
             raise ValueError("blocks only valid for block orders")
         if self.weights is not None:
@@ -117,21 +106,22 @@ class MonomialOrder:
         negated component first under position over term and last under term
         over position, around the monomial's digits, then the degree.  The
         digits before the degree already tell terms apart, so it decides no
-        comparison.  Every digit is linear in comp and exps.
+        comparison.  Every digit is linear in comp and exps.  It runs only
+        when an order derives its unit keys (_derive_units), not per term.
         """
         if self.kind == "lex":
             mono = list(exps)
         elif self.kind == "block":
-            # per group: its degree, then its negated exponents in reverse
+            # the groups: each block reversed, then the variables in no block
+            # in descending order; per group its degree, then its negated exponents
+            groups = [grp[::-1] for grp in self.blocks]
+            seen = {i for grp in self.blocks for i in grp}
+            groups.append([i for i in reversed(range(len(exps))) if i not in seen])
             mono = []
-            for grp in self._groups:
+            for grp in groups:
                 sub = [-exps[i] for i in grp]
                 mono.append(-sum(sub))
                 mono += sub
-            rest = [-e for e in exps[: self._rest_from - 1 : -1]]  # from _rest_from, reversed
-            rest += [-exps[i] for i in self._rest_below]
-            mono.append(-sum(rest))
-            mono += rest
         else:
             mono = [self._degree(exps), *map(neg, reversed(exps))]
         if self.module_extension == POSITION_OVER_TERM:

@@ -90,6 +90,30 @@ def test_parse_comments_and_strings():
     assert bare.statements[-1].file_arg == "out/m1.json"
 
 
+@pytest.mark.parametrize(
+    "name, where",
+    [
+        ("my file.json", "line 1, column 48"),
+        ("my\tfile.json", "line 1, column 48"),
+        ("my//note\nfile.json", "line 2, column 1"),
+        ("out/m1 .json", "line 1, column 52"),
+    ],
+    ids=["space", "tab", "comment-and-line-break", "before-a-symbol"],
+)
+def test_an_unquoted_file_name_with_a_gap_is_an_input_error(tmp_path, capsys, name, where):
+    # the tokens of an unquoted name must touch, or the name read would not
+    # be the one written
+    script = f"ring r=0,(x,y),dp; ideal I = x; validate I, {name};"
+    with pytest.raises(ScriptError, match=f"^{where}: a file name with spaces must be quoted$"):
+        parse_script(script)
+    f = tmp_path / "gap.primdec"
+    f.write_text(script + "\n")
+    assert main(["run", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}: a file name with spaces must be quoted\n"
+
+
 def test_polynomial_round_trip_fixed():
     R = ring_xy()
     texts = ["x^2 - 2", "x*y + y^2", "-x + 1/2", "5/6*x^2*y - 7*y + 2/3", "0"]

@@ -761,6 +761,29 @@ def test_the_cache_stays_bounded_and_keeps_the_latest_entries(monkeypatch):
     assert len(groebner._gb_cached.entries) == 1
 
 
+def test_a_second_intersect_in_a_ring_derives_no_unit_keys(monkeypatch):
+    # every @t ring shares one order, which derives its unit keys once per
+    # number of variables, whatever the cache holds
+    from primarydec import groebner
+
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    A, B = ideal(R, [x * y, z**2 - x]), ideal(R, [y - z, x**2])
+    groebner._gb_cached.cache_clear()
+    first = intersect(A, B)
+    derived = []
+    original = MonomialOrder._derive_units
+
+    def counting(order, n):
+        derived.append((order, n))
+        return original(order, n)
+
+    monkeypatch.setattr(MonomialOrder, "_derive_units", counting)
+    groebner._gb_cached.cache_clear()
+    assert intersect(A, B) == first
+    assert derived == []
+
+
 # ---------------------------------------------------------------------------
 # the engine's bookkeeping against the plain forms it replaced
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ PACKAGE = Path(primarydec.__file__).resolve().parent
 
 # name -> why it stays public although the package never reads it
 UNUSED_BY_DESIGN = {
-    "LEX": "a monomial order constant for users, beside DEGREVLEX",
     "is_irreducible": "read only by the tests until a primality certificate "
     "by specialization calls it",
 }
