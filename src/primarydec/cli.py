@@ -1,22 +1,29 @@
 """Batch front end: a small declaration language with deterministic output.
 
 A script declares a ring, binds ideals or modules, and runs commands against
-the bindings.  Output is readable text or a JSON array with one object per
-command, each a {"command", "input"} record that its verb extends with text
-from `decompose.rendered_generators`, so no JSON reader can lose precision.
-It always runs seed 0.  Exit codes: 0 success, 1 parse or input error (such
-as a `--bound` below 1 or an input term of degree 2^62), 2 computational
-failure (such as a computed term of degree 2^62).
+the bindings.  A name starts with a letter or `_` and goes on with letters,
+digits and `_`; an integer is a run of ASCII digits; `//` starts a comment
+that runs to the end of the line; a string is double-quoted on one line.
+Blanks, tabs and carriage returns only separate tokens.
+
+Output is readable text or a JSON array with one object per command, each a
+{"command", "input"} record that its verb extends with text from
+`decompose.rendered_generators`, so no JSON reader can lose precision.  It
+always runs seed 0.  Exit codes: 0 success, 1 parse or input error (such as a
+`--bound` below 1 or an input term of degree 2^62), 2 computational failure
+(such as a computed term of degree 2^62).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .decompose import (
     DecompositionError,
@@ -53,15 +60,17 @@ class ScriptError(Exception):
 # tokens
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = "=,;()[]+-*^/."
-# str.isdigit also accepts digits such as '²' that int() rejects or misreads
-_DIGITS = "0123456789"
+# one alternative per token kind, tried in order, and last the one character
+# that begins no token; a word led by an ASCII digit reads as an integer first
+_TOKEN = re.compile(
+    r'(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>//.*)|"(?P<string>[^"\n]*)"'
+    r"|(?P<int>[0-9]+)|(?P<name>\w+)|(?P<sym>[=,;()\[\]+\-*^/.])|(?P<bad>.)"
+)
 # each parenthesis costs the recursive-descent parser four stack frames
 _MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -70,56 +79,22 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start, m = 1, 0, None
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] == "\n":
-                raise ScriptError("unterminated string", line, col)
-            toks.append(Token("string", source[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(Token("name", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            toks.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ScriptError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("end", "", line, col))
+            line_start = m.end()
+        # \w, like str.isalnum, takes numerals such as '²' that start no name
+        elif kind == "bad" or kind == "name" and not (m[0][0].isalpha() or m[0][0] == "_"):
+            ch = m[0][0]
+            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise ScriptError(message, line, m.start() - line_start + 1)
+        elif kind != "blank" and kind != "comment":
+            toks.append(Token(kind, m[kind], line, m.start() - line_start + 1))
+    # the end of input after a comment sits where the comment starts
+    stop = m.start() if m is not None and m.lastgroup == "comment" else len(source)
+    toks.append(Token("end", "", line, stop - line_start + 1))
     return toks
 
 
@@ -143,7 +118,8 @@ class Script:
     statements: tuple[Command, ...]
 
 
-_ORDER_NAMES = ("dp", "lp", "wp")
+# wp, and only wp, reads one positive weight per variable
+_ORDERS = {"dp": DEGREVLEX, "lp": LEX, "wp": None}
 _COMMAND_VERBS = ("primdec", "hull", "minass", "localize", "validate")
 
 
@@ -296,13 +272,14 @@ class _Parser:
             raise ScriptError("duplicate variable name", char.line, char.col)
         self.expect_sym(",")
         order_tok = self.expect_name()
-        if order_tok.text not in _ORDER_NAMES:
+        if order_tok.text not in _ORDERS:
+            *names, last = _ORDERS
             raise ScriptError(
-                f"unknown order {order_tok.text!r} (expected dp, lp or wp)",
+                f"unknown order {order_tok.text!r} (expected {', '.join(names)} or {last})",
                 order_tok.line,
                 order_tok.col,
             )
-        order = {"dp": DEGREVLEX, "lp": LEX}.get(order_tok.text)
+        order = _ORDERS[order_tok.text]
         if order is None:
             self.expect_sym("(")
             weights = self.comma_list(self._parse_weight)
@@ -318,19 +295,14 @@ class _Parser:
         self.ring = RingContext(tuple(varnames), order)
         self.bindings = {}
 
-    def parse_ideal(self) -> None:
+    def parse_binding(self, keyword: str) -> None:
+        """`ideal NAME = p1, ...;` or `module NAME = [p1, ...], ...;`: an ideal
+        is the submodule of R^1 that its polynomials generate."""
         name = self.expect_name()
         ring = self.require_ring(name)
         self.expect_sym("=")
-        polys = self.comma_list(self.parse_polynomial)
-        self.expect_sym(";")
-        self.bindings[name.text] = ideal(ring, polys)
-
-    def parse_module(self) -> None:
-        name = self.expect_name()
-        ring = self.require_ring(name)
-        self.expect_sym("=")
-        vectors = self.comma_list(self._parse_vector)
+        read = self._parse_vector if keyword == "module" else self.parse_polynomial
+        vectors = self.comma_list(read)
         self.expect_sym(";")
         rank = vectors[0].rank
         if any(v.rank != rank for v in vectors):
@@ -359,9 +331,7 @@ class _Parser:
         name = self.expect_name()
         self.require_ring(name)
         module = self.lookup(name)
-        if verb.text in ("primdec", "hull", "minass"):
-            self.expect_sym(";")
-            return Command(verb.text, name.text, module)
+        shown, prime, file_arg = name.text, None, None
         if verb.text == "localize":
             self.expect_sym(",")
             prime_tok = self.expect_name()
@@ -372,19 +342,13 @@ class _Parser:
                     prime_tok.line,
                     prime_tok.col,
                 )
-            self.expect_sym(";")
-            return Command(
-                verb.text,
-                f"{name.text}, {prime_tok.text}",
-                module,
-                extra_module=prime,
-            )
-        self.expect_sym(",")
-        file_arg = self.parse_file_arg()
+            shown += f", {prime_tok.text}"
+        elif verb.text == "validate":
+            self.expect_sym(",")
+            file_arg = self.parse_file_arg()
+            shown += f", {file_arg}"
         self.expect_sym(";")
-        return Command(
-            verb.text, f"{name.text}, {file_arg}", module, file_arg=file_arg
-        )
+        return Command(verb.text, shown, module, prime, file_arg)
 
     def parse_script(self) -> Script:
         commands = []
@@ -397,10 +361,8 @@ class _Parser:
             self.advance()
             if t.text == "ring":
                 self.parse_ring()
-            elif t.text == "ideal":
-                self.parse_ideal()
-            elif t.text == "module":
-                self.parse_module()
+            elif t.text in ("ideal", "module"):
+                self.parse_binding(t.text)
             elif t.text in _COMMAND_VERBS:
                 commands.append(self.parse_command(t))
             else:
@@ -645,7 +607,3 @@ def main(argv=None) -> int:
         # RingError here: a computed term reached the order keys' degree bound
         sys.stderr.write(f"computation failed: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -431,9 +431,6 @@ class _GroebnerCache:
         self.maxsize = maxsize
         self.entries: dict = {}
 
-    def cache_clear(self) -> None:
-        self.entries.clear()
-
     def __call__(self, A: Submodule, order: MonomialOrder, split: int | None = None):
         """Reduced Groebner basis of A in order.  With split, the elements of
         a split run instead (_run)."""

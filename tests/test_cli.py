@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,9 @@ from primarydec.cli import (
     main,
     parse_polynomial,
     parse_script,
+    render_text,
     run_script,
+    tokenize,
 )
 from primarydec.polyring import (
     MonomialOrder,
@@ -345,6 +348,83 @@ def test_main_reports_input_errors(tmp_path, capsys, monkeypatch, script, expect
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     if expected is None:
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("ring r = 0, (), dp;", "line 1, column 14: expected an identifier"),
+        ("ring r=0,(x,y),dp; ideal I = x^y;", "line 1, column 32: expected an integer"),
+        ("ring r=0,(x,y),dp; ideal I = ;", "line 1, column 30: expected a polynomial"),
+        (
+            "ring r=0,(x,y),dp; ideal I = x; validate I, ;",
+            "line 1, column 45: expected a file name",
+        ),
+        # the end of input after a comment sits where the comment starts
+        ("ring r = 0, (x), dp // trailing", "line 1, column 21: expected ';'"),
+        ("ring r = 0, (x), dp \t", "line 1, column 22: expected ';'"),
+    ],
+    ids=[
+        "no-variables",
+        "name-as-exponent",
+        "empty-ideal",
+        "no-file-name",
+        "end-after-comment",
+        "end-after-blanks",
+    ],
+)
+def test_parse_errors_keep_their_positions(script, message):
+    with pytest.raises(ScriptError) as info:
+        parse_script(script)
+    assert str(info.value) == message
+
+
+def test_render_text_of_module_generators_and_of_no_primes():
+    script = parse_script(
+        "ring r=0,(x,y),dp; module M = [x, y], [y, x]; hull M; ideal U = 1; minass U;"
+    )
+    assert render_text(run_script(script)) == (
+        "hull M:\n"
+        "  generators: [0, x^2 - y^2], [y, x], [x, y]\n"
+        "minass U:\n"
+        "  no associated primes (input is the full module)\n"
+    )
+
+
+def test_token_positions_point_at_their_text():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pieces = ["x", "y", "Z", "_", "0", "7", "\u00b2", *"=,;()[]+-*^/.", " ", "\t", "\n", "//", '"']
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @hypothesis.given(st.lists(st.sampled_from(pieces), max_size=30).map("".join))
+    def check(source):
+        lines = source.split("\n")
+        try:
+            tokens = tokenize(source)
+        except ScriptError as exc:
+            line, col, message = re.fullmatch(r"line (\d+), column (\d+): (.*)", str(exc)).groups()
+            ch = lines[int(line) - 1][int(col) - 1]
+            assert message == ("unterminated string" if ch == '"' else f"unexpected character {ch!r}")
+            # everything before the offending character reads as tokens
+            offset = sum(len(t) + 1 for t in lines[: int(line) - 1]) + int(col) - 1
+            tokenize(source[:offset])
+            return
+        *tokens, end = tokens
+        last = 0  # where the last token on the last line ends
+        for t in tokens:
+            written = f'"{t.text}"' if t.kind == "string" else t.text
+            assert lines[t.line - 1][t.col - 1 :].startswith(written)
+            if t.line == len(lines):
+                last = t.col - 1 + len(written)
+        # past the last token only blanks and a comment remain; the end of
+        # input sits where that comment starts, or else past the last line
+        tail = lines[-1][last:]
+        comment = tail.find("//")
+        assert (end.kind, end.line) == ("end", len(lines))
+        assert end.col == last + (comment if comment >= 0 else len(tail)) + 1
+
+    check()
 
 
 def test_main_parse_error_exit_code(tmp_path, capsys):

@@ -99,7 +99,7 @@ def test_traced_workload_calls_every_exercised_function(monkeypatch, workload):
     tracer.install()
     try:
         for case in corpus.cases(workload, 0):
-            groebner._gb_cached.cache_clear()
+            groebner._gb_cached.entries.clear()
             if case.fixture:
                 path = PERFBENCH.parent / case.fixture
                 source, base_dir = path.read_text(), path.parent

@@ -369,6 +369,21 @@ def test_is_sub_and_reduce_columns():
     assert red.generators[0].components[0] == y
 
 
+def test_reduce_columns_takes_a_submodule_or_its_basis():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    S = Submodule(R, 2, [FreeElement(R, (x, y)), FreeElement(R, (y**2, x))])
+    A = Submodule(
+        R,
+        2,
+        [FreeElement(R, (x * y + 1, y**2)), FreeElement(R, (x**2, x * y)), FreeElement(R, (y, x))],
+    )
+    red = reduce_columns(A, S)
+    assert red == reduce_columns(A, buchberger(S))
+    # the second column is x times a generator of S and vanishes
+    assert len(red.generators) == 2
+
+
 def test_quotient_contract_randomized():
     rng = random.Random(13)
     R = ring2()
@@ -576,7 +591,7 @@ def _tag_tag_spairs(monkeypatch, A):
         return real_spair(e1, e2, order)
 
     monkeypatch.setattr(groebner, "_spair", counting_spair)
-    groebner._gb_cached.cache_clear()
+    groebner._gb_cached.entries.clear()
     syzygies(A)
     return calls
 
@@ -625,7 +640,7 @@ def _engine_runs(monkeypatch):
 def _cold(A, order=None):
     from primarydec import groebner
 
-    groebner._gb_cached.cache_clear()
+    groebner._gb_cached.entries.clear()
     return buchberger(A, order)
 
 
@@ -720,7 +735,7 @@ def test_a_reduced_basis_is_cached_under_its_own_module(monkeypatch):
     R = ring3()
     x, y, z = R.variable(0), R.variable(1), R.variable(2)
     A = ideal(R, [x**2 * y - z, x * y**2 - x, 2 * y * z - 3])
-    groebner._gb_cached.cache_clear()
+    groebner._gb_cached.entries.clear()
     runs = _engine_runs(monkeypatch)
     C = canonical(A)
     assert C != A
@@ -743,7 +758,7 @@ def test_the_cache_stays_bounded_and_keeps_the_latest_entries(monkeypatch):
     from primarydec import groebner
 
     R = ring3()
-    groebner._gb_cached.cache_clear()
+    groebner._gb_cached.entries.clear()
     runs = _engine_runs(monkeypatch)
     # 2 x^k is not monic, so each call stores two entries: input and result
     inputs = [ideal(R, [R.monomial((k, 0, 0), 2)]) for k in range(2100)]
@@ -756,7 +771,7 @@ def test_the_cache_stays_bounded_and_keeps_the_latest_entries(monkeypatch):
     buchberger(inputs[0])
     assert len(runs) == 2101
     # a split run is stored under its own key only
-    groebner._gb_cached.cache_clear()
+    groebner._gb_cached.entries.clear()
     syzygies(ideal(R, [R.variable(0), R.variable(1)]))
     assert len(groebner._gb_cached.entries) == 1
 
@@ -769,7 +784,7 @@ def test_a_second_intersect_in_a_ring_derives_no_unit_keys(monkeypatch):
     R = ring3()
     x, y, z = R.variable(0), R.variable(1), R.variable(2)
     A, B = ideal(R, [x * y, z**2 - x]), ideal(R, [y - z, x**2])
-    groebner._gb_cached.cache_clear()
+    groebner._gb_cached.entries.clear()
     first = intersect(A, B)
     derived = []
     original = MonomialOrder._derive_units
@@ -779,7 +794,7 @@ def test_a_second_intersect_in_a_ring_derives_no_unit_keys(monkeypatch):
         return original(order, n)
 
     monkeypatch.setattr(MonomialOrder, "_derive_units", counting)
-    groebner._gb_cached.cache_clear()
+    groebner._gb_cached.entries.clear()
     assert intersect(A, B) == first
     assert derived == []
 
@@ -906,7 +921,7 @@ def test_pair_update_and_reduced_basis_match_their_plain_forms(monkeypatch, orde
         rng = random.Random(f"engine-{order}-{rank}")
         for _ in range(16):
             A = _random_module(R, rng, rank, 5 - rank)
-            groebner._gb_cached.cache_clear()
+            groebner._gb_cached.entries.clear()
             buchberger(A)
             syzygies(A)  # a split run
     assert seen["updates"] and seen["reduced"] and seen["split"]
