@@ -1,14 +1,19 @@
 """Factorization of univariate polynomials over Q.
 
 Polynomials are coefficient sequences from the constant term upward.  A
-linear input is returned monic.  Otherwise the pipeline is Yun's squarefree
-splitting over Q, skipped when a squarefree test mod one prime already shows
-the input squarefree; for each squarefree part, distinct-degree and then
-equal-degree (Cantor-Zassenhaus) splitting modulo the first odd prime that
-keeps the part squarefree; Hensel lifting of those factors past the
-coefficient bound; and recombination of the lifted factors by subsets.
-Only monic irreducible factors are reported; the leading coefficient of the
-input is discarded.
+linear input is returned monic.  Otherwise one prime search runs per
+squarefree part: the first two odd primes that do not divide the leading
+coefficient and keep the part squarefree.  One such prime shows the input
+squarefree over Q, so Yun's squarefree splitting over Q runs only when none
+of the first few primes does.  The part is split by degree modulo both
+primes; the degrees the two splits can sum to bound the degrees of its
+factors over Q, and when no proper degree survives the part is irreducible.
+Otherwise equal-degree (Cantor-Zassenhaus) splitting and Hensel lifting run
+at the prime with fewer factors, and the lifted factors are recombined by
+subsets, skipping those whose degree is not a surviving sum or whose constant
+term does not divide the cofactor's; exact division decides the rest.  Only
+monic irreducible factors are reported; the leading coefficient of the input
+is discarded.
 """
 
 from __future__ import annotations
@@ -185,16 +190,14 @@ def _p_pow_mod(base: list, e: int, mod: list, p: int) -> list:
     return result
 
 
-def _factor_mod_p(f: list, p: int) -> list[list]:
-    """Irreducible monic factors of a monic squarefree polynomial mod an odd prime.
+def _distinct_degree(f: list, p: int) -> list[tuple[int, list]]:
+    """[(d, g)]: g is the product of the monic irreducible factors of degree d
+    of f, a monic squarefree polynomial mod the odd prime p, for each d that
+    has some.
 
-    Distinct-degree splitting takes out g = gcd(f, x^(p^d) - x), the product of
-    the factors of degree d, for d = 1, 2, ...; once deg f < 2(d + 1) what is
-    left is irreducible.  Equal-degree splitting (Cantor-Zassenhaus) breaks
-    each g with gcd(g, r^((p^d - 1)/2) - 1) for random r, which is a proper
-    factor with probability about 1/2.
+    g = gcd(f, x^(p^d) - x) once the factors of lower degree are divided out,
+    for d = 1, 2, ...; once deg f < 2(d + 1) what is left is irreducible.
     """
-    rng = random.Random(p)
     out = []
     h = [0, 1]
     d = 0
@@ -202,10 +205,26 @@ def _factor_mod_p(f: list, p: int) -> list[list]:
         d += 1
         h = _p_pow_mod(h, p, f, p)
         g = _p_gcd(f, _p_sub(h, [0, 1], p), p)
-        if _q_deg(g) < 1:
-            continue
-        f = _p_divmod(f, g, p)[0]
-        h = _p_divmod(h, f, p)[1]
+        if _q_deg(g) > 0:
+            out.append((d, g))
+            f = _p_divmod(f, g, p)[0]
+            h = _p_divmod(h, f, p)[1]
+    if _q_deg(f) > 0:
+        out.append((_q_deg(f), f))
+    return out
+
+
+def _factor_mod_p(f: list, p: int, split: list | None = None) -> list[list]:
+    """Irreducible monic factors of a monic squarefree polynomial mod an odd
+    prime, from its distinct-degree split (made here unless given).
+
+    Equal-degree splitting (Cantor-Zassenhaus) breaks each product g of the
+    factors of degree d with gcd(g, r^((p^d - 1)/2) - 1) for random r, which
+    is a proper factor with probability about 1/2.
+    """
+    rng = random.Random(p)
+    out = []
+    for d, g in split or _distinct_degree(f, p):
         pending = [g]
         while pending:
             g = pending.pop()
@@ -218,8 +237,6 @@ def _factor_mod_p(f: list, p: int) -> list[list]:
                 pending += [w, _p_divmod(g, w, p)[0]]
             else:
                 pending.append(g)
-    if _q_deg(f) > 0:
-        out.append(f)
     return out
 
 
@@ -291,21 +308,70 @@ def _odd_primes():
         n += 2
 
 
-def _factor_squarefree_monic_integer(f: list[int]) -> list[list[int]]:
+# how many odd primes not dividing the leading coefficient may fail to keep
+# an input squarefree before Yun's splitting decides
+_SQUAREFREE_TRIES = 5
+
+
+def _squarefree_primes(zz: list[int], tries: int | None = None) -> list[int]:
+    """The first two odd primes p that do not divide lc(zz) and keep zz
+    squarefree mod p; [] when none of the first `tries` such primes does.
+
+    One such p shows zz squarefree over Q: a square factor g^2 of zz keeps its
+    degree mod p, since lc(g) divides lc(zz).  So the search goes on past
+    `tries` once it has found one, and ends for any zz squarefree over Q,
+    whose discriminant only finitely many primes divide.
+    """
+    found = []
+    for k, p in enumerate(p for p in _odd_primes() if zz[-1] % p):
+        if k == tries and not found:
+            break
+        df = [(c * i) % p for i, c in enumerate(zz) if i]
+        if _q_deg(_p_gcd([c % p for c in zz], df, p)) == 0:
+            found.append(p)
+            if len(found) == 2:
+                break
+    return found
+
+
+def _degree_sums(split: list[tuple[int, list]]) -> int:
+    """The degrees of the products of subsets of the factors that a
+    distinct-degree split counts, as the set bits of an int."""
+    sums = 1
+    for d, g in split:
+        for _i in range(_q_deg(g) // d):
+            sums |= sums << d
+    return sums
+
+
+def _factor_squarefree_monic_integer(f: list[int], primes: list[int]) -> list[list[int]]:
     """Irreducible monic integer factors of a monic squarefree integer poly.
 
-    f has degree at least 2; it is factored mod the first odd prime that keeps
-    it squarefree.
+    f has degree at least 2 and stays squarefree mod both primes.  A factor of
+    f over Z is, mod each prime, a product of some of f's factors there, so
+    its degree is a sum of their degrees at both primes (Musser 1975).  f is
+    irreducible when either prime leaves it one factor or no degree from 1 to
+    deg f - 1 is such a sum at both.  Otherwise the factors mod the prime with
+    fewer of them are lifted and recombined: a subset is tried by exact
+    division only when its degree is such a sum and the constant term of its
+    product, in symmetric form, divides that of the cofactor still left
+    (Abbott, Shoup and Zimmermann 2000).
     """
     d = len(f) - 1
-    df = [f[i] * i for i in range(1, len(f))]
-    p = next(
-        p for p in _odd_primes()
-        if _q_deg(_p_gcd([c % p for c in f], [c % p for c in df], p)) == 0
-    )
-    model = _factor_mod_p([c % p for c in f], p)
-    if len(model) == 1:
+    sums = -1  # every bit set
+    splits = []
+    for p in primes:
+        fp = [c % p for c in f]
+        split = _distinct_degree(fp, p)
+        count = sum(_q_deg(g) // e for e, g in split)
+        if count == 1:
+            return [f]
+        sums &= _degree_sums(split)
+        splits.append((count, p, fp, split))
+    if not sums & ((1 << d) - 2):
         return [f]
+    _count, p, fp, split = min(splits, key=lambda t: t[0])
+    model = _factor_mod_p(fp, p, split)
     model.sort(key=lambda g: (len(g), tuple(g)))
     norm2 = isqrt(sum(c * c for c in f)) + 1
     bound = 2 * (1 << d) * norm2 + 1
@@ -316,8 +382,15 @@ def _factor_squarefree_monic_integer(f: list[int]) -> list[list[int]]:
     current = [int(c) for c in f]
     size = 1
     while 2 * size <= len(remaining):
-        hit = False
         for combo in combinations(remaining, size):
+            if not (sums >> sum(len(lifted[i]) - 1 for i in combo)) & 1:
+                continue
+            const = 1
+            for i in combo:
+                const = const * lifted[i][0] % modulus
+            const = _symmetric([const], modulus)[0]
+            if (current[0] % const) if const else current[0]:
+                continue
             prod = [1]
             for i in combo:
                 prod = _p_mul(prod, lifted[i], modulus)
@@ -327,9 +400,8 @@ def _factor_squarefree_monic_integer(f: list[int]) -> list[list[int]]:
                 result.append(cand)
                 current = quo
                 remaining = [i for i in remaining if i not in combo]
-                hit = True
                 break
-        if not hit:
+        else:
             size += 1
     if len(current) > 1:
         result.append(current)
@@ -360,9 +432,10 @@ def univariate_factor(coeffs: Sequence) -> list[tuple[tuple[Fraction, ...], int]
         out.append((tuple(_q_monic(f)), 1))
     elif _q_deg(f) > 1:
         f = _q_monic(f)
-        parts = [(f, 1)] if _squarefree_mod_p(f) else _squarefree_parts(f)
+        primes = _squarefree_mod_p(f)
+        parts = [(f, 1)] if primes else _squarefree_parts(f)
         for part, mult in parts:
-            for irr in _factor_part(part):
+            for irr in _factor_part(part, primes):
                 out.append((tuple(irr), mult))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
@@ -378,27 +451,26 @@ def _primitive_integer(f: list) -> list[int]:
     return [c // g for c in zz]
 
 
-def _squarefree_mod_p(f: list) -> bool:
-    """Whether f is squarefree mod the first odd prime p that does not divide
-    the leading coefficient of its primitive integer multiple F.  Then f is
-    squarefree over Q: a square factor g^2 of F keeps its degree mod p, since
-    lc(g) divides lc(F).  False says nothing."""
-    zz = _primitive_integer(f)
-    p = next(p for p in _odd_primes() if zz[-1] % p)
-    df = [(c * i) % p for i, c in enumerate(zz) if i]
-    return _q_deg(_p_gcd([c % p for c in zz], df, p)) == 0
+def _squarefree_mod_p(f: list) -> list[int]:
+    """The primes `_squarefree_primes` finds for the primitive integer
+    multiple of f within its first few tries, which show f squarefree over Q;
+    [] leaves the question to Yun's splitting."""
+    return _squarefree_primes(_primitive_integer(f), _SQUAREFREE_TRIES)
 
 
-def _factor_part(part: list) -> list[list]:
+def _factor_part(part: list, primes: list[int]) -> list[list]:
+    """Monic irreducible factors of a squarefree part, factored mod primes
+    from `_squarefree_primes` (searched here when [])."""
     if _q_deg(part) == 1:
         return [_q_monic(part)]
     # clear denominators, then remove the leading coefficient by substitution:
-    # factors of c^(d-1) f(x/c) in y = c x are monic with integer coefficients
+    # factors of c^(d-1) f(x/c) in y = c x are monic with integer coefficients;
+    # mod a prime not dividing c the substitution keeps them squarefree
     zz = _primitive_integer(part)
     lead = zz[-1]
     d = len(zz) - 1
     monic = [c * lead ** (d - 1 - i) for i, c in enumerate(zz[:-1])] + [1]
-    factors = _factor_squarefree_monic_integer(monic)
+    factors = _factor_squarefree_monic_integer(monic, primes or _squarefree_primes(zz))
     out = []
     for fac in factors:
         e = len(fac) - 1

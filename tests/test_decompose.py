@@ -405,6 +405,28 @@ def test_normal_forms_stop_after_dim_plus_one_powers(monkeypatch):
         _zero_dim_primes(J, u, _Search(0))
 
 
+def test_each_block_order_derives_its_unit_keys_once_per_min_ass_call(monkeypatch):
+    # the four coordinate axes in 4-space: each independent set u = (d) goes
+    # through `_gtz_split` and then `_zero_dim_primes`, which rank the other
+    # three variables first through one order
+    R = RingContext(("x", "y", "z", "w"))
+    x, y, z, w = (R.variable(i) for i in range(4))
+    I = ideal(R, [x * y, x * z, x * w, y * z, y * w, z * w])
+    derived = []
+    original = MonomialOrder._derive_units
+
+    def counting(order, n):
+        derived.append(order.blocks)
+        return original(order, n)
+
+    monkeypatch.setattr(MonomialOrder, "_derive_units", counting)
+    groebner._gb_cached.entries.clear()
+    assert len(min_ass(I)) == 4
+    # (other orders, such as the engine's tag order, may derive theirs here too)
+    three_first = sorted(blocks for blocks in derived if blocks and len(blocks[0]) == 3)
+    assert three_first == [((0, 1, 2),), ((0, 1, 3),), ((0, 2, 3),), ((1, 2, 3),)]
+
+
 def test_each_polynomial_is_factored_once_per_min_ass_call(monkeypatch):
     # the 64 points of f(x), f(y), f(z), f vanishing at 1, 2, 3, 4: every branch
     # of the split meets f again, and each linear factor of it, yet each

@@ -249,13 +249,16 @@ def test_squarefree_mod_p_decides_when_yun_runs(monkeypatch):
     # squarefree mod 3
     assert univariate_factor([-2, 0, 1]) == [((F(-2), F(0), F(1)), 1)]
     assert yun == []
-    # x^2 + x + 1 = (x - 1)^2 mod 3, so Yun decides
+    # x^2 + x + 1 = (x - 1)^2 mod 3 but squarefree mod 5 and 7, which the
+    # search goes on to, so Yun does not run
+    assert unifactor._squarefree_mod_p([F(1), F(1), F(1)]) == [5, 7]
     assert univariate_factor([1, 1, 1]) == [((F(1), F(1), F(1)), 1)]
-    assert len(yun) == 1
-    # (3x + 1)^2 (x + 2) is x + 2 mod 3, squarefree; the test skips 3, which
-    # divides the leading coefficient 9, and 5 shows the square
+    assert yun == []
+    # (3x + 1)^2 (x + 2) keeps its square mod every prime not dividing the
+    # leading coefficient 9 (3 is skipped), so Yun decides
+    assert unifactor._squarefree_mod_p([F(2, 9), F(13, 9), F(24, 9), F(1)]) == []
     assert univariate_factor([2, 13, 24, 9]) == [((F(1, 3), F(1)), 2), ((F(2), F(1)), 1)]
-    assert len(yun) == 2
+    assert len(yun) == 1
 
 
 def test_squarefree_mod_p_agrees_with_yun(monkeypatch):
@@ -274,3 +277,75 @@ def test_squarefree_mod_p_agrees_with_yun(monkeypatch):
     fast = [univariate_factor(f) for f in inputs]
     monkeypatch.setattr(unifactor, "_squarefree_mod_p", lambda f: False)
     assert fast == [univariate_factor(f) for f in inputs]
+
+
+def _sympy_factors(sympy, f):
+    """sympy's monic factors of f over Q with multiplicities, sorted."""
+    t = sympy.Symbol("t")
+    rationals = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f)]
+    _content, pairs = sympy.Poly(rationals, t, domain="QQ").factor_list()
+    return sorted(
+        (tuple(F(int(c.p), int(c.q)) for c in reversed(p.monic().all_coeffs())), m)
+        for p, m in pairs
+    )
+
+
+def _compose(f, g):
+    """f(g)."""
+    out = [f[-1]]
+    for c in reversed(f[:-1]):
+        out = poly_mul(out, g)
+        out[0] += c
+    return out
+
+
+SD4 = [F(c) for c in (1, 0, -10, 0, 1)]
+SD8 = [F(c) for c in (576, 0, -960, 0, 352, 0, -40, 0, 1)]
+
+
+def _many_modular_factors():
+    """High-degree inputs whose factors mod small primes are many and small."""
+    yield "sd8_of_x_cubed", _compose(SD8, [F(0), F(0), F(0), F(1)])
+    yield "sd8_times_x2_minus_2", poly_mul(SD8, [F(-2), F(0), F(1)])
+    yield "x24_minus_1", [F(-1)] + [F(0)] * 23 + [F(1)]
+    yield "sd4_times_shifted_sd4", poly_mul(SD4, _compose(SD4, [F(1), F(1)]))
+    yield "x6_minus_2_times_x6_minus_3", poly_mul([F(-2)] + [F(0)] * 5 + [F(1)], [F(-3)] + [F(0)] * 5 + [F(1)])
+
+
+def test_pruned_recombination_agrees_with_sympy():
+    # the degree sums and constant terms that recombination skips on never
+    # belong to a true factor: whole factor lists against sympy's
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    cases = list(_many_modular_factors())
+    rng = random.Random(34)
+    while len(cases) < 13:
+        f = [F(rng.choice((1, 2, 3)))]
+        for _k in range(rng.randint(2, 4)):
+            while True:
+                g = [F(rng.randint(-5, 5)) for _i in range(rng.randint(4, 8))]
+                g.append(F(rng.choice((1, 1, 2, 3))))
+                if sympy.Poly([int(c) for c in reversed(g)], t).is_irreducible:
+                    break
+            f = poly_mul(f, g)
+        cases.append((f"product_{len(cases)}", f))
+    for name, f in cases:
+        assert sorted(univariate_factor(f)) == _sympy_factors(sympy, f), name
+
+
+def test_no_common_degree_sum_proves_irreducible_before_lifting(monkeypatch):
+    # x^5 + x^2 + 1 has factors of degrees 1, 4 mod 3 and 2, 3 mod 5: no
+    # proper factor degree is a sum at both, so nothing is lifted
+    import primarydec.unifactor as unifactor
+
+    f = [1, 0, 1, 0, 0, 1]
+
+    def degrees(p):
+        split = unifactor._distinct_degree(f, p)
+        return sorted(d for d, g in split for _i in range((len(g) - 1) // d))
+
+    assert unifactor._squarefree_mod_p([F(c) for c in f]) == [3, 5]
+    assert (degrees(3), degrees(5)) == ([1, 4], [2, 3])
+    monkeypatch.setattr(unifactor, "_hensel_list", _refuse)
+    assert univariate_factor(f) == [((F(1), F(0), F(1), F(0), F(0), F(1)), 1)]
+    assert is_irreducible(f)
