@@ -266,10 +266,12 @@ class _Parser:
             raise ScriptError("only characteristic 0 supported", char.line, char.col)
         self.expect_sym(",")
         self.expect_sym("(")
-        varnames = [t.text for t in self.comma_list(self.expect_name)]
+        names = self.comma_list(self.expect_name)
+        varnames = [t.text for t in names]
         self.expect_sym(")")
-        if len(set(varnames)) != len(varnames):
-            raise ScriptError("duplicate variable name", char.line, char.col)
+        for i, t in enumerate(names):
+            if t.text in varnames[:i]:
+                raise ScriptError("duplicate variable name", t.line, t.col)
         self.expect_sym(",")
         order_tok = self.expect_name()
         if order_tok.text not in _ORDERS:

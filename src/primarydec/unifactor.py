@@ -8,12 +8,15 @@ squarefree over Q, so Yun's squarefree splitting over Q runs only when none
 of the first few primes does.  The part is split by degree modulo both
 primes; the degrees the two splits can sum to bound the degrees of its
 factors over Q, and when no proper degree survives the part is irreducible.
-Otherwise equal-degree (Cantor-Zassenhaus) splitting and Hensel lifting run
-at the prime with fewer factors, and the lifted factors are recombined by
-subsets, skipping those whose degree is not a surviving sum or whose constant
-term does not divide the cofactor's; exact division decides the rest.  Only
-monic irreducible factors are reported; the leading coefficient of the input
-is discarded.
+Otherwise equal-degree (Cantor-Zassenhaus) splitting runs at the prime p with
+fewer factors, and one Hensel lift carries all of them at once, a factor of
+p per step, to the least power of p above the coefficient bound: each factor
+is corrected by its share of the error, from an inverse of its cofactor
+computed once mod p.  The lifted factors are recombined by subsets, skipping
+those whose degree is not a surviving sum or whose constant term does not
+divide the cofactor's; exact division decides the rest.  Only monic
+irreducible factors are reported; the leading coefficient of the input is
+discarded.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def _squarefree_parts(f: list) -> list[tuple[list, int]]:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic mod m (m prime or prime power)
+# arithmetic mod m (m prime or prime power); products and quotients
+# accumulate in ints and reduce each coefficient once
 # ---------------------------------------------------------------------------
 
 
@@ -122,8 +126,8 @@ def _p_mul(a: list, b: list, m: int) -> list:
         if not x:
             continue
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return _trim(out)
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
 
 
 def _p_add(a: list, b: list, m: int) -> list:
@@ -141,16 +145,14 @@ def _p_divmod(a: list, b: list, m: int) -> tuple[list, list]:
     inv = pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        if a[-1] % m == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = (a[-1] * inv) % m
-        q[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * y) % m
+        c = a[-1] * inv % m
+        if c:
+            shift = len(a) - len(b)
+            q[shift] = c
+            for i, y in enumerate(b):
+                a[shift + i] -= c * y
         a.pop()
-    return _trim(q), _trim(a)
+    return _trim(q), _trim([c % m for c in a])
 
 
 def _p_gcd(a: list, b: list, p: int) -> list:
@@ -164,19 +166,16 @@ def _p_gcd(a: list, b: list, p: int) -> list:
     return [(c * inv) % p for c in a]
 
 
-def _p_ext_gcd(a: list, b: list, p: int):
-    """(g, s, t) with s a + t b = g (monic) over the prime field."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
+def _p_inverse(a: list, g: list, p: int) -> list:
+    """a^(-1) mod g over the prime field, for a prime to g."""
+    r0, r1 = g, _p_divmod(a, g, p)[1]
+    s0, s1 = [], [1]
     while r1:
         q, r = _p_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _p_sub(s0, _p_mul(q, s1, p), p)
-        t0, t1 = t1, _p_sub(t0, _p_mul(q, t1, p), p)
     inv = pow(r0[-1], -1, p)
-    scale = lambda v: [(c * inv) % p for c in v]
-    return scale(r0), scale(s0), scale(t0)
+    return [(c * inv) % p for c in s0]
 
 
 def _p_pow_mod(base: list, e: int, mod: list, p: int) -> list:
@@ -214,9 +213,9 @@ def _distinct_degree(f: list, p: int) -> list[tuple[int, list]]:
     return out
 
 
-def _factor_mod_p(f: list, p: int, split: list | None = None) -> list[list]:
+def _factor_mod_p(split: list[tuple[int, list]], p: int) -> list[list]:
     """Irreducible monic factors of a monic squarefree polynomial mod an odd
-    prime, from its distinct-degree split (made here unless given).
+    prime, from its distinct-degree split.
 
     Equal-degree splitting (Cantor-Zassenhaus) breaks each product g of the
     factors of degree d with gcd(g, r^((p^d - 1)/2) - 1) for random r, which
@@ -224,7 +223,7 @@ def _factor_mod_p(f: list, p: int, split: list | None = None) -> list[list]:
     """
     rng = random.Random(p)
     out = []
-    for d, g in split or _distinct_degree(f, p):
+    for d, g in split:
         pending = [g]
         while pending:
             g = pending.pop()
@@ -245,40 +244,29 @@ def _factor_mod_p(f: list, p: int, split: list | None = None) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def _hensel_pair(f: list, g: list, h: list, p: int, target: int):
-    """Lift f = g*h from mod p to mod p^k >= target; all monic."""
-    _one, s, t = _p_ext_gcd(g, h, p)
+def _hensel_lift(f: list[int], parts: list[list], p: int, target: int) -> tuple[list[list], int]:
+    """Lift the monic factors `parts` of the monic integer f mod p to monic
+    factors mod m, the least power of p at or above target.
+
+    Each factor g gets the inverse s = (f / g)^(-1) mod g once, mod p.  While
+    f = prod g mod m, e = (f - prod g) / m mod p splits by partial fractions
+    as e / f = sum (s e mod g) / g mod p, so adding m (s e mod g) to each g
+    makes f = prod g mod m p.
+    """
+    fp = [c % p for c in f]
+    inverses = [_p_inverse(_p_divmod(fp, g, p)[0], g, p) for g in parts]
+    lifted = [list(g) for g in parts]
     m = p
     while m < target:
-        m *= m
-        e = _p_sub(f, _p_mul(g, h, m), m)
-        if e:
-            b = _p_divmod(_p_mul(s, e, m), h, m)[1]
-            a = _p_divmod(_p_sub(e, _p_mul(b, g, m), m), h, m)[0]
-            g, h = _p_add(g, a, m), _p_add(h, b, m)
-        # refresh the Bezout pair so the next round works mod the new modulus
-        d = _p_sub([1], _p_add(_p_mul(s, g, m), _p_mul(t, h, m), m), m)
-        if d:
-            ds = _p_divmod(_p_mul(s, d, m), h, m)[1]
-            dt = _p_divmod(_p_sub(d, _p_mul(ds, g, m), m), h, m)[0]
-            s, t = _p_add(s, ds, m), _p_add(t, dt, m)
-    return g, h, m
-
-
-def _hensel_list(f: list, parts: list[list], p: int, target: int) -> tuple[list[list], int]:
-    if len(parts) == 1:
-        m = p
-        while m < target:
-            m *= m
-        return [[c % m for c in f]], m
-    head = parts[0]
-    rest = parts[1:]
-    tail = [1]
-    for q in rest:
-        tail = _p_mul(tail, q, p)
-    g, h, m = _hensel_pair(f, head, tail, p, target)
-    lifted_rest, _m2 = _hensel_list(h, rest, p, target)
-    return [g] + lifted_rest, m
+        prod = [1]
+        for g in lifted:
+            prod = _p_mul(prod, g, m * p)
+        e = [c // m for c in _p_sub(f, prod, m * p)]
+        for g, s, part in zip(lifted, inverses, parts):
+            for i, c in enumerate(_p_divmod(_p_mul(s, e, p), part, p)[1]):
+                g[i] += m * c
+        m *= p
+    return lifted, m
 
 
 def _symmetric(a: list, m: int) -> list[int]:
@@ -361,21 +349,20 @@ def _factor_squarefree_monic_integer(f: list[int], primes: list[int]) -> list[li
     sums = -1  # every bit set
     splits = []
     for p in primes:
-        fp = [c % p for c in f]
-        split = _distinct_degree(fp, p)
+        split = _distinct_degree([c % p for c in f], p)
         count = sum(_q_deg(g) // e for e, g in split)
         if count == 1:
             return [f]
         sums &= _degree_sums(split)
-        splits.append((count, p, fp, split))
+        splits.append((count, p, split))
     if not sums & ((1 << d) - 2):
         return [f]
-    _count, p, fp, split = min(splits, key=lambda t: t[0])
-    model = _factor_mod_p(fp, p, split)
+    _count, p, split = min(splits, key=lambda t: t[0])
+    model = _factor_mod_p(split, p)
     model.sort(key=lambda g: (len(g), tuple(g)))
     norm2 = isqrt(sum(c * c for c in f)) + 1
     bound = 2 * (1 << d) * norm2 + 1
-    lifted, modulus = _hensel_list(f, model, p, bound)
+    lifted, modulus = _hensel_lift(f, model, p, bound)
 
     remaining = list(range(len(lifted)))
     result: list[list[int]] = []
@@ -477,11 +464,3 @@ def _factor_part(part: list, primes: list[int]) -> list[list]:
         coeffs = [Fraction(c, lead**(e - i)) for i, c in enumerate(fac)]
         out.append(_q_monic(coeffs))
     return out
-
-
-def is_irreducible(coeffs: Sequence) -> bool:
-    f = _trim([Fraction(c) for c in coeffs])
-    if _q_deg(f) < 1:
-        return False
-    facs = univariate_factor(f)
-    return len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == len(f)

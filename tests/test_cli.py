@@ -266,7 +266,8 @@ def test_main_run_text(tmp_path, capsys):
             "line 2, column 13: unterminated string",
         ),
         ("ring r=0,(x,y),dp; ideal I = x $ y;", None, "line 1, column 32: unexpected character '$'"),
-        ("ring r=0,(x,x),dp;", None, "line 1, column 8: duplicate variable name"),
+        ("ring r=0,(x,x),dp;", None, "line 1, column 13: duplicate variable name"),
+        ("ring r = 0, (x, y, x), dp;", None, "line 1, column 20: duplicate variable name"),
         ("ring r=0,(x,y),dp; ideal I = 1/0*x;", None, "line 1, column 30: zero denominator"),
         (
             "ring r=0,(x,y),dp; module M=[x,y],[x];",
@@ -320,6 +321,7 @@ def test_main_run_text(tmp_path, capsys):
         "unterminated-string",
         "unexpected-character",
         "duplicate-variable",
+        "duplicate-variable-of-three",
         "zero-denominator",
         "mixed-lengths",
         "unknown-statement",

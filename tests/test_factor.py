@@ -1,10 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from primarydec.unifactor import _factor_mod_p, _p_gcd, is_irreducible, univariate_factor
+from primarydec.unifactor import (
+    _distinct_degree,
+    _factor_mod_p,
+    _hensel_lift,
+    _p_gcd,
+    _squarefree_primes,
+    univariate_factor,
+)
 
 F = Fraction
 
@@ -45,10 +54,10 @@ def test_root_at_zero():
 
 
 def test_irreducible_quadratic():
-    assert is_irreducible([1, 0, 1])  # x^2 + 1
-    assert is_irreducible([-2, 0, 1])  # x^2 - 2
-    assert not is_irreducible([1, 2, 1])  # (x+1)^2
-    assert not is_irreducible([F(5)])
+    assert univariate_factor([1, 0, 1]) == [((F(1), F(0), F(1)), 1)]  # x^2 + 1
+    assert univariate_factor([-2, 0, 1]) == [((F(-2), F(0), F(1)), 1)]  # x^2 - 2
+    assert univariate_factor([1, 2, 1]) == [((F(1), F(1)), 2)]  # (x+1)^2
+    assert univariate_factor([F(5)]) == []
 
 
 def test_many_modular_factors_recombine():
@@ -56,7 +65,6 @@ def test_many_modular_factors_recombine():
     # small pieces modulo every prime
     f = [1, 0, -10, 0, 1]
     assert univariate_factor(f) == [((F(1), F(0), F(-10), F(0), F(1)), 1)]
-    assert is_irreducible(f)
 
 
 def test_multiplicities():
@@ -77,7 +85,7 @@ def test_non_monic_rational_input():
 
 def test_cyclotomic_like():
     # x^4 + x^3 + x^2 + x + 1 irreducible
-    assert is_irreducible([1, 1, 1, 1, 1])
+    assert univariate_factor([1, 1, 1, 1, 1]) == [((F(1),) * 5, 1)]
     # x^6 - 1 factors into cyclotomics of degree 1, 1, 2, 2
     got = univariate_factor([-1, 0, 0, 0, 0, 0, 1])
     degs = sorted(len(c) - 1 for c, _m in got)
@@ -196,13 +204,13 @@ def _squarefree_monic_mod(p, count):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_factor_mod_p_splits_x_to_the_p_minus_x(p):
     f = [0, p - 1] + [0] * (p - 2) + [1]
-    assert sorted(_factor_mod_p(f, p)) == [[c, 1] for c in range(p)]
+    assert sorted(_factor_mod_p(_distinct_degree(f, p), p)) == [[c, 1] for c in range(p)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_factor_mod_p_gives_irreducible_factors(p):
     for f in _squarefree_monic_mod(p, 25):
-        factors = _factor_mod_p(f, p)
+        factors = _factor_mod_p(_distinct_degree(f, p), p)
         prod = [1]
         for g in factors:
             assert g[-1] == 1 and len(g) > 1 and _irreducible_mod(g, p), (f, g)
@@ -219,7 +227,7 @@ def test_factor_mod_p_agrees_with_sympy(p):
         expected = sorted(
             [int(c) % p for c in reversed(g.all_coeffs())] for g, _mult in pairs
         )
-        assert sorted(_factor_mod_p(f, p)) == expected, f
+        assert sorted(_factor_mod_p(_distinct_degree(f, p), p)) == expected, f
 
 
 def _refuse(*_args):
@@ -346,6 +354,58 @@ def test_no_common_degree_sum_proves_irreducible_before_lifting(monkeypatch):
 
     assert unifactor._squarefree_mod_p([F(c) for c in f]) == [3, 5]
     assert (degrees(3), degrees(5)) == ([1, 4], [2, 3])
-    monkeypatch.setattr(unifactor, "_hensel_list", _refuse)
+    monkeypatch.setattr(unifactor, "_hensel_lift", _refuse)
     assert univariate_factor(f) == [((F(1), F(0), F(1), F(0), F(0), F(1)), 1)]
-    assert is_irreducible(f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        [-1] + [0] * 15 + [1],
+        [int(c) for c in _compose(SD8, [F(0), F(0), F(0), F(1)])],
+        [-1] + [0] * 23 + [1],
+    ],
+    ids=["x16_minus_1", "sd8_of_x_cubed", "x24_minus_1"],
+)
+def test_hensel_lift_reaches_the_least_power_of_p_at_the_target(f):
+    # x^16 - 1 lifts at 3, SD8(x^3) and x^24 - 1 at the first prime that keeps
+    # them squarefree
+    p = _squarefree_primes(f)[0]
+    parts = _factor_mod_p(_distinct_degree([c % p for c in f], p), p)
+    assert len(parts) > 2
+    bound = 2 * (1 << (len(f) - 1)) * (isqrt(sum(c * c for c in f)) + 1) + 1
+    for target in (p**5, p**5 + 1, bound):
+        lifted, m = _hensel_lift(f, parts, p, target)
+        k = 0
+        while p**k < target:
+            k += 1
+        assert m == p**k
+        prod = [1]
+        for g, part in zip(lifted, parts, strict=True):
+            assert g[-1] == 1 and [c % p for c in g] == part
+            prod = [c % m for c in poly_mul(prod, g)]
+        assert prod == [c % m for c in f]
+
+
+FACTOR_CORPUS = Path(__file__).parent / "fixtures" / "univariate_factor.txt"
+
+
+def _factor_corpus():
+    """(case, input, factor list) for each line of the captured corpus."""
+    for line in FACTOR_CORPUS.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        case, rest = line.split(": ")
+        coeffs, factors = rest.split(" = ")
+        expected = []
+        for factor in factors.split(" | "):
+            fac, mult = factor.split(" ^ ")
+            expected.append((tuple(F(c) for c in fac.split()), int(mult)))
+        yield case, [F(c) for c in coeffs.split()], expected
+
+
+def test_captured_workload_inputs_keep_their_factor_lists():
+    corpus = list(_factor_corpus())
+    assert len(corpus) == 73
+    for case, f, expected in corpus:
+        assert univariate_factor(f) == expected, case

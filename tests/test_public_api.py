@@ -14,10 +14,7 @@ import primarydec
 PACKAGE = Path(primarydec.__file__).resolve().parent
 
 # name -> why it stays public although the package never reads it
-UNUSED_BY_DESIGN = {
-    "is_irreducible": "read only by the tests until a primality certificate "
-    "by specialization calls it",
-}
+UNUSED_BY_DESIGN: dict[str, str] = {}
 
 
 def _defines(node: ast.stmt) -> set:
