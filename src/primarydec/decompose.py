@@ -219,27 +219,19 @@ def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement, dim: int):
 @dataclass
 class _Search:
     """What one min_ass call shares over its recursion: the coordinate shears
-    it has left, the shear multipliers in the order its seed gives, each
-    factorization made, by coefficient tuple, and each block order built, by
-    its block, so that an order derives its unit keys once per call."""
+    it has left, the shear multipliers in the order its seed gives, and each
+    factorization made, by coefficient tuple.  Groebner bases and the block
+    orders they use are kept by the ring (groebner._GroebnerCache)."""
 
     shears: int
     schedule: tuple = _SHEAR_LAMBDAS
     factored: dict = field(default_factory=dict)
-    orders: dict = field(default_factory=dict)
 
     def factor(self, coeffs: tuple) -> list:
         hit = self.factored.get(coeffs)
         if hit is None:
             hit = self.factored[coeffs] = univariate_factor(coeffs)
         return hit
-
-    def block_order(self, block: tuple[int, ...]) -> MonomialOrder:
-        """The block order block > the other variables."""
-        order = self.orders.get(block)
-        if order is None:
-            order = self.orders[block] = MonomialOrder(kind="block", blocks=(block,))
-        return order
 
 
 def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
@@ -267,12 +259,12 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     """
     ring = J.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
-    G = buchberger(J, search.block_order(D)) if u else buchberger(J)
+    G = buchberger(J, MonomialOrder("block", blocks=(D,))) if u else buchberger(J)
     dim = _standard_count([tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()])
     if dim == 1:
         return [canonical(J)]
     if u:
-        G = buchberger(J, search.block_order(u))
+        G = buchberger(J, MonomialOrder("block", blocks=(u,)))
         if all(any(lead[i] for i in u) for _comp, lead in G.leading_terms()):
             raise _CertificationFailure("J cap Q[x_D] = 0: no form has a rational p")
     # each distinct form once: with one variable l = x_d for every c, and for
@@ -308,7 +300,7 @@ def _gtz_split(I: Submodule, u: tuple[int, ...], search: _Search):
         return _zero_dim_primes(I, u, search)
     ring = I.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
-    G = buchberger(I, search.block_order(D))
+    G = buchberger(I, MonomialOrder("block", blocks=(D,)))
     coeffs = set()
     for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
         if not any(lead[i] for i in D):

@@ -33,18 +33,19 @@ sets tag-led remainders aside instead of pairing them, as long as no S-pair
 leaves a new top-led element.  syzygies and lift of one matrix share that
 one memoized run.
 
-Runs are memoized in one bounded cache (_GroebnerCache), which drops its
-oldest entry when full and also stores each reduced basis under the module
-of its own generators.  Full and split runs share one run path
-(_GroebnerCache._run).  A module that is its own reduced basis in the ring
-order is answered in another order from its generators, with no run, when
-no lead moves; and a full run starts from the cached basis of a proper
-prefix of the generators.  Both are exact, as
-the reduced basis is unique: leads that stay leads span the initial module
-in both orders (the standard monomials of any order are a basis of F/M,
-see _reordered), and S-pairs within a Groebner basis reduce to zero.  The
-split runs of syzygies and lift give no reduced basis and are reused only
-as themselves.
+Runs are memoized in one bounded cache (_GroebnerCache) per ring, kept on
+the ring, which drops its oldest entry when full and also stores each
+reduced basis under the module of its own generators; it also keeps one
+instance of each order value, so an order derives its unit keys once per
+ring.  Full and split runs share one run path (_GroebnerCache._run).  A
+module that is its own reduced basis in the ring order is answered in
+another order from its generators, with no run, when no lead moves; and a
+full run starts from the cached basis of a proper prefix of the generators.
+Both are exact, as the reduced basis is unique: leads that stay leads span
+the initial module in both orders (the standard monomials of any order are
+a basis of F/M, see _reordered), and S-pairs within a Groebner basis reduce
+to zero.  The split runs of syzygies and lift give no reduced basis and are
+reused only as themselves.
 """
 
 from __future__ import annotations
@@ -424,12 +425,22 @@ def _reordered(G: GroebnerBasis, order: MonomialOrder):
 
 
 class _GroebnerCache:
-    """The memo of Groebner runs, keyed (A, order, split), dropping the oldest
-    entry beyond maxsize; see the module docstring for what it reuses."""
+    """What groebner keeps for one ring: the memo of Groebner runs, keyed
+    (A, order, split), dropping the oldest entry beyond maxsize; the one
+    instance of each order value that its runs use, so each order derives
+    its unit keys once per ring; and the ring's @t ring (_t_ring)."""
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
+    def __init__(self, order: MonomialOrder):
+        self.maxsize = 4096
         self.entries: dict = {}
+        self.orders = {order: order}
+        # the order of the tagged runs of syzygies and lift
+        self.tagged_order = self.order(replace(order, module_extension=POSITION_OVER_TERM))
+        self.t_ring: RingContext | None = None
+
+    def order(self, order: MonomialOrder) -> MonomialOrder:
+        """The instance of order's value that the ring's runs use."""
+        return self.orders.setdefault(order, order)
 
     def __call__(self, A: Submodule, order: MonomialOrder, split: int | None = None):
         """Reduced Groebner basis of A in order.  With split, the elements of
@@ -438,6 +449,7 @@ class _GroebnerCache:
         result = self.entries.get(key)
         if result is not None:
             return result
+        order = self.order(order)
         if split is None and order != A.ring.order:
             G = self.entries.get((A, A.ring.order, None))
             if G is not None and G.module == A:
@@ -474,14 +486,23 @@ class _GroebnerCache:
         return GroebnerBasis(Submodule(ring, rank, out), reduced, order)
 
 
-_gb_cached = _GroebnerCache(4096)
+def _memo(ring: RingContext) -> _GroebnerCache:
+    """What groebner keeps for ring, in its _memo slot, made on first use."""
+    if ring._memo is None:
+        object.__setattr__(ring, "_memo", _GroebnerCache(ring.order))
+    return ring._memo
+
+
+def _basis(X) -> GroebnerBasis:
+    """X when it is a GroebnerBasis, else the basis of the module X."""
+    return X if isinstance(X, GroebnerBasis) else buchberger(X)
 
 
 def buchberger(A: Submodule, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of A in order, by default the ring's own."""
     # order is passed positionally so that buchberger(A) and
     # buchberger(A, A.ring.order) share one cache entry
-    return _gb_cached(A, order or A.ring.order)
+    return _memo(A.ring)(A, order or A.ring.order)
 
 
 def canonical(A: Submodule) -> Submodule:
@@ -491,19 +512,16 @@ def canonical(A: Submodule) -> Submodule:
 
 def normal_form(v: FreeElement, G) -> FreeElement:
     """Normal form of v against G, a polynomial when v is one."""
-    if isinstance(G, Submodule):
-        G = buchberger(G)
-    return G.reduce_vector(v)
+    return _basis(G).reduce_vector(v)
 
 
 def is_member(v: FreeElement, G) -> bool:
-    return normal_form(v, G).is_zero()
+    return _basis(G).contains(v)
 
 
 def is_sub(A: Submodule, B) -> bool:
     """Is every generator of A contained in B?"""
-    if isinstance(B, Submodule):
-        B = buchberger(B)
+    B = _basis(B)
     return all(B.contains(g) for g in A.generators)
 
 
@@ -522,13 +540,6 @@ def is_unit_ideal(I: Submodule) -> bool:
 # ---------------------------------------------------------------------------
 # syzygies and lifting
 # ---------------------------------------------------------------------------
-
-
-def _augmented_order(order: MonomialOrder) -> MonomialOrder:
-    # the order itself when it is one already, keeping the keys it derived
-    if order.module_extension == POSITION_OVER_TERM:
-        return order
-    return replace(order, module_extension=POSITION_OVER_TERM)
 
 
 def _tagged_run(A: Submodule):
@@ -563,7 +574,8 @@ def _tagged_run(A: Submodule):
         for i, gen in enumerate(A.generators)
     ]
     tagged = Submodule(ring, s + g, gens)
-    return _gb_cached(tagged, _augmented_order(ring.order), s)
+    memo = _memo(ring)
+    return memo(tagged, memo.tagged_order, s)
 
 
 def syzygies(A: Submodule) -> Submodule:
@@ -574,8 +586,8 @@ def syzygies(A: Submodule) -> Submodule:
     s, g = A.ambient_rank, len(A.generators)
     if g == 0:
         return zero_module(ring, 0)
-    _basis, syz = _tagged_run(A)
-    order = _augmented_order(ring.order)
+    _top, syz = _tagged_run(A)
+    order = _memo(ring).tagged_order
     out = [from_terms(ring, g, _in_order(e[0], ring.order, order, s), e[4]) for e in syz]
     return Submodule(ring, g, out)
 
@@ -590,7 +602,7 @@ def lift(A: Submodule, B: Submodule) -> Submodule:
     if B.ambient_rank != s:
         raise RingError("rank mismatch in lift")
     basis, _syz = _tagged_run(A)
-    order = _augmented_order(ring.order)
+    order = _memo(ring).tagged_order
     top_by_comp: dict = {}
     for e in basis:
         top_by_comp.setdefault(e[2], []).append(e)
@@ -623,8 +635,7 @@ def modulo_kernel(A: Submodule, B: Submodule) -> Submodule:
 
 def reduce_columns(A: Submodule, G) -> Submodule:
     """Normal form of each generator of A against G, dropping those that vanish."""
-    if isinstance(G, Submodule):
-        G = buchberger(G)
+    G = _basis(G)
     out = []
     for col in A.generators:
         r = normal_form(col, G)
@@ -638,15 +649,13 @@ def reduce_columns(A: Submodule, G) -> Submodule:
 # ---------------------------------------------------------------------------
 
 
-# the order of every @t ring: a term-over-position block order that
-# eliminates the first variable, degrevlex on the others; one instance, so
-# its unit keys are derived once per number of variables
-_T_ORDER = MonomialOrder("block", blocks=((0,),), module_extension=TERM_OVER_POSITION)
-
-
 def _t_ring(ring: RingContext) -> RingContext:
-    """ring with a first variable @t that the order eliminates (_T_ORDER)."""
-    return RingContext(("@t",) + ring.variables, _T_ORDER)
+    """ring with a first variable @t that its order eliminates, built once."""
+    memo = _memo(ring)
+    if memo.t_ring is None:
+        order = MonomialOrder("block", blocks=((0,),), module_extension=TERM_OVER_POSITION)
+        memo.t_ring = RingContext(("@t",) + ring.variables, order)
+    return memo.t_ring
 
 
 def _extend_vector(v: FreeElement, ext: RingContext, ts) -> FreeElement:
@@ -760,12 +769,8 @@ def eliminate(A: Submodule, drop: Iterable[int]) -> Submodule:
         return canonical(A)
     if any(i < 0 or i >= ring.n for i in drop):
         raise ValueError("variable index out of range")
-    block = MonomialOrder(
-        kind="block", blocks=(drop,), module_extension=TERM_OVER_POSITION
-    )
-    # the ring's own order instance when it is this one, as in _t_ring,
-    # keeping the keys it derived
-    G = buchberger(A, ring.order if ring.order == block else block)
+    block = MonomialOrder(kind="block", blocks=(drop,), module_extension=TERM_OVER_POSITION)
+    G = buchberger(A, block)
     out = [
         gen
         for gen, (_comp, lead) in zip(G.generators, G.leading_terms())
@@ -814,7 +819,7 @@ def _max_independent_sets(masks: list[int], n: int):
 
 def krull_dim(X) -> int:
     """Dimension of F/X for a submodule X of the free module F."""
-    G = X if isinstance(X, GroebnerBasis) else buchberger(X)
+    G = _basis(X)
     n = G.ring.n
     if G.ambient_rank == 0:
         return -1
@@ -831,13 +836,12 @@ def krull_dim(X) -> int:
 
 
 def codim(X) -> int:
-    G = X if isinstance(X, GroebnerBasis) else buchberger(X)
-    return G.ring.n - krull_dim(G)
+    return X.ring.n - krull_dim(X)
 
 
 def independent_sets(X) -> list[tuple[int, ...]]:
     """All maximum-size variable sets not meeting any leading support."""
-    G = X if isinstance(X, GroebnerBasis) else buchberger(X)
+    G = _basis(X)
     if G.ambient_rank != 1:
         raise RingError("independent sets are defined for ideals")
     n = G.ring.n

@@ -156,10 +156,13 @@ LEX = MonomialOrder(kind="lex")
 
 @dataclass(frozen=True)
 class RingContext:
-    """A polynomial ring Q[variables] together with its active order."""
+    """A polynomial ring Q[variables] together with its active order.  _memo
+    holds what groebner keeps for this instance (groebner._GroebnerCache)."""
 
     variables: tuple[str, ...]
     order: MonomialOrder = DEGREVLEX
+    # per instance, like MonomialOrder._units: an equal fresh ring starts cold
+    _memo: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.variables)) != len(self.variables):

@@ -405,7 +405,7 @@ def test_normal_forms_stop_after_dim_plus_one_powers(monkeypatch):
         _zero_dim_primes(J, u, _Search(0))
 
 
-def test_each_block_order_derives_its_unit_keys_once_per_min_ass_call(monkeypatch):
+def test_each_block_order_derives_its_unit_keys_once_per_ring(monkeypatch):
     # the four coordinate axes in 4-space: each independent set u = (d) goes
     # through `_gtz_split` and then `_zero_dim_primes`, which rank the other
     # three variables first through one order
@@ -420,11 +420,16 @@ def test_each_block_order_derives_its_unit_keys_once_per_min_ass_call(monkeypatc
         return original(order, n)
 
     monkeypatch.setattr(MonomialOrder, "_derive_units", counting)
-    groebner._gb_cached.entries.clear()
     assert len(min_ass(I)) == 4
     # (other orders, such as the engine's tag order, may derive theirs here too)
     three_first = sorted(blocks for blocks in derived if blocks and len(blocks[0]) == 3)
     assert three_first == [((0, 1, 2),), ((0, 1, 3),), ((0, 2, 3),), ((1, 2, 3),)]
+    # the axes moved to (1, 0, 0, 0): new runs in the same four orders, which
+    # the ring has made already
+    del derived[:]
+    x = x - 1
+    assert len(min_ass(ideal(R, [x * y, x * z, x * w, y * z, y * w, z * w]))) == 4
+    assert derived == []
 
 
 def test_each_polynomial_is_factored_once_per_min_ass_call(monkeypatch):

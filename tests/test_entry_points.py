@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import primarydec
-from primarydec import cli, groebner
+from primarydec import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -99,7 +99,6 @@ def test_traced_workload_calls_every_exercised_function(monkeypatch, workload):
     tracer.install()
     try:
         for case in corpus.cases(workload, 0):
-            groebner._gb_cached.entries.clear()
             if case.fixture:
                 path = PERFBENCH.parent / case.fixture
                 source, base_dir = path.read_text(), path.parent

@@ -36,6 +36,7 @@ from primarydec.polyring import (
     RingContext,
     RingError,
     Submodule,
+    from_terms,
     full_module,
     ideal,
     ideal_generators,
@@ -591,7 +592,6 @@ def _tag_tag_spairs(monkeypatch, A):
         return real_spair(e1, e2, order)
 
     monkeypatch.setattr(groebner, "_spair", counting_spair)
-    groebner._gb_cached.entries.clear()
     syzygies(A)
     return calls
 
@@ -638,10 +638,11 @@ def _engine_runs(monkeypatch):
 
 
 def _cold(A, order=None):
-    from primarydec import groebner
-
-    groebner._gb_cached.entries.clear()
-    return buchberger(A, order)
+    """The basis of A from a run in a fresh ring equal to A's, which holds no
+    memo yet."""
+    fresh = RingContext(A.ring.variables, A.ring.order)
+    gens = [from_terms(fresh, g.rank, g.terms, g.den) for g in A.generators]
+    return buchberger(Submodule(fresh, A.ambient_rank, gens), order)
 
 
 def _same_basis(G, H):
@@ -722,7 +723,8 @@ def test_a_basis_extended_by_a_generator_starts_from_the_cached_prefix(monkeypat
     for _ in range(8):
         G = _cold(_random_module(R, rng, rank, 4 - rank))
         f = _random_module(R, rng, rank, 1).generators[0]
-        B = Submodule(R, rank, [*G.generators, f])
+        # over G's ring, whose memo holds G
+        B = Submodule(G.ring, rank, [*G.generators, f])
         del runs[:]
         warm = canonical(B)
         assert runs == [len(G.generators)]
@@ -730,12 +732,9 @@ def test_a_basis_extended_by_a_generator_starts_from_the_cached_prefix(monkeypat
 
 
 def test_a_reduced_basis_is_cached_under_its_own_module(monkeypatch):
-    from primarydec import groebner
-
     R = ring3()
     x, y, z = R.variable(0), R.variable(1), R.variable(2)
     A = ideal(R, [x**2 * y - z, x * y**2 - x, 2 * y * z - 3])
-    groebner._gb_cached.entries.clear()
     runs = _engine_runs(monkeypatch)
     C = canonical(A)
     assert C != A
@@ -755,37 +754,42 @@ def test_linear_forms_asked_again_in_lex_make_no_run(monkeypatch):
 
 
 def test_the_cache_stays_bounded_and_keeps_the_latest_entries(monkeypatch):
-    from primarydec import groebner
-
     R = ring3()
-    groebner._gb_cached.entries.clear()
     runs = _engine_runs(monkeypatch)
     # 2 x^k is not monic, so each call stores two entries: input and result
     inputs = [ideal(R, [R.monomial((k, 0, 0), 2)]) for k in range(2100)]
     for A in inputs:
         buchberger(A)
     assert len(runs) == 2100
-    assert len(groebner._gb_cached.entries) == groebner._gb_cached.maxsize == 4096
+    assert len(R._memo.entries) == R._memo.maxsize == 4096
     buchberger(inputs[-1])
     assert len(runs) == 2100
     buchberger(inputs[0])
     assert len(runs) == 2101
     # a split run is stored under its own key only
-    groebner._gb_cached.entries.clear()
+    R = ring3()
     syzygies(ideal(R, [R.variable(0), R.variable(1)]))
-    assert len(groebner._gb_cached.entries) == 1
+    assert len(R._memo.entries) == 1
+
+
+def test_each_ring_keeps_its_own_memo_and_an_equal_fresh_ring_starts_cold(monkeypatch):
+    R = ring3()
+    x, y = R.variable(0), R.variable(1)
+    A = ideal(R, [x**2 - y, x * y])
+    runs = _engine_runs(monkeypatch)
+    G = buchberger(A)
+    assert buchberger(A) is G and len(runs) == 1
+    # an equal ring is an equal key, but its own instance holds its own memo
+    assert _same_basis(_cold(A), G) and len(runs) == 2
+    assert repr(R) == repr(ring3()) and hash(R) == hash(ring3())
 
 
 def test_a_second_intersect_in_a_ring_derives_no_unit_keys(monkeypatch):
-    # every @t ring shares one order, which derives its unit keys once per
-    # number of variables, whatever the cache holds
-    from primarydec import groebner
-
+    # a ring builds its @t ring once, whose order derives its unit keys once,
+    # even when the second intersection's runs miss the memo
     R = ring3()
     x, y, z = R.variable(0), R.variable(1), R.variable(2)
-    A, B = ideal(R, [x * y, z**2 - x]), ideal(R, [y - z, x**2])
-    groebner._gb_cached.entries.clear()
-    first = intersect(A, B)
+    intersect(ideal(R, [x * y, z**2 - x]), ideal(R, [y - z, x**2]))
     derived = []
     original = MonomialOrder._derive_units
 
@@ -794,9 +798,9 @@ def test_a_second_intersect_in_a_ring_derives_no_unit_keys(monkeypatch):
         return original(order, n)
 
     monkeypatch.setattr(MonomialOrder, "_derive_units", counting)
-    groebner._gb_cached.entries.clear()
-    assert intersect(A, B) == first
-    assert derived == []
+    runs = _engine_runs(monkeypatch)
+    intersect(ideal(R, [x * z, y**2 - z]), ideal(R, [x - y, z**2]))
+    assert runs and derived == []
 
 
 # ---------------------------------------------------------------------------
@@ -913,15 +917,13 @@ _ENGINE_ORDERS = {
 
 @pytest.mark.parametrize("order", sorted(_ENGINE_ORDERS))
 def test_pair_update_and_reduced_basis_match_their_plain_forms(monkeypatch, order):
-    from primarydec import groebner
-
-    R = RingContext(("x", "y", "z"), _ENGINE_ORDERS[order])
     seen = _checked_engine(monkeypatch)
     for rank in (1, 2):
         rng = random.Random(f"engine-{order}-{rank}")
         for _ in range(16):
+            # a fresh ring for each module, so that no memo serves its runs
+            R = RingContext(("x", "y", "z"), _ENGINE_ORDERS[order])
             A = _random_module(R, rng, rank, 5 - rank)
-            groebner._gb_cached.entries.clear()
             buchberger(A)
             syzygies(A)  # a split run
     assert seen["updates"] and seen["reduced"] and seen["split"]

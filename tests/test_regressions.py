@@ -34,7 +34,6 @@ def test_regression_script_prints_its_expected_json(monkeypatch, capsys, name):
         return s, r
 
     monkeypatch.setattr(groebner, "_reduce_full", recording_reduce_full)
-    groebner._gb_cached.entries.clear()
     assert cli_main(["run", str(REGRESSIONS / f"{name}.primdec"), "--json"]) == 0
     out = capsys.readouterr().out
     assert out == (REGRESSIONS / f"{name}.expected.json").read_text()

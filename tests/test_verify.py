@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import permutations
 
 from primarydec.decompose import min_ass, primary_decomposition
@@ -432,3 +434,39 @@ def test_validator_agrees_with_the_all_but_one_reference(monkeypatch):
             assert len(calls) <= 3 * len(altered)
             rejected += not want["ok"]
     assert rejected > 30
+
+
+def test_a_second_validation_over_a_ring_derives_no_unit_keys(monkeypatch):
+    # the validator builds its block orders afresh on every call, and the
+    # ring keeps one instance of each: new runs in them derive no unit keys.
+    # Each has an embedded component at (x, z), which the validator alone
+    # takes a basis of in the block order x, z > y.
+    R = ring_xyz()
+    x, y, z = (R.variable(i) for i in range(3))
+    M, N = ideal(R, [x**2 * y, x * z]), ideal(R, [x**2 * y, x * z**2])
+    first, second = primary_decomposition(M), primary_decomposition(N)
+    assert validate_decomposition(M, first.components).ok
+    derived = []
+    original = MonomialOrder._derive_units
+
+    def counting(order, n):
+        derived.append(order)
+        return original(order, n)
+
+    monkeypatch.setattr(MonomialOrder, "_derive_units", counting)
+    assert validate_decomposition(N, second.components).ok
+    assert derived == []
+
+
+def test_what_is_kept_for_a_ring_goes_with_the_ring():
+    # variables of its own, so that nothing made before equals this ring
+    R = RingContext(("r", "s", "t"))
+    x, y, z = (R.variable(i) for i in range(3))
+    M = ideal(R, [x * y, x * z**2])
+    result = primary_decomposition(M)
+    report = validate_decomposition(M, result.components)
+    assert report.ok
+    ring = weakref.ref(R)
+    del R, x, y, z, M, result, report
+    gc.collect()
+    assert ring() is None
