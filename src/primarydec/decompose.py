@@ -9,8 +9,9 @@ a rational, irreducible minimal polynomial of degree equal to that
 dimension; a form whose rational minimal polynomial factors splits J.
 Coordinate shears, at most `_SHEAR_BUDGET` per `min_ass` call, are a
 fallback for what no form settles.  A form's minimal polynomial is the
-first linear dependence among the normal forms of its powers (FGLM), against
-J's ring-order basis when u = (), else against its basis in the block order
+first linear dependence among the normal forms of its powers (FGLM), found
+by fraction-free elimination on the basis's integer terms, against J's
+ring-order basis when u = (), else against its basis in the block order
 u > x_D, whose u-free elements are a basis of J cap Q[x_D]; the search stops
 after dim + 1 powers.  That finds it exactly when it is rational, since Q is
 algebraically closed in Q(u).  Each distinct polynomial is factored once per
@@ -41,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, lcm, prod
+from operator import add
 
 from .groebner import (
     GroebnerBasis,
@@ -64,10 +66,12 @@ from .polyring import (
     RingContext,
     RingError,
     Submodule,
+    _collect,
     from_terms,
     full_module,
     ideal,
     ideal_generators,
+    poly_from_terms,
     rekey,
     render_polynomial,
     substitute,
@@ -145,12 +149,26 @@ def _field_lead_coefficient(p: FreeElement, lead, D: tuple[int, ...]) -> FreeEle
     return from_terms(p.ring, 1, terms, terms[0][3])
 
 
+def _linear_form(ring: RingContext, D: tuple[int, ...], d: int, c: int) -> FreeElement:
+    """x_d + sum_k c^k x_(others[k]), others the rest of D, in one construction."""
+    unit = [tuple(int(i == j) for j in range(ring.n)) for i in range(ring.n)]
+    others = (unit[i] for i in D if i != d)
+    return poly_from_terms(ring, [(unit[d], 1), *((e, c**k) for k, e in enumerate(others, 1))])
+
+
 def _poly_of(l: FreeElement, coeffs) -> FreeElement:
-    """coeffs[0] + coeffs[1] l + coeffs[2] l^2 + ..., by Horner's rule."""
-    f = l.ring.zero()
-    for a in reversed(coeffs):
-        f = f * l + a
-    return f
+    """coeffs[0] + coeffs[1] l + coeffs[2] l^2 + ..., in one construction: from
+    the terms x^(k e) when l is one monomial x^e, else from one sum of powers."""
+    if len(l.terms) == 1 and l.terms[0][3] == l.den:
+        terms = [(tuple(k * i for i in l.terms[0][2]), a) for k, a in enumerate(coeffs)]
+        return poly_from_terms(l.ring, terms)
+    powers = [l.ring.one()]
+    for _a in coeffs[1:]:
+        powers.append(powers[-1] * l)
+    coeffs = [Fraction(a, p.den) for a, p in zip(coeffs, powers)]
+    den = lcm(*(a.denominator for a in coeffs))
+    pieces = [(p.terms, a.numerator * (den // a.denominator), ()) for a, p in zip(coeffs, powers)]
+    return from_terms(l.ring, 1, _collect(pieces, l.ring.order), den)
 
 
 def _standard_count(leads) -> int:
@@ -181,38 +199,41 @@ def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement, dim: int):
     powers of l, a form in x_D, then stay u-free.
 
     It is the first linear dependence among NF(1), NF(l), NF(l^2), ...
-    (Faugere-Gianni-Lazard-Mora 1993), found by elimination over Q as each
-    NF(l^k) = NF(l * NF(l^(k-1))) arrives.  Each row is kept with its pivot
-    entry 1 and the combination of powers of l whose normal form it is.  The
-    search stops after dim + 1 powers, as J cap Q[l] may be 0.
+    (Faugere-Gianni-Lazard-Mora 1993), found on G's integer terms as each
+    r = S * NF(l^k), S an integer, arrives: G reduces, fraction-free, the
+    product of l's terms, keyed in G's order once, with the last r.  A row
+    is r's terms by key and, at keys -1 - j below them, the combination of
+    powers of l it stands for; it is reduced by cross-multiplication and
+    divided by its content (Bareiss 1968), so only the dependence found
+    becomes Fractions.  The search stops after dim + 1 powers, as J cap
+    Q[l] may be 0.
     """
-    rows = []
-    # NF(1) = 1, J being proper
-    v = l.ring.one()
+    L = rekey(G.order, ((comp, exps, c) for _k, comp, exps, c in l.terms))
+    # NF(1) = 1, J being proper; 1 is the least monomial, so every key is >= 0
+    r, S, rows = ((0, 0, (0,) * l.ring.n, 1),), 1, []
     for k in range(dim + 1):
         if k:
-            v = G.reduce_vector(v * l)
-        w = {exps: Fraction(c, v.den) for _key, _comp, exps, c in v.terms}
-        combo = {k: Fraction(1)}
-        for pivot, row, row_combo in rows:
+            s, r = G._reduce_terms(
+                [(a + b, c, tuple(map(add, e, f)), x * y) for a, c, e, x in r for b, _, f, y in L]
+            )
+            g = gcd(s * S * l.den, *(t[3] for t in r))
+            r, S = tuple((a, comp, e, x // g) for a, comp, e, x in r), s * S * l.den // g
+        w = {a: x for a, _comp, _e, x in r} | {-1 - k: S}
+        for pivot, row in rows:
             f = w.get(pivot)
-            if not f:
-                continue
-            for m, a in row.items():
-                b = w.get(m, 0) - f * a
-                if b:
-                    w[m] = b
-                else:
-                    del w[m]
-            for j, a in row_combo.items():
-                combo[j] = combo.get(j, 0) - f * a
-        if not w:
-            return tuple(combo.get(j, Fraction(0)) for j in range(k + 1))
+            if f:
+                g = gcd(f, row[pivot])
+                p, f = row[pivot] // g, f // g
+                if p != 1:
+                    w = {m: p * x for m, x in w.items()}
+                for m, x in row.items():
+                    w[m] = w.get(m, 0) - f * x
+        w = {m: x for m, x in w.items() if x}
         pivot = max(w)
-        inv = 1 / w[pivot]
-        rows.append(
-            (pivot, {m: a * inv for m, a in w.items()}, {j: a * inv for j, a in combo.items()})
-        )
+        if pivot < 0:
+            return tuple(Fraction(w.get(-1 - j, 0), w[-1 - k]) for j in range(k + 1))
+        g = gcd(*w.values())
+        rows.append((pivot, {m: x // g for m, x in w.items()} if g != 1 else w))
     return None
 
 
@@ -271,8 +292,7 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     # c = 1 l is the sum of x_D for every d
     for c in _FORM_SCALES if len(D) > 1 else (0,):
         for d in D[:1] if c == 1 else D:
-            others = [i for i in D if i != d]
-            l = ring.variable(d) + sum(ring.variable(o) * c**k for k, o in enumerate(others, 1))
+            l = _linear_form(ring, D, d, c)
             coeffs = _normal_form_minpoly(G, l, dim)
             if coeffs is None:
                 continue
@@ -327,15 +347,8 @@ def _candidate_independent_sets(I: Submodule):
 
 
 def _shear_pairs(ring: RingContext, D: tuple[int, ...]):
-    if len(D) >= 2:
-        for i in D:
-            for j in D:
-                if i != j:
-                    yield i, j
-    for i in D:
-        for j in range(ring.n):
-            if j not in D:
-                yield i, j
+    yield from ((i, j) for i in D for j in D if i != j)
+    yield from ((i, j) for i in D for j in range(ring.n) if j not in D)
 
 
 def _apply_shear(I: Submodule, i: int, j: int, lam: int) -> Submodule:

@@ -376,12 +376,16 @@ class GroebnerBasis:
     def leading_terms(self):
         return tuple((e[2], e[3]) for e in self._elems)
 
+    def _reduce_terms(self, terms):
+        """_reduce_full of terms, keyed in the basis order, by the basis."""
+        return _reduce_full(terms, self._by_comp)
+
     def _reduce(self, v: FreeElement):
         """(s, r) with r reduced, in the basis order, and s * v.terms - r in
         the module."""
         if v.ring != self.ring or v.rank != self.ambient_rank:
             raise RingError("vector does not match basis ambient module")
-        return _reduce_full(_in_order(v.terms, self.order, self.ring.order), self._by_comp)
+        return self._reduce_terms(_in_order(v.terms, self.order, self.ring.order))
 
     def reduce_vector(self, v: FreeElement) -> FreeElement:
         """Normal form of v, a polynomial when v is one."""

@@ -157,7 +157,9 @@ LEX = MonomialOrder(kind="lex")
 @dataclass(frozen=True)
 class RingContext:
     """A polynomial ring Q[variables] together with its active order.  _memo
-    holds what groebner keeps for this instance (groebner._GroebnerCache)."""
+    holds what groebner keeps for this instance (groebner._GroebnerCache),
+    whose bases refer back to the ring: a dropped ring and its memo form a
+    cycle, freed by the cyclic garbage collector, not at its last reference."""
 
     variables: tuple[str, ...]
     order: MonomialOrder = DEGREVLEX

@@ -10,7 +10,9 @@ is the validator's report with its irredundancy test run at every component,
 each all-but-one intersection computed on its own.  `minpoly_data` reads the
 minimal polynomial of a variable over Q(u) off a block-order basis that
 eliminates the other dependent variables, the reference for the normal-form
-minimal polynomials of the minimal-prime step.  `written_out_key` writes a
+minimal polynomials of the minimal-prime step; `fraction_minpoly` finds
+those by elimination over Q, in `Fraction` rows, on `FreeElement` normal
+forms, the reference for the fraction-free ones.  `written_out_key` writes a
 term's order key out as a digit tuple and `packed_key` packs it into the int
 that `MonomialOrder.term_key` returns.
 
@@ -370,3 +372,41 @@ def minpoly_data(J: Submodule, D: tuple[int, ...], d: int):
             return None
         coeffs.append(lam)
     return tuple(coeffs)
+
+
+def fraction_minpoly(G, l, dim: int):
+    """The monic generator of J cap Q[l], coefficients low to high, or None
+    when it has degree above dim or J cap Q[l] = 0, by elimination over Q:
+    the first linear dependence among NF(1), NF(l), NF(l^2), ..., each
+    NF(l^k) = NF(l * NF(l^(k-1))) taken by `G.reduce_vector` and written as
+    a dict of Fractions by exponents.  Each row is kept with its pivot entry
+    1 and the combination of powers of l whose normal form it is.  G and l
+    are as in `decompose._normal_form_minpoly`."""
+    rows = []
+    # NF(1) = 1, J being proper
+    v = l.ring.one()
+    for k in range(dim + 1):
+        if k:
+            v = G.reduce_vector(v * l)
+        w = {exps: Fraction(c, v.den) for _key, _comp, exps, c in v.terms}
+        combo = {k: Fraction(1)}
+        for pivot, row, row_combo in rows:
+            f = w.get(pivot)
+            if not f:
+                continue
+            for m, a in row.items():
+                b = w.get(m, 0) - f * a
+                if b:
+                    w[m] = b
+                else:
+                    del w[m]
+            for j, a in row_combo.items():
+                combo[j] = combo.get(j, 0) - f * a
+        if not w:
+            return tuple(combo.get(j, Fraction(0)) for j in range(k + 1))
+        pivot = max(w)
+        inv = 1 / w[pivot]
+        rows.append(
+            (pivot, {m: a * inv for m, a in w.items()}, {j: a * inv for j, a in combo.items()})
+        )
+    return None

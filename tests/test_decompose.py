@@ -19,6 +19,7 @@ from primarydec.decompose import (
     _minimalize,
     _FORM_SCALES,
     _Search,
+    _linear_form,
     _normal_form_minpoly,
     _standard_count,
     _zero_dim_primes,
@@ -28,6 +29,7 @@ from primarydec.decompose import (
     primary_decomposition,
 )
 from primarydec.groebner import (
+    GroebnerBasis,
     annihilator,
     buchberger,
     canonical,
@@ -56,7 +58,7 @@ from primarydec.verify import validate_decomposition
 
 import pytest
 
-from oracles import minpoly_data
+from oracles import fraction_minpoly, minpoly_data
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -322,16 +324,25 @@ def _zero_dim_inputs(I: Submodule, monkeypatch) -> list:
     return calls
 
 
-def _compare_with_elimination(J: Submodule, u: tuple) -> list:
-    """For every form that _zero_dim_primes may try on (J, u), the
-    normal-form minimal polynomial equals the one that the block-order basis
-    of the sheared ideal yields; returns those polynomials."""
+def _minpoly_setting(J: Submodule, u: tuple):
+    """(G, dim, D) as `_zero_dim_primes` takes them for (J, u): the basis
+    that normal forms are taken against, dim_K K[x_D]/J and the dependent
+    variables."""
     R = J.ring
     D = tuple(i for i in range(R.n) if i not in u)
     dim_order = MonomialOrder(kind="block", blocks=(D,)) if u else R.order
     leads = [lead for _comp, lead in buchberger(J, dim_order).leading_terms()]
     dim = _standard_count([tuple(lead[i] for i in D) for lead in leads])
     G = buchberger(J, MonomialOrder(kind="block", blocks=(u,))) if u else buchberger(J)
+    return G, dim, D
+
+
+def _compare_with_elimination(J: Submodule, u: tuple) -> list:
+    """For every form that _zero_dim_primes may try on (J, u), the
+    normal-form minimal polynomial equals the one that the block-order basis
+    of the sheared ideal yields; returns those polynomials."""
+    R = J.ring
+    G, dim, D = _minpoly_setting(J, u)
     found = []
     for c in _FORM_SCALES:
         for d in D:
@@ -370,6 +381,51 @@ def test_normal_form_minimal_polynomial_over_q_u_equals_the_block_order_one(
         assert set(found) - {None}
 
 
+def _minpoly_oracle_ideals():
+    """Inputs for the fraction-free minimal polynomials, each flagged True
+    when its forms are taken against a block-order basis with u nonempty."""
+    R, S = ring3(), ring2()
+    x, y, z = (R.variable(i) for i in range(3))
+    u, v = S.variable(0), S.variable(1)
+    sd8 = u**8 - 40 * u**6 + 352 * u**4 - 960 * u**2 + 576
+    yield "grid4", _vanishing_grid(3, (1, 2, 3, 4)), False
+    yield "sqrt2_cube", ideal(R, [x * x - 2, y * y - 2, z * z - 2]), False
+    yield "sd8", ideal(S, [sd8 * (u * u - 2), v**3 - u]), False
+    yield "cyclic3", ideal(R, [x + y + z, x * y + y * z + z * x, x * y * z - 1]), False
+    yield "katsura3", ideal(
+        R, [x + 2 * y + 2 * z - 1, x * x + 2 * y * y + 2 * z * z - x, 2 * x * y + 2 * y * z - y]
+    ), False
+    yield "twisted_cubic", _twisted_cubic(), True
+    yield "hyperbola_over_xy", ideal(R, [x - y * z]), True
+
+
+@pytest.mark.parametrize(
+    "I, over_q_u", [pytest.param(I, q_u, id=name) for name, I, q_u in _minpoly_oracle_ideals()]
+)
+def test_fraction_free_minimal_polynomials_equal_elimination_over_q(monkeypatch, I, over_q_u):
+    # every (G, l, dim) that min_ass(I) reaches, and at each (J, u) that
+    # `_zero_dim_primes` meets the first form for every c, up to c = 5, whose
+    # integer rows grow the most: twisted_cubic and hyperbola_over_xy reach
+    # no form, but their (J, u) have u nonempty and a block-order G
+    reached = []
+    real = decompose._normal_form_minpoly
+
+    def record(G, l, dim):
+        reached.append((G, l, dim))
+        return real(G, l, dim)
+
+    monkeypatch.setattr(decompose, "_normal_form_minpoly", record)
+    cases = []
+    for J, u in _zero_dim_inputs(I, monkeypatch):
+        G, dim, D = _minpoly_setting(J, u)
+        scales = _FORM_SCALES if len(D) > 1 else (0,)
+        cases += [(G, _linear_form(J.ring, D, D[0], c), dim) for c in scales]
+    cases += reached
+    assert cases and any(G.order != G.ring.order for G, _l, _dim in cases) == over_q_u
+    for G, l, dim in cases:
+        assert real(G, l, dim) == fraction_minpoly(G, l, dim), (str(l), dim)
+
+
 def test_normal_forms_stop_after_dim_plus_one_powers(monkeypatch):
     # the twisted cubic over Q(x, w): the quotient has dimension 3 (y^3 =
     # x^2 w), but J cap Q[y, z] = 0, so no power of a form in y and z has a
@@ -387,18 +443,20 @@ def test_normal_forms_stop_after_dim_plus_one_powers(monkeypatch):
     G = buchberger(J, MonomialOrder(kind="block", blocks=(u,)))
     assert all(lead[0] or lead[3] for _comp, lead in G.leading_terms())
 
-    class Counting:
-        reductions = 0
+    # each power is reduced on G's own terms, through GroebnerBasis._reduce_terms
+    reductions = []
+    reduce_terms = GroebnerBasis._reduce_terms
 
-        def reduce_vector(self, v):
-            Counting.reductions += 1
-            return G.reduce_vector(v)
+    def counting(basis, terms):
+        reductions.append(basis)
+        return reduce_terms(basis, terms)
 
+    monkeypatch.setattr(GroebnerBasis, "_reduce_terms", counting)
     for l in (y, z, y + z, y - 2 * z):
-        Counting.reductions = 0
-        assert _normal_form_minpoly(Counting(), l, 3) is None
-        # NF(1) = 1; l, l^2 and l^3 are reduced
-        assert Counting.reductions == 3
+        reductions.clear()
+        assert _normal_form_minpoly(G, l, 3) is None
+        # NF(1) = 1; l, l^2 and l^3 are reduced, by G
+        assert reductions == [G] * 3
     # that basis has no u-free element, so _zero_dim_primes tries no form
     _refuse(monkeypatch, "_normal_form_minpoly")
     with pytest.raises(_CertificationFailure):

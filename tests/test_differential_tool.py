@@ -94,3 +94,24 @@ def test_order_rewrites_only_the_ring_line(monkeypatch, tmp_path, capsys, order,
         assert rest == dp_rest
         n = dp_ring.count(",") - 1  # "ring r = 0, (x, y), dp;" names 2 variables
         assert ring == dp_ring.replace(", dp;", f", {ring_orders[n]};")
+
+
+def test_command_minass_changes_only_the_verb_of_ideal_scripts(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    tool = _load_tool()
+    args = [str(ROOT), str(ROOT), "--count", "6", "--seed", "7", "--timeout", "5"]
+    assert tool.main([*args, "--command", "minass", "--only", "s001,s003"]) == 0
+    *per_script, _summary = capsys.readouterr().out.splitlines()
+    assert len(per_script) == 2 and all(line.endswith(" same") for line in per_script)
+    (out,) = tmp_path.iterdir()
+    rng = random.Random(7)
+    drawn = [tool.random_script(rng) for _ in range(6)]
+    # the default is primdec: an explicit primdec draws the same scripts
+    rng = random.Random(7)
+    assert [tool.random_script(rng, "dp", "primdec") for _ in range(6)] == drawn
+    # s001 is a module script, left as drawn; s003 an ideal script
+    assert (out / "s001.primdec").read_text() == drawn[1]
+    assert "\nmodule m = " in drawn[1]
+    *body, verb = (out / "s003.primdec").read_text().splitlines()
+    *dp_body, dp_verb = drawn[3].splitlines()
+    assert (body, verb, dp_verb) == (dp_body, "minass I;", "primdec I;")

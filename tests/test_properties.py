@@ -16,6 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from primarydec.cli import parse_polynomial  # noqa: E402
+from primarydec.decompose import _FORM_SCALES, _linear_form, _poly_of  # noqa: E402
 from primarydec.groebner import (  # noqa: E402
     buchberger,
     canonical,
@@ -192,3 +193,33 @@ def test_int_keys_order_and_add_as_the_written_out_digits(order, a, b):
     assert (ka == kb) == (a == b)
     product = tuple(x + y for x, y in zip(ea, eb))
     assert order.term_key(ca, product) == ka + order.term_key(0, eb)
+
+
+FORM_RINGS = (
+    RingContext(("x", "y")),
+    RingContext(("x", "y", "z")),
+    RingContext(("x", "y", "z", "w"), MonomialOrder(kind="lex")),
+)
+
+
+@st.composite
+def forms(draw):
+    """(ring, D, d, c) of a form x_d + sum_k c^k x_(others[k]) of min_ass."""
+    ring = draw(st.sampled_from(FORM_RINGS))
+    D = tuple(sorted(draw(st.sets(st.integers(0, ring.n - 1), min_size=1))))
+    return ring, D, draw(st.sampled_from(D)), draw(st.sampled_from(_FORM_SCALES))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(forms(), st.lists(fractions, min_size=1, max_size=9))
+def test_forms_and_split_generators_equal_their_built_up_values(form, coeffs):
+    # min_ass builds each form, and each f(l) it splits along, in one
+    # construction; they equal the sum of variables and Horner's rule
+    ring, D, d, c = form
+    l = _linear_form(ring, D, d, c)
+    others = [i for i in D if i != d]
+    assert l == ring.variable(d) + sum(ring.variable(o) * c**k for k, o in enumerate(others, 1))
+    horner = ring.zero()
+    for a in reversed(coeffs):
+        horner = horner * l + a
+    assert _poly_of(l, coeffs) == horner

@@ -15,12 +15,16 @@ different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
         [--timeout 20] [--only s015,s028] [--order dp|lp|wp]
+        [--command primdec|minass]
 
 `--only` runs just the named scripts.  All `--count` scripts are still drawn,
 so each name keeps the text it has in a full run.  `--order` rewrites only
 the ring line: lp, or wp with the weights WP_WEIGHTS cut to the number of
 variables.  The default, dp, gives the scripts of earlier versions of this
-tool, and every order draws the same polynomials.  The scripts that run are
+tool, and every order draws the same polynomials.  `--command minass` ends
+each ideal script in `minass I;` instead of `primdec I;`, to compare minimal
+primes alone; module scripts stay as they are, and every script keeps its
+name and the rest of its text.  The scripts that run are
 written to a fresh temporary directory, which is kept and named in the last
 line of output.
 
@@ -77,7 +81,7 @@ def _product(rng: random.Random, names) -> str:
     return "*".join(rng.choice(makers)(rng, names) for _ in range(rng.randint(1, 3)))
 
 
-def random_script(rng: random.Random, order: str = "dp") -> str:
+def random_script(rng: random.Random, order: str = "dp", command: str = "primdec") -> str:
     names = list(VARIABLES[: rng.randint(2, 3)])
     if order == "wp":
         order = f"wp({', '.join(map(str, WP_WEIGHTS[: len(names)]))})"
@@ -85,7 +89,7 @@ def random_script(rng: random.Random, order: str = "dp") -> str:
     if rng.random() < 0.5:
         gens = ", ".join(_product(rng, names) for _ in range(rng.randint(1, 3)))
         lines.append(f"ideal I = {gens};")
-        lines.append("primdec I;")
+        lines.append(f"{command} I;")
     else:
         rank = rng.randint(2, 3)
         vectors = []
@@ -137,9 +141,14 @@ def main(argv=None) -> int:
         "--only", type=lambda text: text.split(","), help="comma-separated names, e.g. s015,s028"
     )
     ap.add_argument("--order", choices=("dp", "lp", "wp"), default="dp", help="ring order")
+    ap.add_argument(
+        "--command", choices=("primdec", "minass"), default="primdec", help="ideal scripts' verb"
+    )
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
-    texts = {f"s{k:03d}": random_script(rng, args.order) for k in range(args.count)}
+    texts = {
+        f"s{k:03d}": random_script(rng, args.order, args.command) for k in range(args.count)
+    }
     names = args.only or list(texts)
     unknown = [name for name in names if name not in texts]
     if unknown:
