@@ -56,6 +56,7 @@ from .groebner import (
     is_sub,
     is_unit_ideal,
     krull_dim,
+    lead_coefficients,
     module_equal,
     saturate,
 )
@@ -135,18 +136,6 @@ def _minimalize(primes) -> list[Submodule]:
 # ---------------------------------------------------------------------------
 # minimal associated primes
 # ---------------------------------------------------------------------------
-
-
-def _field_lead_coefficient(p: FreeElement, lead, D: tuple[int, ...]) -> FreeElement:
-    """Coefficient in the independent variables of the D-part of lead in p."""
-    dpart = tuple(e if i in D else 0 for i, e in enumerate(lead))
-    terms = rekey(p.ring.order, (
-        (0, tuple(0 if i in D else e for i, e in enumerate(exps)), c)
-        for _k, _comp, exps, c in p.terms
-        if tuple(e if i in D else 0 for i, e in enumerate(exps)) == dpart
-    ))
-    # over its lead coefficient, the polynomial is monic
-    return from_terms(p.ring, 1, terms, terms[0][3])
 
 
 def _linear_form(ring: RingContext, D: tuple[int, ...], d: int, c: int) -> FreeElement:
@@ -311,23 +300,21 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
 def _gtz_split(I: Submodule, u: tuple[int, ...], search: _Search):
     """Candidate primes of the canonical ideal I, split along the independent
     set u.  With u = () every lead coefficient is rational: nothing is
-    saturated, and I goes to `_zero_dim_primes` as it is.  J = I : h^infinity
-    is proper: past the loop no lead of I's basis in the block order x_D > u
-    is D-free, so I cap Q[u], which those would generate, is 0, and no power
-    of h, a product of nonzero elements of Q[u], lies in I.  With nothing to
-    saturate J = I, which `_min_ass_rec` has found proper."""
+    saturated, and I goes to `_zero_dim_primes` as it is.  Otherwise h is
+    the product of the lead coefficients over Q[u] of I's basis in the block
+    order x_D > u (`lead_coefficients`), and J = I : h^infinity is proper:
+    past the check no lead of that basis is D-free, so I cap Q[u], which
+    those would generate, is 0, and no power of h, a product of nonzero
+    elements of Q[u], lies in I.  With nothing to saturate J = I, which
+    `_min_ass_rec` has found proper."""
     if not u:
         return _zero_dim_primes(I, u, search)
     ring = I.ring
     D = tuple(i for i in range(ring.n) if i not in set(u))
     G = buchberger(I, MonomialOrder("block", blocks=(D,)))
-    coeffs = set()
-    for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
-        if not any(lead[i] for i in D):
-            raise _CertificationFailure("independent set meets the ideal")
-        c = _field_lead_coefficient(gen, lead, D)
-        if not c.is_constant():
-            coeffs.add(c)
+    if not all(any(lead[i] for i in D) for _comp, lead in G.leading_terms()):
+        raise _CertificationFailure("independent set meets the ideal")
+    coeffs = lead_coefficients(I, D)
     h = prod(coeffs, start=ring.one())
     J = saturate(I, ideal(ring, [h])) if coeffs else I
     primes = _zero_dim_primes(J, u, search)

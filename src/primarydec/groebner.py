@@ -27,11 +27,13 @@ against the finished smaller ones.  All higher operations (syzygies, lifts,
 kernels of induced maps, intersections, quotients, saturation, elimination)
 reduce to Groebner runs over suitably extended free modules or rings, or in
 another monomial order.  The order is an argument of buchberger; every
-result stays in the caller's ring.  syzygies returns generators of the
-relations, not a Groebner basis of them: the run on the tagged generators
-sets tag-led remainders aside instead of pairing them, as long as no S-pair
-leaves a new top-led element.  syzygies and lift of one matrix share that
-one memoized run.
+result stays in the caller's ring.  lead_coefficients reads the lead
+coefficients over Q(u) off a block-order basis, for the GTZ split and the
+validator alike.  syzygies returns generators of the relations, not a
+Groebner basis of them: the run on the tagged generators sets tag-led
+remainders aside instead of pairing them, as long as no S-pair leaves a new
+top-led element.  syzygies and lift of one matrix share that one memoized
+run.
 
 Runs are memoized in one bounded cache (_GroebnerCache) per ring, kept on
 the ring, which drops its oldest entry when full and also stores each
@@ -850,3 +852,31 @@ def independent_sets(X) -> list[tuple[int, ...]]:
         raise RingError("independent sets are defined for ideals")
     n = G.ring.n
     return list(_max_independent_sets(_support_masks(G.leading_terms(), 0), n))
+
+
+def lead_coefficients(A: Submodule, D: tuple[int, ...]) -> list[FreeElement]:
+    """The distinct non-constant lead coefficients over K[u] of A's reduced
+    basis, K = Q(u) and u the variables outside D, each monic, in basis order.
+
+    The basis is in the block order x_D first, position over term whatever
+    the ring's module extension (degrevlex when D is empty, K then being the
+    whole fraction field), so an element's lead over K is its lead component
+    with the D-part of its lead, and its coefficient the sum of its terms
+    there with that D-part.  Term over position would compare the u-part
+    before the component, and the lead over K would not be well defined.
+    """
+    ring = A.ring
+    G = buchberger(A, MonomialOrder("block", blocks=(D,)) if D else MonomialOrder())
+    found: dict = {}
+    for (comp, lead), gen in zip(G.leading_terms(), G.generators):
+        dpart = [lead[i] for i in D]
+        terms = rekey(ring.order, (
+            (0, tuple(0 if i in D else e for i, e in enumerate(exps)), c)
+            for _k, cp, exps, c in gen.terms
+            if cp == comp and [exps[i] for i in D] == dpart
+        ))
+        # over its lead coefficient, so equal coefficients compare equal
+        c = from_terms(ring, 1, terms, terms[0][3])
+        if not c.is_constant():
+            found.setdefault(c, None)
+    return list(found)

@@ -25,7 +25,7 @@ _collect per piece, the engine per reduction step and S-pair side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, neg
@@ -162,11 +162,13 @@ class RingContext:
     cycle, freed by the cyclic garbage collector, not at its last reference."""
 
     variables: tuple[str, ...]
+    # its own instance, so that the unit keys it derives stay with the ring
+    # like _memo: an equal fresh ring starts cold; DEGREVLEX and LEX stay empty
     order: MonomialOrder = DEGREVLEX
-    # per instance, like MonomialOrder._units: an equal fresh ring starts cold
     _memo: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "order", replace(self.order))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         if not self.variables:

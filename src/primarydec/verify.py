@@ -2,16 +2,21 @@
 
 The validator checks the defining properties of a primary decomposition
 directly.  It tests each component for primality by contraction over Q(u),
-u an independent set of the claimed prime (Gianni-Trager-Zacharias):
-saturations and Groebner bases, never an Ext module, so it does not reuse the
-path that found the primes.  One fold of the components checks their
-intersection, and the all-but-one intersections of the irredundancy check
-are computed only at components whose claimed prime contains another.
+u an independent set of the claimed prime (Gianni-Trager-Zacharias).  One
+fold of the components checks their intersection, and the all-but-one
+intersections of the irredundancy check are computed only at components
+whose claimed prime contains another.
+
+It shares with the code it checks the Groebner engine, `independent_sets`
+and `lead_coefficients`, which read a basis, and `min_ass`, for primality.
+It shares no Ext module, hull or localization, and its contraction runs no
+GTZ recursion, linear form or coordinate shear: one saturation a component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .decompose import min_ass
 from .groebner import (
@@ -23,20 +28,11 @@ from .groebner import (
     is_member,
     is_sub,
     is_unit_ideal,
+    lead_coefficients,
     module_equal,
     saturate,
 )
-from .polyring import (
-    DEGREVLEX,
-    FreeElement,
-    MonomialOrder,
-    Submodule,
-    from_terms,
-    full_module,
-    ideal,
-    ideal_generators,
-    rekey,
-)
+from .polyring import FreeElement, Submodule, full_module, ideal, ideal_generators
 
 
 @dataclass(frozen=True)
@@ -67,39 +63,6 @@ class ValidationReport:
         }
 
 
-def _lead_coefficient_product(Q: Submodule, D: tuple[int, ...]) -> FreeElement:
-    """The product of the distinct K[u]-lead coefficients of a basis of Q,
-    K = Q(u), u the variables outside D.
-
-    The basis is taken in position over term with the block x_D first, so
-    the lead of an element over K is its lead component with the D-part of
-    its lead; the coefficient is the sum of its terms there with that
-    D-part.  Term over position would compare the u-part before the
-    component, and the lead over K would not be well defined.  Written
-    apart from the engine's GTZ split, whose minimal primes it checks.
-    """
-    ring = Q.ring
-    # DEGREVLEX is position over term as well: with D empty, K is the whole
-    # fraction field and the lead over K is the lead component alone
-    order = MonomialOrder("block", blocks=(D,)) if D else DEGREVLEX
-    G = buchberger(Q, order)
-    coeffs: dict = {}
-    for (comp, lead), gen in zip(G.leading_terms(), G.generators):
-        dpart = [lead[i] for i in D]
-        items = [
-            (0, tuple(0 if i in D else e for i, e in enumerate(exps)), c)
-            for _k, cp, exps, c in gen.terms
-            if cp == comp and [exps[i] for i in D] == dpart
-        ]
-        terms = rekey(ring.order, items)
-        # over its lead coefficient, so equal coefficients compare equal
-        coeffs.setdefault(from_terms(ring, 1, terms, terms[0][3]), None)
-    h = ring.one()
-    for f in coeffs:
-        h = h * f
-    return h
-
-
 def _in_radical(f: FreeElement, a: Submodule) -> bool:
     """Whether f^k lies in a for some k: try f, f^2, f^4, then a : f^infinity."""
     g = f
@@ -114,11 +77,13 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
     """Whether F/Q has P as its only associated prime, Q and P canonical.
 
     A contraction certificate (Gianni-Trager-Zacharias; Becker-Weispfenning,
-    ch. 8) that needs no Ext module: P is prime; the radical of
-    a = ann(F/Q) is P, that is a lies in P and every generator of P in the
-    radical of a; and Q = Q : h^infinity for h the product of the K[u]-lead
-    coefficients of Q, u an independent set of P.  Then Q K[x_D]^s has
-    radical P K[x_D], a maximal ideal, so it is primary, and Q is its
+    ch. 8) that shares the engine, `independent_sets` and `lead_coefficients`
+    with the decomposition, and `min_ass` for primality; the contraction runs
+    no Ext module, hull, GTZ recursion, linear form or shear.  P is prime; the
+    radical of a = ann(F/Q) is P, that is a lies in P and every generator of
+    P in the radical of a; and Q = Q : h^infinity for h the product of the
+    K[u]-lead coefficients of Q, u an independent set of P.  Then Q K[x_D]^s
+    has radical P K[x_D], a maximal ideal, so it is primary, and Q is its
     contraction.  Conversely h lies outside a P-primary Q's one associated
     prime, so h is a nonzerodivisor on F/Q.
     """
@@ -130,8 +95,9 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
         return False
     u = set(independent_sets(P)[0])
     D = tuple(i for i in range(ring.n) if i not in u)
-    h = _lead_coefficient_product(Q, D)
-    return h.is_constant() or module_equal(saturate(Q, ideal(ring, [h])), Q)
+    coeffs = lead_coefficients(Q, D)
+    h = prod(coeffs, start=ring.one())
+    return not coeffs or module_equal(saturate(Q, ideal(ring, [h])), Q)
 
 
 def validate_decomposition(M: Submodule, components, seed: int = 0) -> ValidationReport:

@@ -14,7 +14,10 @@ minimal polynomials of the minimal-prime step; `fraction_minpoly` finds
 those by elimination over Q, in `Fraction` rows, on `FreeElement` normal
 forms, the reference for the fraction-free ones.  `written_out_key` writes a
 term's order key out as a digit tuple and `packed_key` packs it into the int
-that `MonomialOrder.term_key` returns.
+that `MonomialOrder.term_key` returns.  `lead_coefficient_product` and
+`split_lead_coefficient_product` are the two readers of lead coefficients
+over Q(u) that the validator and the GTZ split each once kept, the
+references for `groebner.lead_coefficients`.
 
 Tests import it as `from oracles import ...`; pytest puts this directory on
 sys.path.  It uses only names that `primarydec` exports.
@@ -26,6 +29,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from primarydec import (
+    DEGREVLEX,
+    FreeElement,
     MonomialOrder,
     RingContext,
     Submodule,
@@ -410,3 +415,66 @@ def fraction_minpoly(G, l, dim: int):
             (pivot, {m: a * inv for m, a in w.items()}, {j: a * inv for j, a in combo.items()})
         )
     return None
+
+
+# ---------------------------------------------------------------------------
+# products of lead coefficients over Q(u)
+# ---------------------------------------------------------------------------
+
+
+def _monic(f: FreeElement) -> FreeElement:
+    return f * (1 / f.leading_coefficient())
+
+
+def lead_coefficient_product(Q: Submodule, D: tuple[int, ...]) -> FreeElement:
+    """The validator's h: the product of the distinct K[u]-lead coefficients
+    of a basis of Q, K = Q(u), u the variables outside D.  The basis is in
+    position over term with the block x_D first (degrevlex when D is empty),
+    and an element's coefficient is the sum of its terms in its lead
+    component with the D-part of its lead, made monic."""
+    ring = Q.ring
+    G = buchberger(Q, MonomialOrder("block", blocks=(D,)) if D else DEGREVLEX)
+    coeffs: dict = {}
+    for (comp, lead), gen in zip(G.leading_terms(), G.generators):
+        dpart = [lead[i] for i in D]
+        f = ring.zero()
+        for _k, cp, exps, c in gen.terms:
+            if cp == comp and [exps[i] for i in D] == dpart:
+                f = f + ring.monomial([0 if i in D else e for i, e in enumerate(exps)], c)
+        coeffs.setdefault(_monic(f), None)
+    h = ring.one()
+    for f in coeffs:
+        h = h * f
+    return h
+
+
+def _field_lead_coefficient(p: FreeElement, lead, D: tuple[int, ...]) -> FreeElement:
+    """Coefficient in the independent variables of the D-part of lead in the
+    polynomial p, made monic; p's terms are read whatever their component."""
+    def dpart(exps):
+        return tuple(e if i in D else 0 for i, e in enumerate(exps))
+
+    f = p.ring.zero()
+    for _k, _comp, exps, c in p.terms:
+        if dpart(exps) == dpart(lead):
+            f = f + p.ring.monomial([0 if i in D else e for i, e in enumerate(exps)], c)
+    return _monic(f)
+
+
+def split_lead_coefficient_product(I: Submodule, D: tuple[int, ...]) -> FreeElement:
+    """The GTZ split's h for an ideal I: the product of the distinct
+    non-constant lead coefficients over Q[u] of I's basis in the block order
+    x_D > u.  Raises ValueError when a lead is D-free."""
+    ring = I.ring
+    G = buchberger(I, MonomialOrder("block", blocks=(D,)))
+    coeffs = set()
+    for (_comp, lead), gen in zip(G.leading_terms(), G.generators):
+        if not any(lead[i] for i in D):
+            raise ValueError("independent set meets the ideal")
+        c = _field_lead_coefficient(gen, lead, D)
+        if not c.is_constant():
+            coeffs.add(c)
+    h = ring.one()
+    for c in coeffs:
+        h = h * c
+    return h

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -423,3 +427,34 @@ def test_unit_vector():
     e1 = unit_vector(R, 3, 1)
     assert e1.components[1] == R.one()
     assert e1.components[0].is_zero() and e1.components[2].is_zero()
+
+
+UNIT_KEYS_STAY_WITH_THE_RING = """
+from primarydec import (
+    DEGREVLEX, LEX, RingContext, ideal, min_ass, primary_decomposition, validate_decomposition
+)
+
+for order in (DEGREVLEX, LEX):
+    R = RingContext(("x", "y", "z"), order)
+    x, y, z = (R.variable(i) for i in range(3))
+    I = ideal(R, [x**2 * y, x * z**2])
+    assert validate_decomposition(I, primary_decomposition(I).components).ok
+    min_ass(ideal(R, [x * x - 2, y * z - 1]))
+assert DEGREVLEX._units == {} and LEX._units == {}, (DEGREVLEX._units, LEX._units)
+"""
+
+
+def test_a_run_leaves_the_shared_orders_without_unit_keys():
+    # each ring keeps its own instance of its order, so the unit keys a run
+    # derives stay with the ring, and the module constants DEGREVLEX and LEX
+    # are filled by nothing at run time; a fresh process, as any earlier test
+    # may have keyed terms with them directly
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", UNIT_KEYS_STAY_WITH_THE_RING],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

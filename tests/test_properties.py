@@ -6,7 +6,7 @@ so every run checks the same inputs.
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -22,6 +22,7 @@ from primarydec.groebner import (  # noqa: E402
     canonical,
     intersect,
     is_sub,
+    lead_coefficients,
     lift,
     saturate,
     syzygies,
@@ -38,7 +39,7 @@ from primarydec.polyring import (  # noqa: E402
     substitute,
 )
 
-from oracles import packed_key, written_out_key  # noqa: E402
+from oracles import lead_coefficient_product, packed_key, written_out_key  # noqa: E402
 
 R = RingContext(("x", "y"))
 _x, _y = R.variable(0), R.variable(1)
@@ -223,3 +224,39 @@ def test_forms_and_split_generators_equal_their_built_up_values(form, coeffs):
     for a in reversed(coeffs):
         horner = horner * l + a
     assert _poly_of(l, coeffs) == horner
+
+
+LEAD_RINGS = (
+    RingContext(("x", "y", "z")),
+    RingContext(("x", "y", "z"), MonomialOrder(kind="lex")),
+    RingContext(("x", "y", "z"), MonomialOrder(weights=(3, 1, 2))),
+    RingContext(("x", "y", "z"), MonomialOrder(module_extension=TERM_OVER_POSITION)),
+)
+
+
+@st.composite
+def rank_two_modules(draw):
+    """(M, D): a rank-2 module over one of LEAD_RINGS and a set of variables."""
+    ring = draw(st.sampled_from(LEAD_RINGS))
+    x, y, z = (ring.variable(i) for i in range(3))
+    factors = (x, y, z, x - 1, y + z, x * z - 2, y * y + x)
+    entry = st.one_of(
+        st.just(ring.zero()),
+        st.lists(st.sampled_from(factors), min_size=1, max_size=2).map(
+            lambda fs: reduce(mul, fs)
+        ),
+    )
+    gens = draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=1, max_size=3))
+    D = tuple(sorted(draw(st.sets(st.integers(0, 2)))))
+    return Submodule(ring, 2, [FreeElement(ring, g) for g in gens]), D
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rank_two_modules())
+def test_lead_coefficients_multiply_to_the_validators_old_h(case):
+    # the one reader of lead coefficients over Q(u), in position over term
+    # whatever the ring's own module extension, against the reader the
+    # validator kept before it
+    M, D = case
+    coeffs = lead_coefficients(M, D)
+    assert prod(coeffs, start=M.ring.one()) == lead_coefficient_product(M, D)

@@ -3,11 +3,15 @@
 Every name in `primarydec.__all__` must be read somewhere in the package
 outside `__init__.py` and outside its own definition, so that no function
 or constant ships only for the tests.  Reference code that only the tests
-need lives in `tests/oracles.py`.
+need lives in `tests/oracles.py`.  The modules above the term layout
+(`verify`, `homology`, `cli`, `unifactor`) use none of polyring's term-tuple
+helpers.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import primarydec
 
@@ -46,3 +50,23 @@ def test_every_public_name_is_used_by_the_package():
     # equality, not inclusion: an allow-list entry that went away or found a
     # caller is stale
     assert set(primarydec.__all__) - _loaded_names() == set(UNUSED_BY_DESIGN)
+
+
+# the term layout (key, comp, exps, c) stays inside polyring, groebner and
+# decompose's zero-dimensional step: these modules handle no term tuple
+TERM_HELPERS = {"rekey", "from_terms", "_collect", "poly_from_terms"}
+ABOVE_THE_TERMS = ("verify", "homology", "cli", "unifactor")
+
+
+@pytest.mark.parametrize("module", ABOVE_THE_TERMS)
+def test_modules_above_the_term_layout_use_no_term_helper(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert used & TERM_HELPERS == set()
