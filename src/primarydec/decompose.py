@@ -15,7 +15,10 @@ ring-order basis when u = (), else against its basis in the block order
 u > x_D, whose u-free elements are a basis of J cap Q[x_D]; the search stops
 after dim + 1 powers.  That finds it exactly when it is rational, since Q is
 algebraically closed in Q(u).  Each distinct polynomial is factored once per
-`min_ass` call, in a memo that the call creates and drops.
+`min_ass` call, in a memo that the call creates and drops.  With u = (), when
+every variable's minimal polynomial splits into linear factors over Q and the
+grid of their roots has at most dim points, the primes are the maximal ideals
+of the grid points where J vanishes, with no split (`_rational_points`).
 The splits return candidate primes, which may repeat or contain one another;
 `min_ass` alone keeps the inclusion-minimal ones and sorts them, once, by codim
 and then by `rendered_generators`, the text the CLI prints, as are components.
@@ -244,6 +247,49 @@ class _Search:
         return hit
 
 
+def _rational_points(G: GroebnerBasis, dim: int, search: _Search, minpolys: dict):
+    """The primes of J, zero dimensional over Q with reduced basis G and
+    dim_Q Q[x]/J = dim, when its points are rational; None otherwise.
+
+    The minimal polynomial p_d of each x_d in turn (kept in minpolys, by
+    form) is factored, up to the first with a factor of degree above 1.
+    When all split into linear factors and the grid R_1 x ... x R_n of their
+    distinct roots has at most dim points, the primes are the maximal ideals
+    (x_1 - a_1, ..., x_n - a_n) of the grid points a where every generator
+    vanishes.  p_d(x_d) lies in J, so each point of V(J) over C lies in the
+    grid; the Q-primes of J are the Galois orbits of V(J), a rational point
+    being its own orbit; and J lies in m_a exactly when every generator
+    vanishes at a.  |V(J)| <= dim, and the guard bounds the evaluations by
+    dim times the number of generators.  They are fraction-free: with the
+    roots over one denominator q, a generator of degree k is evaluated as
+    the sum of c q^(k - |e|) n^e over its integer terms c x^e.
+    """
+    ring = G.ring
+    D = tuple(range(ring.n))
+    lines = []
+    for d in D:
+        l = _linear_form(ring, D, d, 0)
+        minpolys[l] = coeffs = _normal_form_minpoly(G, l, dim)
+        factors = [fc for fc, _mult in search.factor(coeffs)]
+        if any(len(fc) > 2 for fc in factors):
+            return None
+        lines.append([(l, fc) for fc in factors])
+    if prod(map(len, lines)) > dim:
+        return None
+    # the root of x_d + fc[0] is -fc[0]
+    q = lcm(*(fc[0].denominator for line in lines for _l, fc in line))
+    gens = [(max(sum(e) for _k, _c, e, _x in g.terms), g.terms) for g in G.generators]
+    out = []
+    for point in product(*lines):
+        n = [int(-fc[0] * q) for _l, fc in point]
+        if not any(
+            sum(x * q ** (k - sum(e)) * prod(map(pow, n, e)) for _k, _c, e, x in terms)
+            for k, terms in gens
+        ):
+            out.append(canonical(ideal(ring, [_poly_of(l, fc) for l, fc in point])))
+    return out
+
+
 def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     """Candidate primes of J (see `_min_ass_rec`) when J is zero dimensional
     over K = Q(u).
@@ -251,7 +297,10 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     dim_K K[x_D]/J is counted first, as the number of standard monomials of
     J's basis in the ring order when u = (), else in the block order x_D > u
     (the basis `_gtz_split` made, when J is its ideal).  J is prime when that
-    dimension is 1, for then the quotient is K itself.  Otherwise each distinct
+    dimension is 1, for then the quotient is K itself.  With u = (), J's
+    points are read off the grid of the variables' rational roots when it
+    has at most dim_Q points (`_rational_points`, which keeps the minimal
+    polynomials it finds for the forms l = x_d below).  Otherwise each distinct
     linear form l = x_d + sum_k c^(k+1) x_{others[k]}, for c in _FORM_SCALES
     and d in D, is tested once through its minimal polynomial p over K, which
     `_normal_form_minpoly` finds, against J's basis in the ring order or in
@@ -273,16 +322,19 @@ def _zero_dim_primes(J: Submodule, u: tuple[int, ...], search: _Search):
     dim = _standard_count([tuple(lead[i] for i in D) for _comp, lead in G.leading_terms()])
     if dim == 1:
         return [canonical(J)]
+    minpolys: dict = {}
     if u:
         G = buchberger(J, MonomialOrder("block", blocks=(u,)))
         if all(any(lead[i] for i in u) for _comp, lead in G.leading_terms()):
             raise _CertificationFailure("J cap Q[x_D] = 0: no form has a rational p")
+    elif (points := _rational_points(G, dim, search, minpolys)) is not None:
+        return points
     # each distinct form once: with one variable l = x_d for every c, and for
     # c = 1 l is the sum of x_D for every d
     for c in _FORM_SCALES if len(D) > 1 else (0,):
         for d in D[:1] if c == 1 else D:
             l = _linear_form(ring, D, d, c)
-            coeffs = _normal_form_minpoly(G, l, dim)
+            coeffs = minpolys[l] if l in minpolys else _normal_form_minpoly(G, l, dim)
             if coeffs is None:
                 continue
             factors = search.factor(coeffs)

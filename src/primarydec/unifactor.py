@@ -9,14 +9,15 @@ of the first few primes does.  The part is split by degree modulo both
 primes; the degrees the two splits can sum to bound the degrees of its
 factors over Q, and when no proper degree survives the part is irreducible.
 Otherwise equal-degree (Cantor-Zassenhaus) splitting runs at the prime p with
-fewer factors, and one Hensel lift carries all of them at once, a factor of
-p per step, to the least power of p above the coefficient bound: each factor
-is corrected by its share of the error, from an inverse of its cofactor
-computed once mod p.  The lifted factors are recombined by subsets, skipping
-those whose degree is not a surviving sum or whose constant term does not
-divide the cofactor's; exact division decides the rest.  Only monic
-irreducible factors are reported; the leading coefficient of the input is
-discarded.
+fewer factors, taking each p-th power from a Frobenius table x^(p i) mod g
+made once per product g of the factors of one degree, and one Hensel lift
+carries all of them at once, a factor of p per step, to the least power of p
+above the coefficient bound: each factor is corrected by its share of the
+error, from an inverse of its cofactor computed once mod p.  The lifted
+factors are recombined by subsets, skipping those whose degree is not a
+surviving sum or whose constant term does not divide the cofactor's; exact
+division decides the rest.  Only monic irreducible factors are reported;
+the leading coefficient of the input is discarded.
 """
 
 from __future__ import annotations
@@ -213,29 +214,55 @@ def _distinct_degree(f: list, p: int) -> list[tuple[int, list]]:
     return out
 
 
+def _frobenius_rows(g: list, p: int) -> list[list]:
+    """The rows x^(p i) mod g, i = 0 .. deg g - 1, over the prime field."""
+    xp = _p_pow_mod([0, 1], p, g, p)
+    rows = [[1]]
+    for _i in range(1, _q_deg(g)):
+        rows.append(_p_divmod(_p_mul(rows[-1], xp, p), g, p)[1])
+    return rows
+
+
+def _frobenius(a: list, rows: list[list], p: int) -> list:
+    """a^p mod g, a reduced mod g, from g's rows: the sum of a_i x^(p i)."""
+    out = [0] * len(rows)
+    for c, row in zip(a, rows):
+        if c:
+            for j, y in enumerate(row):
+                out[j] += c * y
+    return _trim([c % p for c in out])
+
+
 def _factor_mod_p(split: list[tuple[int, list]], p: int) -> list[list]:
     """Irreducible monic factors of a monic squarefree polynomial mod an odd
     prime, from its distinct-degree split.
 
     Equal-degree splitting (Cantor-Zassenhaus) breaks each product g of the
     factors of degree d with gcd(g, r^((p^d - 1)/2) - 1) for random r, which
-    is a proper factor with probability about 1/2.
+    is a proper factor with probability about 1/2.  That power is the norm
+    r r^p ... r^(p^(d-1)) raised to (p - 1)/2, and each r^(p^k) is one
+    application of g's Frobenius rows x^(p i) mod g, made once per g; a
+    piece h of g takes the first deg h rows reduced mod h.
     """
     rng = random.Random(p)
     out = []
     for d, g in split:
-        pending = [g]
+        pending = [(g, _frobenius_rows(g, p))]
         while pending:
-            g = pending.pop()
+            g, rows = pending.pop()
             if _q_deg(g) == d:
                 out.append(g)
                 continue
-            r = [rng.randrange(p) for _i in range(_q_deg(g))]
-            w = _p_gcd(g, _p_sub(_p_pow_mod(r, (p**d - 1) // 2, g, p), [1], p), p)
+            norm = t = _trim([rng.randrange(p) for _i in range(_q_deg(g))])
+            for _k in range(d - 1):
+                t = _frobenius(t, rows, p)
+                norm = _p_divmod(_p_mul(norm, t, p), g, p)[1]
+            w = _p_gcd(g, _p_sub(_p_pow_mod(norm, (p - 1) // 2, g, p), [1], p), p)
             if 0 < _q_deg(w) < _q_deg(g):
-                pending += [w, _p_divmod(g, w, p)[0]]
+                for h in (w, _p_divmod(g, w, p)[0]):
+                    pending.append((h, [_p_divmod(row, h, p)[1] for row in rows[: _q_deg(h)]]))
             else:
-                pending.append(g)
+                pending.append((g, rows))
     return out
 
 

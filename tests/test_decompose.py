@@ -491,23 +491,35 @@ def test_each_block_order_derives_its_unit_keys_once_per_ring(monkeypatch):
 
 
 def test_each_polynomial_is_factored_once_per_min_ass_call(monkeypatch):
-    # the 64 points of f(x), f(y), f(z), f vanishing at 1, 2, 3, 4: every branch
-    # of the split meets f again, and each linear factor of it, yet each
-    # distinct polynomial is factored once.  A second call factors afresh:
-    # nothing outlives the call that made it.
-    calls = []
+    # f(x), y^2 - 2, z^2 - 3, f vanishing at 1, 2, 3, 4: y's minimal polynomial
+    # is irreducible, so the split along f recurses, and every branch meets
+    # y^2 - 2 again and then z^2 - 3, yet each distinct polynomial is factored
+    # once.  A second call factors afresh: nothing outlives the call that
+    # made it.
+    calls, lookups = [], []
 
     def recording_factor(coeffs):
         calls.append(tuple(coeffs))
         return univariate_factor(coeffs)
 
+    def recording_lookup(self, coeffs, _real=_Search.factor):
+        lookups.append(coeffs)
+        return _real(self, coeffs)
+
     monkeypatch.setattr(decompose, "univariate_factor", recording_factor)
-    I = _vanishing_grid(3, (1, 2, 3, 4))
-    assert len(min_ass(I)) == 64
+    monkeypatch.setattr(_Search, "factor", recording_lookup)
+    R = ring3()
+    x, y, z = (R.variable(i) for i in range(3))
+    f = prod((x - r for r in (1, 2, 3, 4)), start=R.one())
+    I = ideal(R, [f, y * y - 2, z * z - 3])
+    assert len(min_ass(I)) == 4
     first = list(calls)
-    assert len(first) == len(set(first)) == 5
+    # f, y^2 - 2, z^2 - 3, the four x - r and the four quartics of x + y + z
+    assert len(first) == len(set(first)) == 11
+    # y^2 - 2 is met at the top and again in each of the four branches
+    assert lookups.count((Fraction(-2), Fraction(0), Fraction(1))) >= 5
     calls.clear()
-    assert len(min_ass(I)) == 64
+    assert len(min_ass(I)) == 4
     assert calls == first
 
 

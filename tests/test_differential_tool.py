@@ -115,3 +115,24 @@ def test_command_minass_changes_only_the_verb_of_ideal_scripts(monkeypatch, tmp_
     *body, verb = (out / "s003.primdec").read_text().splitlines()
     *dp_body, dp_verb = drawn[3].splitlines()
     assert (body, verb, dp_verb) == (dp_body, "minass I;", "primdec I;")
+
+
+@pytest.mark.parametrize("shape", ["default", "points"])
+def test_shape_draws_its_own_scripts_and_default_keeps_the_old_ones(
+    monkeypatch, tmp_path, capsys, shape
+):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    tool = _load_tool()
+    args = [str(ROOT), str(ROOT), "--count", "6", "--seed", "7", "--timeout", "5"]
+    assert tool.main([*args, "--shape", shape, "--only", "s001,s004"]) == 0
+    *per_script, _summary = capsys.readouterr().out.splitlines()
+    assert len(per_script) == 2 and all(line.endswith(" same") for line in per_script)
+    (out,) = tmp_path.iterdir()
+    rng = random.Random(7)
+    drawn = [tool.random_script(rng) for _ in range(6)]
+    if shape == "points":
+        rng = random.Random(7)
+        drawn = [tool.points_script(rng) for _ in range(6)]
+        assert all(text.split("\n")[1].startswith("ideal I = (x ") for text in drawn)
+    for k in (1, 4):
+        assert (out / f"s{k:03d}.primdec").read_text() == drawn[k]

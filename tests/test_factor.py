@@ -9,6 +9,8 @@ import pytest
 from primarydec.unifactor import (
     _distinct_degree,
     _factor_mod_p,
+    _frobenius,
+    _frobenius_rows,
     _hensel_lift,
     _p_gcd,
     _squarefree_primes,
@@ -228,6 +230,35 @@ def test_factor_mod_p_agrees_with_sympy(p):
             [int(c) % p for c in reversed(g.all_coeffs())] for g, _mult in pairs
         )
         assert sorted(_factor_mod_p(_distinct_degree(f, p), p)) == expected, f
+
+
+def _mod_p(a, g, p):
+    """a mod the monic g over the prime field, by schoolbook division."""
+    a = [c % p for c in a]
+    while len(a) >= len(g):
+        c, shift = a[-1], len(a) - len(g)
+        for i, y in enumerate(g):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_frobenius_rows_are_x_to_the_p_i_mod_g(p):
+    rng = random.Random(p)
+    for g in _squarefree_monic_mod(p, 10):
+        rows = _frobenius_rows(g, p)
+        assert len(rows) == len(g) - 1
+        for i, row in enumerate(rows):
+            assert row == _mod_p([0] * (p * i) + [1], g, p), (g, i)
+        # and a^p mod g is the rows' combination with a's coefficients
+        a = _mod_p([rng.randrange(p) for _ in range(len(g) - 1)], g, p)
+        power = [1]
+        for _k in range(p):
+            power = _mod_p([c % p for c in poly_mul(power, a)], g, p) if a else []
+        assert _frobenius(a, rows, p) == power
 
 
 def _refuse(*_args):

@@ -15,7 +15,7 @@ different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
         [--timeout 20] [--only s015,s028] [--order dp|lp|wp]
-        [--command primdec|minass]
+        [--command primdec|minass] [--shape default|points]
 
 `--only` runs just the named scripts.  All `--count` scripts are still drawn,
 so each name keeps the text it has in a full run.  `--order` rewrites only
@@ -24,7 +24,11 @@ variables.  The default, dp, gives the scripts of earlier versions of this
 tool, and every order draws the same polynomials.  `--command minass` ends
 each ideal script in `minass I;` instead of `primdec I;`, to compare minimal
 primes alone; module scripts stay as they are, and every script keeps its
-name and the rest of its text.  The scripts that run are
+name and the rest of its text.  `--shape points` draws zero-dimensional
+ideals of rational points instead (`points_script`): grids of one to three
+roots per variable, some with a doubled root, cut down by products of two
+root factors or by x - y.  The default shape draws the scripts of earlier
+versions of this tool, with the same names and text.  The scripts that run are
 written to a fresh temporary directory, which is kept and named in the last
 line of output.
 
@@ -46,6 +50,7 @@ from pathlib import Path
 VARIABLES = ("x", "y", "z")
 WP_WEIGHTS = (3, 1, 2)
 HALF, MINUS_TWO_THIRDS = Fraction(1, 2), Fraction(-2, 3)
+POINT_ROOTS = (1, -1, 2, -2, 3, HALF, MINUS_TWO_THIRDS)
 
 
 def _term(coeff: int | Fraction, mono: str, first: bool) -> str:
@@ -81,11 +86,15 @@ def _product(rng: random.Random, names) -> str:
     return "*".join(rng.choice(makers)(rng, names) for _ in range(rng.randint(1, 3)))
 
 
-def random_script(rng: random.Random, order: str = "dp", command: str = "primdec") -> str:
-    names = list(VARIABLES[: rng.randint(2, 3)])
+def _ring_line(names, order: str) -> str:
     if order == "wp":
         order = f"wp({', '.join(map(str, WP_WEIGHTS[: len(names)]))})"
-    lines = [f"ring r = 0, ({', '.join(names)}), {order};"]
+    return f"ring r = 0, ({', '.join(names)}), {order};"
+
+
+def random_script(rng: random.Random, order: str = "dp", command: str = "primdec") -> str:
+    names = list(VARIABLES[: rng.randint(2, 3)])
+    lines = [_ring_line(names, order)]
     if rng.random() < 0.5:
         gens = ", ".join(_product(rng, names) for _ in range(rng.randint(1, 3)))
         lines.append(f"ideal I = {gens};")
@@ -99,6 +108,34 @@ def random_script(rng: random.Random, order: str = "dp", command: str = "primdec
         lines.append(f"module m = {', '.join(vectors)};")
         lines.append("primdec m;")
     return "\n".join(lines) + "\n"
+
+
+def _root(name: str, a) -> str:
+    return "(" + name + _term(-a, "", False) + ")"
+
+
+def points_script(rng: random.Random, order: str = "dp", command: str = "primdec") -> str:
+    """A zero-dimensional ideal of rational points: for each variable v, a
+    product of v - a over one to three roots a, sometimes with the first one
+    doubled; then up to two cuts (v - a)(w - b), which keep the grid points
+    with v = a or w = b; sometimes x - y, a diagonal."""
+    names = list(VARIABLES[: rng.randint(2, 3)])
+    roots = {v: rng.sample(POINT_ROOTS, rng.randint(1, 3)) for v in names}
+    gens = []
+    for v in names:
+        factors = [_root(v, a) for a in roots[v]]
+        if rng.random() < 0.2:
+            factors.append(factors[0])
+        gens.append("*".join(factors))
+    for _ in range(rng.randint(0, 2)):
+        v, w = rng.sample(names, 2)
+        gens.append(_root(v, rng.choice(roots[v])) + "*" + _root(w, rng.choice(roots[w])))
+    if rng.random() < 0.2:
+        gens.append("x - y")
+    return f"{_ring_line(names, order)}\nideal I = {', '.join(gens)};\n{command} I;\n"
+
+
+SHAPES = {"default": random_script, "points": points_script}
 
 
 def _cpu_seconds() -> float:
@@ -144,11 +181,11 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--command", choices=("primdec", "minass"), default="primdec", help="ideal scripts' verb"
     )
+    ap.add_argument("--shape", choices=tuple(SHAPES), default="default", help="what scripts draw")
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
-    texts = {
-        f"s{k:03d}": random_script(rng, args.order, args.command) for k in range(args.count)
-    }
+    draw = SHAPES[args.shape]
+    texts = {f"s{k:03d}": draw(rng, args.order, args.command) for k in range(args.count)}
     names = args.only or list(texts)
     unknown = [name for name in names if name not in texts]
     if unknown:
