@@ -16,14 +16,12 @@ always runs seed 0.  Exit codes: 0 success, 1 parse or input error (such as a
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 from .decompose import (
     DecompositionError,
@@ -42,6 +40,7 @@ from .polyring import (
     RingContext,
     RingError,
     Submodule,
+    _Value,
     ideal,
 )
 from .verify import validate_decomposition
@@ -70,11 +69,7 @@ _TOKEN = re.compile(
 _MAX_NESTING = 100
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -103,19 +98,19 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Command:
-    verb: str
-    shown_input: str
-    module: Submodule
-    extra_module: Submodule | None = None
-    file_arg: str | None = None
+class Command(_Value):
+    __slots__ = _fields = ("verb", "shown_input", "module", "extra_module", "file_arg")
+
+    def __init__(self, verb, shown_input, module, extra_module=None, file_arg=None):
+        self._fill(verb, shown_input, module, extra_module, file_arg)
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(_Value):
     # the commands in script order; declarations only bind names while parsing
-    statements: tuple[Command, ...]
+    __slots__ = _fields = ("statements",)
+
+    def __init__(self, statements: tuple[Command, ...]):
+        self._fill(statements)
 
 
 # wp, and only wp, reads one positive weight per variable
@@ -561,6 +556,8 @@ def _run_file(path_text: str, bound: int, json_mode: bool) -> str:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at the top: only main parses arguments
+
     ap = argparse.ArgumentParser(
         prog="primarydec",
         description="primary decomposition of ideals and submodules over Q",

@@ -42,7 +42,6 @@ whose associated primes exclude P_j, yet P_j is an associated prime of F/M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
@@ -71,6 +70,7 @@ from .polyring import (
     RingError,
     Submodule,
     _collect,
+    _Value,
     from_terms,
     full_module,
     ideal,
@@ -229,16 +229,18 @@ def _normal_form_minpoly(G: GroebnerBasis, l: FreeElement, dim: int):
     return None
 
 
-@dataclass
-class _Search:
+class _Search(_Value):
     """What one min_ass call shares over its recursion: the coordinate shears
     it has left, the shear multipliers in the order its seed gives, and each
     factorization made, by coefficient tuple.  Groebner bases and the block
-    orders they use are kept by the ring (groebner._GroebnerCache)."""
+    orders they use are kept by the ring (groebner._GroebnerCache).  It
+    changes, as shears counts down, so it has no hash."""
 
-    shears: int
-    schedule: tuple = _SHEAR_LAMBDAS
-    factored: dict = field(default_factory=dict)
+    __slots__ = _fields = ("shears", "schedule", "factored")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, shears: int, schedule: tuple = _SHEAR_LAMBDAS, factored=None):
+        self._fill(shears, schedule, {} if factored is None else factored)
 
     def factor(self, coeffs: tuple) -> list:
         hit = self.factored.get(coeffs)
@@ -424,7 +426,7 @@ def _min_ass_rec(I: Submodule, search: _Search) -> list[Submodule]:
         try:
             # a sheared ideal makes no shears of its own, so the budget goes to
             # single shears in schedule order, not down one chain of them
-            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), replace(search, shears=0))
+            primes = _min_ass_rec(_apply_shear(Ic, i, j, lam), search._replace(shears=0))
         except DecompositionError:
             continue
         return [_apply_shear(P, i, j, -lam) for P in primes]
@@ -509,21 +511,21 @@ def localize_module(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Component:
-    """One primary component with its prime and the witness exponent used."""
+class Component(_Value):
+    """One primary component with its prime and the witness exponent used;
+    hull_trace holds the (exponent, hull) pairs tried."""
 
-    module: Submodule
-    prime: Submodule
-    codim: int
-    embedded: bool
-    witness_exponent: int
-    hull_trace: tuple[tuple[int, Submodule], ...]
+    __slots__ = _fields = ("module", "prime", "codim", "embedded", "witness_exponent", "hull_trace")
+
+    def __init__(self, module, prime, codim, embedded, witness_exponent, hull_trace):
+        self._fill(module, prime, codim, embedded, witness_exponent, hull_trace)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    components: tuple[Component, ...]
+class DecompositionResult(_Value):
+    __slots__ = _fields = ("components",)
+
+    def __init__(self, components: tuple[Component, ...]):
+        self._fill(components)
 
 
 def primary_component(

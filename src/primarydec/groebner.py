@@ -53,12 +53,11 @@ reused only as themselves.
 from __future__ import annotations
 
 import heapq
-from dataclasses import replace
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import combinations
 from math import gcd
 from operator import add, le, sub
-from typing import Iterable, Sequence
 
 from .polyring import (
     POSITION_OVER_TERM,
@@ -441,7 +440,7 @@ class _GroebnerCache:
         self.entries: dict = {}
         self.orders = {order: order}
         # the order of the tagged runs of syzygies and lift
-        self.tagged_order = self.order(replace(order, module_extension=POSITION_OVER_TERM))
+        self.tagged_order = self.order(order._replace(module_extension=POSITION_OVER_TERM))
         self.t_ring: RingContext | None = None
 
     def order(self, order: MonomialOrder) -> MonomialOrder:

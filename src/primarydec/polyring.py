@@ -21,15 +21,18 @@ multiply, so a shifted key is key + addk.  The last digit is the degree
 itself; it never decides a comparison, and key & SIZE_MASK reads it, so a
 product checks the bound once per factor: term_key when a key is formed,
 _collect per piece, the engine per reduction step and S-pair side.
+
+Every value type is a __slots__ class whose slots are set once, through
+_set: FreeElement by hand, as its construction is the hottest, and the rest
+on _Value, which compares, hashes, shows and copies one as its field tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, neg
-from typing import Iterable, Sequence, Union
+from operator import add, attrgetter, mul, neg
 
 Monomial = tuple  # exponent vector, one slot per ring variable
 
@@ -56,8 +59,50 @@ def key_overflow() -> RingError:
     return RingError("a term's degree and component must stay below 2^62 for its order key")
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the value types: _fields names the fields, which are the first
+    slots and the constructor's arguments; copies start with empty caches."""
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        # attrgetter gives a lone field bare, and the key is a tuple
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _replace(self, **changes):
+        """A new instance with some fields changed, like dataclasses.replace."""
+        return self.__class__(**dict(zip(self._fields, self._key(self)), **changes))
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(map("{}={!r}".format, self._fields, self._key(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+
+class MonomialOrder(_Value):
     """A global monomial order plus its extension to free-module terms.
 
     kind 'block' compares the index tuples in blocks, in turn, before the rest,
@@ -67,15 +112,18 @@ class MonomialOrder:
     position index winning ties in both conventions.
     """
 
-    kind: str = "degrevlex"
-    weights: tuple[int, ...] | None = None
-    module_extension: str = POSITION_OVER_TERM
-    blocks: tuple[tuple[int, ...], ...] | None = None
-    # per number of variables, derived once: the keys of the unit exponent
-    # vectors and of component 1
-    _units: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _units holds, per number of variables, derived once: the keys of the
+    # unit exponent vectors and of component 1
+    __slots__ = ("kind", "weights", "module_extension", "blocks", "_units")
+    _fields = __slots__[:4]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, kind="degrevlex", weights=None, module_extension=POSITION_OVER_TERM, blocks=None
+    ):
+        # sequences are kept as tuples, so that the order hashes
+        weights = None if weights is None else tuple(weights)
+        blocks = None if blocks is None else tuple(map(tuple, blocks))
+        self._fill(kind, weights, module_extension, blocks, {})
         if self.kind not in _ORDER_KINDS:
             raise ValueError(f"unknown order kind {self.kind!r}")
         if self.kind == "block":
@@ -154,21 +202,19 @@ DEGREVLEX = MonomialOrder()
 LEX = MonomialOrder(kind="lex")
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(_Value):
     """A polynomial ring Q[variables] together with its active order.  _memo
     holds what groebner keeps for this instance (groebner._GroebnerCache),
     whose bases refer back to the ring: a dropped ring and its memo form a
     cycle, freed by the cyclic garbage collector, not at its last reference."""
 
-    variables: tuple[str, ...]
-    # its own instance, so that the unit keys it derives stay with the ring
-    # like _memo: an equal fresh ring starts cold; DEGREVLEX and LEX stay empty
-    order: MonomialOrder = DEGREVLEX
-    _memo: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("variables", "order", "_memo")
+    _fields = __slots__[:2]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", replace(self.order))
+    def __init__(self, variables: Sequence[str], order: MonomialOrder = DEGREVLEX):
+        # its own instance of order, so the unit keys it derives stay with the ring
+        # like _memo: an equal fresh ring starts cold; DEGREVLEX and LEX stay empty
+        self._fill(tuple(variables), order._replace(), None)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         if not self.variables:
@@ -254,9 +300,6 @@ def _collect(pieces, order: MonomialOrder) -> tuple:
     return tuple((key, *v) for key, v in sorted(acc.items(), reverse=True) if v[2])
 
 
-_set = object.__setattr__
-
-
 def from_terms(ring: RingContext, rank: int, terms: tuple, den: int = 1):
     """The element sum c * x^exps * e_comp / den of terms already keyed in
     ring's order and sorted, reduced to lowest terms.  den may be negative."""
@@ -304,6 +347,9 @@ class FreeElement:
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("FreeElement is immutable")
 
+    def __reduce__(self):
+        return from_terms, (self.ring, self.rank, self.terms, self.den)
+
     @property
     def components(self) -> tuple["FreeElement", ...]:
         """The polynomial in each component; a polynomial's is itself."""
@@ -344,7 +390,7 @@ class FreeElement:
     def __rsub__(self, other):
         return (-self) + other
 
-    def scale(self, f: Union["FreeElement", int, Fraction]) -> "FreeElement":
+    def scale(self, f: FreeElement | int | Fraction) -> FreeElement:
         """The element times f, a polynomial or a rational."""
         ring = self.ring
         if isinstance(f, FreeElement):
@@ -464,7 +510,7 @@ def unit_vector(ring: RingContext, rank: int, i: int) -> FreeElement:
     return from_terms(ring, rank, rekey(ring.order, [(i, (0,) * ring.n, 1)]))
 
 
-class Submodule:
+class Submodule(_Value):
     """A finitely generated submodule of R^ambient_rank given by generators.
 
     The ordered generators are also the columns of an ambient_rank x g
@@ -472,6 +518,7 @@ class Submodule:
     """
 
     __slots__ = ("ring", "ambient_rank", "generators", "_hash")
+    _fields = __slots__[:3]
 
     def __init__(self, ring: RingContext, ambient_rank: int, generators: Sequence[FreeElement]):
         gens = tuple(g for g in generators)
@@ -480,29 +527,15 @@ class Submodule:
                 raise RingError("generator does not match ambient module")
         if ambient_rank < 0:
             raise ValueError("negative rank")
-        _set(self, "ring", ring)
-        _set(self, "ambient_rank", ambient_rank)
-        _set(self, "generators", gens)
-        _set(self, "_hash", None)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("Submodule is immutable")
+        self._fill(ring, ambient_rank, gens, None)
 
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.generators)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Submodule)
-            and self.ring == other.ring
-            and self.ambient_rank == other.ambient_rank
-            and self.generators == other.generators
-        )
-
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.ring, self.ambient_rank, self.generators))
+            h = super().__hash__()
             _set(self, "_hash", h)
         return h
 

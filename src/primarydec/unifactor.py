@@ -23,10 +23,10 @@ the leading coefficient of the input is discarded.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from typing import Sequence
 
 # ---------------------------------------------------------------------------
 # rational coefficient arithmetic

@@ -15,7 +15,6 @@ GTZ recursion, linear form or coordinate shear: one saturation a component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .decompose import min_ass
@@ -32,16 +31,16 @@ from .groebner import (
     module_equal,
     saturate,
 )
-from .polyring import FreeElement, Submodule, full_module, ideal, ideal_generators
+from .polyring import FreeElement, Submodule, _Value, full_module, ideal, ideal_generators
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    intersection_ok: bool
-    components_primary: bool
-    primes_distinct: bool
-    irredundant: bool
-    messages: tuple[str, ...]
+class ValidationReport(_Value):
+    __slots__ = _fields = (
+        "intersection_ok", "components_primary", "primes_distinct", "irredundant", "messages"
+    )
+
+    def __init__(self, intersection_ok, components_primary, primes_distinct, irredundant, messages):
+        self._fill(intersection_ok, components_primary, primes_distinct, irredundant, messages)
 
     @property
     def ok(self) -> bool:

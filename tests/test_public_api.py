@@ -9,6 +9,9 @@ helpers.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,23 @@ def test_modules_above_the_term_layout_use_no_term_helper(module):
         elif isinstance(node, ast.Name):
             used.add(node.id)
     assert used & TERM_HELPERS == set()
+
+
+# what importing the library and its command line must not pull in: the
+# dataclasses chain (inspect, ast, dis, tokenize), argparse with gettext, and
+# typing, each milliseconds of every cold start
+HEAVY_AT_START = ("dataclasses", "inspect", "argparse", "typing")
+
+
+def test_import_loads_no_heavy_standard_module():
+    # -S: no site module, which on some installations imports typing itself
+    code = (
+        "import sys, primarydec, primarydec.cli\n"
+        f"print(sorted(set({HEAVY_AT_START!r}) & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
