@@ -30,7 +30,9 @@ multiplicities.  The associated primes that localization needs are found
 once per module: the minimal primes of the annihilator for the unmixed hull,
 the codim-b minimal primes of each `ass_prim_codim(A, b)` for the input.
 Localizing at P is one saturation, by the product of one separator per
-associated prime outside P.  At a minimal prime (every prime of the hull, and
+associated prime outside P.  The witness sum A + P^m F is formed known part
+first, as P^m F + A with P^m F reduced, so its run starts from that basis
+and reduces only A.  At a minimal prime (every prime of the hull, and
 each higher-codim prime that contains no lower one; P is the only associated
 prime inside P) the localization is already P-primary, so the witness test
 saturates it by P no further.
@@ -111,7 +113,8 @@ def _module_sum(A: Submodule, B: Submodule) -> Submodule:
 
 
 def _ideal_times_module(P: Submodule, X: Submodule) -> Submodule:
-    gens = [v.scale(f) for f in ideal_generators(P) for v in X.generators]
+    """P X, each distinct product once."""
+    gens = dict.fromkeys(v.scale(f) for f in ideal_generators(P) for v in X.generators)
     return Submodule(X.ring, X.ambient_rank, gens)
 
 
@@ -544,7 +547,8 @@ def primary_component(
     is the localization at P and AP2 = AP : P^inf.  When P is the only
     associated prime inside P, it is a minimal one: AP is then P-primary, so
     AP2 is the free module F and no saturation by P is computed.  P^m F is
-    built from the reduced P^(m-1) F, so its generators do not multiply.
+    built from the reduced P^(m-1) F, so its generators do not multiply, and
+    A + P^m F is formed with P^m F first, whose basis the run starts from.
     """
     ring = A.ring
     s = A.ambient_rank
@@ -559,10 +563,10 @@ def primary_component(
     GP = buchberger(P)
     inside = [canonical(Pi) for Pi in primes if _separator(Pi, GP) is None]
     AP2 = B if inside == [GP.module] else saturate(AP, P)
-    T = _ideal_times_module(P, B)
+    T = canonical(_ideal_times_module(P, B))
     trace = []
     for m in range(1, bound + 1):
-        Q = equidim_hull(canonical(_module_sum(A, T)))
+        Q = equidim_hull(canonical(_module_sum(T, A)))
         trace.append((m, Q))
         if is_sub(intersect(AP2, Q), AP):
             return Q, m, tuple(trace)

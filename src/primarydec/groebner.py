@@ -14,7 +14,8 @@ denominator for normal forms and lifts; in the ring's order a basis
 generator shares its engine element's term tuple.  Buchberger runs with the
 Gebauer-Moeller pair update; the coprime criterion is applied only to pairs
 whose elements both live entirely in one component, since it is unsound for
-general module elements.  Keys add under multiplication, so the engine keys
+general module elements; a pair of two single-term elements, whose S-vector
+is zero, is dropped too.  Keys add under multiplication, so the engine keys
 no shifted term from scratch: a reduction step adds the popped term's key
 minus the reducer's lead key, and an S-pair side adds the key of the lcm,
 which the pair heap holds already, minus that side's lead key.  Each
@@ -43,11 +44,15 @@ ring.  Full and split runs share one run path (_GroebnerCache._run).  A
 module that is its own reduced basis in the ring order is answered in
 another order from its generators, with no run, when no lead moves; and a
 full run starts from the cached basis of a proper prefix of the generators.
-Both are exact, as the reduced basis is unique: leads that stay leads span
-the initial module in both orders (the standard monomials of any order are
-a basis of F/M, see _reordered), and S-pairs within a Groebner basis reduce
-to zero.  The split runs of syzygies and lift give no reduced basis and are
-reused only as themselves.
+The eliminations of intersect and saturate lift an operand's cached reduced
+basis into the @t ring, where it is recorded as its own reduced basis and
+leads the generators, and record their @t-free part as a reduced basis in
+the ring order; each only when no lead moves, and no run is made to seed.
+All this is exact, as the reduced basis is unique: leads that stay leads
+span the initial module in both orders (the standard monomials of any order
+are a basis of F/M, see _standing_basis), and S-pairs within a Groebner
+basis reduce to zero.  The split runs of syzygies and lift give no reduced
+basis and are reused only as themselves.
 """
 
 from __future__ import annotations
@@ -219,38 +224,43 @@ def _update_pairs(basis, pair_set, heap, t, order: MonomialOrder):
     The coprime criterion applies only when both elements live in one
     component.  This keeps it off in the tagged run of syzygies, whose
     elements all carry a tag: the Koszul syzygies of the pairs it skips
-    would be lost from Syz(A).
+    would be lost from Syz(A).  A pair of two single-term elements has a
+    zero S-vector; like a coprime pair it is kept for criterion M and then
+    dropped.
     """
     h = basis[t]
     hcomp, hexps = h[2], h[3]
     single = h[5] is not None
-    # (i, lcm of the leads, coprime criterion applies), in index order
+    monomial = len(h[0]) == 1
+    # (i, lcm of the leads, S-vector known to reduce to zero), in index order
     cand = []
     for i in range(t):
         e = basis[i]
         if e[2] == hcomp:
-            coprime = single and e[5] is not None and not any(map(min, e[3], hexps))
-            cand.append((i, tuple(map(max, e[3], hexps)), coprime))
+            zero = (monomial and len(e[0]) == 1) or (
+                single and e[5] is not None and not any(map(min, e[3], hexps))
+            )
+            cand.append((i, tuple(map(max, e[3], hexps)), zero))
     # criterion M: drop a pair whose lcm a later pair's lcm properly divides,
-    # or any kept pair's lcm divides; coprime pairs are kept for this test
-    # and then dropped
+    # or any kept pair's lcm divides; coprime and monomial pairs are kept for
+    # this test and then dropped
     keep = []
-    for n, (i, li, coprime) in enumerate(cand):
-        if coprime:
-            keep.append((i, li, coprime))
+    for n, (i, li, zero) in enumerate(cand):
+        if zero:
+            keep.append((i, li, zero))
             continue
-        for _j, lj, _c in keep:
+        for _j, lj, _z in keep:
             if all(map(le, lj, li)):
                 break
         else:
-            for _j, lj, _c in cand[n + 1 :]:
+            for _j, lj, _z in cand[n + 1 :]:
                 if lj != li and all(map(le, lj, li)):
                     break
             else:
-                keep.append((i, li, coprime))
+                keep.append((i, li, zero))
     # criterion B on the pending pairs
     if pair_set:
-        lcms = {i: li for i, li, _c in cand}
+        lcms = {i: li for i, li, _z in cand}
         for (i, j), lij in list(pair_set.items()):
             if (
                 basis[i][2] == hcomp
@@ -259,8 +269,8 @@ def _update_pairs(basis, pair_set, heap, t, order: MonomialOrder):
                 and lcms[j] != lij
             ):
                 del pair_set[(i, j)]
-    for i, li, coprime in keep:
-        if not coprime:
+    for i, li, zero in keep:
+        if not zero:
             pair_set[(i, t)] = li
             heapq.heappush(heap, (order.term_key(hcomp, li), i, t))
 
@@ -358,9 +368,8 @@ class GroebnerBasis:
         self.module = module
         self.order = order
         self._elems = elems
-        self._by_comp: dict = {}
-        for e in elems:
-            self._by_comp.setdefault(e[2], []).append(e)
+        # the elements by lead component, built at the first reduction
+        self._by_comp: dict | None = None
 
     @property
     def ring(self) -> RingContext:
@@ -379,6 +388,10 @@ class GroebnerBasis:
 
     def _reduce_terms(self, terms):
         """_reduce_full of terms, keyed in the basis order, by the basis."""
+        if self._by_comp is None:
+            self._by_comp = {}
+            for e in self._elems:
+                self._by_comp.setdefault(e[2], []).append(e)
         return _reduce_full(terms, self._by_comp)
 
     def _reduce(self, v: FreeElement):
@@ -406,26 +419,28 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.module!r})"
 
 
-def _reordered(G: GroebnerBasis, order: MonomialOrder):
-    """The reduced basis in order of G's module, G being that module's reduced
-    basis in the ring order, or None when some generator's lead moves.
+def _standing_basis(ring: RingContext, rank: int, gens, leads, order: MonomialOrder):
+    """The reduced basis in order of the module gens span, gens sorted, when
+    each generator's lead in order is its entry of leads; None when some
+    lead moves.
 
-    G's leads generate the initial module N of its module M in the ring
-    order.  With every lead unchanged, N lies in the initial module N' of M
-    in order.  The standard monomials of N and of N' each form a basis of
-    F/M, and those of N' lie among those of N, so N = N': G is a Groebner
-    basis in order too, and still the reduced one.  Its generators stay
-    primitive with a positive lead, as the engine leaves them; only their
-    keys and their sequence change.
+    gens, elements of ring, must be the reduced basis of their module in an
+    order that leads them by leads, each primitive with a positive lead, as
+    the engine leaves its generators.  Their leads then generate the initial
+    module N of that module M in that order.  With every lead unchanged, N
+    lies in the initial module N' of M in order.  The standard monomials of
+    N and of N' each form a basis of F/M, and those of N' lie among those of
+    N, so N = N': gens are a Groebner basis in order too, and still the
+    reduced one.  Only their keys and their sequence change.
     """
     pairs = []
-    for gen in G.generators:
-        terms = _in_order(gen.terms, order, G.ring.order)
-        if terms[0][1:3] != gen.terms[0][1:3]:
+    for gen, lead in zip(gens, leads):
+        terms = _in_order(gen.terms, order, ring.order)
+        if terms[0][1:3] != lead:
             return None
         pairs.append((_make_elem(terms), gen))
     pairs.sort(key=lambda p: p[0][1])
-    module = Submodule(G.ring, G.ambient_rank, [gen for _e, gen in pairs])
+    module = Submodule(ring, rank, [gen for _e, gen in pairs])
     return GroebnerBasis(module, [e for e, _gen in pairs], order)
 
 
@@ -458,15 +473,23 @@ class _GroebnerCache:
         if split is None and order != A.ring.order:
             G = self.entries.get((A, A.ring.order, None))
             if G is not None and G.module == A:
-                result = _reordered(G, order)
+                # A is its own reduced basis; in order too when no lead moves
+                leads = [g.terms[0][1:3] for g in A.generators]
+                result = _standing_basis(A.ring, A.ambient_rank, A.generators, leads, order)
         if result is None:
             result = self._run(A, order, split)
+        self.record(key, result)
+        return result
+
+    def record(self, key, result):
+        """Keep result under key, (A, order, split); a reduced basis (split
+        None) also under the module of its own generators."""
+        _A, order, split = key
         if split is None:
             self.entries[result.module, order, None] = result
         self.entries[key] = result
         while len(self.entries) > self.maxsize:
             del self.entries[next(iter(self.entries))]
-        return result
 
     def _run(self, A: Submodule, order: MonomialOrder, split: int | None):
         """One engine run on A's generators in order.  A full run starts from
@@ -669,15 +692,48 @@ def _extend_vector(v: FreeElement, ext: RingContext, ts) -> FreeElement:
     return from_terms(ext, v.rank, rekey(ext.order, items), v.den)
 
 
+def _lifted(A: Submodule, ext: RingContext, ts) -> list[FreeElement]:
+    """A's generators times the sum of a * @t^k over (k, a) in ts, over ext;
+    the a of the top power k is positive.
+
+    When the ring's memo holds A's reduced basis G, G is lifted instead, and
+    when no lead moves (_standing_basis, the leads being @t^k times G's) the
+    lifted G is recorded in ext's memo as its own reduced basis: its S-pairs
+    are G's times the same factor.  A run on a list that starts with it then
+    starts from that basis (_GroebnerCache._run).  No run is made to find G.
+    """
+    G = _memo(A.ring).entries.get((A, A.ring.order, None))
+    if G is not None and G.generators:
+        k = max(k for k, _a in ts)
+        lifted = [_extend_vector(g, ext, ts) for g in G.generators]
+        leads = [(g.terms[0][1], (k,) + g.terms[0][2]) for g in G.generators]
+        H = _standing_basis(ext, A.ambient_rank, lifted, leads, ext.order)
+        if H is not None:
+            _memo(ext).record((H.module, ext.order, None), H)
+            return list(H.generators)
+    return [_extend_vector(a, ext, ts) for a in A.generators]
+
+
 def _t_free(gens, ext: RingContext, ring: RingContext, s: int) -> Submodule:
-    """The elements free of @t in the module gens span, contracted to ring."""
+    """The elements free of @t in the module gens span, contracted to ring.
+
+    They are the reduced basis of that module in the order ext's block order
+    induces on ring's terms; when no lead moves in ring's order they are its
+    reduced basis there too (_standing_basis), recorded in ring's memo, so
+    canonical of the result runs nothing.
+    """
     # ext's order is eliminate's block order for @t
     free = eliminate(Submodule(ext, s, gens), (0,)).generators
     out = [
         from_terms(ring, s, rekey(ring.order, ((i, e[1:], c) for _k, i, e, c in g.terms)), g.den)
         for g in free
     ]
-    return Submodule(ring, s, out)
+    result = Submodule(ring, s, out)
+    leads = [(g.terms[0][1], g.terms[0][2][1:]) for g in free]
+    G = _standing_basis(ring, s, out, leads, ring.order)
+    if G is not None:
+        _memo(ring).record((result, ring.order, None), G)
+    return result
 
 
 def _has_every_unit(A: Submodule) -> bool:
@@ -690,12 +746,18 @@ def _has_every_unit(A: Submodule) -> bool:
     return len(units) == A.ambient_rank
 
 
+# the @t factors of intersect's two sides; t - 1 spans what 1 - t does, with
+# a positive lead
+_T_A, _T_B = ((1, 1),), ((0, -1), (1, 1))
+
+
 def intersect(A: Submodule, B: Submodule) -> Submodule:
-    """A cap B: the @t-free part of t A + (1 - t) B.
+    """A cap B: the @t-free part of t A + (t - 1) B.
 
     When either operand has every unit vector among its generators, it is the
     whole free module and the other operand is returned as given, with no
-    elimination run.
+    elimination run.  The side whose reduced basis the memo holds leads, A
+    when both do, and the run starts from that basis (_lifted).
     """
     ring = A.ring
     if B.ring != ring or B.ambient_rank != A.ambient_rank:
@@ -708,8 +770,11 @@ def intersect(A: Submodule, B: Submodule) -> Submodule:
     if _has_every_unit(B):
         return A
     ext = _t_ring(ring)
-    gens = [_extend_vector(a, ext, ((1, 1),)) for a in A.generators]
-    gens += [_extend_vector(b, ext, ((0, 1), (1, -1))) for b in B.generators]
+    entries = _memo(ring).entries
+    if (A, ring.order, None) not in entries and (B, ring.order, None) in entries:
+        gens = _lifted(B, ext, _T_B) + _lifted(A, ext, _T_A)
+    else:
+        gens = _lifted(A, ext, _T_A) + _lifted(B, ext, _T_B)
     return _t_free(gens, ext, ring, s)
 
 
@@ -744,11 +809,12 @@ def saturate(A: Submodule, J: Submodule) -> Submodule:
     For each nonzero generator f of J one Groebner run gives
     A : f^infinity = (A R[t] + (1 - t f) F) cap F (Rabinowitsch), and
     A : J^infinity is the intersection of these.  With no nonzero generator
-    in J the result is the whole free module F.
+    in J the result is the whole free module F.  A's generators lead each
+    run, as its reduced basis when the memo holds one (_lifted).
     """
     ring, s = A.ring, A.ambient_rank
     ext = _t_ring(ring)
-    base = [_extend_vector(a, ext, ((0, 1),)) for a in A.generators]
+    base = _lifted(A, ext, ((0, 1),))
     sats = []
     for f in [f for f in ideal_generators(J) if not f.is_zero()]:
         # (1 - @t f) e_i = e_i - @t (f e_i)

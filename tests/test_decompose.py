@@ -811,6 +811,41 @@ def test_witness_loop_builds_each_power_of_the_prime_from_a_reduced_one(monkeypa
     ]
 
 
+def test_the_witness_sum_starts_from_the_basis_of_the_prime_power(monkeypatch):
+    # A + P^m F is formed as P^m F + A with P^m F reduced, so the run on it
+    # starts from that cached basis and reduces A's generators alone
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    sums, runs = [], []
+    module_sum, engine = decompose._module_sum, groebner._buchberger_engine
+
+    def recording_sum(A, B):
+        sums.append((A, B))
+        return module_sum(A, B)
+
+    def recording_engine(vectors, order, split=None, known=()):
+        runs.append((len(vectors), len(known)))
+        return engine(vectors, order, split, known)
+
+    monkeypatch.setattr(decompose, "_module_sum", recording_sum)
+    monkeypatch.setattr(groebner, "_buchberger_engine", recording_engine)
+    I, P = ideal(R, [x * x, x * y]), ideal(R, [x, y])
+    primary_component(I, P)
+    assert [(itext(T), A) for T, A in sums] == [(["y", "x"], I), (["y^2", "x*y", "x^2"], I)]
+    assert all(canonical(T) == T for T, _A in sums)
+    T = canonical(ideal(R, [x**3, y]))
+    del runs[:]
+    canonical(decompose._module_sum(T, I))
+    assert runs == [(2, 2)]
+
+
+def test_ideal_times_module_lists_each_product_once():
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    P = ideal(R, [x, y])
+    assert decompose._ideal_times_module(P, P).generators == (x * x, x * y, y * y)
+
+
 def test_primary_component_tells_minimal_primes_from_its_own_primes(monkeypatch):
     # no caller says which primes are minimal: over (x^2, xy) the minimal (x)
     # is not saturated by, while the embedded (x, y) is, and so is (x, y - 1),

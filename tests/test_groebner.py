@@ -804,13 +804,168 @@ def test_a_second_intersect_in_a_ring_derives_no_unit_keys(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# eliminations seeded from cached bases, and pairs of monomials
+# ---------------------------------------------------------------------------
+
+
+def _t_runs(monkeypatch):
+    """The size of `known` per elimination run in an @t ring from here on."""
+    from primarydec import groebner
+
+    runs = []
+    real = groebner._buchberger_engine
+
+    def counting(vectors, order, split=None, known=()):
+        if order.blocks == ((0,),):
+            runs.append(len(known))
+        return real(vectors, order, split, known)
+
+    monkeypatch.setattr(groebner, "_buchberger_engine", counting)
+    return runs
+
+
+def _moved(X, R):
+    """X over the ring R, equal to X's ring."""
+    return Submodule(R, X.ambient_rank, [from_terms(R, g.rank, g.terms, g.den) for g in X.generators])
+
+
+def _seed_of(X, ts):
+    """Whether the @t ring of X's ring holds X's reduced basis lifted by ts
+    as its own reduced basis."""
+    from primarydec import groebner
+
+    ext = groebner._t_ring(X.ring)
+    lifted = {groebner._extend_vector(g, ext, ts) for g in canonical(X).generators}
+    return any(
+        split is None and set(M.generators) == lifted and G.module == M
+        for (M, _order, split), G in ext._memo.entries.items()
+    )
+
+
+_SEED_ORDERS = {
+    "dp": MonomialOrder(),
+    "lp": MonomialOrder(kind="lex"),
+    "wp": MonomialOrder(weights=(2, 3, 1)),
+    "block": MonomialOrder(kind="block", blocks=((0, 1),)),
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("extension", [POSITION_OVER_TERM, TERM_OVER_POSITION])
+@pytest.mark.parametrize("order", sorted(_SEED_ORDERS))
+def test_intersect_and_saturate_do_not_depend_on_a_cached_basis(
+    monkeypatch, order, extension, rank
+):
+    kind = _SEED_ORDERS[order]._replace(module_extension=extension)
+    rng = random.Random(f"seed-{order}-{extension}-{rank}")
+    runs = _t_runs(monkeypatch)
+    seeded, nonzero = [], []
+    for _ in range(6):
+        R = RingContext(("x", "y", "z"), kind)
+        A, B = _random_module(R, rng, rank, 2), _random_module(R, rng, rank, 2)
+        J = _random_module(R, rng, 1, 1)
+        results = []
+        # cold; with A's basis cached; with B's alone
+        for warm in ((), (A,), (B,)):
+            fresh = RingContext(R.variables, kind)
+            a, b, j = (_moved(X, fresh) for X in (A, B, J))
+            for X in warm:
+                buchberger(_moved(X, fresh))
+            del runs[:]
+            results.append((intersect(a, b).generators, saturate(a, j).generators))
+            seeded.append(any(runs))
+            nonzero.append(any(not X.is_zero() for X in warm))
+        assert results[0] == results[1] == results[2]
+    # only a cached basis seeds; the @t ring's order is degrevlex, term over
+    # position, so from dp under it, or with one component, no lead moves
+    assert all(map(le, seeded, nonzero))
+    if order == "dp" and (rank == 1 or extension == TERM_OVER_POSITION):
+        assert seeded == nonzero and any(seeded)
+
+
+def test_a_ring_where_a_lead_moves_records_no_seed(monkeypatch):
+    runs = _t_runs(monkeypatch)
+    # lex leads x, degrevlex leads y^2
+    R = RingContext(("x", "y", "z"), MonomialOrder(kind="lex"))
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    A, B = ideal(R, [x + y**2]), ideal(R, [y * z - x])
+    fresh = RingContext(R.variables, R.order)
+    cold = intersect(_moved(A, fresh), _moved(B, fresh))
+    buchberger(A)
+    del runs[:]
+    assert intersect(A, B).generators == cold.generators
+    assert runs == [0] and not _seed_of(A, ((1, 1),))
+    # position over term leads x e_0, the @t ring's term over position y^2 e_1
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    A = Submodule(R, 2, [FreeElement(R, (x, y**2))])
+    B = Submodule(R, 2, [FreeElement(R, (z, R.zero())), FreeElement(R, (R.zero(), x))])
+    buchberger(A)
+    buchberger(B)
+    del runs[:]
+    saturate(A, ideal(R, [z]))
+    intersect(A, B)
+    assert runs == [0, 0]
+    assert not _seed_of(A, ((0, 1),)) and not _seed_of(A, ((1, 1),))
+    # where no lead moves the same calls record their seeds
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    A, B = ideal(R, [x + y**2]), ideal(R, [y * z - x])
+    buchberger(A)
+    del runs[:]
+    intersect(A, B)
+    saturate(A, ideal(R, [z]))
+    assert runs == [1, 1]
+    assert _seed_of(A, ((1, 1),)) and _seed_of(A, ((0, 1),))
+
+
+def test_a_run_on_monomial_generators_forms_no_s_pair(monkeypatch):
+    from primarydec import groebner
+
+    calls = []
+    real = groebner._spair
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_spair", counting)
+    for order in _SEED_ORDERS.values():
+        for extension in (POSITION_OVER_TERM, TERM_OVER_POSITION):
+            R = RingContext(("x", "y", "z"), order._replace(module_extension=extension))
+            mono = [R.monomial(e, c) for e, c in [((2, 0, 0), 3), ((1, 1, 0), -1), ((0, 2, 1), 2)]]
+            zero = R.zero()
+            for A in (
+                ideal(R, mono),
+                Submodule(R, 2, [FreeElement(R, (m, zero)) for m in mono]
+                    + [FreeElement(R, (zero, m)) for m in mono[1:]]),
+            ):
+                G = buchberger(A)
+                assert G.module == _cold(A).module
+                assert len(G.generators) == len(A.generators)
+    assert calls == []
+
+
+def test_canonical_of_an_intersection_or_saturation_runs_nothing(monkeypatch):
+    R = ring3()
+    x, y, z = R.variable(0), R.variable(1), R.variable(2)
+    A, B = ideal(R, [x * y, z**2 - x]), ideal(R, [y - z, x**2])
+    I, S = intersect(A, B), saturate(A, ideal(R, [y]))
+    runs = _engine_runs(monkeypatch)
+    assert canonical(I) == _cold(I).module and canonical(S) == _cold(S).module
+    assert runs == [0, 0]  # the two cold runs only
+
+
+# ---------------------------------------------------------------------------
 # the engine's bookkeeping against the plain forms it replaced
 # ---------------------------------------------------------------------------
 
 
 def _reference_update_pairs(basis, pair_set, heap, t, order):
-    """The Gebauer-Moeller update written plainly: dicts of lcms and coprime
-    flags, criterion M through nested scans, every pending pair scanned."""
+    """The Gebauer-Moeller update written plainly: dicts of lcms and of flags
+    for pairs whose S-vector reduces to zero (coprime one-component
+    elements, or two single-term ones), criterion M through nested scans,
+    every pending pair scanned."""
     def divides(a, b):
         return all(x <= y for x, y in zip(a, b))
 
@@ -819,11 +974,14 @@ def _reference_update_pairs(basis, pair_set, heap, t, order):
             return False
         return not any(map(min, e1[3], e2[3]))
 
+    def monomials(e1, e2):
+        return len(e1[0]) == 1 and len(e2[0]) == 1
+
     h = basis[t]
     hcomp, hexps = h[2], h[3]
     cand = [i for i in range(t) if basis[i][2] == hcomp]
     lcms = {i: tuple(map(max, basis[i][3], hexps)) for i in cand}
-    coprime = {i: coprime_ok(basis[i], h) for i in cand}
+    coprime = {i: coprime_ok(basis[i], h) or monomials(basis[i], h) for i in cand}
     keep = []
     rest = list(cand)
     while rest:
