@@ -464,8 +464,7 @@ def _execute_command(cmd: Command, bound: int, seed: int, base_dir: Path) -> dic
             M if buchberger(M).is_full() else equidim_hull(M)
         )
     elif cmd.verb == "minass":
-        I = M if M.ambient_rank == 1 else annihilator(M)
-        out["primes"] = [rendered_generators(P) for P in min_ass(I, seed)]
+        out["primes"] = [rendered_generators(P) for P in min_ass(annihilator(M), seed)]
     elif cmd.verb == "localize":
         J = cmd.extra_module
         if min_ass(J, seed) != [canonical(J)]:

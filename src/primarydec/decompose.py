@@ -21,7 +21,8 @@ grid of their roots has at most dim points, the primes are the maximal ideals
 of the grid points where J vanishes, with no split (`_rational_points`).
 The splits return candidate primes, which may repeat or contain one another;
 `min_ass` alone keeps the inclusion-minimal ones and sorts them, once, by codim
-and then by `rendered_generators`, the text the CLI prints, as are components.
+and then by `rendered_generators`, the text the CLI prints.  Components inherit
+that order: the hull's primes, all of codim c, then each higher codim's.
 The module-level decomposition peels one primary component per associated
 prime, using twice-iterated Ext kernels for the equidimensional parts (none
 when the Groebner basis shows the module unmixed: zero dimensional, or an
@@ -32,10 +33,11 @@ the codim-b minimal primes of each `ass_prim_codim(A, b)` for the input.
 Localizing at P is one saturation, by the product of one separator per
 associated prime outside P.  The witness sum A + P^m F is formed known part
 first, as P^m F + A with P^m F reduced, so its run starts from that basis
-and reduces only A.  At a minimal prime (every prime of the hull, and
-each higher-codim prime that contains no lower one; P is the only associated
-prime inside P) the localization is already P-primary, so the witness test
-saturates it by P no further.
+and reduces only A; the associated primes pass through to `localize_module`
+alone.  At a minimal prime (every prime of the hull, and each higher-codim
+prime that contains no lower one) the localization is P-primary, of P's
+dimension, which an associated prime strictly inside P would exceed; there
+the witness test saturates it by P no further.
 The isolated components intersect to the hull, so only the higher-codim ones
 are intersected in.  No component is redundant: were M the intersection of
 the components other than Q_j, F/M would embed in the sum of their quotients,
@@ -542,27 +544,22 @@ def primary_component(
     """P-primary component of A with the least power of P that witnesses it.
 
     Returns (component, exponent, trace of (exponent, hull) attempts).
-    `primes`, the associated primes of F/A if known, goes to `localize_module`.
-    A hull Q = hull(A + P^m F) witnesses when AP2 cap Q lies in AP, where AP
-    is the localization at P and AP2 = AP : P^inf.  When P is the only
-    associated prime inside P, it is a minimal one: AP is then P-primary, so
-    AP2 is the free module F and no saturation by P is computed.  P^m F is
-    built from the reduced P^(m-1) F, so its generators do not multiply, and
-    A + P^m F is formed with P^m F first, whose basis the run starts from.
+    `primes`, the associated primes of F/A if known, only passes through to
+    `localize_module`.  A hull Q = hull(A + P^m F) witnesses when AP2 cap Q
+    lies in AP, where AP is the localization at P and AP2 = AP : P^inf.
+    F/AP has the associated primes of F/A inside P, and one strictly inside
+    has a larger dimension, so codim(AP) = codim(P) exactly when P is minimal
+    (EHV): AP is P-primary, AP2 is F and no saturation by P is computed.
+    P^m F is P times the reduced P^(m-1) F, so generators do not multiply;
+    A + P^m F puts P^m F first, and its run starts from that basis.
     """
-    ring = A.ring
-    s = A.ambient_rank
-    if primes is None:
-        primes = _associated_primes(canonical(A), seed)
     AP = localize_module(A, P, seed, primes=primes)
     if buchberger(AP).is_full():
         raise DecompositionError(
             f"({', '.join(rendered_generators(P))}) contains no associated prime of the module"
         )
-    B = full_module(ring, s)
-    GP = buchberger(P)
-    inside = [canonical(Pi) for Pi in primes if _separator(Pi, GP) is None]
-    AP2 = B if inside == [GP.module] else saturate(AP, P)
+    B = full_module(A.ring, A.ambient_rank)
+    AP2 = B if codim(AP) == codim(P) else saturate(AP, P)
     T = canonical(_ideal_times_module(P, B))
     trace = []
     for m in range(1, bound + 1):
@@ -597,7 +594,7 @@ def primary_decomposition(
     comps = []
     for P in hull_primes:
         Q, m, trace = primary_component(N1, P, bound, seed, primes=hull_primes)
-        comps.append(Component(canonical(Q), P, c, False, m, trace))
+        comps.append(Component(Q, P, c, False, m, trace))
     if not module_equal(N1, Mc):
         higher = [
             (P, b)
@@ -610,11 +607,10 @@ def primary_decomposition(
             Q, m, trace = primary_component(Mc, P, bound, seed, primes=ass)
             # embedded when P contains an associated prime of lower codim
             embedded = any(C.codim < b and is_sub(C.prime, P) for C in comps)
-            comps.append(Component(canonical(Q), P, b, embedded, m, trace))
+            comps.append(Component(Q, P, b, embedded, m, trace))
             N = intersect(N, Q)
         if not module_equal(N, Mc):
             raise DecompositionError(
                 "computed components do not intersect back to the input"
             )
-    comps.sort(key=lambda c: (c.codim, rendered_generators(c.prime)))
     return DecompositionResult(tuple(comps))

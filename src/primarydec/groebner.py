@@ -786,10 +786,14 @@ def intersect_many(mods: Sequence[Submodule]) -> Submodule:
 
 
 def quotient(A: Submodule, B: Submodule) -> Submodule:
-    """Ideal {f : f * B inside A} for submodules of the same free module."""
+    """Ideal {f : f * B inside A} for submodules of the same free module.
+    When A is an ideal and B holds a nonzero constant (`_has_every_unit`),
+    as `annihilator` passes it, that is A itself: canonical(A), no syzygies."""
     ring = A.ring
     if B.ambient_rank != A.ambient_rank:
         raise RingError("operands live in different modules")
+    if A.ambient_rank == 1 and _has_every_unit(B):
+        return canonical(A)
     steps = [
         modulo_kernel(Submodule(ring, A.ambient_rank, [b]), A)
         for b in B.generators

@@ -89,7 +89,7 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
     ring = Q.ring
     if min_ass(P, seed) != [canonical(P)]:
         return False
-    a = Q if Q.ambient_rank == 1 else annihilator(Q)
+    a = annihilator(Q)
     if not is_sub(a, P) or not all(_in_radical(f, a) for f in ideal_generators(P)):
         return False
     u = set(independent_sets(P)[0])

@@ -27,6 +27,7 @@ from primarydec.decompose import (
     min_ass,
     primary_component,
     primary_decomposition,
+    rendered_generators,
 )
 from primarydec.groebner import (
     GroebnerBasis,
@@ -870,6 +871,13 @@ def test_primary_component_tells_minimal_primes_from_its_own_primes(monkeypatch)
         (["y^2", "x*y", "x^2"], 2, 2, [["y", "x"]]),
         (["y - 1", "x"], 1, 1, [["y"], ["y - 1", "x"]]),
     ]
+    # (x, y) is not associated to (xy) but holds both its primes, (x) and (y):
+    # nothing is separated, and the localization, of codim 1 below the
+    # prime's 2, is still saturated by (x, y); the saturation by (x) is
+    # min_ass's, by a lead coefficient, on the way to the associated primes
+    calls.clear()
+    Q, m, trace = primary_component(ideal(R, [x * y]), ideal(R, [x, y]))
+    assert (itext(Q), m, len(trace), calls) == (["y", "x"], 1, 1, [["x"], ["y", "x"]])
 
 
 def test_primary_decomposition_embedded_example():
@@ -940,6 +948,10 @@ def test_points_make_no_redundancy_intersections(monkeypatch):
     assert higher
     assert calls == []
     assert len(pairs) == sum(len(c.hull_trace) for c in res.components) + len(higher)
+    # the components keep the order min_ass gives each codim, with no sort of
+    # their own: by codim, then by the rendered prime
+    keys = [(c.codim, rendered_generators(c.prime)) for c in res.components]
+    assert keys == sorted(keys) and len({b for b, _p in keys}) > 1
 
 
 def test_one_saturation_per_localization_and_none_by_a_minimal_prime(monkeypatch):
@@ -951,12 +963,23 @@ def test_one_saturation_per_localization_and_none_by_a_minimal_prime(monkeypatch
         calls.append(canonical(J))
         return saturate(A, J)
 
+    separated = []
+    separator = decompose._separator
+
+    def counted_separator(P, GJ):
+        separated.append(P)
+        return separator(P, GJ)
+
     monkeypatch.setattr(decompose, "saturate", recording_saturate)
+    monkeypatch.setattr(decompose, "_separator", counted_separator)
     res = primary_decomposition(ideal(R, [x * x - x, y * y - y, z * z - z]))
     assert len(res.components) == 8
     # one saturation by the product of the separators per localization, and
     # none by the prime: each point is a minimal prime
     assert len(calls) == len(res.components)
+    # minimality is read off the localization's dimension, so the only
+    # separators are the localizations': 8 associated primes at 8 points
+    assert len(separated) == 64
     assert not set(calls) & {c.prime for c in res.components}
     # an embedded prime's localization is still saturated by that prime
     calls.clear()

@@ -7,6 +7,7 @@ on each line are parsed and summed, and their totals in the summary checked.
 
 import importlib.util
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -136,3 +137,21 @@ def test_shape_draws_its_own_scripts_and_default_keeps_the_old_ones(
         assert all(text.split("\n")[1].startswith("ideal I = (x ") for text in drawn)
     for k in (1, 4):
         assert (out / f"s{k:03d}.primdec").read_text() == drawn[k]
+
+
+def test_readme_names_every_long_option_of_the_tool(capsys):
+    # the README paragraph on the tool, read against its own --help, so an
+    # option or choice added to one cannot go missing from the other
+    with pytest.raises(SystemExit) as exc:
+        _load_tool().main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("`tools/differential.py OLD_TREE NEW_TREE")
+    paragraph = readme[start:].split("\n\n", 1)[0]
+    options = re.findall(r"\[(--[\w-]+)(?: \{([^}]*)\})?", usage)
+    assert len(options) >= 6
+    for option, choices in options:
+        assert option in paragraph, option
+        if choices:
+            assert f"{option} {choices.replace(',', '|')}" in paragraph, option

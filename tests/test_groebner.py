@@ -6,6 +6,7 @@ from operator import le
 
 import pytest
 
+from primarydec import groebner
 from primarydec.groebner import (
     annihilator,
     buchberger,
@@ -260,6 +261,21 @@ def test_quotient_examples():
     assert module_equal(quotient(I, ideal(R, [R.one()])), I)
     # quotient by nothing is everything
     assert is_unit_ideal(quotient(I, Submodule(R, 1, [])))
+
+
+def test_an_ideal_is_its_own_annihilator_with_no_syzygy_run(monkeypatch):
+    # B holds a nonzero constant, read off its generators, so I : B is I
+    R = ring2()
+    x, y = R.variable(0), R.variable(1)
+    I = ideal(R, [x**2 * y + x, x * y - y, x**3])
+
+    def no_kernel(A, B):
+        raise AssertionError("modulo_kernel ran")
+
+    monkeypatch.setattr(groebner, "modulo_kernel", no_kernel)
+    assert quotient(I, ideal(R, [R.one()])) == canonical(I)
+    assert quotient(I, ideal(R, [R.one() * 3, x])) == canonical(I)
+    assert annihilator(I) == canonical(I)
 
 
 def test_annihilator_of_quotient_module():
