@@ -1,23 +1,27 @@
 """Factorization of univariate polynomials over Q.
 
-Polynomials are coefficient sequences from the constant term upward.  A
+Polynomials are coefficient sequences from the constant term upward.  All
+arithmetic is on lists of ints, over Z or mod m: rationals appear only in
+`univariate_factor`, which reads its input once into the primitive integer
+polynomial with a positive lead and makes the factors it returns monic.  A
 linear input is returned monic.  Otherwise one prime search runs per
 squarefree part: the first two odd primes that do not divide the leading
 coefficient and keep the part squarefree.  One such prime shows the input
-squarefree over Q, so Yun's squarefree splitting over Q runs only when none
-of the first few primes does.  The part is split by degree modulo both
-primes; the degrees the two splits can sum to bound the degrees of its
-factors over Q, and when no proper degree survives the part is irreducible.
-Otherwise equal-degree (Cantor-Zassenhaus) splitting runs at the prime p with
-fewer factors, taking each p-th power from a Frobenius table x^(p i) mod g
-made once per product g of the factors of one degree, and one Hensel lift
-carries all of them at once, a factor of p per step, to the least power of p
-above the coefficient bound: each factor is corrected by its share of the
-error, from an inverse of its cofactor computed once mod p.  The lifted
-factors are recombined by subsets, skipping those whose degree is not a
-surviving sum or whose constant term does not divide the cofactor's; exact
-division decides the rest.  Only monic irreducible factors are reported;
-the leading coefficient of the input is discarded.
+squarefree over Q, so Yun's squarefree splitting runs only when none of the
+first few primes does; it runs over Z, by primitive remainder sequences,
+and its quotients are exact by Gauss's lemma.  The part is split by degree
+modulo both primes; the degrees the two splits can sum to bound the degrees
+of its factors over Q, and when no proper degree survives the part is
+irreducible.  Otherwise equal-degree (Cantor-Zassenhaus) splitting runs at
+the prime p with fewer factors, taking each p-th power from a Frobenius
+table x^(p i) mod g made once per product g of the factors of one degree,
+and one Hensel lift carries all of them at once, a factor of p per step, to
+the least power of p above the coefficient bound: each factor is corrected
+by its share of the error, from an inverse of its cofactor computed once mod
+p.  The lifted factors are recombined by subsets, skipping those whose
+degree is not a surviving sum or whose constant term does not divide the
+cofactor's; exact division decides the rest.  Only monic irreducible factors
+are reported; the leading coefficient of the input is discarded.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 # ---------------------------------------------------------------------------
-# rational coefficient arithmetic
+# integer polynomial arithmetic; Yun's squarefree split over Z
 # ---------------------------------------------------------------------------
 
 
@@ -39,76 +43,97 @@ def _trim(a: list) -> list:
     return a
 
 
-def _q_deg(a: list) -> int:
+def _deg(a: list) -> int:
     return len(a) - 1
 
 
-def _q_sub(a: list, b: list) -> list:
+def _sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
     return _trim(out)
 
 
-def _q_divmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] * inv
+def _deriv(a: list) -> list:
+    return _trim([a[i] * i for i in range(1, len(a))])
+
+
+def _primitive_integer(f: list) -> list[int]:
+    """The primitive integer polynomial with a positive lead that is a
+    rational multiple of f, a nonzero list of ints or Fractions."""
+    den = lcm(*(c.denominator for c in f))
+    zz = [c.numerator * (den // c.denominator) for c in f]
+    g = gcd(*zz) if zz[-1] > 0 else -gcd(*zz)
+    return [c // g for c in zz]
+
+
+def _z_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g over Z.
+
+    Division stops at the first leading coefficient that lc(g) does not
+    divide, which never happens for a monic g, so the remainder is zero
+    exactly when g divides f in Z[x].
+    """
+    a = list(f)
+    q = [0] * max(0, len(a) - len(g) + 1)
+    while len(a) >= len(g):
+        c, r = divmod(a[-1], g[-1])
+        if r:
+            break
+        shift = len(a) - len(g)
         q[shift] = c
-        for i, y in enumerate(b):
+        for i, y in enumerate(g):
             a[shift + i] -= c * y
         a.pop()
     return _trim(q), _trim(a)
 
 
-def _q_exact_div(a: list, b: list) -> list:
-    q, r = _q_divmod(a, b)
+def _z_exact_div(f: list[int], g: list[int]) -> list[int]:
+    q, r = _z_divmod(f, g)
     if r:
         raise ArithmeticError("division was not exact")
     return q
 
 
-def _q_monic(a: list) -> list:
-    inv = Fraction(1) / a[-1]
-    return [c * inv for c in a]
-
-
-def _q_deriv(a: list) -> list:
-    return _trim([a[i] * i for i in range(1, len(a))])
-
-
-def _q_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
+def _z_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd of the integer polynomials a != 0 and b, primitive with a
+    positive lead, by a primitive remainder sequence (Brown 1971): each
+    pseudo-remainder lc(b)^k a mod b is made primitive before the next step."""
+    a = _primitive_integer(a)
     while b:
-        _q, r = _q_divmod(a, b)
+        b = _primitive_integer(b)
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            _trim(r)
         a, b = b, r
-    if not a:
-        return []
-    return _q_monic(a)
+    return a
 
 
-def _squarefree_parts(f: list) -> list[tuple[list, int]]:
-    """Yun decomposition of a monic polynomial: [(part, multiplicity)]."""
-    df = _q_deriv(f)
-    u = _q_gcd(f, df)
-    v = _q_exact_div(f, u)
-    w = _q_exact_div(df, u)
+def _squarefree_parts(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of a primitive integer polynomial with
+    a positive lead: [(part, multiplicity)], each part primitive with a
+    positive lead.
+
+    The gcds are primitive, so by Gauss's lemma every quotient is integral.
+    v and w are those of Yun's steps over Q times one common rational factor,
+    which leaves every gcd, taken primitive, as it is.
+    """
+    df = _deriv(f)
+    u = _z_gcd(f, df)
+    v = _z_exact_div(f, u)
+    w = _z_exact_div(df, u)
     out = []
     k = 1
-    while _q_deg(v) > 0:
-        h = _q_gcd(v, _q_sub(w, _q_deriv(v)))
-        if _q_deg(h) > 0:
+    while _deg(v) > 0:
+        dw = _sub(w, _deriv(v))
+        h = _z_gcd(v, dw)
+        if _deg(h) > 0:
             out.append((h, k))
-        v2 = _q_exact_div(v, h)
-        w = _q_exact_div(_q_sub(w, _q_deriv(v)), h)
-        v = v2
+        v = _z_exact_div(v, h)
+        w = _z_exact_div(dw, h)
         k += 1
     return out
 
@@ -201,16 +226,16 @@ def _distinct_degree(f: list, p: int) -> list[tuple[int, list]]:
     out = []
     h = [0, 1]
     d = 0
-    while 2 * (d + 1) <= _q_deg(f):
+    while 2 * (d + 1) <= _deg(f):
         d += 1
         h = _p_pow_mod(h, p, f, p)
         g = _p_gcd(f, _p_sub(h, [0, 1], p), p)
-        if _q_deg(g) > 0:
+        if _deg(g) > 0:
             out.append((d, g))
             f = _p_divmod(f, g, p)[0]
             h = _p_divmod(h, f, p)[1]
-    if _q_deg(f) > 0:
-        out.append((_q_deg(f), f))
+    if _deg(f) > 0:
+        out.append((_deg(f), f))
     return out
 
 
@@ -218,7 +243,7 @@ def _frobenius_rows(g: list, p: int) -> list[list]:
     """The rows x^(p i) mod g, i = 0 .. deg g - 1, over the prime field."""
     xp = _p_pow_mod([0, 1], p, g, p)
     rows = [[1]]
-    for _i in range(1, _q_deg(g)):
+    for _i in range(1, _deg(g)):
         rows.append(_p_divmod(_p_mul(rows[-1], xp, p), g, p)[1])
     return rows
 
@@ -250,17 +275,17 @@ def _factor_mod_p(split: list[tuple[int, list]], p: int) -> list[list]:
         pending = [(g, _frobenius_rows(g, p))]
         while pending:
             g, rows = pending.pop()
-            if _q_deg(g) == d:
+            if _deg(g) == d:
                 out.append(g)
                 continue
-            norm = t = _trim([rng.randrange(p) for _i in range(_q_deg(g))])
+            norm = t = _trim([rng.randrange(p) for _i in range(_deg(g))])
             for _k in range(d - 1):
                 t = _frobenius(t, rows, p)
                 norm = _p_divmod(_p_mul(norm, t, p), g, p)[1]
             w = _p_gcd(g, _p_sub(_p_pow_mod(norm, (p - 1) // 2, g, p), [1], p), p)
-            if 0 < _q_deg(w) < _q_deg(g):
+            if 0 < _deg(w) < _deg(g):
                 for h in (w, _p_divmod(g, w, p)[0]):
-                    pending.append((h, [_p_divmod(row, h, p)[1] for row in rows[: _q_deg(h)]]))
+                    pending.append((h, [_p_divmod(row, h, p)[1] for row in rows[: _deg(h)]]))
             else:
                 pending.append((g, rows))
     return out
@@ -301,20 +326,6 @@ def _symmetric(a: list, m: int) -> list[int]:
     return [c - m if c > half else c for c in a]
 
 
-def _z_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by the monic integer polynomial g."""
-    a = [int(c) for c in f]
-    q = [0] * max(0, len(a) - len(g) + 1)
-    while len(a) >= len(g):
-        c = a[-1]
-        shift = len(a) - len(g)
-        q[shift] = c
-        for i, y in enumerate(g):
-            a[shift + i] -= c * y
-        a.pop()
-    return q, _trim(a)
-
-
 def _odd_primes():
     n = 3
     while True:
@@ -342,7 +353,7 @@ def _squarefree_primes(zz: list[int], tries: int | None = None) -> list[int]:
         if k == tries and not found:
             break
         df = [(c * i) % p for i, c in enumerate(zz) if i]
-        if _q_deg(_p_gcd([c % p for c in zz], df, p)) == 0:
+        if _deg(_p_gcd([c % p for c in zz], df, p)) == 0:
             found.append(p)
             if len(found) == 2:
                 break
@@ -354,7 +365,7 @@ def _degree_sums(split: list[tuple[int, list]]) -> int:
     distinct-degree split counts, as the set bits of an int."""
     sums = 1
     for d, g in split:
-        for _i in range(_q_deg(g) // d):
+        for _i in range(_deg(g) // d):
             sums |= sums << d
     return sums
 
@@ -377,7 +388,7 @@ def _factor_squarefree_monic_integer(f: list[int], primes: list[int]) -> list[li
     splits = []
     for p in primes:
         split = _distinct_degree([c % p for c in f], p)
-        count = sum(_q_deg(g) // e for e, g in split)
+        count = sum(_deg(g) // e for e, g in split)
         if count == 1:
             return [f]
         sums &= _degree_sums(split)
@@ -393,7 +404,7 @@ def _factor_squarefree_monic_integer(f: list[int], primes: list[int]) -> list[li
 
     remaining = list(range(len(lifted)))
     result: list[list[int]] = []
-    current = [int(c) for c in f]
+    current = f
     size = 1
     while 2 * size <= len(remaining):
         for combo in combinations(remaining, size):
@@ -432,62 +443,38 @@ def univariate_factor(coeffs: Sequence) -> list[tuple[tuple[Fraction, ...], int]
     """Monic irreducible factors with multiplicities, constant-term first.
 
     The constant content and leading coefficient are dropped; a constant
-    input yields no factors.
+    input yields no factors.  Rationals appear only here: the input is read
+    once into a primitive integer polynomial, and the factors found over Z
+    are made monic on the way out.
     """
     f = _trim([Fraction(c) for c in coeffs])
-    if _q_deg(f) < 1:
+    if _deg(f) < 1:
         return []
-    out: list[tuple[tuple[Fraction, ...], int]] = []
     shift = next(i for i, c in enumerate(f) if c)
-    if shift:
-        out.append(((Fraction(0), Fraction(1)), shift))
-        f = f[shift:]
-    if _q_deg(f) == 1:
-        out.append((tuple(_q_monic(f)), 1))
-    elif _q_deg(f) > 1:
-        f = _q_monic(f)
-        primes = _squarefree_mod_p(f)
-        parts = [(f, 1)] if primes else _squarefree_parts(f)
-        for part, mult in parts:
-            for irr in _factor_part(part, primes):
-                out.append((tuple(irr), mult))
+    factors = [([0, 1], shift)] if shift else []
+    zz = _primitive_integer(f[shift:])
+    if _deg(zz) == 1:
+        factors.append((zz, 1))
+    elif _deg(zz) > 1:
+        primes = _squarefree_primes(zz, _SQUAREFREE_TRIES)
+        for part, mult in [(zz, 1)] if primes else _squarefree_parts(zz):
+            factors += [(irr, mult) for irr in _factor_part(part, primes)]
+    out = [(tuple(Fraction(c, g[-1]) for c in g), mult) for g, mult in factors]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
 
-def _primitive_integer(f: list) -> list[int]:
-    """The primitive integer polynomial that is a rational multiple of f."""
-    den = 1
-    for c in f:
-        den = lcm(den, c.denominator)
-    zz = [int(c * den) for c in f]
-    g = gcd(*zz)
-    return [c // g for c in zz]
-
-
-def _squarefree_mod_p(f: list) -> list[int]:
-    """The primes `_squarefree_primes` finds for the primitive integer
-    multiple of f within its first few tries, which show f squarefree over Q;
-    [] leaves the question to Yun's splitting."""
-    return _squarefree_primes(_primitive_integer(f), _SQUAREFREE_TRIES)
-
-
-def _factor_part(part: list, primes: list[int]) -> list[list]:
-    """Monic irreducible factors of a squarefree part, factored mod primes
-    from `_squarefree_primes` (searched here when [])."""
-    if _q_deg(part) == 1:
-        return [_q_monic(part)]
-    # clear denominators, then remove the leading coefficient by substitution:
-    # factors of c^(d-1) f(x/c) in y = c x are monic with integer coefficients;
-    # mod a prime not dividing c the substitution keeps them squarefree
-    zz = _primitive_integer(part)
+def _factor_part(zz: list[int], primes: list[int]) -> list[list[int]]:
+    """Primitive irreducible factors, with positive leads, of a primitive
+    squarefree integer polynomial, factored mod primes from
+    `_squarefree_primes` (searched here when [])."""
+    if _deg(zz) == 1:
+        return [zz]
+    # remove the leading coefficient c by substitution: the factors of
+    # c^(d-1) f(x/c) in y = c x are monic with integer coefficients; mod a
+    # prime not dividing c the substitution keeps them squarefree
     lead = zz[-1]
     d = len(zz) - 1
     monic = [c * lead ** (d - 1 - i) for i, c in enumerate(zz[:-1])] + [1]
     factors = _factor_squarefree_monic_integer(monic, primes or _squarefree_primes(zz))
-    out = []
-    for fac in factors:
-        e = len(fac) - 1
-        coeffs = [Fraction(c, lead**(e - i)) for i, c in enumerate(fac)]
-        out.append(_q_monic(coeffs))
-    return out
+    return [_primitive_integer([c * lead**i for i, c in enumerate(fac)]) for fac in factors]

@@ -290,14 +290,25 @@ def test_squarefree_mod_p_decides_when_yun_runs(monkeypatch):
     assert yun == []
     # x^2 + x + 1 = (x - 1)^2 mod 3 but squarefree mod 5 and 7, which the
     # search goes on to, so Yun does not run
-    assert unifactor._squarefree_mod_p([F(1), F(1), F(1)]) == [5, 7]
+    assert unifactor._squarefree_primes([1, 1, 1], unifactor._SQUAREFREE_TRIES) == [5, 7]
     assert univariate_factor([1, 1, 1]) == [((F(1), F(1), F(1)), 1)]
     assert yun == []
     # (3x + 1)^2 (x + 2) keeps its square mod every prime not dividing the
     # leading coefficient 9 (3 is skipped), so Yun decides
-    assert unifactor._squarefree_mod_p([F(2, 9), F(13, 9), F(24, 9), F(1)]) == []
+    assert unifactor._squarefree_primes([2, 13, 24, 9], unifactor._SQUAREFREE_TRIES) == []
     assert univariate_factor([2, 13, 24, 9]) == [((F(1, 3), F(1)), 2), ((F(2), F(1)), 1)]
     assert len(yun) == 1
+
+
+def _force_yun(monkeypatch):
+    """No prime among the first few tried shows an input squarefree, so Yun's
+    split runs; a part's own prime search is left as it is."""
+    import primarydec.unifactor as unifactor
+
+    real = unifactor._squarefree_primes
+    monkeypatch.setattr(
+        unifactor, "_squarefree_primes", lambda zz, tries=None: [] if tries else real(zz)
+    )
 
 
 def test_squarefree_mod_p_agrees_with_yun(monkeypatch):
@@ -314,7 +325,7 @@ def test_squarefree_mod_p_agrees_with_yun(monkeypatch):
                 f = poly_mul(f, g)
         inputs.append(f)
     fast = [univariate_factor(f) for f in inputs]
-    monkeypatch.setattr(unifactor, "_squarefree_mod_p", lambda f: False)
+    _force_yun(monkeypatch)
     assert fast == [univariate_factor(f) for f in inputs]
 
 
@@ -383,7 +394,7 @@ def test_no_common_degree_sum_proves_irreducible_before_lifting(monkeypatch):
         split = unifactor._distinct_degree(f, p)
         return sorted(d for d, g in split for _i in range((len(g) - 1) // d))
 
-    assert unifactor._squarefree_mod_p([F(c) for c in f]) == [3, 5]
+    assert unifactor._squarefree_primes(f, unifactor._SQUAREFREE_TRIES) == [3, 5]
     assert (degrees(3), degrees(5)) == ([1, 4], [2, 3])
     monkeypatch.setattr(unifactor, "_hensel_lift", _refuse)
     assert univariate_factor(f) == [((F(1), F(0), F(1), F(0), F(0), F(1)), 1)]
@@ -421,9 +432,9 @@ def test_hensel_lift_reaches_the_least_power_of_p_at_the_target(f):
 FACTOR_CORPUS = Path(__file__).parent / "fixtures" / "univariate_factor.txt"
 
 
-def _factor_corpus():
-    """(case, input, factor list) for each line of the captured corpus."""
-    for line in FACTOR_CORPUS.read_text().splitlines():
+def _factor_corpus(path=FACTOR_CORPUS):
+    """(case, input, factor list) for each line of a captured corpus."""
+    for line in path.read_text().splitlines():
         if line.startswith("#"):
             continue
         case, rest = line.split(": ")
@@ -440,3 +451,83 @@ def test_captured_workload_inputs_keep_their_factor_lists():
     assert len(corpus) == 73
     for case, f, expected in corpus:
         assert univariate_factor(f) == expected, case
+
+
+YUN_CORPUS = Path(__file__).parent / "fixtures" / "univariate_factor_yun.txt"
+
+
+def test_captured_yun_inputs_keep_their_factor_lists(monkeypatch):
+    import primarydec.unifactor as unifactor
+
+    yun = []
+    real = unifactor._squarefree_parts
+    monkeypatch.setattr(unifactor, "_squarefree_parts", lambda f: yun.append(f) or real(f))
+    corpus = list(_factor_corpus(YUN_CORPUS))
+    assert len(corpus) == 21
+    for k, (case, f, expected) in enumerate(corpus):
+        assert univariate_factor(f) == expected, case
+        assert len(yun) == k + 1, case
+
+
+def _rational_products(rng, count):
+    """Seeded products whose first factor is repeated, with rational
+    coefficients and leading coefficients of either sign."""
+    out = []
+    while len(out) < count:
+        f = [F(rng.choice((-5, -3, -1, 1, 2, 7)), rng.randint(1, 6))]
+        for k in range(rng.randint(1, 3)):
+            g = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _i in range(rng.randint(1, 3))]
+            g.append(F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+            for _m in range(rng.choice((2, 3) if k == 0 else (1, 2))):
+                f = poly_mul(f, g)
+        if any(c for c in f[1:]):
+            out.append(f)
+    return out
+
+
+def test_yun_over_z_agrees_with_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    _force_yun(monkeypatch)
+    inputs = _rational_products(random.Random(43), 80)
+    assert sum(f[-1] < 0 for f in inputs) > 10
+    for f in inputs:
+        assert sorted(univariate_factor(f)) == _sympy_factors(sympy, f), f
+
+
+def test_z_gcd_is_sympys_gcd_made_primitive():
+    sympy = pytest.importorskip("sympy")
+    from primarydec.unifactor import _z_gcd
+
+    t = sympy.Symbol("t")
+    rng = random.Random(44)
+
+    def draw(degree):
+        return [rng.randint(-9, 9) for _i in range(degree)] + [rng.choice((-4, -1, 1, 2, 6))]
+
+    pairs = [([-6, 4, 2], []), ([0, 0, -3], []), ([1, 0, 1], [1, 1]), ([2, 4], [3])]
+    for _k in range(60):
+        common = [rng.randint(-3, 3) for _i in range(rng.randint(0, 2))] + [rng.choice((-2, 1, 3))]
+        a = [int(c) for c in poly_mul(poly_mul(common, draw(rng.randint(0, 3))), [rng.randint(1, 4)])]
+        b = [int(c) for c in poly_mul(common, draw(rng.randint(0, 3)))]
+        pairs.append((a, b))
+    for a, b in pairs:
+        g = sympy.gcd(sympy.Poly(a[::-1], t), sympy.Poly(b[::-1] or [0], t))
+        _content, g = g.primitive()
+        expected = [int(c) for c in reversed(g.all_coeffs())]
+        if expected[-1] < 0:
+            expected = [-c for c in expected]
+        assert _z_gcd(a, b) == expected, (a, b)
+    assert any(len(_z_gcd(a, b)) == 1 for a, b in pairs if b)
+
+
+def test_an_inexact_integer_division_raises():
+    from primarydec.unifactor import _z_divmod, _z_exact_div
+
+    # 2x + 1 by 2x leaves 1; x + 1 by 2x + 2 stops at once, since 2 does not
+    # divide the lead 1, though 2x + 2 divides it over Q
+    assert _z_divmod([1, 2], [0, 2]) == ([1], [1])
+    assert _z_divmod([1, 1], [2, 2]) == ([], [1, 1])
+    for f, g in (([1, 2], [0, 2]), ([1, 1], [2, 2]), ([1, 0, 1], [1, 1])):
+        with pytest.raises(ArithmeticError):
+            _z_exact_div(f, g)
+    assert _z_exact_div([-2, 0, 2], [2, 2]) == [-1, 1]
