@@ -24,12 +24,18 @@ The splits return candidate primes, which may repeat or contain one another;
 and then by `rendered_generators`, the text the CLI prints.  Components inherit
 that order: the hull's primes, all of codim c, then each higher codim's.
 The module-level decomposition peels one primary component per associated
-prime, using twice-iterated Ext kernels for the equidimensional parts (none
-when the Groebner basis shows the module unmixed: zero dimensional, or an
-ideal of height c with c generators) and ideal-power witnesses for the
-multiplicities.  The associated primes that localization needs are found
-once per module: the minimal primes of the annihilator for the unmixed hull,
-the codim-b minimal primes of each `ass_prim_codim(A, b)` for the input.
+prime.  Ext serves for two things only: the twice-iterated Ext kernel gives
+the input's equidimensional hull N1 (none is computed when the Groebner basis
+shows the module unmixed: zero dimensional, or an ideal of height c with c
+generators), and the Ext annihilators give the associated primes above
+codim c.  The associated primes that localization needs are found once per
+module: the minimal primes of the annihilator for the unmixed hull, the
+codim-b minimal primes of each `ass_prim_codim(A, b)` for the input.  Each
+component comes from ideal-power witnesses, whose hulls need no Ext: P is
+the only minimal prime of F/N, N = P^m F + A, so hull(N) is N's P-primary
+component, its contraction from Q(u)[x_D], which is N : h^infinity for h the
+product of N's K[u]-lead coefficients (Gianni-Trager-Zacharias 1988,
+Prop. 3.7; Rutman 1992 for modules), u an independent set of P.
 Localizing at P is one saturation, by the product of one separator per
 associated prime outside P.  The witness sum A + P^m F is formed known part
 first, as P^m F + A with P^m F reduced, so its run starts from that basis
@@ -533,6 +539,20 @@ class DecompositionResult(_Value):
         self._fill(components)
 
 
+def _witness_hull(N: Submodule, u: tuple[int, ...]) -> Submodule:
+    """hull(N), N canonical, when P is the one minimal prime of F/N and u an
+    independent set of P: the contraction N K(u)[x_D]^s cap F, D the other
+    variables, as F/N's embedded primes, of lower dimension, all meet K[u].
+    It is N : h^inf for h the product of `lead_coefficients(N, D)` (GTZ
+    1988, Prop. 3.7; Rutman 1992).  At a maximal P, u = () and N is
+    P-primary already."""
+    if not u:
+        return N
+    D = tuple(i for i in range(N.ring.n) if i not in u)
+    coeffs = lead_coefficients(N, D)
+    return saturate(N, ideal(N.ring, [prod(coeffs, start=N.ring.one())])) if coeffs else N
+
+
 def primary_component(
     A: Submodule,
     P: Submodule,
@@ -547,6 +567,10 @@ def primary_component(
     `primes`, the associated primes of F/A if known, only passes through to
     `localize_module`.  A hull Q = hull(A + P^m F) witnesses when AP2 cap Q
     lies in AP, where AP is the localization at P and AP2 = AP : P^inf.
+    AP is proper, so P contains ann(F/A), and F/N, N = A + P^m F, is
+    supported on V(P) alone: P is its one minimal prime, so hull(N) is a
+    contraction along u = `independent_sets(P)[0]` (`_witness_hull`), and
+    no Ext module is computed.
     F/AP has the associated primes of F/A inside P, and one strictly inside
     has a larger dimension, so codim(AP) = codim(P) exactly when P is minimal
     (EHV): AP is P-primary, AP2 is F and no saturation by P is computed.
@@ -560,10 +584,11 @@ def primary_component(
         )
     B = full_module(A.ring, A.ambient_rank)
     AP2 = B if codim(AP) == codim(P) else saturate(AP, P)
+    u = independent_sets(P)[0]
     T = canonical(_ideal_times_module(P, B))
     trace = []
     for m in range(1, bound + 1):
-        Q = equidim_hull(canonical(_module_sum(T, A)))
+        Q = _witness_hull(canonical(_module_sum(T, A)), u)
         trace.append((m, Q))
         if is_sub(intersect(AP2, Q), AP):
             return Q, m, tuple(trace)

@@ -62,7 +62,7 @@ from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .polyring import (
     POSITION_OVER_TERM,
@@ -269,10 +269,17 @@ def _update_pairs(basis, pair_set, heap, t, order: MonomialOrder):
                 and lcms[j] != lij
             ):
                 del pair_set[(i, j)]
+    # the key of each lcm, as term_key gives it: both leads have degree below
+    # KEY_BOUND, so the lcm's is below 2^63, and its key's lowest digit reads it
+    units, comp_unit = order.unit_keys(len(hexps))
+    base = hcomp * comp_unit
     for i, li, zero in keep:
         if not zero:
+            key = sum(map(mul, li, units), base)
+            if key & SIZE_MASK >= KEY_BOUND:
+                raise key_overflow()
             pair_set[(i, t)] = li
-            heapq.heappush(heap, (order.term_key(hcomp, li), i, t))
+            heapq.heappush(heap, (key, i, t))
 
 
 def _buchberger_engine(

@@ -10,6 +10,10 @@ Vasconcelos), so resolutions here are the plain syzygy chain, not minimal.
 The hull needs no Ext module when F/M is zero dimensional or M is an ideal of
 height c with c generators in its reduced Groebner basis: F/M is unmixed then,
 and M is its own hull.
+The decomposition computes one hull here, that of its input, and reads the
+associated primes off the Ext annihilators; its witness loop, where F/N has a
+single minimal prime, contracts N by lead coefficients instead
+(`decompose.primary_component`).
 """
 
 from __future__ import annotations
@@ -117,7 +121,8 @@ def canon_map(M: Submodule) -> Submodule:
 
 
 def equidim_hull(M: Submodule) -> Submodule:
-    """Intersection of the primary components of minimal codimension."""
+    """Intersection of the primary components of minimal codimension, by the
+    double Ext (`canon_map`)."""
     return canonical(canon_map(M))
 
 

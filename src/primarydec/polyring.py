@@ -188,11 +188,16 @@ class MonomialOrder(_Value):
         self._units[n] = found = (units, pack(self._digits(1, zero)))
         return found
 
+    def unit_keys(self, n: int) -> tuple:
+        """(the keys of the n unit exponent vectors, the key of component 1):
+        the key of comp, exps is sum(map(mul, exps, units), comp * comp_unit)."""
+        return self._units.get(n) or self._derive_units(n)
+
     def term_key(self, comp: int, exps: Monomial) -> int:
         """The key of comp, exps: larger keys are larger terms, and keys add
         as the terms multiply.  Raises RingError when the term's degree or
         component reaches KEY_BOUND."""
-        units, comp_unit = self._units.get(len(exps)) or self._derive_units(len(exps))
+        units, comp_unit = self.unit_keys(len(exps))
         if self._degree(exps) >= KEY_BOUND or not 0 <= comp < KEY_BOUND:
             raise key_overflow()
         return sum(map(mul, exps, units), comp * comp_unit)
@@ -265,12 +270,20 @@ def rekey(order: MonomialOrder, items: Iterable) -> tuple:
     from (comp, exps, c) triples with distinct (comp, exps).
 
     The one place terms change keys: for a run in another order, a shift of
-    components, or a change of ring.
+    components, or a change of ring.  The unit keys are read once, at the
+    first term, and each term is checked as term_key checks it.
     """
-    key = order.term_key
-    return tuple(
-        sorted(((key(comp, exps), comp, exps, c) for comp, exps, c in items), reverse=True)
-    )
+    weights = order.weights
+    terms = []
+    for comp, exps, c in items:
+        if not terms:
+            units, comp_unit = order.unit_keys(len(exps))
+        degree = sum(exps) if weights is None else sum(map(mul, weights, exps))
+        if degree >= KEY_BOUND or not 0 <= comp < KEY_BOUND:
+            raise key_overflow()
+        terms.append((sum(map(mul, exps, units), comp * comp_unit), comp, exps, c))
+    terms.sort(reverse=True)
+    return tuple(terms)
 
 
 def _collect(pieces, order: MonomialOrder) -> tuple:

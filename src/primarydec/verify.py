@@ -9,7 +9,11 @@ whose claimed prime contains another.
 
 It shares with the code it checks the Groebner engine, `independent_sets`
 and `lead_coefficients`, which read a basis, and `min_ass`, for primality.
-It shares no Ext module, hull or localization, and its contraction runs no
+It also shares the contraction rule: Q : h^infinity, h the product of the
+K[u]-lead coefficients, is how the decomposition's witness loop computes
+each hull (`decompose.primary_component`), so a wrong rule there could pass
+here; the check applies it to the component itself, not to the loop's
+input.  It shares no Ext module or localization, and its contraction runs no
 GTZ recursion, linear form or coordinate shear: one saturation a component.
 """
 
@@ -77,10 +81,11 @@ def _is_primary_with_prime(Q: Submodule, P: Submodule, seed: int) -> bool:
 
     A contraction certificate (Gianni-Trager-Zacharias; Becker-Weispfenning,
     ch. 8) that shares the engine, `independent_sets` and `lead_coefficients`
-    with the decomposition, and `min_ass` for primality; the contraction runs
-    no Ext module, hull, GTZ recursion, linear form or shear.  P is prime; the
-    radical of a = ann(F/Q) is P, that is a lies in P and every generator of
-    P in the radical of a; and Q = Q : h^infinity for h the product of the
+    with the decomposition, `min_ass` for primality, and the contraction rule
+    with its witness loop; the contraction runs no Ext module, hull, GTZ
+    recursion, linear form or shear.  P is prime; the radical of
+    a = ann(F/Q) is P, that is a lies in P and every generator of P in the
+    radical of a; and Q = Q : h^infinity for h the product of the
     K[u]-lead coefficients of Q, u an independent set of P.  Then Q K[x_D]^s
     has radical P K[x_D], a maximal ideal, so it is primary, and Q is its
     contraction.  Conversely h lies outside a P-primary Q's one associated

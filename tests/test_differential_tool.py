@@ -155,3 +155,37 @@ def test_readme_names_every_long_option_of_the_tool(capsys):
         assert option in paragraph, option
         if choices:
             assert f"{option} {choices.replace(',', '|')}" in paragraph, option
+
+
+def test_survey_prints_the_innermost_library_frames_of_each_failure(monkeypatch, tmp_path, capsys):
+    # seed 7's s005 raises the bounded shear error in min_ass, and s004
+    # answers; seed 11's s003 under lp stalls in the engine past any short
+    # deadline, where the child's faulthandler dump gives the frames
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    tool = _load_tool()
+    args = [str(ROOT), "--survey", "--count", "6", "--timeout", "20"]
+    assert tool.main([*args, "--seed", "7", "--only", "s004,s005"]) == 0
+    line, summary = capsys.readouterr().out.splitlines()
+    name, status, kind, cpu, frames = line.split(" ", 4)
+    assert (name, status, kind) == ("s005.primdec", "error", "DecompositionError")
+    assert float(cpu.removeprefix("cpu=")) > 0
+    frames = frames.split(" < ")
+    assert frames[0].startswith("decompose._min_ass_rec:")
+    assert 1 < len(frames) <= tool.SURVEY_FRAMES
+    assert all(re.fullmatch(r"\w+\.\S+:\d+", frame) for frame in frames)
+    assert summary.endswith(": 1 answered, 1 error, 0 timeout")
+    args[-1] = "1"
+    assert tool.main([*args, "--seed", "11", "--order", "lp", "--only", "s003"]) == 0
+    line, summary = capsys.readouterr().out.splitlines()
+    name, status, _cpu, frames = line.split(" ", 3)
+    assert (name, status) == ("s003.primdec", "timeout")
+    assert frames.split(" < ")[0].startswith("groebner.")
+    assert summary.endswith(": 0 answered, 0 error, 1 timeout")
+
+
+@pytest.mark.parametrize("trees", [["a"], ["a", "b", "--survey"]])
+def test_survey_takes_one_tree_and_a_comparison_two(capsys, trees):
+    with pytest.raises(SystemExit) as exc:
+        _load_tool().main(trees)
+    assert exc.value.code == 2
+    assert "give two trees, or one with --survey" in capsys.readouterr().err

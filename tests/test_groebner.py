@@ -1105,6 +1105,21 @@ def test_pair_update_and_reduced_basis_match_their_plain_forms(monkeypatch, orde
     assert seen["b_drops"] and seen["m_drops"]
 
 
+def test_a_pair_whose_lcm_reaches_the_key_bound_is_refused(monkeypatch):
+    # each lead has degree 2^61 + 1, within the bound; their lcm has 2^62,
+    # which the pair update refuses as it keys the pair, before any S-vector
+    half = 2**61
+    R = RingContext(("x", "y"), MonomialOrder())
+    x, y = R.variable(0), R.variable(1)
+
+    def refuse(*args):
+        raise AssertionError("S-vector formed")
+
+    monkeypatch.setattr(groebner, "_spair", refuse)
+    with pytest.raises(RingError, match=r"2\^62"):
+        buchberger(ideal(R, [x**half * y - 1, x * y**half - 1]))
+
+
 def test_reductions_and_s_pairs_refuse_degrees_beyond_the_key_bound():
     # under lex a reducer's tail may outweigh its lead, so a reduction step
     # or an S-pair side can raise the degree past what the keys hold

@@ -9,6 +9,7 @@ import pytest
 
 from primarydec.polyring import (
     DEGREVLEX,
+    KEY_BOUND,
     LEX,
     POSITION_OVER_TERM,
     TERM_OVER_POSITION,
@@ -20,6 +21,7 @@ from primarydec.polyring import (
     full_module,
     ideal,
     ideal_generators,
+    rekey,
     render_polynomial,
     unit_vector,
 )
@@ -120,6 +122,65 @@ def test_a_term_at_the_key_bound_is_refused():
             ring.monomial(exps)
     with pytest.raises(RingError, match=r"2\^62"):
         R.order.term_key(bound, (0, 0))
+
+
+# every order kind and module extension, with and without weights, over three
+# variables
+_REKEY_ORDERS = [
+    MonomialOrder(kind=kind, weights=weights, module_extension=extension, blocks=blocks)
+    for extension in (POSITION_OVER_TERM, TERM_OVER_POSITION)
+    for kind, weights, blocks in [
+        ("degrevlex", None, None),
+        ("degrevlex", (3, 1, 2), None),
+        ("degrevlex", (1, 5, 4), None),
+        ("lex", None, None),
+        ("block", None, ((0,),)),
+        ("block", None, ((2,), (0,))),
+        ("block", None, ((1, 2),)),
+    ]
+]
+
+
+@pytest.mark.parametrize("order", _REKEY_ORDERS, ids=repr)
+def test_rekey_gives_the_term_keys_of_term_key(order):
+    # rekey reads the unit keys once per call; its keys and order must be
+    # term_key's, term by term
+    rng = random.Random(repr(order))
+    for size in (0, 1, 2, 7, 30):
+        found = {
+            (rng.randrange(4), tuple(rng.randrange(7) for _ in range(3))): rng.choice((1, -2, 5))
+            for _ in range(size)
+        }
+        items = [(comp, exps, c) for (comp, exps), c in found.items()]
+        rng.shuffle(items)
+        expected = sorted(((order.term_key(comp, e), comp, e, c) for comp, e, c in items), reverse=True)
+        assert rekey(order, iter(items)) == tuple(expected)
+
+
+@pytest.mark.parametrize("order", _REKEY_ORDERS, ids=repr)
+def test_rekey_and_term_key_refuse_the_same_terms(order):
+    weights = order.weights or (1, 1, 1)
+    # the first exponent vector of weighted degree exactly KEY_BOUND, and the
+    # one just below it
+    at_bound = (0, KEY_BOUND // weights[1], 0) if KEY_BOUND % weights[1] == 0 else None
+    top = (0, (KEY_BOUND - 1) // weights[1], 0)
+    good = (0, (1, 2, 0), 3)
+    bad_terms = [(KEY_BOUND, (0, 0, 0)), (-1, (1, 0, 0))]
+    if at_bound is not None:
+        bad_terms.append((0, at_bound))
+    # degree past 2^64, which a 64-bit digit would read modulo 2^64
+    bad_terms.append((0, (2**64 // 3 + 1,) * 3))
+    for comp, exps in bad_terms:
+        with pytest.raises(RingError, match=r"2\^62"):
+            order.term_key(comp, exps)
+        for items in ([(comp, exps, 1)], [good, (comp, exps, 1)]):
+            with pytest.raises(RingError, match=r"2\^62"):
+                rekey(order, items)
+    for comp, exps in [(KEY_BOUND - 1, (0, 0, 0)), (0, top)]:
+        assert rekey(order, [good, (comp, exps, 1)]) == tuple(
+            sorted(((order.term_key(c, e), c, e, x) for c, e, x in [good, (comp, exps, 1)]),
+                   reverse=True)
+        )
 
 
 def test_a_product_that_crosses_the_key_bound_is_refused():

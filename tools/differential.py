@@ -32,6 +32,15 @@ versions of this tool, with the same names and text.  The scripts that run are
 written to a fresh temporary directory, which is kept and named in the last
 line of output.
 
+    python3 tools/differential.py TREE --survey [the same options]
+
+`--survey` runs the drawn scripts under one tree, cold, one process each,
+and prints one line per failure: the script, `error` with the exception's
+type (or `exit=N` for a child that died otherwise) or `timeout`, the CPU
+seconds, and the innermost frames in the library's source, innermost first.
+A timeout's frames come from a `faulthandler` dump taken at the deadline, in
+the child itself.  The summary line counts the answers, errors and timeouts.
+
 Standard library only.
 """
 
@@ -40,6 +49,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -160,6 +170,75 @@ def _run(tree: Path, script: Path, timeout: float):
     return _cpu_seconds() - start, result
 
 
+# the survey's child: run a script as `run --json` does, then print the
+# innermost-first frames of an error as faulthandler prints a timeout's
+_SURVEY_CHILD = """
+import faulthandler, sys, traceback
+from pathlib import Path
+faulthandler.dump_traceback_later(float(sys.argv[2]), exit=True)
+from primarydec.cli import parse_script, render_json, run_script
+path = Path(sys.argv[1])
+try:
+    render_json(run_script(parse_script(path.read_text()), base_dir=path.parent))
+except Exception as exc:
+    print("Error:", type(exc).__name__, file=sys.stderr)
+    for frame in reversed(traceback.extract_tb(exc.__traceback__)):
+        print(f'  File "{frame.filename}", line {frame.lineno} in {frame.name}', file=sys.stderr)
+    sys.exit(2)
+"""
+# frames the survey shows per failure
+SURVEY_FRAMES = 6
+_FRAME = re.compile(r'File "([^"]+)", line (\d+) in (\S+)')
+
+
+def _survey_one(tree: Path, script: Path, timeout: float):
+    """(CPU seconds, None when the script answered, else (kind, frames)):
+    kind is the exception's type, `timeout`, or the exit code of a child
+    that died otherwise, and frames the innermost
+    SURVEY_FRAMES frames in tree's library, as `module.function:line`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-c", _SURVEY_CHILD, str(script), str(timeout)]
+    start = _cpu_seconds()
+    try:
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout + 30)
+        code, err = done.returncode, done.stderr
+    except subprocess.TimeoutExpired:
+        code, err = None, ""
+    cpu = _cpu_seconds() - start
+    if code == 0:
+        return cpu, None
+    if code == 2 and err.startswith("Error: "):
+        kind = err.split("\n", 1)[0].split(" ", 1)[1]
+    elif code is None or err.startswith("Timeout"):
+        kind = "timeout"
+    else:  # a crash: no exception reached the child's handler
+        kind = f"exit={code}"
+    lib = str((tree / "src" / "primarydec").resolve())
+    frames = [
+        f"{Path(f).stem}.{name}:{line}"
+        for f, line, name in _FRAME.findall(err)
+        if str(Path(f).resolve().parent) == lib
+    ]
+    return cpu, (kind, frames[:SURVEY_FRAMES])
+
+
+def _survey(tree: Path, scripts, timeout: float, out: Path) -> int:
+    totals = {"answered": 0, "error": 0, "timeout": 0}
+    for path in scripts:
+        cpu, failure = _survey_one(tree, path, timeout)
+        if failure is None:
+            totals["answered"] += 1
+            continue
+        kind, frames = failure
+        totals["timeout" if kind == "timeout" else "error"] += 1
+        status = "timeout" if kind == "timeout" else f"error {kind}"
+        print(f"{path.name} {status} cpu={cpu:.3f} " + " < ".join(frames or ["-"]))
+    print(
+        f"{len(scripts)} scripts in {out}: " + ", ".join(f"{v} {k}" for k, v in totals.items())
+    )
+    return 0
+
+
 def _status(old, new) -> str:
     if old is None or new is None:
         side = "both" if old is None and new is None else ("old" if old is None else "new")
@@ -170,7 +249,9 @@ def _status(old, new) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", type=Path, help="reference source tree (holds src/)")
-    ap.add_argument("new", type=Path, help="source tree under test (holds src/)")
+    ap.add_argument(
+        "new", type=Path, nargs="?", help="source tree under test (holds src/); none with --survey"
+    )
     ap.add_argument("--count", type=int, default=56, help="number of scripts")
     ap.add_argument("--seed", type=int, default=7, help="generator seed")
     ap.add_argument("--timeout", type=float, default=20.0, help="seconds per run")
@@ -182,7 +263,12 @@ def main(argv=None) -> int:
         "--command", choices=("primdec", "minass"), default="primdec", help="ideal scripts' verb"
     )
     ap.add_argument("--shape", choices=tuple(SHAPES), default="default", help="what scripts draw")
+    ap.add_argument(
+        "--survey", action="store_true", help="run one tree and report each failure's frames"
+    )
     args = ap.parse_args(argv)
+    if (args.new is None) != args.survey:
+        ap.error("give two trees, or one with --survey")
     rng = random.Random(args.seed)
     draw = SHAPES[args.shape]
     texts = {f"s{k:03d}": draw(rng, args.order, args.command) for k in range(args.count)}
@@ -196,6 +282,8 @@ def main(argv=None) -> int:
         path = out / f"{name}.primdec"
         path.write_text(texts[name])
         scripts.append(path)
+    if args.survey:
+        return _survey(args.old, scripts, args.timeout, out)
     results = {}
     for k, script in enumerate(scripts):
         sides = (("old", args.old), ("new", args.new))
