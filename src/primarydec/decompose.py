@@ -18,7 +18,8 @@ algebraically closed in Q(u).  Each distinct polynomial is factored once per
 `min_ass` call, in a memo that the call creates and drops.  With u = (), when
 every variable's minimal polynomial splits into linear factors over Q and the
 grid of their roots has at most dim points, the primes are the maximal ideals
-of the grid points where J vanishes, with no split (`_rational_points`).
+of the grid points where J vanishes, with no split (`_rational_points`); each
+(x_1 - a_1, ..., x_n - a_n) is its own reduced basis, recorded with no run.
 The splits return candidate primes, which may repeat or contain one another;
 `min_ass` alone keeps the inclusion-minimal ones and sorts them, once, by codim
 and then by `rendered_generators`, the text the CLI prints.  Components inherit
@@ -39,11 +40,13 @@ Prop. 3.7; Rutman 1992 for modules), u an independent set of P.
 Localizing at P is one saturation, by the product of one separator per
 associated prime outside P.  The witness sum A + P^m F is formed known part
 first, as P^m F + A with P^m F reduced, so its run starts from that basis
-and reduces only A; the associated primes pass through to `localize_module`
-alone.  At a minimal prime (every prime of the hull, and each higher-codim
-prime that contains no lower one) the localization is P-primary, of P's
-dimension, which an associated prime strictly inside P would exceed; there
-the witness test saturates it by P no further.
+and reduces only A.  When P's reduced basis is {x_i - a_i : i in S}, P^m F's
+is the products (x - a)^e e_c, |e| = m, recorded with no run
+(`groebner.linear_power`).  The associated primes pass through to
+`localize_module` alone.  At a minimal prime (every prime of the hull, and
+each higher-codim prime that contains no lower one) the localization is
+P-primary, of P's dimension, which an associated prime strictly inside P
+would exceed; there the witness test saturates it by P no further.
 The isolated components intersect to the hull, so only the higher-codim ones
 are intersected in.  No component is redundant: were M the intersection of
 the components other than Q_j, F/M would embed in the sum of their quotients,
@@ -69,6 +72,8 @@ from .groebner import (
     is_unit_ideal,
     krull_dim,
     lead_coefficients,
+    linear_basis,
+    linear_power,
     module_equal,
     saturate,
 )
@@ -292,14 +297,14 @@ def _rational_points(G: GroebnerBasis, dim: int, search: _Search, minpolys: dict
     # the root of x_d + fc[0] is -fc[0]
     q = lcm(*(fc[0].denominator for line in lines for _l, fc in line))
     gens = [(max(sum(e) for _k, _c, e, _x in g.terms), g.terms) for g in G.generators]
-    out = []
+    F, out = full_module(ring, 1), []
     for point in product(*lines):
         n = [int(-fc[0] * q) for _l, fc in point]
         if not any(
             sum(x * q ** (k - sum(e)) * prod(map(pow, n, e)) for _k, _c, e, x in terms)
             for k, terms in gens
         ):
-            out.append(canonical(ideal(ring, [_poly_of(l, fc) for l, fc in point])))
+            out.append(linear_power([_poly_of(l, fc) for l, fc in point], F))
     return out
 
 
@@ -574,7 +579,8 @@ def primary_component(
     F/AP has the associated primes of F/A inside P, and one strictly inside
     has a larger dimension, so codim(AP) = codim(P) exactly when P is minimal
     (EHV): AP is P-primary, AP2 is F and no saturation by P is computed.
-    P^m F is P times the reduced P^(m-1) F, so generators do not multiply;
+    P^m F is P times the reduced P^(m-1) F, so generators do not multiply,
+    and is written down with no run when P's basis is {x_i - a_i};
     A + P^m F puts P^m F first, and its run starts from that basis.
     """
     AP = localize_module(A, P, seed, primes=primes)
@@ -585,14 +591,15 @@ def primary_component(
     B = full_module(A.ring, A.ambient_rank)
     AP2 = B if codim(AP) == codim(P) else saturate(AP, P)
     u = independent_sets(P)[0]
-    T = canonical(_ideal_times_module(P, B))
+    lins = linear_basis(P)
+    T = B
     trace = []
     for m in range(1, bound + 1):
+        T = canonical(_ideal_times_module(P, T)) if lins is None else linear_power(lins, T)
         Q = _witness_hull(canonical(_module_sum(T, A)), u)
         trace.append((m, Q))
         if is_sub(intersect(AP2, Q), AP):
             return Q, m, tuple(trace)
-        T = canonical(_ideal_times_module(P, T))
     raise DecompositionError(
         f"no witness exponent up to {bound} isolates the component at "
         f"({', '.join(rendered_generators(P))})"

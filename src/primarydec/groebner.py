@@ -53,6 +53,14 @@ span the initial module in both orders (the standard monomials of any order
 are a basis of F/M, see _standing_basis), and S-pairs within a Groebner
 basis reduce to zero.  The split runs of syzygies and lift give no reduced
 basis and are reused only as themselves.
+The powers of a prime P with reduced basis {x_i - a_i : i in S}, a rational
+point's ideal or a prime such as (x, y), are written down and recorded with
+no run (linear_power): in a global order the products p^e e_c, |e| = m,
+p_i = x_i - a_i, lead with x^e e_c, and each tail term is a proper divisor
+of its lead, which no other lead of degree m divides.  They are the reduced
+basis of P^m F: a remainder has x_S-degree below m, so in y_i = x_i - a_i it
+is a Q[x_rest]-combination of the y^e, |e| < m, which P^m F does not
+contain unless it is 0.
 """
 
 from __future__ import annotations
@@ -449,6 +457,45 @@ def _standing_basis(ring: RingContext, rank: int, gens, leads, order: MonomialOr
     pairs.sort(key=lambda p: p[0][1])
     module = Submodule(ring, rank, [gen for _e, gen in pairs])
     return GroebnerBasis(module, [e for e, _gen in pairs], order)
+
+
+def linear_basis(P: Submodule):
+    """P's reduced generators when each is x_i - a_i, a_i rational, as for a
+    rational point or a prime such as (x, y); None for any other ideal."""
+    gens = canonical(P).generators
+    for g in gens:
+        (_k, _c, lead, _x), *tail = g.terms
+        if sum(lead) != 1 or len(tail) > 1 or (tail and any(tail[0][2])):
+            return None
+    return gens
+
+
+def linear_power(lins, T: Submodule) -> Submodule:
+    """P T as its reduced basis, recorded in the ring's memo with no run.
+
+    lins = {x_i - a_i : i in S} is the reduced basis of the prime P, and T
+    is P^k F, k >= 0, as this built it, or F = R^s by its unit vectors.  The
+    basis is the p^e e_c, |e| = k + 1 (see the module docstring); each is
+    t p_i for the one generator t = p^(e - e_i) e_c of T with i at or after
+    the last variable of t's lead.  Every p_i and t is primitive with a
+    positive lead over its lead coefficient, as a reduced basis is kept, so
+    by Gauss's lemma each product is already the engine's element.
+    """
+    ring = T.ring
+    pairs = []
+    for t in T.generators:
+        lead = t.terms[0][2]
+        last = max((i for i, a in enumerate(lead) if a), default=0)
+        for p in lins:
+            if p.terms[0][2].index(1) >= last:
+                # in R^1, F is (1), and 1 p = p
+                g = p if T.ambient_rank == 1 and not any(lead) else t.scale(p)
+                pairs.append((_make_elem(g.terms), g))
+    pairs.sort(key=lambda pair: pair[0][1])
+    module = Submodule(ring, T.ambient_rank, [g for _e, g in pairs])
+    G = GroebnerBasis(module, [e for e, _g in pairs], ring.order)
+    _memo(ring).record((module, ring.order, None), G)
+    return module
 
 
 class _GroebnerCache:

@@ -189,3 +189,30 @@ def test_survey_takes_one_tree_and_a_comparison_two(capsys, trees):
         _load_tool().main(trees)
     assert exc.value.code == 2
     assert "give two trees, or one with --survey" in capsys.readouterr().err
+
+
+def test_survey_classes_each_failure_by_where_it_ended(monkeypatch, tmp_path, capsys):
+    tool = _load_tool()
+    tagged = ["groebner._reduce_full:180", "groebner._tagged_run:613", "groebner.syzygies:624"]
+    shear = ["decompose._min_ass_rec:444", "decompose.min_ass:457", "verify._check:90"]
+    assert tool.failure_class(tagged + shear) == "syzygies"
+    assert tool.failure_class(shear) == "min_ass"
+    checked = ["verify.validate_decomposition:120", "cli.run_script:400"]
+    assert tool.failure_class(checked) == "validator"
+    assert tool.failure_class(["groebner._reduce_full:180", "groebner.eliminate:855"]) == "other"
+    assert tool.failure_class([]) == "other"
+    # the summary counts each class before its ": ", the outcomes after it
+    failures = {
+        "s000.primdec": ("timeout", tagged),
+        "s001.primdec": ("DecompositionError", shear),
+        "s002.primdec": ("DecompositionError", shear[:1]),
+        "s003.primdec": ("exit=-9", []),
+    }
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tool, "_survey_one", lambda _tree, path, _t: (1.0, failures.get(path.name)))
+    assert tool.main([str(ROOT), "--survey", "--count", "6"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == sorted(failures)
+    head, tail = summary.rsplit(": ", 1)
+    assert head.endswith(" syzygies=1 min_ass=2 validator=0 other=1")
+    assert tail == "2 answered, 3 error, 1 timeout"

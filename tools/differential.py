@@ -39,7 +39,12 @@ and prints one line per failure: the script, `error` with the exception's
 type (or `exit=N` for a child that died otherwise) or `timeout`, the CPU
 seconds, and the innermost frames in the library's source, innermost first.
 A timeout's frames come from a `faulthandler` dump taken at the deadline, in
-the child itself.  The summary line counts the answers, errors and timeouts.
+the child itself.  Each failure gets the class of where it ended, read off
+those frames (`failure_class`): `syzygies` when one is in
+`groebner._tagged_run`, else `min_ass` when one is in
+`decompose._min_ass_rec`, else `validator` when one is in `verify`, else
+`other`.  The summary line counts the failures of each class before its
+`: `, then the answers, errors and timeouts.
 
 Standard library only.
 """
@@ -188,6 +193,12 @@ except Exception as exc:
 """
 # frames the survey shows per failure
 SURVEY_FRAMES = 6
+# the survey's failure classes, in the order failure_class tries them
+SURVEY_CLASSES = (
+    ("syzygies", "groebner._tagged_run:"),
+    ("min_ass", "decompose._min_ass_rec:"),
+    ("validator", "verify."),
+)
 _FRAME = re.compile(r'File "([^"]+)", line (\d+) in (\S+)')
 
 
@@ -222,8 +233,18 @@ def _survey_one(tree: Path, script: Path, timeout: float):
     return cpu, (kind, frames[:SURVEY_FRAMES])
 
 
+def failure_class(frames) -> str:
+    """Where a failure ended: the first of SURVEY_CLASSES that one of its
+    frames, `module.function:line`, starts with, else `other`."""
+    for name, prefix in SURVEY_CLASSES:
+        if any(frame.startswith(prefix) for frame in frames):
+            return name
+    return "other"
+
+
 def _survey(tree: Path, scripts, timeout: float, out: Path) -> int:
     totals = {"answered": 0, "error": 0, "timeout": 0}
+    classes = dict.fromkeys([name for name, _prefix in SURVEY_CLASSES] + ["other"], 0)
     for path in scripts:
         cpu, failure = _survey_one(tree, path, timeout)
         if failure is None:
@@ -231,10 +252,14 @@ def _survey(tree: Path, scripts, timeout: float, out: Path) -> int:
             continue
         kind, frames = failure
         totals["timeout" if kind == "timeout" else "error"] += 1
+        classes[failure_class(frames)] += 1
         status = "timeout" if kind == "timeout" else f"error {kind}"
         print(f"{path.name} {status} cpu={cpu:.3f} " + " < ".join(frames or ["-"]))
     print(
-        f"{len(scripts)} scripts in {out}: " + ", ".join(f"{v} {k}" for k, v in totals.items())
+        f"{len(scripts)} scripts in {out}, "
+        + " ".join(f"{k}={v}" for k, v in classes.items())
+        + ": "
+        + ", ".join(f"{v} {k}" for k, v in totals.items())
     )
     return 0
 
