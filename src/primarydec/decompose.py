@@ -1,9 +1,13 @@
 """Associated primes and primary decomposition of submodules of free modules.
 
-Minimal primes of an ideal are found by splitting along a maximal independent
-set u of variables: after saturating by the product of leading coefficients
-(a pass made only when u is nonempty; with u = () they are all rational) the
-ideal J is zero dimensional over K = Q(u).  J is prime when its quotient has
+The minimal primes of an ideal whose reduced basis is monomials are the
+(x_S), S a minimal set of variables that meets every generator's support
+(Miller-Sturmfels 2005, ch. 1), found by branching on a support that S
+misses and recorded with no run.  Those of any other ideal are found by
+splitting along a maximal independent set u of variables: after saturating
+by the product of leading coefficients (a pass made only when u is
+nonempty; with u = () they are all rational) the ideal J is zero
+dimensional over K = Q(u).  J is prime when its quotient has
 dimension 1 over K, or when some linear form in the dependent variables has
 a rational, irreducible minimal polynomial of degree equal to that
 dimension; a form whose rational minimal polynomial factors splits J.
@@ -62,6 +66,7 @@ from operator import add
 
 from .groebner import (
     GroebnerBasis,
+    _support_masks,
     annihilator,
     buchberger,
     canonical,
@@ -75,6 +80,7 @@ from .groebner import (
     linear_basis,
     linear_power,
     module_equal,
+    monomial_basis,
     saturate,
 )
 from .homology import ass_prim_codim, equidim_hull
@@ -453,10 +459,35 @@ def _min_ass_rec(I: Submodule, search: _Search) -> list[Submodule]:
     )
 
 
+def _minimal_covers(supports) -> set:
+    """The minimal variable sets, as bit masks, that meet every mask in
+    supports: each branch adds a variable of the first support it misses, so
+    every minimal cover is reached; none when a support is empty."""
+    covers = set()
+    stack = [0]
+    while stack:
+        S = stack.pop()
+        missed = next((m for m in supports if not m & S), None)
+        if missed is None:
+            covers.add(S)
+        else:
+            stack.extend(S | 1 << i for i in range(missed.bit_length()) if missed >> i & 1)
+    return {S for S in covers if not any(T != S and T & S == T for T in covers)}
+
+
 def min_ass(I: Submodule, seed: int = 0) -> list[Submodule]:
-    """Minimal associated primes of an ideal, canonical and sorted."""
+    """Minimal associated primes of an ideal, canonical and sorted.  When I's
+    reduced basis is monomials, they are the (x_S) for the minimal sets S
+    that meet every generator's support, each recorded with no run."""
     if I.ambient_rank != 1:
         raise ValueError("minimal primes are computed for ideals")
+    ring, G = I.ring, buchberger(I)
+    if all(len(g.terms) == 1 for g in G.generators):
+        unit = [tuple(int(i == j) for j in range(ring.n)) for i in range(ring.n)]
+        return _minimalize([
+            monomial_basis(ring, 1, [(0, unit[i]) for i in range(ring.n) if S >> i & 1])
+            for S in _minimal_covers(_support_masks(G.leading_terms(), 0))
+        ])
     rot = seed % len(_SHEAR_LAMBDAS)
     search = _Search(_SHEAR_BUDGET, _SHEAR_LAMBDAS[rot:] + _SHEAR_LAMBDAS[:rot])
     return _minimalize(_min_ass_rec(I, search))

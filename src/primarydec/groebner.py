@@ -60,7 +60,12 @@ p_i = x_i - a_i, lead with x^e e_c, and each tail term is a proper divisor
 of its lead, which no other lead of degree m divides.  They are the reduced
 basis of P^m F: a remainder has x_S-degree below m, so in y_i = x_i - a_i it
 is a Q[x_rest]-combination of the y^e, |e| < m, which P^m F does not
-contain unless it is 0.
+contain unless it is 0.  A monomial submodule, all of whose generators are
+single terms x^a e_c, is answered in closed form (Miller-Sturmfels 2005,
+ch. 1) and recorded with no run (monomial_basis), as its minimal monomials
+are its reduced basis in every order: intersect takes the lcms of pairs of
+generators in one component, and saturate by a monomial f zeroes the
+exponents of f's variables.
 """
 
 from __future__ import annotations
@@ -790,6 +795,27 @@ def _t_free(gens, ext: RingContext, ring: RingContext, s: int) -> Submodule:
     return result
 
 
+def _monomials(A: Submodule):
+    """(comp, exps) of each nonzero generator of A when each is one term,
+    else None."""
+    terms = [g.terms for g in A.generators if g.terms]
+    return None if any(len(t) > 1 for t in terms) else [t[0][1:3] for t in terms]
+
+
+def monomial_basis(ring: RingContext, rank: int, monomials) -> Submodule:
+    """The module the x^a e_c, (c, a) in monomials, span, as its reduced
+    basis, recorded in ring's memo with no run: its minimal monomials, which
+    are the reduced basis in every order, as none divides another."""
+    ms = dict.fromkeys(monomials)
+    mins = [
+        (c, a) for c, a in ms if not any(d == c and b != a and all(map(le, b, a)) for d, b in ms)
+    ]
+    gens = [from_terms(ring, rank, rekey(ring.order, [(c, a, 1)])) for c, a in mins]
+    G = _standing_basis(ring, rank, gens, mins, ring.order)
+    _memo(ring).record((G.module, ring.order, None), G)
+    return G.module
+
+
 def _has_every_unit(A: Submodule) -> bool:
     """Whether A's generators include a nonzero constant multiple of every
     unit vector, as full_module builds them: then A is the whole free module.
@@ -810,8 +836,10 @@ def intersect(A: Submodule, B: Submodule) -> Submodule:
 
     When either operand has every unit vector among its generators, it is the
     whole free module and the other operand is returned as given, with no
-    elimination run.  The side whose reduced basis the memo holds leads, A
-    when both do, and the run starts from that basis (_lifted).
+    elimination run.  When both are monomial, A cap B is spanned by the lcms
+    of pairs of generators in one component (monomial_basis).  Otherwise the
+    side whose reduced basis the memo holds leads, A when both do, and the
+    run starts from that basis (_lifted).
     """
     ring = A.ring
     if B.ring != ring or B.ambient_rank != A.ambient_rank:
@@ -823,6 +851,10 @@ def intersect(A: Submodule, B: Submodule) -> Submodule:
         return B
     if _has_every_unit(B):
         return A
+    mA, mB = _monomials(A), _monomials(B)
+    if mA is not None and mB is not None:
+        lcms = [(c, tuple(map(max, a, b))) for c, a in mA for d, b in mB if c == d]
+        return monomial_basis(ring, s, lcms)
     ext = _t_ring(ring)
     entries = _memo(ring).entries
     if (A, ring.order, None) not in entries and (B, ring.order, None) in entries:
@@ -868,13 +900,26 @@ def saturate(A: Submodule, J: Submodule) -> Submodule:
     A : f^infinity = (A R[t] + (1 - t f) F) cap F (Rabinowitsch), and
     A : J^infinity is the intersection of these.  With no nonzero generator
     in J the result is the whole free module F.  A's generators lead each
-    run, as its reduced basis when the memo holds one (_lifted).
+    run, as its reduced basis when the memo holds one (_lifted).  When A is
+    monomial and each such f one term, A : f^infinity is A with the
+    exponents of f's variables set to 0, and no run is made (monomial_basis).
     """
     ring, s = A.ring, A.ambient_rank
+    fs = [f for f in ideal_generators(J) if not f.is_zero()]
+    mons = _monomials(A)
+    if mons is not None and all(len(f.terms) == 1 for f in fs):
+        # with no f, F: the x^0 e_c
+        sats = [
+            monomial_basis(ring, s, [
+                (c, tuple(0 if m else e for m, e in zip(f.terms[0][2], a))) for c, a in mons
+            ])
+            for f in fs
+        ] or [monomial_basis(ring, s, [(c, (0,) * ring.n) for c in range(s)])]
+        return canonical(intersect_many(sats))
     ext = _t_ring(ring)
     base = _lifted(A, ext, ((0, 1),))
     sats = []
-    for f in [f for f in ideal_generators(J) if not f.is_zero()]:
+    for f in fs:
         # (1 - @t f) e_i = e_i - @t (f e_i)
         units = [
             unit_vector(ext, s, i)

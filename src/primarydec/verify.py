@@ -9,6 +9,9 @@ whose claimed prime contains another.
 
 It shares with the code it checks the Groebner engine, `independent_sets`
 and `lead_coefficients`, which read a basis, and `min_ass`, for primality.
+It also shares the closed forms of monomial modules: `intersect` by lcms,
+`saturate` by dropped exponents and `min_ass` by minimal covers, which a
+monomial component or prime takes here as there.
 It also shares the contraction rule: Q : h^infinity, h the product of the
 K[u]-lead coefficients, is how the decomposition's witness loop computes
 each hull (`decompose.primary_component`), so a wrong rule there could pass

@@ -465,11 +465,13 @@ def test_normal_forms_stop_after_dim_plus_one_powers(monkeypatch):
 
 
 def test_each_block_order_derives_its_unit_keys_once_per_ring(monkeypatch):
-    # the four coordinate axes in 4-space: each independent set u = (d) goes
-    # through `_gtz_split` and then `_zero_dim_primes`, which rank the other
-    # three variables first through one order
+    # the four coordinate axes in 4-space, moved to (1, 0, 0, 0) so that the
+    # ideal is not monomial: each independent set u = (d) goes through
+    # `_gtz_split` and then `_zero_dim_primes`, which rank the other three
+    # variables first through one order
     R = RingContext(("x", "y", "z", "w"))
     x, y, z, w = (R.variable(i) for i in range(4))
+    x = x - 1
     I = ideal(R, [x * y, x * z, x * w, y * z, y * w, z * w])
     derived = []
     original = MonomialOrder._derive_units
@@ -483,8 +485,8 @@ def test_each_block_order_derives_its_unit_keys_once_per_ring(monkeypatch):
     # (other orders, such as the engine's tag order, may derive theirs here too)
     three_first = sorted(blocks for blocks in derived if blocks and len(blocks[0]) == 3)
     assert three_first == [((0, 1, 2),), ((0, 1, 3),), ((0, 2, 3),), ((1, 2, 3),)]
-    # the axes moved to (1, 0, 0, 0): new runs in the same four orders, which
-    # the ring has made already
+    # the axes moved on to (2, 0, 0, 0): new runs in the same four orders,
+    # which the ring has made already
     del derived[:]
     x = x - 1
     assert len(min_ass(ideal(R, [x * y, x * z, x * w, y * z, y * w, z * w]))) == 4
@@ -871,13 +873,16 @@ def test_primary_component_tells_minimal_primes_from_its_own_primes(monkeypatch)
         (["y^2", "x*y", "x^2"], 2, 2, [["y", "x"]]),
         (["y - 1", "x"], 1, 1, [["y"], ["y - 1", "x"]]),
     ]
-    # (x, y) is not associated to (xy) but holds both its primes, (x) and (y):
-    # nothing is separated, and the localization, of codim 1 below the
-    # prime's 2, is still saturated by (x, y); the saturation by (x) is
-    # min_ass's, by a lead coefficient, on the way to the associated primes
+    # (x, y - 1) is not associated to (x(y - 1)) but holds both its primes,
+    # (x) and (y - 1): nothing is separated, and the localization, of codim 1
+    # below the prime's 2, is still saturated by (x, y - 1); the saturation
+    # by (x) is min_ass's, by a lead coefficient, on the way to the
+    # associated primes (the ideal is not monomial, so min_ass splits it)
     calls.clear()
-    Q, m, trace = primary_component(ideal(R, [x * y]), ideal(R, [x, y]))
-    assert (itext(Q), m, len(trace), calls) == (["y", "x"], 1, 1, [["x"], ["y", "x"]])
+    Q, m, trace = primary_component(ideal(R, [x * (y - 1)]), ideal(R, [x, y - 1]))
+    assert (itext(Q), m, len(trace), calls) == (
+        ["y - 1", "x"], 1, 1, [["x"], ["y - 1", "x"]]
+    )
 
 
 def test_primary_decomposition_embedded_example():

@@ -118,7 +118,7 @@ def test_command_minass_changes_only_the_verb_of_ideal_scripts(monkeypatch, tmp_
     assert (body, verb, dp_verb) == (dp_body, "minass I;", "primdec I;")
 
 
-@pytest.mark.parametrize("shape", ["default", "points"])
+@pytest.mark.parametrize("shape", ["default", "points", "monomial"])
 def test_shape_draws_its_own_scripts_and_default_keeps_the_old_ones(
     monkeypatch, tmp_path, capsys, shape
 ):
@@ -135,6 +135,16 @@ def test_shape_draws_its_own_scripts_and_default_keeps_the_old_ones(
         rng = random.Random(7)
         drawn = [tool.points_script(rng) for _ in range(6)]
         assert all(text.split("\n")[1].startswith("ideal I = (x ") for text in drawn)
+    if shape == "monomial":
+        # the same seed draws the same text; every generator is one monomial
+        rng = random.Random(7)
+        drawn = [tool.monomial_script(rng) for _ in range(6)]
+        rng = random.Random(7)
+        assert [tool.monomial_script(rng, "dp", "primdec") for _ in range(6)] == drawn
+        for text in drawn:
+            body = text.split("\n")[1]
+            assert body.startswith(("ideal I = ", "module m = [")), body
+            assert not re.search(r"[-+()/]", body), body
     for k in (1, 4):
         assert (out / f"s{k:03d}.primdec").read_text() == drawn[k]
 

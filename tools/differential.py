@@ -15,7 +15,7 @@ different output.
 
     python3 tools/differential.py OLD_TREE NEW_TREE [--count 56] [--seed 7]
         [--timeout 20] [--only s015,s028] [--order dp|lp|wp]
-        [--command primdec|minass] [--shape default|points]
+        [--command primdec|minass] [--shape default|points|monomial]
 
 `--only` runs just the named scripts.  All `--count` scripts are still drawn,
 so each name keeps the text it has in a full run.  `--order` rewrites only
@@ -27,8 +27,11 @@ primes alone; module scripts stay as they are, and every script keeps its
 name and the rest of its text.  `--shape points` draws zero-dimensional
 ideals of rational points instead (`points_script`): grids of one to three
 roots per variable, some with a doubled root, cut down by products of two
-root factors or by x - y.  The default shape draws the scripts of earlier
-versions of this tool, with the same names and text.  The scripts that run are
+root factors or by x - y.  `--shape monomial` draws monomial ideals and
+rank-2 monomial modules (`monomial_script`), whose intersections,
+saturations and minimal primes the library computes in closed form.  The
+default shape draws the scripts of earlier versions of this tool, with the
+same names and text.  The scripts that run are
 written to a fresh temporary directory, which is kept and named in the last
 line of output.
 
@@ -150,7 +153,33 @@ def points_script(rng: random.Random, order: str = "dp", command: str = "primdec
     return f"{_ring_line(names, order)}\nideal I = {', '.join(gens)};\n{command} I;\n"
 
 
-SHAPES = {"default": random_script, "points": points_script}
+def _monomial_text(rng: random.Random, names) -> str:
+    exps = [rng.choice((0, 0, 1, 1, 2, 3)) for _ in names]
+    if not any(exps):
+        exps[rng.randrange(len(names))] = 1
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+
+
+def monomial_script(rng: random.Random, order: str = "dp", command: str = "primdec") -> str:
+    """A monomial ideal of two to four monomials, or a rank-2 monomial module:
+    two to four vectors, each with one monomial entry, both components used.
+    Exponents run from 0 to 3."""
+    names = list(VARIABLES[: rng.randint(2, 3)])
+    ring = _ring_line(names, order)
+    if rng.random() < 0.5:
+        gens = ", ".join(_monomial_text(rng, names) for _ in range(rng.randint(2, 4)))
+        return f"{ring}\nideal I = {gens};\n{command} I;\n"
+    comps = [0, 1] + [rng.randrange(2) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(comps)
+    vectors = []
+    for c in comps:
+        entries = ["0", "0"]
+        entries[c] = _monomial_text(rng, names)
+        vectors.append(f"[{', '.join(entries)}]")
+    return f"{ring}\nmodule m = {', '.join(vectors)};\nprimdec m;\n"
+
+
+SHAPES = {"default": random_script, "points": points_script, "monomial": monomial_script}
 
 
 def _cpu_seconds() -> float:
